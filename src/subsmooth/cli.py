@@ -3,7 +3,8 @@
 Masks are given either as file paths or as catalog references like
 ``catalog:merrien``.  Exit codes: 0 success / certificate granted,
 2 inconclusive certification, 1 any error (bad input, violated
-precondition, unknown catalog entry).
+precondition, unknown catalog entry, work over a fixed ceiling, or an
+internal consistency check that failed, which is reported as a bug).
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ import os
 import sys
 
 from . import catalog, maskfile
-from .errors import SubsmoothError
+from .errors import ConsistencyError, SubsmoothError
 from .masks import Kind, Mask, common_one_eigenspace, even_odd_mean
 from .hermite_smoothing import (check_interpolatory, check_spectral,
                                 check_taylor, smooth_hermite, zeta_of)
-from .refine import (DEFAULT_LMAX, Certificate, certify_hermite,
-                     certify_vector, render)
+from .refine import (DEFAULT_LMAX, MAX_LMAX, MAX_RENDER_ROWS, Certificate,
+                     certify_hermite, certify_vector, render)
 from .vector_smoothing import smooth_vector
 
 
@@ -105,13 +106,26 @@ def cmd_smooth(args) -> int:
     return 0
 
 
+def _lmax(args) -> int:
+    if args.lmax is not None:
+        lmax, source = args.lmax, "--lmax"
+    else:
+        env = os.environ.get("SUBSMOOTH_LMAX")
+        if env is None:
+            return DEFAULT_LMAX
+        try:
+            lmax, source = int(env), "SUBSMOOTH_LMAX"
+        except ValueError:
+            raise SubsmoothError(
+                f"SUBSMOOTH_LMAX must be an integer, got {env!r}") from None
+    if not 1 <= lmax <= MAX_LMAX:
+        raise SubsmoothError(f"{source} must be in 1..{MAX_LMAX}, got {lmax}")
+    return lmax
+
+
 def cmd_certify(args) -> int:
+    lmax = _lmax(args)
     mask = _load(args.path)
-    lmax = args.lmax
-    if lmax is None:
-        lmax = int(os.environ.get("SUBSMOOTH_LMAX", DEFAULT_LMAX))
-    if lmax < 1:
-        raise SubsmoothError("--lmax must be >= 1")
     if mask.kind is Kind.HERMITE:
         ell = args.ell if args.ell is not None else 1
         result = certify_hermite(mask, ell, lmax)
@@ -130,6 +144,13 @@ def cmd_render(args) -> int:
         raise SubsmoothError("--depth must be >= 1")
     if not 1 <= args.basis <= mask.p:
         raise SubsmoothError(f"--basis must be in 1..{mask.p}")
+    lo, hi = mask.support
+    # the shift is capped so that a huge --depth costs nothing to check
+    rows = (hi - lo + 1) << min(args.depth, MAX_RENDER_ROWS.bit_length())
+    if rows > MAX_RENDER_ROWS:
+        raise SubsmoothError(
+            f"--depth {args.depth} would render about {hi - lo + 1}*2^{args.depth} "
+            f"rows, over the budget of {MAX_RENDER_ROWS}")
     sample = render(mask, args.depth, args.basis)
     text = sample.to_csv(exact=args.exact)
     if args.out:
@@ -183,6 +204,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except ConsistencyError as exc:
+        print(f"internal error, please report: {exc}", file=sys.stderr)
+        return 1
     except SubsmoothError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,9 +1,19 @@
 """Laurent polynomials over the rationals and square matrices of them.
 
-A Laurent polynomial is stored as a map exponent -> coefficient with no
-explicit zeros, so equality of the maps is equality of the polynomials.
-These are the generating functions of finitely supported sequences: all of
-the subdivision calculus in this package is phrased in terms of them.
+A Laurent polynomial is stored as integer numerators over one denominator:
+the triple ``(lo, nums, den)`` stands for sum_i nums[i]/den * z**(lo + i).
+The triple is normalized -- no zero numerator at either end, ``den > 0``,
+``gcd(den, *nums) == 1``, and zero is ``(0, (), 1)`` -- so equality of the
+triples is equality of the polynomials.  These are the generating functions
+of finitely supported sequences: all of the subdivision calculus in this
+package is phrased in terms of them.
+
+Arithmetic stays in the integers.  Sums bring both operands onto a shared
+denominator; products convolve the numerators with a schoolbook loop over
+the nonzero terms of the sparser operand, which for the dilated factor
+A(z**(2**k)) of an iterated symbol is a few terms however long the other
+operand is.  Rationals appear only at the boundary: ``coeff``, ``coeffs``,
+``evaluate`` and ``derivative_at`` return Fractions.
 
 Division is deliberately restricted to the four binomials the smoothing
 calculus needs (z+1, 1/z+1, 1/z-1, 1/z**2-1); each has an exact quotient in
@@ -14,25 +24,105 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import NotDivisibleError
 from .linalg import RatMatrix, rat
 
 
-class LaurentPoly:
-    """Finitely supported map exponent -> Fraction; immutable."""
+def _conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Integer convolution of two nonempty coefficient sequences.  The outer
+    loop runs over the operand with fewer nonzero terms and skips its zeros,
+    so a dilated factor costs its nonzero terms times the other's length."""
+    if len(a) - a.count(0) < len(b) - b.count(0):
+        a, b = b, a
+    n = len(a)
+    out = [0] * (n + len(b) - 1)
+    for i, x in enumerate(b):
+        if x:
+            out[i:i + n] = map(add, out[i:i + n], map(x.__mul__, a))
+    return out
 
-    __slots__ = ("coeffs",)
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _raw(lo: int, nums: tuple, den: int) -> "LaurentPoly":
+    """A LaurentPoly from a triple that is already normalized."""
+    f = _new(LaurentPoly)
+    _set(f, "lo", lo)
+    _set(f, "nums", nums)
+    _set(f, "den", den)
+    return f
+
+
+def _normalize(lo: int, nums: Sequence[int], den: int) -> "LaurentPoly":
+    """A LaurentPoly from any numerators over a nonzero denominator."""
+    n = len(nums)
+    start = 0
+    while start < n and not nums[start]:
+        start += 1
+    if start == n:
+        return _ZERO
+    end = n
+    while not nums[end - 1]:
+        end -= 1
+    if start or end != n:
+        nums = nums[start:end]
+        lo += start
+    if den < 0:
+        den = -den
+        nums = [-x for x in nums]
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [x // g for x in nums]
+    return _raw(lo, tuple(nums), den)
+
+
+def _sum_terms(terms: list) -> "LaurentPoly":
+    """Sum of (lo, nums, den) triples, each nums nonempty, on one denominator."""
+    if not terms:
+        return _ZERO
+    if len(terms) == 1:
+        return _normalize(*terms[0])
+    den = math.lcm(*(d for _, _, d in terms))
+    lo = min(t[0] for t in terms)
+    out = [0] * (max(t[0] + len(t[1]) for t in terms) - lo)
+    for tlo, nums, d in terms:
+        i = tlo - lo
+        j = i + len(nums)
+        f = den // d
+        out[i:j] = map(add, out[i:j], nums if f == 1 else map(f.__mul__, nums))
+    return _normalize(lo, out, den)
+
+
+class LaurentPoly:
+    """Finitely supported map exponent -> rational, as integer numerators
+    ``nums`` for exponents ``lo, lo+1, ...`` over the denominator ``den``;
+    immutable."""
+
+    __slots__ = ("lo", "nums", "den")
 
     def __init__(self, coeffs: Mapping[int, object] | None = None):
-        clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = rat(c)
-                if c != 0:
-                    clean[int(e)] = c
-        object.__setattr__(self, "coeffs", clean)
+        clean = {int(e): rat(c) for e, c in coeffs.items()} if coeffs else {}
+        clean = {e: c for e, c in clean.items() if c}
+        if not clean:
+            lo, nums, den = 0, (), 1
+        else:
+            den = math.lcm(*(c.denominator for c in clean.values()))
+            lo = min(clean)
+            out = [0] * (max(clean) - lo + 1)
+            for e, c in clean.items():
+                out[e - lo] = c.numerator * (den // c.denominator)
+            nums = tuple(out)  # gcd(den, *nums) is 1 for reduced Fractions
+        _set(self, "lo", lo)
+        _set(self, "nums", nums)
+        _set(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -40,7 +130,7 @@ class LaurentPoly:
     # -- constructors ----------------------------------------------------------
     @staticmethod
     def zero() -> "LaurentPoly":
-        return LaurentPoly()
+        return _ZERO
 
     @staticmethod
     def one() -> "LaurentPoly":
@@ -57,82 +147,122 @@ class LaurentPoly:
 
     # -- basic queries ----------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def support(self) -> tuple[int, int] | None:
         """(min exponent, max exponent), or None for the zero polynomial."""
-        if not self.coeffs:
+        if not self.nums:
             return None
-        return min(self.coeffs), max(self.coeffs)
+        return self.lo, self.lo + len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> Mapping[int, Fraction]:
+        """Read-only map exponent -> nonzero coefficient."""
+        lo, den = self.lo, self.den
+        return MappingProxyType({lo + i: Fraction(x, den)
+                                 for i, x in enumerate(self.nums) if x})
 
     def coeff(self, e: int) -> Fraction:
-        return self.coeffs.get(e, Fraction(0))
+        i = e - self.lo
+        if 0 <= i < len(self.nums):
+            return Fraction(self.nums[i], self.den)
+        return Fraction(0)
 
     # -- ring operations ---------------------------------------------------------
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPoly(out)
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
+        return _sum_terms([(self.lo, self.nums, self.den),
+                           (other.lo, other.nums, other.den)])
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return LaurentPoly(out)
+        return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return _raw(self.lo, tuple(-x for x in self.nums), self.den)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(out)
+        if not self.nums or not other.nums:
+            return _ZERO
+        return _normalize(self.lo + other.lo, _conv(self.nums, other.nums),
+                          self.den * other.den)
 
     def scale(self, c) -> "LaurentPoly":
         c = rat(c)
-        return LaurentPoly({e: c * v for e, v in self.coeffs.items()})
+        if not c or not self.nums:
+            return _ZERO
+        n = c.numerator
+        return _normalize(self.lo, [n * x for x in self.nums],
+                          self.den * c.denominator)
 
     def shift(self, by: int) -> "LaurentPoly":
         """Multiply by z**by."""
-        return LaurentPoly({e + by: c for e, c in self.coeffs.items()})
+        return _raw(self.lo + by, self.nums, self.den) if self.nums else self
 
-    def dilate(self) -> "LaurentPoly":
-        """Substitute z -> z**2 (upsampling of the coefficient sequence)."""
-        return LaurentPoly({2 * e: c for e, c in self.coeffs.items()})
+    def dilate(self, factor: int = 2) -> "LaurentPoly":
+        """Substitute z -> z**factor (upsampling of the coefficient sequence)."""
+        nums = self.nums
+        if len(nums) < 2:
+            return _raw(factor * self.lo, nums, self.den)
+        out = [0] * (factor * (len(nums) - 1) + 1)
+        out[::factor] = nums
+        return _raw(factor * self.lo, tuple(out), self.den)
 
     # -- evaluation ----------------------------------------------------------------
     def evaluate(self, x) -> Fraction:
         """Exact value at a nonzero rational point (used at x = +-1)."""
         x = rat(x)
-        return sum((c * x ** e for e, c in self.coeffs.items()), Fraction(0))
+        nums = self.nums
+        if x == 1:
+            return Fraction(sum(nums), self.den)
+        if x == -1:
+            s = sum(nums[::2]) - sum(nums[1::2])
+            return Fraction(-s if self.lo % 2 else s, self.den)
+        acc = Fraction(0)
+        for c in reversed(nums):
+            acc = acc * x + c
+        return acc * x ** self.lo / self.den
 
     def derivative(self) -> "LaurentPoly":
-        return LaurentPoly({e - 1: e * c for e, c in self.coeffs.items() if e != 0})
+        lo = self.lo
+        return _normalize(lo - 1, [(lo + i) * c for i, c in enumerate(self.nums)],
+                          self.den)
 
     def derivative_at(self, x) -> Fraction:
         x = rat(x)
-        return sum((e * c * x ** (e - 1) for e, c in self.coeffs.items()), Fraction(0))
+        lo = self.lo
+        if x == 1:
+            return Fraction(sum((lo + i) * c for i, c in enumerate(self.nums)),
+                            self.den)
+        if x == -1:  # (-1)**(e-1) = -1 for even exponents e
+            s = sum((lo + i) * c if (lo + i) % 2 else -(lo + i) * c
+                    for i, c in enumerate(self.nums))
+            return Fraction(s, self.den)
+        return sum(((lo + i) * c * x ** (lo + i - 1) for i, c in enumerate(self.nums)),
+                   Fraction(0)) / self.den
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
+        return (isinstance(other, LaurentPoly) and self.nums == other.nums
+                and self.lo == other.lo and self.den == other.den)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.lo, self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
+        for i, x in enumerate(self.nums):
+            if not x:
+                continue
+            e = self.lo + i
+            c = Fraction(x, self.den)
             if e == 0:
                 term = str(c)
             else:
@@ -150,6 +280,8 @@ class LaurentPoly:
         return out
 
 
+_ZERO = _raw(0, (), 1)
+
 # The four binomial divisors used by the smoothing calculus.
 Z_PLUS_1 = LaurentPoly({1: 1, 0: 1})            # z + 1
 ZINV_PLUS_1 = LaurentPoly({-1: 1, 0: 1})        # 1/z + 1
@@ -162,7 +294,9 @@ _BINOMIALS = (Z_PLUS_1, ZINV_PLUS_1, ZINV_MINUS_1, ZINV2_MINUS_1)
 def divide_exact(f: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     """Exact quotient f/d in the Laurent ring for one of the four binomials.
 
-    Synthetic division from the lowest exponent upward; the quotient in the
+    Integer synthetic division from the lowest exponent upward: each binomial
+    is z**a * (1 + s*z**g) with s = +-1, so the quotient numerators are
+    q[j] = nums[j] - s*q[j-g] over the same denominator.  The quotient in the
     Laurent ring is unique, so the direction is only a determinism choice.
     Raises NotDivisibleError (carrying the remainder) when the matching root
     condition fails, e.g. dividing by 1/z - 1 a polynomial with f(1) != 0.
@@ -171,28 +305,21 @@ def divide_exact(f: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
         raise ValueError(f"unsupported divisor {d}")
     if f.is_zero():
         return f
-    (a, b) = d.support  # two terms, exponents a < b
-    ca = d.coeff(a)
-    lo_f, hi_f = f.support
-    hi_q = hi_f - b
-    rem = dict(f.coeffs)
-    q: dict[int, Fraction] = {}
-    while rem:
-        e = min(rem)
-        qe = e - a
-        if qe > hi_q:
-            raise NotDivisibleError(
-                f"{f} is not divisible by {d}", remainder=LaurentPoly(rem))
-        c = rem[e] / ca
-        q[qe] = c
-        for de, dc in d.coeffs.items():
-            ee = qe + de
-            nv = rem.get(ee, Fraction(0)) - c * dc
-            if nv == 0:
-                rem.pop(ee, None)
-            else:
-                rem[ee] = nv
-    return LaurentPoly(q)
+    gap = len(d.nums) - 1
+    s = d.nums[-1]
+    nums = f.nums
+    n = len(nums)
+    if n <= gap:
+        raise NotDivisibleError(f"{f} is not divisible by {d}", remainder=f)
+    q = list(nums[:n - gap])
+    for j in range(gap, n - gap):
+        q[j] -= s * q[j - gap]
+    rem = [nums[j] - s * q[j - gap] if j >= gap else nums[j]
+           for j in range(n - gap, n)]
+    if any(rem):
+        raise NotDivisibleError(f"{f} is not divisible by {d}",
+                                remainder=_normalize(f.lo + n - gap, rem, f.den))
+    return _raw(f.lo - d.lo, tuple(q), f.den)
 
 
 def root_multiplicity_at_one(f: LaurentPoly):
@@ -297,18 +424,14 @@ class SymbolMatrix:
                                   for r1, r2 in zip(self.entries, other.entries)))
 
     def __mul__(self, other: "SymbolMatrix") -> "SymbolMatrix":
+        """Each entry sums its p polynomial products on one denominator."""
         self._same_p(other)
-        p = self.p
-        out = []
-        for i in range(p):
-            row = []
-            for j in range(p):
-                acc = LaurentPoly.zero()
-                for k in range(p):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(tuple(row))
-        return SymbolMatrix(tuple(out))
+        cols = list(zip(*other.entries))
+        return SymbolMatrix(tuple(
+            tuple(_sum_terms([(f.lo, f.nums, f.den)
+                              for f in map(LaurentPoly.__mul__, row, col) if f.nums])
+                  for col in cols)
+            for row in self.entries))
 
     def scale(self, c) -> "SymbolMatrix":
         c = rat(c)
@@ -320,8 +443,8 @@ class SymbolMatrix:
     def shift(self, by: int) -> "SymbolMatrix":
         return self.map(lambda e: e.shift(by))
 
-    def dilate(self) -> "SymbolMatrix":
-        return self.map(lambda e: e.dilate())
+    def dilate(self, factor: int = 2) -> "SymbolMatrix":
+        return self.map(lambda e: e.dilate(factor))
 
     def left_mul_const(self, m: RatMatrix) -> "SymbolMatrix":
         return SymbolMatrix.from_constant(m) * self

@@ -3,6 +3,9 @@
 Floats never appear, so files round-trip without any loss and canonical
 serialization is byte-stable: keys sorted, fixed indentation, rationals
 reduced with positive denominator, support trimmed to the true window.
+Parsing is strict: a rational is an integer or p/q in lowest terms with
+q > 0 and at most 1000 characters, integer fields reject JSON booleans, and
+a mask has at least one nonzero coefficient.
 
 Schema (version 1):
     {
@@ -18,6 +21,8 @@ Schema (version 1):
 from __future__ import annotations
 
 import json
+import math
+import re
 from fractions import Fraction
 
 from .errors import MaskFileError
@@ -28,19 +33,42 @@ SCHEMA_VERSION = 1
 
 _KINDS = {"scalar": Kind.SCALAR, "vector": Kind.VECTOR, "hermite": Kind.HERMITE}
 
+# Rationals in a mask file: "-?digits" or "-?digits/digits", ASCII only.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_MAX_RATIONAL_CHARS = 1000
+
 
 def _rat_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _str_to_rat(s, where: str) -> Fraction:
+    """Parse an integer or p/q in lowest terms with q > 0, at most
+    _MAX_RATIONAL_CHARS characters; reject everything else."""
     if not isinstance(s, str):
         raise MaskFileError(f"{where}: rationals must be strings, got {s!r}")
-    try:
-        f = Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MaskFileError(f"{where}: invalid rational {s!r} ({exc})") from None
-    return f
+    if len(s) > _MAX_RATIONAL_CHARS:
+        raise MaskFileError(f"{where}: rational longer than "
+                            f"{_MAX_RATIONAL_CHARS} characters")
+    m = _RATIONAL.fullmatch(s)
+    if m is None:
+        raise MaskFileError(f"{where}: invalid rational {s!r} "
+                            "(expected an integer or p/q)")
+    num = int(m[1])
+    if m[2] is None:
+        return Fraction(num)
+    den = int(m[2])
+    if den == 0:
+        raise MaskFileError(f"{where}: invalid rational {s!r} (zero denominator)")
+    if math.gcd(num, den) != 1:
+        raise MaskFileError(f"{where}: rational {s!r} is not in lowest terms")
+    return Fraction(num, den)
+
+
+def _int_field(doc: dict, key: str):
+    """The value of an integer field; JSON true/false are not integers."""
+    v = doc.get(key)
+    return v if isinstance(v, int) and not isinstance(v, bool) else None
 
 
 def serialize(mask: Mask) -> str:
@@ -73,46 +101,53 @@ def parse(text: str) -> Mask:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MaskFileError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # e.g. an integer literal over the digit limit
+        raise MaskFileError(str(exc)) from None
     if not isinstance(doc, dict):
         raise MaskFileError("top level must be an object")
 
-    version = doc.get("schema_version")
+    version = _int_field(doc, "schema_version")
     if version != SCHEMA_VERSION:
-        raise MaskFileError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+        raise MaskFileError(f"schema_version: expected {SCHEMA_VERSION}, "
+                            f"got {doc.get('schema_version')!r}")
 
     kind_name = doc.get("kind")
     if kind_name not in _KINDS:
         raise MaskFileError(f"kind: expected one of {sorted(_KINDS)}, got {kind_name!r}")
     kind = _KINDS[kind_name]
 
-    p = doc.get("p")
-    if not isinstance(p, int) or p < 1:
-        raise MaskFileError(f"p: expected a positive integer, got {p!r}")
+    p = _int_field(doc, "p")
+    if p is None or p < 1:
+        raise MaskFileError(f"p: expected a positive integer, got {doc.get('p')!r}")
     if kind is Kind.SCALAR and p != 1:
         raise MaskFileError("p: scalar masks must have p = 1")
     if kind is Kind.HERMITE and p != 2:
         raise MaskFileError("p: hermite masks must have p = 2")
 
-    lo = doc.get("support_lo")
-    if not isinstance(lo, int):
-        raise MaskFileError(f"support_lo: expected an integer, got {lo!r}")
+    lo = _int_field(doc, "support_lo")
+    if lo is None:
+        raise MaskFileError(
+            f"support_lo: expected an integer, got {doc.get('support_lo')!r}")
 
     coeffs = doc.get("coeffs")
-    if not isinstance(coeffs, list):
-        raise MaskFileError("coeffs: expected a list of p x p arrays")
-    entries = [[dict() for _ in range(p)] for _ in range(p)]
+    if not isinstance(coeffs, list) or not coeffs:
+        raise MaskFileError("coeffs: expected a nonempty list of p x p arrays")
     for idx, mat in enumerate(coeffs):
-        where = f"coeffs[{idx}]"
         if not (isinstance(mat, list) and len(mat) == p
                 and all(isinstance(row, list) and len(row) == p for row in mat)):
-            raise MaskFileError(f"{where}: expected a {p}x{p} array")
+            raise MaskFileError(f"coeffs[{idx}]: expected a {p}x{p} array")
+    # the shapes are checked first, so a huge p costs no more than the file
+    entries = [[{} for _ in range(p)] for _ in range(p)]
+    for idx, mat in enumerate(coeffs):
         for r in range(p):
             for c in range(p):
-                v = _str_to_rat(mat[r][c], f"{where}[{r}][{c}]")
+                v = _str_to_rat(mat[r][c], f"coeffs[{idx}][{r}][{c}]")
                 if v != 0:
                     entries[r][c][lo + idx] = v
     sym = SymbolMatrix(tuple(tuple(LaurentPoly(entries[r][c]) for c in range(p))
                              for r in range(p)))
+    if sym.is_zero():
+        raise MaskFileError("coeffs: expected at least one nonzero coefficient")
 
     if kind is Kind.SCALAR:
         return scalar_mask(sym[0, 0])

@@ -14,8 +14,10 @@ the canonical basis change that moves it onto the leading coordinates.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import EigenspaceError, EmptyEigenspaceError
 from .laurent import LaurentPoly, SymbolMatrix
@@ -138,25 +140,28 @@ def stencil_norm(symbol: SymbolMatrix, arity: int) -> Fraction:
 
     Equals the max over the residue classes of the output index of the
     max-row-sum of the entrywise absolute coefficient sums; the supremum is
-    attained by sign-aligned data of sup-norm one.  Single pass over the
-    support, bucketing by residue.
+    attained by sign-aligned data of sup-norm one.  Works on the integer
+    numerators: each row is put on the lcm of its denominators, and the
+    absolute numerators of an entry are folded into arity residue classes
+    by summing consecutive blocks of arity terms.
     """
-    s = symbol.support
-    if s is None:
-        return Fraction(0)
-    lo, hi = s
-    p = symbol.p
-    rowsums: dict[int, list[Fraction]] = {}
-    for i in range(lo, hi + 1):
-        m = symbol.coefficient(i)
-        if m.is_zero():
+    best = Fraction(0)
+    for row in symbol.entries:
+        entries = [e for e in row if e.nums]
+        if not entries:
             continue
-        sums = rowsums.setdefault(i % arity, [Fraction(0)] * p)
-        for r in range(p):
-            sums[r] += sum(abs(x) for x in m.row(r))
-    if not rowsums:
-        return Fraction(0)
-    return max(max(sums) for sums in rowsums.values())
+        den = math.lcm(*(e.den for e in entries))
+        sums = [0] * arity
+        for e in entries:
+            # position k of padded holds the exponent congruent to k mod arity
+            padded = [0] * (e.lo % arity) + [abs(x) for x in e.nums]
+            padded += [0] * (-len(padded) % arity)
+            classes = map(sum, zip(*[padded[k:k + arity]
+                                     for k in range(0, len(padded), arity)]))
+            f = den // e.den
+            sums = list(map(add, sums, classes if f == 1 else map(f.__mul__, classes)))
+        best = max(best, Fraction(max(sums), den))
+    return best
 
 
 def conjugate(mask: Mask, r: RatMatrix) -> Mask:

@@ -25,6 +25,12 @@ from .hermite_smoothing import check_spectral, taylor_scheme
 
 DEFAULT_LMAX = 12
 
+# Work ceilings the CLI checks before it starts: the iterated symbol at power
+# L is (2**L - 1) * (hi - lo) + 1 terms wide, and a render at depth n has
+# about 2**n * (hi - lo + 1) rows.
+MAX_LMAX = 16
+MAX_RENDER_ROWS = 2 ** 17
+
 
 @dataclass(frozen=True)
 class FinSeq:
@@ -165,15 +171,20 @@ def taylor_diff(c: FinSeq) -> FinSeq:
     return FinSeq.make(2, lo - 1, vals)
 
 
-def iterated_symbol(mask: Mask, L: int) -> SymbolMatrix:
-    """Symbol of the L-fold operator: A(z) A(z**2) ... A(z**(2**(L-1)))."""
+def iterated_symbol(mask: Mask, L: int, *, _prev: SymbolMatrix | None = None) -> SymbolMatrix:
+    """Symbol of the L-fold operator: A(z) A(z**2) ... A(z**(2**(L-1))).
+
+    ``_prev`` is internal to the contractivity search, which passes the
+    symbol it just built for L - 1 so that the result is the one product
+    _prev(z) * A(z**(2**(L-1))); it is trusted, not checked.
+    """
     if L < 1:
         raise ValueError("L must be >= 1")
-    out = mask.symbol
-    dil = mask.symbol
-    for _ in range(1, L):
-        dil = dil.dilate()
-        out = out * dil
+    out, start = mask.symbol, 1
+    if _prev is not None and L > 1:
+        out, start = _prev, L - 1
+    for k in range(start, L):
+        out = out * mask.symbol.dilate(2 ** k)
     return out
 
 
@@ -218,8 +229,10 @@ def _contractive_power(mask: Mask, lmax: int):
     """Smallest L with |(1/2 S)^L| < 1, plus that exact norm, or the norms
     found if none is contractive up to lmax."""
     norms = []
+    symbol = None
     for L in range(1, lmax + 1):
-        norm = stencil_norm(iterated_symbol(mask, L), 2 ** L) * Fraction(1, 2 ** L)
+        symbol = iterated_symbol(mask, L, _prev=symbol)
+        norm = stencil_norm(symbol, 2 ** L) * Fraction(1, 2 ** L)
         norms.append(norm)
         if norm < 1:
             return L, norm, norms
@@ -259,11 +272,11 @@ def certify_vector(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):
         current = derived(conjugate(current, es.r), es.k)
         steps.append(f"descent {r}: derived scheme with k={es.k}")
     res = certify_c0(current, lmax)
+    if ell == 0:
+        return res
     if isinstance(res, Refusal):
         return Refusal(stage=f"{res.stage} after {ell} descents",
                        reason=res.reason, norms=res.norms)
-    if ell == 0:
-        return res
     return Certificate(kind="chain", L=res.L, norm_value=res.norm_value,
                        steps=tuple(steps) + res.steps, ell=ell)
 

@@ -1,0 +1,177 @@
+"""Strict mask-file parsing, work ceilings, refusal wording and internal
+error reporting at the command-line front end."""
+
+import json
+import time
+
+import pytest
+
+from subsmooth import (ConsistencyError, LaurentPoly, MaskFileError, Refusal,
+                       catalog, certify_vector, maskfile, scalar_mask,
+                       smooth_scalar)
+from subsmooth import cli
+from subsmooth.cli import main
+from subsmooth.refine import MAX_LMAX, MAX_RENDER_ROWS
+
+
+def scalar_doc(values, **overrides):
+    doc = {"schema_version": 1, "kind": "scalar", "p": 1, "support_lo": 0,
+           "coeffs": [[[v]] for v in values]}
+    doc.update(overrides)
+    return json.dumps(doc)
+
+
+class TestStrictRationals:
+    @pytest.mark.parametrize("text", ["1.5", "1_000", " 3 ", "3 ", "1e5", "+1",
+                                      "1/-2", "-1/2/3", "", "١", "0x10",
+                                      "inf", "nan"])
+    def test_malformed_rejected(self, text):
+        with pytest.raises(MaskFileError) as err:
+            maskfile.parse(scalar_doc([text]))
+        assert "coeffs[0][0][0]" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["2/4", "0/3", "-6/9"])
+    def test_not_in_lowest_terms_rejected(self, text):
+        with pytest.raises(MaskFileError) as err:
+            maskfile.parse(scalar_doc(["1", text]))
+        assert "lowest terms" in str(err.value)
+
+    def test_exponent_bomb_rejected_at_once(self):
+        t0 = time.perf_counter()
+        with pytest.raises(MaskFileError):
+            maskfile.parse(scalar_doc(["1e999999999"]))
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_digit_cap(self):
+        ok = "7" * 1000
+        assert maskfile.parse(scalar_doc([ok])).symbol[0, 0].coeff(0) == int(ok)
+        with pytest.raises(MaskFileError) as err:
+            maskfile.parse(scalar_doc(["7" * 1001]))
+        assert "1000 characters" in str(err.value)
+
+    def test_canonical_forms_accepted(self):
+        m = maskfile.parse(scalar_doc(["-3/8", "0", "5", "1/2"]))
+        assert m.symbol[0, 0] == LaurentPoly({0: "-3/8", 2: 5, 3: "1/2"})
+
+    def test_phi_is_strict_too(self):
+        doc = json.loads(maskfile.serialize(catalog.get("merrien")))
+        doc["phi"] = "0.0"
+        with pytest.raises(MaskFileError) as err:
+            maskfile.parse(json.dumps(doc))
+        assert "phi" in str(err.value)
+
+
+class TestStrictFields:
+    def test_bool_p_rejected(self):
+        with pytest.raises(MaskFileError) as err:
+            maskfile.parse(scalar_doc(["1"], p=True))
+        assert "p:" in str(err.value)
+
+    def test_bool_support_lo_rejected(self):
+        with pytest.raises(MaskFileError) as err:
+            maskfile.parse(scalar_doc(["1"], support_lo=True))
+        assert "support_lo" in str(err.value)
+
+    def test_bool_schema_version_rejected(self):
+        with pytest.raises(MaskFileError) as err:
+            maskfile.parse(scalar_doc(["1"], schema_version=True))
+        assert "schema_version" in str(err.value)
+
+    def test_empty_coeffs_rejected(self):
+        with pytest.raises(MaskFileError) as err:
+            maskfile.parse(scalar_doc([]))
+        assert "coeffs" in str(err.value)
+
+    def test_all_zero_coeffs_rejected(self):
+        with pytest.raises(MaskFileError) as err:
+            maskfile.parse(scalar_doc(["0", "0"]))
+        assert "coeffs" in str(err.value)
+
+    def test_huge_p_fails_on_shape_without_allocating(self):
+        doc = {"schema_version": 1, "kind": "vector", "p": 10 ** 9,
+               "support_lo": 0, "coeffs": [[["1"]]]}
+        with pytest.raises(MaskFileError) as err:
+            maskfile.parse(json.dumps(doc))
+        assert "coeffs[0]" in str(err.value)
+
+    def test_oversized_json_integer(self):
+        with pytest.raises(MaskFileError):
+            maskfile.parse('{"p": ' + "1" * 5000 + "}")
+
+
+class TestWorkCeilings:
+    def test_lmax_over_ceiling(self, capsys):
+        assert main(["certify", "catalog:merrien", "--lmax", str(MAX_LMAX + 1)]) == 1
+        assert f"--lmax must be in 1..{MAX_LMAX}" in capsys.readouterr().err
+
+    def test_env_lmax_over_ceiling(self, capsys, monkeypatch):
+        monkeypatch.setenv("SUBSMOOTH_LMAX", str(MAX_LMAX + 1))
+        assert main(["certify", "catalog:merrien"]) == 1
+        assert "SUBSMOOTH_LMAX must be in" in capsys.readouterr().err
+
+    def test_env_lmax_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("SUBSMOOTH_LMAX", "twelve")
+        assert main(["certify", "catalog:merrien"]) == 1
+        assert "SUBSMOOTH_LMAX must be an integer, got 'twelve'" in capsys.readouterr().err
+
+    def test_ceiling_checked_before_loading(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_load", lambda ref: pytest.fail("mask loaded"))
+        assert main(["certify", "catalog:merrien", "--lmax", "1000000"]) == 1
+
+    def test_depth_over_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "render", lambda *a: pytest.fail("rendered"))
+        assert main(["render", "catalog:merrien-smoothed", "--depth", "15"]) == 1
+        assert f"budget of {MAX_RENDER_ROWS}" in capsys.readouterr().err
+        assert main(["render", "catalog:bspline3", "--depth", str(10 ** 9)]) == 1
+        assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,depth", [("bspline3", 11), ("merrien-smoothed", 11),
+                                            ("derham-smoothed", 11), ("bspline1", 13)])
+    def test_used_depths_stay_accepted(self, name, depth, monkeypatch):
+        calls = []
+
+        class Sample:
+            def to_csv(self, exact=False):
+                return ""
+
+        monkeypatch.setattr(cli, "render", lambda *a: calls.append(a) or Sample())
+        assert main(["render", f"catalog:{name}", "--depth", str(depth)]) == 0
+        assert calls
+
+    def test_used_lmax_stays_accepted(self, capsys, monkeypatch):
+        monkeypatch.setenv("SUBSMOOTH_LMAX", "12")
+        assert main(["certify", "catalog:bspline1"]) == 0
+        assert main(["certify", "catalog:bspline1", "--lmax", "12"]) == 0
+
+
+class TestRefusalWording:
+    WILD = scalar_mask(LaurentPoly({0: -2, 1: 1, 2: 3}))
+
+    def test_ell_zero_keeps_stage(self):
+        res = certify_vector(self.WILD, 0, 3)
+        assert isinstance(res, Refusal)
+        assert res.stage == "contractivity"
+
+    def test_ell_one_names_descents(self):
+        res = certify_vector(smooth_scalar(self.WILD), 1, 3)
+        assert isinstance(res, Refusal)
+        assert res.stage == "contractivity after 1 descents"
+
+    def test_cli_ell_zero(self, tmp_path, capsys):
+        path = tmp_path / "wild.mask"
+        path.write_text(maskfile.serialize(self.WILD))
+        assert main(["certify", str(path), "--ell", "0", "--lmax", "3"]) == 2
+        out = capsys.readouterr().out
+        assert "inconclusive at stage 'contractivity':" in out
+        assert "descents" not in out
+
+
+def test_consistency_error_reported_as_internal(capsys, monkeypatch):
+    def broken(mask):
+        raise ConsistencyError("smoothing changed the common 1-eigenspace")
+
+    monkeypatch.setattr(cli, "smooth_vector", broken)
+    assert main(["smooth", "catalog:bspline1"]) == 1
+    err = capsys.readouterr().err
+    assert "internal error, please report: smoothing changed" in err
+    assert "error: smoothing" not in err
