@@ -9,9 +9,15 @@ per round and the re-normalization constant zeta drifts away from 1 once
 the coupling entry stops vanishing at z = 1.
 """
 
+import os
+import sys
+
 from subsmooth import (catalog, check_interpolatory, check_spectral,
-                       smooth_hermite, smooth_hermite_closed_form,
-                       zeta_multiplicity_forecast, zeta_of)
+                       smooth_hermite, zeta_multiplicity_forecast, zeta_of)
+
+# The closed-form round is a test oracle; it lives in the repository's tests/.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.hermite_oracle import smooth_hermite_closed_form  # noqa: E402
 
 
 def run(name, rounds=3):

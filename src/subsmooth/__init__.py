@@ -12,9 +12,9 @@ from .errors import (ConsistencyError, DegenerateAError, EigenspaceError,
                      NotInTildeError, SingularMatrixError,
                      SpectralConditionError, SubsmoothError)
 from .linalg import RatMatrix, column_space_basis, invert, kernel_basis, rat
-from .laurent import (LaurentPoly, SymbolMatrix, Z_PLUS_1, ZINV2_MINUS_1,
-                      ZINV_MINUS_1, ZINV_PLUS_1, divide_exact,
-                      root_multiplicity_at_one)
+from .laurent import (TAYLOR_OPERATOR, LaurentPoly, SymbolMatrix, Z_PLUS_1,
+                      ZINV2_MINUS_1, ZINV_MINUS_1, ZINV_PLUS_1, difference_operator,
+                      divide_exact, intertwine, root_multiplicity_at_one, untwine)
 from .masks import (Eigenstructure, Kind, Mask, canonical_transform,
                     common_one_eigenspace, conjugate, derive_phi,
                     even_odd_mean, even_odd_sums, hermite_mask, operator_norm,
@@ -24,8 +24,7 @@ from .vector_smoothing import (admits_derived, admits_smoothing, derived,
                                smooth_vector)
 from .hermite_smoothing import (SpectralReport, TaylorReport, check_interpolatory,
                                 check_spectral, check_taylor, inverse_taylor,
-                                retaylor, smooth_hermite,
-                                smooth_hermite_closed_form, taylor_scheme,
+                                retaylor, smooth_hermite, taylor_scheme,
                                 zeta_multiplicity_forecast, zeta_of)
 from .refine import (Certificate, FinSeq, LimitSample, Refusal, apply,
                      certify_c0, certify_hermite, certify_vector, difference,

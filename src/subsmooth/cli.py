@@ -18,8 +18,8 @@ from .errors import ConsistencyError, SubsmoothError
 from .masks import Kind, Mask, common_one_eigenspace, even_odd_mean
 from .hermite_smoothing import (check_interpolatory, check_spectral,
                                 check_taylor, smooth_hermite, zeta_of)
-from .refine import (DEFAULT_LMAX, MAX_LMAX, MAX_RENDER_ROWS, Certificate,
-                     certify_hermite, certify_vector, render)
+from .refine import (DEFAULT_LMAX, MAX_LMAX, MAX_RENDER_ROWS, MAX_ROUNDS,
+                     Certificate, certify_hermite, certify_vector, render)
 from .vector_smoothing import smooth_vector
 
 
@@ -32,6 +32,15 @@ def _load(ref: str) -> Mask:
     if not os.path.exists(ref):
         raise SubsmoothError(f"no such file: {ref}")
     return maskfile.load(ref)
+
+
+def _emit(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _fmt_matrix(m) -> str:
@@ -78,9 +87,9 @@ def cmd_show(args) -> int:
 
 
 def cmd_smooth(args) -> int:
+    if not 1 <= args.rounds <= MAX_ROUNDS:
+        raise SubsmoothError(f"--rounds must be in 1..{MAX_ROUNDS}, got {args.rounds}")
     mask = _load(args.path)
-    if args.rounds < 1:
-        raise SubsmoothError("--rounds must be >= 1")
     print("note: input regularity is assumed, not verified; "
           "run 'subsmooth certify' for a convergence certificate",
           file=sys.stderr)
@@ -97,12 +106,7 @@ def cmd_smooth(args) -> int:
             print(f"round {r}: k = {k}, support {current.support} -> "
                   f"{nxt.support}", file=sys.stderr)
         current = nxt
-    text = maskfile.serialize(current)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(maskfile.serialize(current), args.out)
     return 0
 
 
@@ -151,13 +155,7 @@ def cmd_render(args) -> int:
         raise SubsmoothError(
             f"--depth {args.depth} would render about {hi - lo + 1}*2^{args.depth} "
             f"rows, over the budget of {MAX_RENDER_ROWS}")
-    sample = render(mask, args.depth, args.basis)
-    text = sample.to_csv(exact=args.exact)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(render(mask, args.depth, args.basis).to_csv(exact=args.exact), args.out)
     return 0
 
 
@@ -174,7 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_smooth = sub.add_parser("smooth", help="raise smoothness by one per round")
     p_smooth.add_argument("path")
-    p_smooth.add_argument("--rounds", type=int, default=1)
+    p_smooth.add_argument("--rounds", type=int, default=1,
+                          help=f"smoothing rounds, 1..{MAX_ROUNDS} (default 1)")
     p_smooth.add_argument("--out", default=None, help="output mask file")
     p_smooth.set_defaults(fn=cmd_smooth)
 

@@ -11,26 +11,23 @@ Smoothing a Hermite scheme = smoothing its Taylor scheme as a vector
 scheme (with a fixed canonical transform valid for every Taylor mask),
 re-normalizing with a shear so the Taylor conditions hold again, and
 inverting the factorization.  One round lowers phi by exactly 1/2 and
-grows the support by at most 5 on the left.
-
-``smooth_hermite_closed_form`` evaluates the same round through explicit
-polynomial formulas in the re-normalization constant zeta; it must agree
-with the compositional pipeline bit for bit and serves as an independent
-oracle for it.
+grows the support by at most 5 on the left.  The Taylor scheme and its
+inverse are laurent.intertwine and laurent.untwine with the operator
+symbol T; the same round written as explicit polynomial formulas in the
+re-normalization constant zeta lives in the tests as an independent oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (ConsistencyError, DegenerateAError, NotInTildeError,
                      SpectralConditionError)
-from .laurent import (LaurentPoly, SymbolMatrix, ZINV2_MINUS_1, ZINV_MINUS_1,
-                      ZINV_PLUS_1, divide_exact, root_multiplicity_at_one)
+from .laurent import (TAYLOR_OPERATOR, intertwine, root_multiplicity_at_one,
+                      untwine)
 from .linalg import RatMatrix
-from .masks import (Kind, Mask, common_one_eigenspace, conjugate,
+from .masks import (Kind, Mask, common_one_eigenspace, conjugate, derive_phi,
                     hermite_mask, vector_mask)
 from .vector_smoothing import smooth_raw
 
@@ -85,7 +82,7 @@ def check_spectral(mask: Mask) -> SpectralReport:
         raise ValueError("spectral condition applies to 2x2 masks")
     s = mask.symbol
     a11, a12, a21, a22 = s[0, 0], s[0, 1], s[1, 0], s[1, 1]
-    phi = (a11.derivative_at(1) - 2 * a12.evaluate(1)) / 2
+    phi = derive_phi(s)
     violated = []
     if not (a11.evaluate(1) == 2 and a11.evaluate(-1) == 0):
         violated.append(1)
@@ -148,52 +145,31 @@ def _eigenspace_is_e2(mask: Mask) -> bool:
 
 def taylor_scheme(mask: Mask) -> Mask:
     """The vector scheme the Taylor operator intertwines with the input:
+    symbol 2 T(z) A(z) T(z**2)**-1.
 
-      out11 = 2*(a11/(1/z+1) - a21/(1/z**2-1))
-      out12 = 2*((1/z-1)a12 - a22 + a11/(1/z+1) - a21/(1/z**2-1))
-      out21 = 2*a21/(1/z**2-1)
-      out22 = 2*(a22 + a21/(1/z**2-1))
-
-    Only reproduction of constants is needed for the divisions to be exact;
-    under the full spectral condition the output satisfies the Taylor
-    conditions.
+    It exists iff a11(-1) = 0 and a21(+-1) = 0 (reproduction of constants),
+    otherwise NotDivisibleError; under the full spectral condition the
+    output satisfies the Taylor conditions.
     """
     if mask.p != 2:
         raise ValueError("Taylor factorization applies to 2x2 masks")
-    s = mask.symbol
-    a11, a12, a21, a22 = s[0, 0], s[0, 1], s[1, 0], s[1, 1]
-    q1 = divide_exact(a11, ZINV_PLUS_1)
-    q2 = divide_exact(a21, ZINV2_MINUS_1)
-    out11 = (q1 - q2).scale(2)
-    out12 = (a12 * ZINV_MINUS_1 - a22 + q1 - q2).scale(2)
-    out21 = q2.scale(2)
-    out22 = (a22 + q2).scale(2)
-    return vector_mask(SymbolMatrix(((out11, out12), (out21, out22))))
+    return vector_mask(intertwine(mask.symbol, TAYLOR_OPERATOR))
 
 
 def inverse_taylor(mask: Mask) -> Mask:
-    """Right inverse of the Taylor factorization:
+    """Right inverse of the Taylor factorization: symbol
+    1/2 T(z)**-1 B(z) T(z**2).
 
-      out11 = 1/2*(1/z+1)(b11 + b21)
-      out12 = 1/2*(b12 - b11 - b21 + b22)/(1/z-1)
-      out21 = 1/2*b21*(1/z**2-1)
-      out22 = 1/2*(b22 - b21)
-
-    The division is exact precisely under the Taylor conditions.  The
-    output is a Hermite mask satisfying the spectral condition with
+    It exists iff (b12 - b11 - b21 + b22)(1) = 0, which the Taylor
+    conditions imply, otherwise NotDivisibleError.  The output is a Hermite
+    mask satisfying the spectral condition with
     phi = (b12'(1) + b22'(1) - 1)/2.
     """
     if mask.p != 2:
         raise ValueError("inverse Taylor factorization applies to 2x2 masks")
     s = mask.symbol
-    b11, b12, b21, b22 = s[0, 0], s[0, 1], s[1, 0], s[1, 1]
-    out11 = ((b11 + b21) * ZINV_PLUS_1).scale(HALF)
-    out12 = divide_exact(b12 - b11 - b21 + b22, ZINV_MINUS_1).scale(HALF)
-    out21 = (b21 * ZINV2_MINUS_1).scale(HALF)
-    out22 = (b22 - b21).scale(HALF)
-    phi = (b12.derivative_at(1) + b22.derivative_at(1) - 1) / 2
-    out = hermite_mask(SymbolMatrix(((out11, out12), (out21, out22))), phi)
-    return out
+    phi = (s[0, 1].derivative_at(1) + s[1, 1].derivative_at(1) - 1) / 2
+    return hermite_mask(untwine(s, TAYLOR_OPERATOR), phi)
 
 
 def retaylor(mask: Mask) -> tuple[Mask, Fraction]:
@@ -272,74 +248,3 @@ def zeta_multiplicity_forecast(mask: Mask):
     if not rep.holds:
         raise SpectralConditionError("forecast requires the spectral condition")
     return root_multiplicity_at_one(mask.symbol[0, 1])
-
-
-def smooth_hermite_closed_form(mask: Mask) -> Mask:
-    """One Hermite smoothing round through the explicit polynomial formulas.
-
-    With zeta = 1 + a12(1)/(2 - a22(1)), the smoothed symbol is a fixed
-    polynomial combination of the four input entries (the zeta = 1 special
-    case is also evaluated as an internal cross-check when applicable).
-    Must agree exactly with smooth_hermite().
-    """
-    rep = check_spectral(mask)
-    if not rep.holds:
-        raise SpectralConditionError(
-            f"spectral condition fails; violated conditions {list(rep.violated)}")
-    zeta = zeta_of(mask)  # DegenerateAError when a22(1) = 2
-    out = _closed_form_general(mask.symbol, zeta)
-    if zeta == 1:
-        special = _closed_form_special(mask.symbol)
-        if special != out:
-            raise ConsistencyError("general and zeta=1 closed forms disagree")
-    return hermite_mask(out, rep.phi - HALF)
-
-
-def _lp(coeffs: dict[int, Fraction]) -> LaurentPoly:
-    return LaurentPoly(coeffs)
-
-
-def _closed_form_general(s: SymbolMatrix, zeta: Fraction) -> SymbolMatrix:
-    a11, a12, a21, a22 = s[0, 0], s[0, 1], s[1, 0], s[1, 1]
-    z2 = zeta * zeta
-
-    c11 = (a12 * _lp({-3: zeta - z2, -2: z2, -1: z2 - 1, 0: -(z2 + zeta)})
-           + a11 * (ZINV_MINUS_1.scale(zeta * (1 - zeta)) + _lp({0: zeta}))
-           + a22 * (ZINV2_MINUS_1.scale(zeta) - LaurentPoly.one()).scale(zeta - 1)
-           + a21.scale(z2 - zeta))
-    c11 = (c11 * ZINV_PLUS_1).scale(HALF)
-
-    num12 = (a12 * _lp({-3: (1 - zeta) ** 2, -2: zeta * (1 - zeta),
-                        -1: zeta * (1 - zeta), 0: z2})
-             + a22 * (ZINV2_MINUS_1.scale(-((1 - zeta) ** 2)) + _lp({0: zeta - 1}))
-             + a11 * (ZINV_MINUS_1.scale((1 - zeta) ** 2) + _lp({0: 1 - zeta}))
-             - a21.scale((1 - zeta) ** 2))
-    c12 = divide_exact(num12.scale(HALF), ZINV_MINUS_1)
-
-    c21 = (a12 * _lp({-3: -z2, -2: zeta + z2, -1: zeta + z2, 0: -((zeta + 1) ** 2)})
-           + a11 * (LaurentPoly.one() - ZINV_MINUS_1.scale(zeta)).scale(zeta)
-           + a22 * (ZINV2_MINUS_1.scale(zeta) - LaurentPoly.one()).scale(zeta)
-           + a21.scale(z2))
-    c21 = (c21 * ZINV2_MINUS_1).scale(HALF)
-
-    c22 = (a12 * _lp({-3: z2 - zeta, -2: 1 - z2, -1: -z2, 0: z2 + zeta})
-           + a11 * (LaurentPoly.one() - ZINV_MINUS_1.scale(zeta)).scale(1 - zeta)
-           + a22 * (ZINV2_MINUS_1.scale(1 - zeta) + LaurentPoly.one()).scale(zeta)
-           + a21.scale(zeta - z2))
-    c22 = c22.scale(HALF)
-
-    return SymbolMatrix(((c11, c12), (c21, c22)))
-
-
-def _closed_form_special(s: SymbolMatrix) -> SymbolMatrix:
-    # zeta = 1 branch (a12(1) = 0)
-    a11, a12, a21, a22 = s[0, 0], s[0, 1], s[1, 0], s[1, 1]
-    zinv2_minus_2 = _lp({-2: 1, 0: -2})
-    zinv_minus_2 = _lp({-1: 1, 0: -2})
-
-    c11 = ((a12 * zinv2_minus_2 + a11) * ZINV_PLUS_1).scale(HALF)
-    c12 = divide_exact(a12, ZINV_MINUS_1).scale(HALF)
-    c21 = ((a21 - a11 * zinv_minus_2 + a22 * zinv2_minus_2
-            - a12 * zinv_minus_2 * zinv2_minus_2) * ZINV2_MINUS_1).scale(HALF)
-    c22 = (a22 - a12 * zinv_minus_2).scale(HALF)
-    return SymbolMatrix(((c11, c12), (c21, c22)))

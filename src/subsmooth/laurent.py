@@ -29,7 +29,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import NotDivisibleError
-from .linalg import RatMatrix, rat
+from .linalg import RatMatrix, _matrix, rat
 
 
 def _conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -85,11 +85,12 @@ def _normalize(lo: int, nums: Sequence[int], den: int) -> "LaurentPoly":
 
 
 def _sum_terms(terms: list) -> "LaurentPoly":
-    """Sum of (lo, nums, den) triples, each nums nonempty, on one denominator."""
+    """Sum of normalized (lo, nums, den) triples, each nums nonempty, on one
+    denominator."""
     if not terms:
         return _ZERO
     if len(terms) == 1:
-        return _normalize(*terms[0])
+        return _raw(*terms[0])
     den = math.lcm(*(d for _, _, d in terms))
     lo = min(t[0] for t in terms)
     out = [0] * (max(t[0] + len(t[1]) for t in terms) - lo)
@@ -134,11 +135,7 @@ class LaurentPoly:
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly({0: 1})
-
-    @staticmethod
-    def monomial(c, e: int = 0) -> "LaurentPoly":
-        return LaurentPoly({e: c})
+        return _ONE
 
     @staticmethod
     def from_coeffs(lo: int, coeffs: Sequence) -> "LaurentPoly":
@@ -226,11 +223,6 @@ class LaurentPoly:
             acc = acc * x + c
         return acc * x ** self.lo / self.den
 
-    def derivative(self) -> "LaurentPoly":
-        lo = self.lo
-        return _normalize(lo - 1, [(lo + i) * c for i, c in enumerate(self.nums)],
-                          self.den)
-
     def derivative_at(self, x) -> Fraction:
         x = rat(x)
         lo = self.lo
@@ -281,6 +273,7 @@ class LaurentPoly:
 
 
 _ZERO = _raw(0, (), 1)
+_ONE = _raw(0, (1,), 1)
 
 # The four binomial divisors used by the smoothing calculus.
 Z_PLUS_1 = LaurentPoly({1: 1, 0: 1})            # z + 1
@@ -338,6 +331,20 @@ def root_multiplicity_at_one(f: LaurentPoly):
     return m
 
 
+def joint_support(polys) -> tuple[int, int] | None:
+    """(min, max) exponent over the nonzero terms of all polys, or None."""
+    sups = [f.support for f in polys if f.nums]
+    if not sups:
+        return None
+    return min(s[0] for s in sups), max(s[1] for s in sups)
+
+
+def _dot(row: Sequence[LaurentPoly], col: Sequence[LaurentPoly]) -> LaurentPoly:
+    """sum_t row[t] * col[t], the products summed on one denominator."""
+    return _sum_terms([(f.lo, f.nums, f.den)
+                       for f in map(LaurentPoly.__mul__, row, col) if f.nums])
+
+
 class SymbolMatrix:
     """Square matrix of LaurentPoly; the symbol of a matrix mask."""
 
@@ -360,19 +367,13 @@ class SymbolMatrix:
 
     # -- constructors -------------------------------------------------------------
     @staticmethod
-    def from_scalar(f: LaurentPoly) -> "SymbolMatrix":
-        return SymbolMatrix(((f,),))
-
-    @staticmethod
     def from_constant(m: RatMatrix) -> "SymbolMatrix":
         if m.rows != m.cols:
             raise ValueError("constant embedding needs a square matrix")
-        return SymbolMatrix(tuple(tuple(LaurentPoly.monomial(m[i, j])
-                                        for j in range(m.cols)) for i in range(m.rows)))
-
-    @staticmethod
-    def identity(p: int) -> "SymbolMatrix":
-        return SymbolMatrix.from_constant(RatMatrix.identity(p))
+        # a nonzero Fraction is already a normalized numerator over a denominator
+        return SymbolMatrix(tuple(tuple(_raw(0, (x.numerator,), x.denominator) if x
+                                        else _ZERO for x in m.row(i))
+                                  for i in range(m.rows)))
 
     @staticmethod
     def zero(p: int) -> "SymbolMatrix":
@@ -389,68 +390,39 @@ class SymbolMatrix:
 
     @property
     def support(self) -> tuple[int, int] | None:
-        lo = hi = None
-        for row in self.entries:
-            for e in row:
-                s = e.support
-                if s is None:
-                    continue
-                lo = s[0] if lo is None else min(lo, s[0])
-                hi = s[1] if hi is None else max(hi, s[1])
-        return None if lo is None else (lo, hi)
+        return joint_support(e for row in self.entries for e in row)
 
     def coefficient(self, i: int) -> RatMatrix:
         """The matrix coefficient of z**i."""
-        return RatMatrix(self.p, self.p,
-                         [self.entries[r][c].coeff(i)
-                          for r in range(self.p) for c in range(self.p)])
+        return _matrix(self.p, self.p,
+                       tuple(e.coeff(i) for row in self.entries for e in row))
 
     def evaluate(self, x) -> RatMatrix:
-        return RatMatrix(self.p, self.p,
-                         [e.evaluate(x) for row in self.entries for e in row])
+        return _matrix(self.p, self.p,
+                       tuple(e.evaluate(x) for row in self.entries for e in row))
 
     # -- algebra -----------------------------------------------------------------------
     def map(self, fn) -> "SymbolMatrix":
         return SymbolMatrix(tuple(tuple(fn(e) for e in row) for row in self.entries))
 
-    def __add__(self, other: "SymbolMatrix") -> "SymbolMatrix":
-        self._same_p(other)
-        return SymbolMatrix(tuple(tuple(a + b for a, b in zip(r1, r2))
-                                  for r1, r2 in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "SymbolMatrix") -> "SymbolMatrix":
-        self._same_p(other)
-        return SymbolMatrix(tuple(tuple(a - b for a, b in zip(r1, r2))
-                                  for r1, r2 in zip(self.entries, other.entries)))
-
     def __mul__(self, other: "SymbolMatrix") -> "SymbolMatrix":
-        """Each entry sums its p polynomial products on one denominator."""
         self._same_p(other)
         cols = list(zip(*other.entries))
-        return SymbolMatrix(tuple(
-            tuple(_sum_terms([(f.lo, f.nums, f.den)
-                              for f in map(LaurentPoly.__mul__, row, col) if f.nums])
-                  for col in cols)
-            for row in self.entries))
+        return SymbolMatrix(tuple(tuple(_dot(row, col) for col in cols)
+                                  for row in self.entries))
+
+    def mul_vector(self, v: Sequence[LaurentPoly]) -> tuple[LaurentPoly, ...]:
+        """The product self(z) * v(z) with a column of p polynomials."""
+        if len(v) != self.p:
+            raise ValueError("dimension mismatch")
+        return tuple(_dot(row, v) for row in self.entries)
 
     def scale(self, c) -> "SymbolMatrix":
         c = rat(c)
         return self.map(lambda e: e.scale(c))
 
-    def scale_poly(self, f: LaurentPoly) -> "SymbolMatrix":
-        return self.map(lambda e: e * f)
-
-    def shift(self, by: int) -> "SymbolMatrix":
-        return self.map(lambda e: e.shift(by))
-
     def dilate(self, factor: int = 2) -> "SymbolMatrix":
         return self.map(lambda e: e.dilate(factor))
-
-    def left_mul_const(self, m: RatMatrix) -> "SymbolMatrix":
-        return SymbolMatrix.from_constant(m) * self
-
-    def right_mul_const(self, m: RatMatrix) -> "SymbolMatrix":
-        return self * SymbolMatrix.from_constant(m)
 
     def _same_p(self, other: "SymbolMatrix") -> None:
         if self.p != other.p:
@@ -465,3 +437,62 @@ class SymbolMatrix:
     def __repr__(self) -> str:
         rows = "; ".join(", ".join(str(e) for e in row) for row in self.entries)
         return f"SymbolMatrix[{rows}]"
+
+
+# -- operator symbols and intertwining ---------------------------------------------
+#
+# An operator symbol D is upper triangular with diagonal entries 1 or 1/z - 1:
+# the partial difference diag((1/z - 1) I_k, I) and the Taylor operator
+# [[1/z - 1, -1], [0, 1]] are the two in use.  A mask A and the mask B with
+# D S_A = 1/2 S_B D are related by B(z) = 2 D(z) A(z) D(z**2)**-1; both
+# inverses are triangular solves whose divisions are exact precisely when the
+# result is a Laurent polynomial, so NotDivisibleError is the existence test.
+
+# Symbol of the Taylor operator on (value, derivative) pairs:
+# (T c)_i = (c1_(i+1) - c1_i - c2_i, c2_i).
+TAYLOR_OPERATOR = SymbolMatrix(((ZINV_MINUS_1, -_ONE), (_ZERO, _ONE)))
+
+
+def difference_operator(p: int, k: int) -> SymbolMatrix:
+    """Symbol of the forward difference on the first k of p components:
+    diag((1/z - 1) I_k, I_(p-k))."""
+    if not 1 <= k <= p:
+        raise ValueError(f"k must be in 1..{p}, got {k}")
+    return SymbolMatrix(tuple(tuple((ZINV_MINUS_1 if i < k else _ONE) if i == j
+                                    else _ZERO for j in range(p))
+                              for i in range(p)))
+
+
+def _solve(t, r, order) -> list:
+    """Rows x with t x = r, solved row by row in the given order, which must
+    visit every row after the rows its off-diagonal entries refer to."""
+    x = [None] * len(t)
+    for i in order:
+        row = r[i]
+        for k, tik in enumerate(t[i]):
+            if k != i and tik.nums:
+                if x[k] is None:
+                    raise ValueError("an operator symbol must be upper triangular")
+                row = [a - tik * b for a, b in zip(row, x[k])]
+        d = t[i][i]
+        x[i] = row if d == _ONE else [divide_exact(a, d) for a in row]
+    return x
+
+
+def intertwine(a: SymbolMatrix, d: SymbolMatrix) -> SymbolMatrix:
+    """The symbol 2 D(z) A(z) D(z**2)**-1 of the scheme B with D S_A = 1/2 S_B D.
+
+    Raises NotDivisibleError when no such mask exists."""
+    m = d * a
+    # X D(z**2) = M is D(z**2)^T X^T = M^T, a forward substitution
+    cols = _solve(list(zip(*d.dilate().entries)), list(zip(*m.entries)),
+                  range(a.p))
+    return SymbolMatrix(tuple(zip(*cols))).scale(2)
+
+
+def untwine(b: SymbolMatrix, d: SymbolMatrix) -> SymbolMatrix:
+    """Right inverse of intertwine: the symbol 1/2 D(z)**-1 B(z) D(z**2).
+
+    Raises NotDivisibleError when no such mask exists."""
+    rows = _solve(d.entries, (b * d.dilate()).entries, reversed(range(b.p)))
+    return SymbolMatrix(rows).scale(Fraction(1, 2))

@@ -13,8 +13,6 @@ from typing import Iterable, Sequence
 
 from .errors import SingularMatrixError
 
-Rat = Fraction
-
 
 def rat(x) -> Fraction:
     """Coerce ints, strings like ``"-3/8"`` and Fractions to Fraction."""
@@ -25,6 +23,16 @@ def rat(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _matrix(rows: int, cols: int, entries: tuple) -> "RatMatrix":
+    """A RatMatrix from a tuple of rows * cols Fractions, unchecked; for
+    results computed here, which need no coercion."""
+    m = object.__new__(RatMatrix)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "entries", entries)
+    return m
 
 
 class RatMatrix:
@@ -56,11 +64,11 @@ class RatMatrix:
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+        return _matrix(n, n, tuple(Fraction(int(i == j)) for i in range(n) for j in range(n)))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix(rows, cols, [Fraction(0)] * (rows * cols))
+        return _matrix(rows, cols, (Fraction(0),) * (rows * cols))
 
     @staticmethod
     def column(values: Sequence) -> "RatMatrix":
@@ -80,26 +88,20 @@ class RatMatrix:
     def col(self, j: int) -> tuple:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def to_rows(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     # -- algebra ---------------------------------------------------------------
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         self._same_shape(other)
-        return RatMatrix(self.rows, self.cols,
-                         [a + b for a, b in zip(self.entries, other.entries)])
+        return _matrix(self.rows, self.cols,
+                       tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         self._same_shape(other)
-        return RatMatrix(self.rows, self.cols,
-                         [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, [-a for a in self.entries])
+        return _matrix(self.rows, self.cols,
+                       tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def scale(self, c) -> "RatMatrix":
         c = rat(c)
-        return RatMatrix(self.rows, self.cols, [c * a for a in self.entries])
+        return _matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -110,11 +112,7 @@ class RatMatrix:
             for j in range(other.cols):
                 out.append(sum((ri[k] * other.entries[k * other.cols + j]
                                 for k in range(self.cols)), Fraction(0)))
-        return RatMatrix(self.rows, other.cols, out)
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows,
-                         [self[i, j] for j in range(self.cols) for i in range(self.rows)])
+        return _matrix(self.rows, other.cols, tuple(out))
 
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.rows != other.rows:
@@ -123,12 +121,12 @@ class RatMatrix:
         for i in range(self.rows):
             out.extend(self.row(i))
             out.extend(other.row(i))
-        return RatMatrix(self.rows, self.cols + other.cols, out)
+        return _matrix(self.rows, self.cols + other.cols, tuple(out))
 
     def vstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch")
-        return RatMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return _matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
@@ -151,7 +149,7 @@ class RatMatrix:
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     """Reduced row echelon form and the list of pivot column indices."""
-    a = m.to_rows()
+    a = [list(m.row(i)) for i in range(m.rows)]
     nr, nc = m.rows, m.cols
     pivots: list[int] = []
     r = 0
@@ -170,7 +168,7 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
         r += 1
         if r == nr:
             break
-    return RatMatrix.from_rows(a), pivots
+    return _matrix(nr, nc, tuple(x for row in a for x in row)), pivots
 
 
 def rank(m: RatMatrix) -> int:
@@ -210,4 +208,4 @@ def invert(m: RatMatrix) -> RatMatrix:
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return RatMatrix(n, n, [red[i, n + j] for i in range(n) for j in range(n)])
+    return _matrix(n, n, tuple(red[i, n + j] for i in range(n) for j in range(n)))

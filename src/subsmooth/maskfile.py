@@ -170,8 +170,3 @@ def parse(text: str) -> Mask:
 def load(path: str) -> Mask:
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read())
-
-
-def save(mask: Mask, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(mask))

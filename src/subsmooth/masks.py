@@ -17,6 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from operator import add
 
 from .errors import EigenspaceError, EmptyEigenspaceError
@@ -61,16 +62,9 @@ class Mask:
     def coefficient(self, i: int) -> RatMatrix:
         return self.symbol.coefficient(i)
 
-    def coefficients(self) -> dict[int, RatMatrix]:
-        s = self.support
-        if s is None:
-            return {}
-        return {i: self.coefficient(i) for i in range(s[0], s[1] + 1)
-                if not self.coefficient(i).is_zero()}
-
 
 def scalar_mask(f: LaurentPoly) -> Mask:
-    return Mask(Kind.SCALAR, SymbolMatrix.from_scalar(f))
+    return Mask(Kind.SCALAR, SymbolMatrix(((f,),)))
 
 
 def vector_mask(symbol: SymbolMatrix) -> Mask:
@@ -168,8 +162,8 @@ def conjugate(mask: Mask, r: RatMatrix) -> Mask:
     """Similarity transform of every coefficient: symbol -> R^-1 * symbol * R."""
     if r.rows != mask.p or r.cols != mask.p:
         raise ValueError("transform dimension mismatch")
-    rinv = invert(r)
-    sym = mask.symbol.left_mul_const(rinv).right_mul_const(r)
+    sym = (SymbolMatrix.from_constant(invert(r)) * mask.symbol
+           * SymbolMatrix.from_constant(r))
     if mask.kind is Kind.HERMITE:
         return Mask(Kind.HERMITE, sym, derive_phi(sym))
     return Mask(mask.kind, sym)
@@ -216,9 +210,7 @@ def canonical_transform(mask: Mask) -> Eigenstructure:
                 f"complement has dimension {len(comp)}, expected {p - k}; "
                 "eigenvalue 1 is defective (non-convergent-style mask)")
         cols.extend(comp)
-    r = cols[0]
-    for c in cols[1:]:
-        r = r.hstack(c)
+    r = reduce(RatMatrix.hstack, cols)
     if rank(r) != p:
         raise EigenspaceError(
             "eigenspace and complement overlap; no canonical transform exists")

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .laurent import SymbolMatrix
-from .linalg import rat
+from .laurent import (TAYLOR_OPERATOR, LaurentPoly, SymbolMatrix,
+                      difference_operator, joint_support)
 from .masks import (Kind, Mask, canonical_transform, common_one_eigenspace,
                     conjugate, stencil_norm)
 from .vector_smoothing import derived
@@ -26,103 +27,111 @@ from .hermite_smoothing import check_spectral, taylor_scheme
 DEFAULT_LMAX = 12
 
 # Work ceilings the CLI checks before it starts: the iterated symbol at power
-# L is (2**L - 1) * (hi - lo) + 1 terms wide, and a render at depth n has
-# about 2**n * (hi - lo + 1) rows.
+# L is (2**L - 1) * (hi - lo) + 1 terms wide, a render at depth n has about
+# 2**n * (hi - lo + 1) rows, and every smoothing round widens the support.
 MAX_LMAX = 16
 MAX_RENDER_ROWS = 2 ** 17
+MAX_ROUNDS = 64
 
 
 @dataclass(frozen=True)
 class FinSeq:
-    """Finitely supported sequence of p-vectors; zero outside the window.
+    """Finitely supported sequence of p-vectors, stored as its generating
+    function: ``comps[r]`` is sum_i c_i[r] z**i, so equality is semantic.
 
-    values[i] holds the vector at index offset + i.  Stored in normalized
-    form (no zero vectors at either end), so equality is semantic.
+    ``n`` is the grid level of a sampled limit function: the CSV and rows
+    views put index i at t = i / 2**n, floats only there.  render sets it;
+    every other operation keeps the level of its sequence operand.
     """
 
-    p: int
-    offset: int
-    values: tuple[tuple[Fraction, ...], ...]
+    comps: tuple[LaurentPoly, ...]
+    n: int = 0
 
     @staticmethod
     def make(p: int, offset: int, values) -> "FinSeq":
-        vals = [tuple(rat(x) for x in v) for v in values]
+        """values[i] is the vector at index offset + i."""
+        vals = list(values)
         if any(len(v) != p for v in vals):
             raise ValueError("vector dimension mismatch")
-        while vals and all(x == 0 for x in vals[0]):
-            vals.pop(0)
-            offset += 1
-        while vals and all(x == 0 for x in vals[-1]):
-            vals.pop()
-        if not vals:
-            offset = 0
-        return FinSeq(p, offset, tuple(vals))
+        return FinSeq(tuple(LaurentPoly.from_coeffs(offset, [v[r] for v in vals])
+                            for r in range(p)))
 
     @staticmethod
     def delta(p: int, component: int = 1) -> "FinSeq":
         """Unit impulse at index 0 in the given 1-based component."""
         if not 1 <= component <= p:
             raise ValueError("component out of range")
-        v = [Fraction(0)] * p
-        v[component - 1] = Fraction(1)
-        return FinSeq.make(p, 0, [v])
+        return FinSeq.make(p, 0, [[int(r == component - 1) for r in range(p)]])
+
+    @property
+    def p(self) -> int:
+        return len(self.comps)
 
     def is_zero(self) -> bool:
-        return not self.values
+        return self.support is None
 
     @property
     def support(self) -> tuple[int, int] | None:
-        if not self.values:
-            return None
-        return self.offset, self.offset + len(self.values) - 1
+        return joint_support(self.comps)
+
+    @property
+    def offset(self) -> int:
+        s = self.support
+        return 0 if s is None else s[0]
 
     def at(self, i: int) -> tuple[Fraction, ...]:
-        if self.values and self.offset <= i < self.offset + len(self.values):
-            return self.values[i - self.offset]
-        return tuple(Fraction(0) for _ in range(self.p))
+        return tuple(f.coeff(i) for f in self.comps)
+
+    @cached_property
+    def values(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The vectors from the first to the last nonzero one."""
+        s = self.support
+        return () if s is None else tuple(map(self.at, range(s[0], s[1] + 1)))
 
     def scale(self, c) -> "FinSeq":
-        c = rat(c)
-        return FinSeq.make(self.p, self.offset,
-                           [[c * x for x in v] for v in self.values])
+        return FinSeq(tuple(f.scale(c) for f in self.comps), self.n)
 
     def __add__(self, other: "FinSeq") -> "FinSeq":
         if self.p != other.p:
             raise ValueError("dimension mismatch")
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.values), other.offset + len(other.values)) - 1
-        vals = [[a + b for a, b in zip(self.at(i), other.at(i))]
-                for i in range(lo, hi + 1)]
-        return FinSeq.make(self.p, lo, vals)
+        return FinSeq(tuple(map(LaurentPoly.__add__, self.comps, other.comps)), self.n)
+
+    @property
+    def rows(self) -> list[tuple[float, tuple[float, ...]]]:
+        s = self.support
+        if s is None:
+            return []
+        lo, hi = s
+        cols = []
+        for f in self.comps:  # x / den is the correctly rounded float
+            nums = (0,) * (f.lo - lo) + f.nums if f.nums else ()
+            cols.append([x / f.den for x in nums] + [0.0] * (hi - lo + 1 - len(nums)))
+        scale = 2 ** self.n
+        return [((lo + i) / scale, v) for i, v in enumerate(zip(*cols))]
+
+    def to_csv(self, exact: bool = False) -> str:
+        """One row per index: t, then the p values, as floats with 17
+        significant digits or, with exact, as p/q strings."""
+        lines = ["t," + ",".join(f"c{r + 1}" for r in range(self.p))]
+        if exact:
+            scale = 2 ** self.n
+            for i, v in enumerate(self.values, self.offset):
+                lines.append(",".join(map(str, (Fraction(i, scale), *v))))
+        else:
+            for t, v in self.rows:
+                lines.append(",".join(f"{x:.17g}" for x in (t, *v)))
+        return "\n".join(lines) + "\n"
+
+
+# render returns the sequence it refined, sampled at its level
+LimitSample = FinSeq
 
 
 def apply(mask: Mask, c: FinSeq) -> FinSeq:
-    """One subdivision step: (S c)_i = sum_j A_{i-2j} c_j, exactly."""
+    """One subdivision step (S c)_i = sum_j A_{i-2j} c_j, i.e. A(z) c(z**2)."""
     if mask.p != c.p:
         raise ValueError(f"mask dimension {mask.p} != data dimension {c.p}")
-    ms = mask.support
-    if ms is None or c.is_zero():
-        return FinSeq.make(c.p, 0, [])
-    lo_m, hi_m = ms
-    lo_c, hi_c = c.support
-    coeffs = {i: mask.coefficient(i) for i in range(lo_m, hi_m + 1)}
-    out_lo = 2 * lo_c + lo_m
-    out_hi = 2 * hi_c + hi_m
-    acc = [[Fraction(0)] * c.p for _ in range(out_hi - out_lo + 1)]
-    for j in range(lo_c, hi_c + 1):
-        cj = c.at(j)
-        for s in range(lo_m, hi_m + 1):
-            m = coeffs[s]
-            if m.is_zero():
-                continue
-            row = acc[2 * j + s - out_lo]
-            for r in range(c.p):
-                row[r] += sum(m[r, t] * cj[t] for t in range(c.p))
-    return FinSeq.make(c.p, out_lo, acc)
+    return FinSeq(mask.symbol.mul_vector([f.dilate() for f in c.comps]), c.n)
 
 
 def full_support_window(mask: Mask, c: FinSeq) -> tuple[int, int] | None:
@@ -145,30 +154,14 @@ def full_support_window(mask: Mask, c: FinSeq) -> tuple[int, int] | None:
 
 def difference(c: FinSeq, k: int) -> FinSeq:
     """Forward difference on the first k components, identity on the rest."""
-    if not 1 <= k <= c.p:
-        raise ValueError("k out of range")
-    if c.is_zero():
-        return c
-    lo, hi = c.support
-    vals = []
-    for i in range(lo - 1, hi + 1):  # index lo-1 picks up c_lo - 0
-        cur, nxt = c.at(i), c.at(i + 1)
-        vals.append([nxt[t] - cur[t] for t in range(k)] + list(cur[k:]))
-    return FinSeq.make(c.p, lo - 1, vals)
+    return FinSeq(difference_operator(c.p, k).mul_vector(c.comps), c.n)
 
 
 def taylor_diff(c: FinSeq) -> FinSeq:
     """Taylor operator on pairs: (Tc)_i = (c1_{i+1} - c1_i - c2_i, c2_i)."""
     if c.p != 2:
         raise ValueError("Taylor operator applies to 2-vector data")
-    if c.is_zero():
-        return c
-    lo, hi = c.support
-    vals = []
-    for i in range(lo - 1, hi + 1):  # index lo-1 picks up c_lo - 0
-        cur, nxt = c.at(i), c.at(i + 1)
-        vals.append([nxt[0] - cur[0] - cur[1], cur[1]])
-    return FinSeq.make(2, lo - 1, vals)
+    return FinSeq(TAYLOR_OPERATOR.mul_vector(c.comps), c.n)
 
 
 def iterated_symbol(mask: Mask, L: int, *, _prev: SymbolMatrix | None = None) -> SymbolMatrix:
@@ -305,48 +298,12 @@ def certify_hermite(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):
     pre = (f"spectral condition holds with phi={rep.phi}",
            "taylor scheme eigenspace is span{e2}")
     if isinstance(res, Refusal):
-        return Refusal(stage=res.stage, reason=res.reason, norms=res.norms)
+        return res
     return Certificate(kind="chain", L=res.L, norm_value=res.norm_value,
                        steps=pre + res.steps, ell=ell)
 
 
 # -- limit rendering -----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LimitSample:
-    """Sampled basic limit function after n refinement steps.
-
-    Values are kept exact; rows expose t = i / 2**n with floats, and
-    to_csv can emit either floats (17 significant digits) or p/q strings.
-    """
-
-    n: int
-    p: int
-    offset: int
-    values: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def rows(self) -> list[tuple[float, tuple[float, ...]]]:
-        scale = 2 ** self.n
-        return [( (self.offset + i) / scale, tuple(float(x) for x in v))
-                for i, v in enumerate(self.values)]
-
-    def exact_rows(self) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
-        scale = 2 ** self.n
-        return [(Fraction(self.offset + i, scale), v)
-                for i, v in enumerate(self.values)]
-
-    def to_csv(self, exact: bool = False) -> str:
-        header = "t," + ",".join(f"c{r + 1}" for r in range(self.p))
-        lines = [header]
-        if exact:
-            for t, v in self.exact_rows():
-                lines.append(",".join([str(t)] + [str(x) for x in v]))
-        else:
-            for t, v in self.rows:
-                lines.append(",".join(f"{x:.17g}" for x in (t, *v)))
-        return "\n".join(lines) + "\n"
-
 
 def render(mask: Mask, n: int, component: int = 1) -> LimitSample:
     """n exact refinement steps from a unit impulse in the given component.
@@ -360,10 +317,7 @@ def render(mask: Mask, n: int, component: int = 1) -> LimitSample:
     c = FinSeq.delta(mask.p, component)
     for _ in range(n):
         c = apply(mask, c)
+    comps = c.comps
     if mask.kind is Kind.HERMITE:
-        pow2 = Fraction(2) ** n
-        c = FinSeq.make(c.p, c.offset,
-                        [[v[0], v[1] * pow2] for v in c.values])
-    if c.is_zero():
-        return LimitSample(n=n, p=mask.p, offset=0, values=())
-    return LimitSample(n=n, p=mask.p, offset=c.offset, values=c.values)
+        comps = (comps[0], comps[1].scale(2 ** n))
+    return FinSeq(comps, n)

@@ -3,41 +3,79 @@
 The derived scheme of a mask intertwines it with the partial difference
 operator: Delta_k S_A = 1/2 S_(derived A) Delta_k.  Its right inverse, the
 smoothing operator, raises the regularity of the limit by one order.  Both
-act blockwise on the symbol, with the leading k x k block treated by the
-scalar smoothing factor and the off-diagonal blocks exchanging a forward
-difference.
+are laurent.intertwine and laurent.untwine with the operator symbol
+D = diag((1/z - 1) I_k, I) of Delta_k; a derived scheme or a smoothed mask
+exists exactly when their divisions by the diagonal of D are exact.
 
 ``smooth_vector`` is the full procedure: conjugate the mask so its common
-1-eigenspace spans the leading coordinates, smooth blockwise, transform
-back.  The back-transform keeps the eigenspace of the result equal to the
-input's, so repeated smoothing only needs a fresh canonical transform per
-round.
+1-eigenspace spans the leading coordinates, smooth, transform back.  The
+back-transform keeps the eigenspace of the result equal to the input's, so
+repeated smoothing only needs a fresh canonical transform per round.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import reduce
 
-from .errors import ConsistencyError
-from .laurent import (SymbolMatrix, Z_PLUS_1, ZINV2_MINUS_1, ZINV_MINUS_1,
-                      ZINV_PLUS_1, divide_exact)
+from .errors import ConsistencyError, NotDivisibleError
+from .laurent import difference_operator, intertwine, untwine
 from .linalg import RatMatrix, rank
 from .masks import (Kind, Mask, canonical_transform, common_one_eigenspace,
-                    conjugate, scalar_mask, scheme_scalar)
-
-HALF = Fraction(1, 2)
+                    conjugate, scheme_scalar)
 
 
-# -- scalar case -------------------------------------------------------------------
+def _out_kind(mask: Mask) -> Kind:
+    # Hermite masks go through the Taylor factorization, not these operators.
+    if mask.kind is Kind.HERMITE:
+        raise ValueError("difference operators apply to scalar/vector masks")
+    return mask.kind
+
+
+def derived(mask: Mask, k: int) -> Mask:
+    """Derived scheme with respect to the partial difference on the first k
+    components: symbol 2 D(z) A(z) D(z**2)**-1.
+
+    Exists iff A11(-1) = 0 and A21(+-1) = 0 (leading block of size k); a
+    violation surfaces as NotDivisibleError.
+    """
+    kind = _out_kind(mask)
+    return Mask(kind, intertwine(mask.symbol, difference_operator(mask.p, k)))
+
+
+def smooth_raw(mask: Mask, k: int) -> Mask:
+    """Smoothing without any basis change: symbol 1/2 D(z)**-1 B(z) D(z**2).
+
+    Exists iff B12(1) = 0; right inverse of derived().
+    """
+    kind = _out_kind(mask)
+    return Mask(kind, untwine(mask.symbol, difference_operator(mask.p, k)))
+
+
+def _exists(op, mask: Mask, k: int) -> bool:
+    try:
+        op(mask.symbol, difference_operator(mask.p, k))
+    except NotDivisibleError:
+        return False
+    return True
+
+
+def admits_derived(mask: Mask, k: int) -> bool:
+    """True iff the derived scheme for the leading k components exists."""
+    return _exists(intertwine, mask, k)
+
+
+def admits_smoothing(mask: Mask, k: int) -> bool:
+    """True iff the smoothing operator for the leading k components exists."""
+    return _exists(untwine, mask, k)
+
 
 def derived_scalar(mask: Mask) -> Mask:
     """Derived scheme of a scalar mask: symbol 2z * a(z) / (z+1).
 
     Requires a(-1) = 0; satisfies Delta S_a = 1/2 S_(derived a) Delta.
     """
-    a = scheme_scalar(mask)
-    q = divide_exact(a, Z_PLUS_1)
-    return scalar_mask(q.shift(1).scale(2))
+    scheme_scalar(mask)  # ValueError unless the mask is scalar
+    return derived(mask, 1)
 
 
 def smooth_scalar(mask: Mask) -> Mask:
@@ -45,134 +83,33 @@ def smooth_scalar(mask: Mask) -> Mask:
 
     Right inverse of derived_scalar; raises the limit regularity by one.
     """
-    a = scheme_scalar(mask)
-    return scalar_mask((a * Z_PLUS_1).scale(HALF).shift(-1))
-
-
-# -- block structure ----------------------------------------------------------------
-
-def _blocks(symbol: SymbolMatrix, k: int):
-    p = symbol.p
-    a11 = [[symbol[i, j] for j in range(k)] for i in range(k)]
-    a12 = [[symbol[i, j] for j in range(k, p)] for i in range(k)]
-    a21 = [[symbol[i, j] for j in range(k)] for i in range(k, p)]
-    a22 = [[symbol[i, j] for j in range(k, p)] for i in range(k, p)]
-    return a11, a12, a21, a22
-
-
-def _assemble(a11, a12, a21, a22, p, k) -> SymbolMatrix:
-    rows = []
-    for i in range(k):
-        rows.append(tuple(a11[i][j] for j in range(k)) + tuple(a12[i][j] for j in range(p - k)))
-    for i in range(p - k):
-        rows.append(tuple(a21[i][j] for j in range(k)) + tuple(a22[i][j] for j in range(p - k)))
-    return SymbolMatrix(tuple(rows))
-
-
-def _check_k(mask: Mask, k: int) -> None:
-    if not 1 <= k <= mask.p:
-        raise ValueError(f"k must be in 1..{mask.p}, got {k}")
-
-
-def admits_derived(mask: Mask, k: int) -> bool:
-    """Block conditions for the derived scheme to exist:
-    A11(-1) = 0, A21(-1) = 0 and A21(1) = 0 (leading block of size k)."""
-    _check_k(mask, k)
-    p = mask.p
-    sym = mask.symbol
-    for i in range(k):
-        for j in range(k):
-            if sym[i, j].evaluate(-1) != 0:
-                return False
-    for i in range(k, p):
-        for j in range(k):
-            if sym[i, j].evaluate(-1) != 0 or sym[i, j].evaluate(1) != 0:
-                return False
-    return True
-
-
-def admits_smoothing(mask: Mask, k: int) -> bool:
-    """Block condition for the smoothing operator to exist: B12(1) = 0."""
-    _check_k(mask, k)
-    p = mask.p
-    sym = mask.symbol
-    for i in range(k):
-        for j in range(k, p):
-            if sym[i, j].evaluate(1) != 0:
-                return False
-    return True
-
-
-def _out_kind(mask: Mask) -> Kind:
-    # Hermite masks go through the Taylor factorization, not these operators.
-    if mask.kind is Kind.HERMITE:
-        raise ValueError("blockwise operators apply to scalar/vector masks")
-    return mask.kind
-
-
-def derived(mask: Mask, k: int) -> Mask:
-    """Derived scheme with respect to the partial difference on the first k
-    components: blocks 2*[A11/(1/z+1), (1/z-1)A12; A21/(1/z**2-1), A22].
-
-    Exactness of the two divisions is the admits_derived condition; a
-    violation surfaces as NotDivisibleError.
-    """
-    kind = _out_kind(mask)
-    _check_k(mask, k)
-    p = mask.p
-    a11, a12, a21, a22 = _blocks(mask.symbol, k)
-    b11 = [[divide_exact(e, ZINV_PLUS_1).scale(2) for e in row] for row in a11]
-    b12 = [[(e * ZINV_MINUS_1).scale(2) for e in row] for row in a12]
-    b21 = [[divide_exact(e, ZINV2_MINUS_1).scale(2) for e in row] for row in a21]
-    b22 = [[e.scale(2) for e in row] for row in a22]
-    return Mask(kind, _assemble(b11, b12, b21, b22, p, k))
-
-
-def smooth_raw(mask: Mask, k: int) -> Mask:
-    """Blockwise smoothing without any basis change:
-    1/2*[(1/z+1)B11, B12/(1/z-1); (1/z**2-1)B21, B22].
-
-    Requires B12(1) = 0 (admits_smoothing); right inverse of derived().
-    """
-    kind = _out_kind(mask)
-    _check_k(mask, k)
-    p = mask.p
-    b11, b12, b21, b22 = _blocks(mask.symbol, k)
-    a11 = [[(e * ZINV_PLUS_1).scale(HALF) for e in row] for row in b11]
-    a12 = [[divide_exact(e, ZINV_MINUS_1).scale(HALF) for e in row] for row in b12]
-    a21 = [[(e * ZINV2_MINUS_1).scale(HALF) for e in row] for row in b21]
-    a22 = [[e.scale(HALF) for e in row] for row in b22]
-    return Mask(kind, _assemble(a11, a12, a21, a22, p, k))
+    scheme_scalar(mask)  # ValueError unless the mask is scalar
+    return smooth_raw(mask, 1)
 
 
 # -- full procedure -------------------------------------------------------------------
 
 def _same_span(va: list[RatMatrix], vb: list[RatMatrix]) -> bool:
-    if len(va) != len(vb):
-        return False
-    if not va:
-        return True
-    m = va[0]
-    for v in va[1:] + vb:
-        m = m.hstack(v)
-    return rank(m) == len(va)
+    """Equal spans of two lists of column vectors, vb nonempty."""
+    return len(va) == len(vb) and rank(reduce(RatMatrix.hstack, va + vb)) == len(va)
 
 
 def smooth_vector(mask: Mask) -> Mask:
     """One smoothing round for a scalar or vector mask.
 
-    Conjugates by a canonical transform, applies the blockwise smoothing
-    operator with k = dim of the common 1-eigenspace, and transforms back.
-    The result has the same common 1-eigenspace as the input, and its
-    support grows by at most 2 on the left and 0 on the right; both
-    postconditions are verified before returning.
+    Conjugates by a canonical transform, applies smooth_raw with k = dim of
+    the common 1-eigenspace, and transforms back.  The result has the same
+    common 1-eigenspace as the input, and its support grows by at most 2 on
+    the left and 0 on the right; both postconditions are verified before
+    returning.
     """
     kind = _out_kind(mask)
     es = canonical_transform(mask)  # EmptyEigenspaceError for 1-eigenspace {0}
     barred = conjugate(mask, es.r)
-    if not admits_smoothing(barred, es.k):
-        raise ConsistencyError("conjugated mask lost the smoothing condition")
-    smoothed = smooth_raw(barred, es.k)
+    try:
+        smoothed = smooth_raw(barred, es.k)
+    except NotDivisibleError:
+        raise ConsistencyError("conjugated mask lost the smoothing condition") from None
     out = conjugate(smoothed, es.r_inv)
 
     if not _same_span(common_one_eigenspace(out), list(es.basis)):

@@ -1,0 +1,89 @@
+"""The closed-form Hermite smoothing round, kept as an independent oracle.
+
+``smooth_hermite_closed_form`` evaluates one round through explicit
+polynomial formulas in the re-normalization constant zeta, without the
+Taylor factorization, the canonical transform or the intertwining solve
+that ``subsmooth.smooth_hermite`` composes; the two must agree bit for bit.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from subsmooth import (ConsistencyError, LaurentPoly, Mask,
+                       SpectralConditionError, SymbolMatrix, ZINV2_MINUS_1,
+                       ZINV_MINUS_1, ZINV_PLUS_1, check_spectral, divide_exact,
+                       hermite_mask, zeta_of)
+
+HALF = Fraction(1, 2)
+
+
+def smooth_hermite_closed_form(mask: Mask) -> Mask:
+    """One Hermite smoothing round through the explicit polynomial formulas.
+
+    With zeta = 1 + a12(1)/(2 - a22(1)), the smoothed symbol is a fixed
+    polynomial combination of the four input entries (the zeta = 1 special
+    case is also evaluated as an internal cross-check when applicable).
+    Must agree exactly with smooth_hermite().
+    """
+    rep = check_spectral(mask)
+    if not rep.holds:
+        raise SpectralConditionError(
+            f"spectral condition fails; violated conditions {list(rep.violated)}")
+    zeta = zeta_of(mask)  # DegenerateAError when a22(1) = 2
+    out = _closed_form_general(mask.symbol, zeta)
+    if zeta == 1:
+        special = _closed_form_special(mask.symbol)
+        if special != out:
+            raise ConsistencyError("general and zeta=1 closed forms disagree")
+    return hermite_mask(out, rep.phi - HALF)
+
+
+def _lp(coeffs: dict[int, Fraction]) -> LaurentPoly:
+    return LaurentPoly(coeffs)
+
+
+def _closed_form_general(s: SymbolMatrix, zeta: Fraction) -> SymbolMatrix:
+    a11, a12, a21, a22 = s[0, 0], s[0, 1], s[1, 0], s[1, 1]
+    z2 = zeta * zeta
+
+    c11 = (a12 * _lp({-3: zeta - z2, -2: z2, -1: z2 - 1, 0: -(z2 + zeta)})
+           + a11 * (ZINV_MINUS_1.scale(zeta * (1 - zeta)) + _lp({0: zeta}))
+           + a22 * (ZINV2_MINUS_1.scale(zeta) - LaurentPoly.one()).scale(zeta - 1)
+           + a21.scale(z2 - zeta))
+    c11 = (c11 * ZINV_PLUS_1).scale(HALF)
+
+    num12 = (a12 * _lp({-3: (1 - zeta) ** 2, -2: zeta * (1 - zeta),
+                        -1: zeta * (1 - zeta), 0: z2})
+             + a22 * (ZINV2_MINUS_1.scale(-((1 - zeta) ** 2)) + _lp({0: zeta - 1}))
+             + a11 * (ZINV_MINUS_1.scale((1 - zeta) ** 2) + _lp({0: 1 - zeta}))
+             - a21.scale((1 - zeta) ** 2))
+    c12 = divide_exact(num12.scale(HALF), ZINV_MINUS_1)
+
+    c21 = (a12 * _lp({-3: -z2, -2: zeta + z2, -1: zeta + z2, 0: -((zeta + 1) ** 2)})
+           + a11 * (LaurentPoly.one() - ZINV_MINUS_1.scale(zeta)).scale(zeta)
+           + a22 * (ZINV2_MINUS_1.scale(zeta) - LaurentPoly.one()).scale(zeta)
+           + a21.scale(z2))
+    c21 = (c21 * ZINV2_MINUS_1).scale(HALF)
+
+    c22 = (a12 * _lp({-3: z2 - zeta, -2: 1 - z2, -1: -z2, 0: z2 + zeta})
+           + a11 * (LaurentPoly.one() - ZINV_MINUS_1.scale(zeta)).scale(1 - zeta)
+           + a22 * (ZINV2_MINUS_1.scale(1 - zeta) + LaurentPoly.one()).scale(zeta)
+           + a21.scale(zeta - z2))
+    c22 = c22.scale(HALF)
+
+    return SymbolMatrix(((c11, c12), (c21, c22)))
+
+
+def _closed_form_special(s: SymbolMatrix) -> SymbolMatrix:
+    # zeta = 1 branch (a12(1) = 0)
+    a11, a12, a21, a22 = s[0, 0], s[0, 1], s[1, 0], s[1, 1]
+    zinv2_minus_2 = _lp({-2: 1, 0: -2})
+    zinv_minus_2 = _lp({-1: 1, 0: -2})
+
+    c11 = ((a12 * zinv2_minus_2 + a11) * ZINV_PLUS_1).scale(HALF)
+    c12 = divide_exact(a12, ZINV_MINUS_1).scale(HALF)
+    c21 = ((a21 - a11 * zinv_minus_2 + a22 * zinv2_minus_2
+            - a12 * zinv_minus_2 * zinv2_minus_2) * ZINV2_MINUS_1).scale(HALF)
+    c22 = (a22 - a12 * zinv_minus_2).scale(HALF)
+    return SymbolMatrix(((c11, c12), (c21, c22)))

@@ -203,12 +203,13 @@ def span_equal(va: list[RatMatrix], vb: list[RatMatrix]) -> bool:
 def norm_via_repeated_apply(mask: Mask, L: int) -> Fraction:
     """Independent recomputation of |(1/2 S)^L|: extract the iterated stencil
     by applying the operator L times to unit impulses, then take the max row
-    sum per residue class mod 2**L.  Uses none of the symbol machinery."""
-    from subsmooth import FinSeq as FS, apply
+    sum per residue class mod 2**L.  Uses none of the symbol machinery: the
+    refinement is the entry loop of tests/refine_oracle.py."""
+    from tests.refine_oracle import apply
     p = mask.p
     cols = []
     for t in range(1, p + 1):
-        c = FS.delta(p, t)
+        c = FinSeq.delta(p, t)
         for _ in range(L):
             c = apply(mask, c)
         cols.append(c)

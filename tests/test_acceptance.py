@@ -13,12 +13,12 @@ from subsmooth import (Certificate, LaurentPoly, RatMatrix, SymbolMatrix,
                        apply, canonical_transform, catalog, certify_c0,
                        conjugate, derived, derived_scalar, difference,
                        inverse_taylor, invert, maskfile, render,
-                       scheme_scalar, smooth_hermite,
-                       smooth_hermite_closed_form, smooth_raw, smooth_scalar,
+                       scheme_scalar, smooth_hermite, smooth_raw, smooth_scalar,
                        smooth_vector, taylor_diff, taylor_scheme,
                        vector_mask, zeta_of)
 from subsmooth.cli import main
 
+from tests.hermite_oracle import smooth_hermite_closed_form
 from tests.maskgen import (char_poly, intertwines_difference,
                            norm_via_repeated_apply, poly_mul, poly_trim,
                            rand_convergent_style_mask, rand_derivable_mask,

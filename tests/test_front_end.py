@@ -11,7 +11,7 @@ from subsmooth import (ConsistencyError, LaurentPoly, MaskFileError, Refusal,
                        smooth_scalar)
 from subsmooth import cli
 from subsmooth.cli import main
-from subsmooth.refine import MAX_LMAX, MAX_RENDER_ROWS
+from subsmooth.refine import MAX_LMAX, MAX_RENDER_ROWS, MAX_ROUNDS
 
 
 def scalar_doc(values, **overrides):
@@ -142,6 +142,19 @@ class TestWorkCeilings:
         monkeypatch.setenv("SUBSMOOTH_LMAX", "12")
         assert main(["certify", "catalog:bspline1"]) == 0
         assert main(["certify", "catalog:bspline1", "--lmax", "12"]) == 0
+
+    def test_rounds_over_ceiling_refused_before_loading(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_load", lambda ref: pytest.fail("mask loaded"))
+        assert main(["smooth", "catalog:bspline1", "--rounds", str(MAX_ROUNDS + 1)]) == 1
+        assert f"--rounds must be in 1..{MAX_ROUNDS}" in capsys.readouterr().err
+        assert main(["smooth", "catalog:bspline1", "--rounds", "1000000"]) == 1
+        assert main(["smooth", "catalog:bspline1", "--rounds", "0"]) == 1
+
+    def test_rounds_at_ceiling_accepted(self, tmp_path):
+        out = tmp_path / "b.mask"
+        assert main(["smooth", "catalog:bspline3", "--rounds", str(MAX_ROUNDS),
+                     "--out", str(out)]) == 0
+        assert maskfile.load(str(out)) == catalog.bspline(3 + MAX_ROUNDS)
 
 
 class TestRefusalWording:

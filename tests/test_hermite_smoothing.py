@@ -9,9 +9,10 @@ from subsmooth import (ConsistencyError, DegenerateAError, Kind, LaurentPoly,
                        catalog, check_interpolatory, check_spectral,
                        check_taylor, common_one_eigenspace, hermite_mask,
                        inverse_taylor, retaylor, smooth_hermite,
-                       smooth_hermite_closed_form, taylor_scheme, vector_mask,
+                       taylor_scheme, vector_mask,
                        zeta_multiplicity_forecast, zeta_of)
 
+from tests.hermite_oracle import smooth_hermite_closed_form
 from tests.maskgen import (intertwines_taylor, rand_smoothing_ready_spectral,
                            rand_spectral_mask, rand_taylor_mask, with_values,
                            rand_laurent)

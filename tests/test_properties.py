@@ -1,0 +1,169 @@
+"""Property tests: the symbol-product operations against the entry-loop
+oracles of tests/refine_oracle.py, on random masks (p = 1..3) and random
+sequences.
+
+Masks are drawn with a target: entries corrected (tests.maskgen.with_values)
+so that the derived scheme, the smoothing operator or one of the Taylor
+factorizations exists, or left random, where it almost never does.  An
+operator that exists must satisfy its intertwining identity, which fixes it
+uniquely, so passing that check means equality with any other correct
+construction.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subsmooth import (TAYLOR_OPERATOR, FinSeq, LaurentPoly,
+                       NotDivisibleError, SymbolMatrix, ZINV_MINUS_1,
+                       admits_derived, admits_smoothing, apply, derived,
+                       difference, intertwine, inverse_taylor, smooth_raw,
+                       taylor_diff, taylor_scheme, untwine, vector_mask)
+
+import tests.refine_oracle as oracle
+from tests.maskgen import (intertwines_difference, intertwines_taylor,
+                           with_values)
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+polys = st.builds(LaurentPoly.from_coeffs, st.integers(-3, 1),
+                  st.lists(fractions, max_size=5))
+TARGETS = ("random", "derived", "smoothing", "taylor", "inverse_taylor")
+
+
+def _force(entries, p, k, target):
+    """Correct the entries in place so the target operator exists."""
+    for i in range(p):
+        for j in range(p):
+            f = entries[i][j]
+            if target == "derived" and j < k:
+                entries[i][j] = with_values(f, f.evaluate(1) if i < k else 0, 0)
+            elif target == "smoothing" and i < k <= j:
+                entries[i][j] = with_values(f, 0, f.evaluate(-1))
+    if p != 2:
+        return
+    (b11, b12), (b21, b22) = entries
+    if target == "taylor":
+        entries[0][0] = with_values(b11, b11.evaluate(1), 0)
+        entries[1][0] = with_values(b21, 0, 0)
+    elif target == "inverse_taylor":
+        entries[0][1] = with_values(b12, (b11 + b21 - b22).evaluate(1),
+                                    b12.evaluate(-1))
+
+
+@st.composite
+def masks_with_k(draw, sizes=st.integers(1, 3)):
+    p = draw(sizes)
+    k = draw(st.integers(1, p))
+    entries = [[draw(polys) for _ in range(p)] for _ in range(p)]
+    _force(entries, p, k, draw(st.sampled_from(TARGETS)))
+    return vector_mask(SymbolMatrix(entries)), k
+
+
+@st.composite
+def sequences(draw, p):
+    vals = draw(st.lists(st.lists(fractions, min_size=p, max_size=p), max_size=6))
+    return FinSeq.make(p, draw(st.integers(-4, 4)), vals)
+
+
+@st.composite
+def mask_and_sequence(draw):
+    mask, k = draw(masks_with_k())
+    return mask, k, draw(sequences(mask.p))
+
+
+@SETTINGS
+@given(mask_and_sequence())
+def test_apply_difference_match_entry_loops(case):
+    mask, k, c = case
+    assert apply(mask, c) == oracle.apply(mask, c)
+    assert difference(c, k) == oracle.difference(c, k)
+
+
+@SETTINGS
+@given(sequences(2))
+def test_taylor_diff_matches_entry_loop(c):
+    assert taylor_diff(c) == oracle.taylor_diff(c)
+
+
+@SETTINGS
+@given(masks_with_k())
+def test_admits_equal_root_conditions(case):
+    mask, k = case
+    assert admits_derived(mask, k) == oracle.derived_condition(mask, k)
+    assert admits_smoothing(mask, k) == oracle.smoothing_condition(mask, k)
+
+
+@SETTINGS
+@given(masks_with_k())
+def test_derived_and_smoothing_exist_exactly_under_root_conditions(case):
+    mask, k = case
+    if oracle.derived_condition(mask, k):
+        assert intertwines_difference(mask, derived(mask, k), k)
+    else:
+        with pytest.raises(NotDivisibleError):
+            derived(mask, k)
+    if oracle.smoothing_condition(mask, k):
+        assert intertwines_difference(smooth_raw(mask, k), mask, k)
+    else:
+        with pytest.raises(NotDivisibleError):
+            smooth_raw(mask, k)
+
+
+@SETTINGS
+@given(masks_with_k(sizes=st.just(2)))
+def test_taylor_factorizations_exist_exactly_under_root_conditions(case):
+    mask, _ = case
+    if oracle.taylor_condition(mask):
+        assert intertwines_taylor(mask, taylor_scheme(mask))
+    else:
+        with pytest.raises(NotDivisibleError):
+            taylor_scheme(mask)
+    if oracle.inverse_taylor_condition(mask):
+        assert intertwines_taylor(inverse_taylor(mask), mask)
+    else:
+        with pytest.raises(NotDivisibleError):
+            inverse_taylor(mask)
+
+
+@st.composite
+def operators(draw, p):
+    """Upper triangular operator symbols with diagonal entries 1 or 1/z - 1
+    and random entries above the diagonal."""
+    one = LaurentPoly.one()
+    return SymbolMatrix([[draw(st.sampled_from((one, ZINV_MINUS_1))) if i == j
+                          else draw(polys) if i < j else LaurentPoly.zero()
+                          for j in range(p)] for i in range(p)])
+
+
+@st.composite
+def symbol_and_operator(draw):
+    mask, _ = draw(masks_with_k())
+    return mask.symbol, draw(operators(mask.p))
+
+
+@SETTINGS
+@given(symbol_and_operator())
+def test_untwine_is_a_right_inverse_for_any_operator(case):
+    b, d = case
+    try:
+        a = untwine(b, d)
+    except NotDivisibleError:
+        return
+    assert d * a == (b * d.dilate()).scale(Fraction(1, 2))
+    assert intertwine(a, d) == b
+
+
+def test_operator_symbols_are_checked():
+    a = TAYLOR_OPERATOR
+    lower = SymbolMatrix([[LaurentPoly.one(), LaurentPoly.zero()],
+                          [ZINV_MINUS_1, LaurentPoly.one()]])
+    bad_diagonal = SymbolMatrix([[LaurentPoly({0: 2, 1: 1})]])
+    for op in (intertwine, untwine):
+        with pytest.raises(ValueError, match="upper triangular"):
+            op(a, lower)
+        with pytest.raises(ValueError, match="unsupported divisor"):
+            op(SymbolMatrix([[LaurentPoly({0: 1, 1: 1})]]), bad_diagonal)
