@@ -27,8 +27,7 @@ from .errors import (ConsistencyError, DegenerateAError, NotInTildeError,
 from .laurent import (TAYLOR_OPERATOR, intertwine, root_multiplicity_at_one,
                       untwine)
 from .linalg import RatMatrix
-from .masks import (Kind, Mask, common_one_eigenspace, conjugate, derive_phi,
-                    hermite_mask, vector_mask)
+from .masks import Kind, Mask, conjugate, derive_phi, hermite_mask, vector_mask
 from .vector_smoothing import smooth_raw
 
 HALF = Fraction(1, 2)
@@ -139,8 +138,15 @@ def check_taylor(mask: Mask) -> TaylorReport:
 
 
 def _eigenspace_is_e2(mask: Mask) -> bool:
-    basis = common_one_eigenspace(mask)
-    return len(basis) == 1 and basis[0][0, 0] == 0 and basis[0][1, 0] != 0
+    """True iff the common 1-eigenspace, the kernel of the stacked matrix
+    [A(1) - 2I; A(-1)], is span{e2}: exactly when the stacked matrix has a
+    zero second column and a nonzero first column."""
+    s = mask.symbol
+    first = (s[0, 0].evaluate(1) - 2, s[1, 0].evaluate(1),
+             s[0, 0].evaluate(-1), s[1, 0].evaluate(-1))
+    second = (s[0, 1].evaluate(1), s[1, 1].evaluate(1) - 2,
+              s[0, 1].evaluate(-1), s[1, 1].evaluate(-1))
+    return not any(second) and any(first)
 
 
 def taylor_scheme(mask: Mask) -> Mask:
@@ -191,7 +197,7 @@ def retaylor(mask: Mask) -> tuple[Mask, Fraction]:
         raise DegenerateAError("leading value 2 admits no shear normalization")
     eta = 1 + b / (a - 2)
     shear = RatMatrix.from_rows([[1, 0], [eta, 1]])
-    return conjugate(mask, shear), eta
+    return conjugate(mask, shear, r_inv=RatMatrix.from_rows([[1, 0], [-eta, 1]])), eta
 
 
 def smooth_hermite(mask: Mask) -> Mask:
@@ -211,8 +217,8 @@ def smooth_hermite(mask: Mask) -> Mask:
         raise NotInTildeError(
             "Taylor scheme eigenspace is not span{e2}; the vanishing "
             "first-component hypothesis cannot be established")
-    barred = conjugate(tay, _R_TAYLOR)
-    smoothed = conjugate(smooth_raw(barred, 1), _R_TAYLOR_INV)
+    barred = conjugate(tay, _R_TAYLOR, r_inv=_R_TAYLOR_INV)
+    smoothed = conjugate(smooth_raw(barred, 1), _R_TAYLOR_INV, r_inv=_R_TAYLOR)
     normalized, _eta = retaylor(smoothed)
     out = inverse_taylor(normalized)
 

@@ -211,20 +211,19 @@ class LaurentPoly:
     # -- evaluation ----------------------------------------------------------------
     def evaluate(self, x) -> Fraction:
         """Exact value at a nonzero rational point (used at x = +-1)."""
-        x = rat(x)
         nums = self.nums
         if x == 1:
             return Fraction(sum(nums), self.den)
         if x == -1:
             s = sum(nums[::2]) - sum(nums[1::2])
             return Fraction(-s if self.lo % 2 else s, self.den)
+        x = rat(x)
         acc = Fraction(0)
         for c in reversed(nums):
             acc = acc * x + c
         return acc * x ** self.lo / self.den
 
     def derivative_at(self, x) -> Fraction:
-        x = rat(x)
         lo = self.lo
         if x == 1:
             return Fraction(sum((lo + i) * c for i, c in enumerate(self.nums)),
@@ -233,6 +232,7 @@ class LaurentPoly:
             s = sum((lo + i) * c if (lo + i) % 2 else -(lo + i) * c
                     for i, c in enumerate(self.nums))
             return Fraction(s, self.den)
+        x = rat(x)
         return sum(((lo + i) * c * x ** (lo + i - 1) for i, c in enumerate(self.nums)),
                    Fraction(0)) / self.den
 
@@ -367,15 +367,6 @@ class SymbolMatrix:
 
     # -- constructors -------------------------------------------------------------
     @staticmethod
-    def from_constant(m: RatMatrix) -> "SymbolMatrix":
-        if m.rows != m.cols:
-            raise ValueError("constant embedding needs a square matrix")
-        # a nonzero Fraction is already a normalized numerator over a denominator
-        return SymbolMatrix(tuple(tuple(_raw(0, (x.numerator,), x.denominator) if x
-                                        else _ZERO for x in m.row(i))
-                                  for i in range(m.rows)))
-
-    @staticmethod
     def zero(p: int) -> "SymbolMatrix":
         return SymbolMatrix(tuple(tuple(LaurentPoly.zero() for _ in range(p))
                                   for _ in range(p)))
@@ -410,6 +401,33 @@ class SymbolMatrix:
         cols = list(zip(*other.entries))
         return SymbolMatrix(tuple(tuple(_dot(row, col) for col in cols)
                                   for row in self.entries))
+
+    def transform(self, left: RatMatrix, right: RatMatrix) -> "SymbolMatrix":
+        """The symbol left * self(z) * right for constant p x p matrices.
+
+        Entry (i, j) is sum_{k,l} left[i,k] * right[l,j] * self[k,l]: one
+        linear combination of the entries, summed on a shared denominator."""
+        p = self.p
+        if not left.rows == left.cols == right.rows == right.cols == p:
+            raise ValueError("dimension mismatch")
+        nonzero = [(k, l, e) for k, row in enumerate(self.entries)
+                   for l, e in enumerate(row) if e.nums]
+        lft = [[(x.numerator, x.denominator) for x in left.row(i)] for i in range(p)]
+        rgt = [[(x.numerator, x.denominator) for x in right.col(j)] for j in range(p)]
+        rows = []
+        for li in lft:
+            row = []
+            for rj in rgt:
+                terms = []
+                for k, l, e in nonzero:
+                    (a, b), (c, d) = li[k], rj[l]
+                    if a and c:
+                        terms.append((e.lo, [a * c * x for x in e.nums], e.den * b * d))
+                # _sum_terms trusts a lone term to be normalized; a scaled one is not
+                row.append(_normalize(*terms[0]) if len(terms) == 1
+                           else _sum_terms(terms))
+            rows.append(tuple(row))
+        return SymbolMatrix(rows)
 
     def mul_vector(self, v: Sequence[LaurentPoly]) -> tuple[LaurentPoly, ...]:
         """The product self(z) * v(z) with a column of p polynomials."""

@@ -103,6 +103,8 @@ def parse(text: str) -> Mask:
         raise MaskFileError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except ValueError as exc:  # e.g. an integer literal over the digit limit
         raise MaskFileError(str(exc)) from None
+    except RecursionError:
+        raise MaskFileError("arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise MaskFileError("top level must be an object")
 
@@ -112,7 +114,7 @@ def parse(text: str) -> Mask:
                             f"got {doc.get('schema_version')!r}")
 
     kind_name = doc.get("kind")
-    if kind_name not in _KINDS:
+    if not isinstance(kind_name, str) or kind_name not in _KINDS:
         raise MaskFileError(f"kind: expected one of {sorted(_KINDS)}, got {kind_name!r}")
     kind = _KINDS[kind_name]
 

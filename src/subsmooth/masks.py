@@ -7,8 +7,11 @@ coupled vector sequences, or Hermite data (function value and first
 derivative, dimension 2, with a shift parameter phi).
 
 The common 1-eigenspace of the even/odd coefficient sums drives all of
-the smoothing machinery; this module computes it exactly, together with
-the canonical basis change that moves it onto the leading coordinates.
+the smoothing machinery; this module computes it exactly, once per mask
+(a Mask caches it), together with the canonical basis change that moves it
+onto the leading coordinates.  Conjugation by a constant basis change R is
+one linear combination of the symbol entries per entry of R^-1 A(z) R, and
+a caller that already holds R^-1 passes it instead of having R inverted.
 """
 
 from __future__ import annotations
@@ -17,13 +20,12 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 
-from .errors import EigenspaceError, EmptyEigenspaceError
+from .errors import EigenspaceError, EmptyEigenspaceError, SingularMatrixError
 from .laurent import LaurentPoly, SymbolMatrix
-from .linalg import (RatMatrix, column_space_basis, invert, kernel_basis,
-                     rank, rat)
+from .linalg import RatMatrix, column_space_basis, invert, kernel_basis, rat
 
 
 class Kind(enum.Enum):
@@ -61,6 +63,12 @@ class Mask:
 
     def coefficient(self, i: int) -> RatMatrix:
         return self.symbol.coefficient(i)
+
+    @cached_property
+    def _one_eigenspace(self) -> tuple[RatMatrix, ...]:
+        p = self.p
+        top = self.symbol.evaluate(1) - RatMatrix.identity(p).scale(2)
+        return tuple(kernel_basis(top.vstack(self.symbol.evaluate(-1))))
 
 
 def scalar_mask(f: LaurentPoly) -> Mask:
@@ -116,12 +124,10 @@ def common_one_eigenspace(mask: Mask) -> list[RatMatrix]:
     """Exact basis of {v : A*(1) v = 2v and A*(-1) v = 0}.
 
     This is the common 1-eigenspace of the even/odd coefficient sums; its
-    non-triviality is necessary for convergence.
+    non-triviality is necessary for convergence.  Computed once per mask;
+    every call returns a fresh list.
     """
-    p = mask.p
-    top = mask.symbol.evaluate(1) - RatMatrix.identity(p).scale(2)
-    stacked = top.vstack(mask.symbol.evaluate(-1))
-    return kernel_basis(stacked)
+    return list(mask._one_eigenspace)
 
 
 def operator_norm(mask: Mask) -> Fraction:
@@ -158,12 +164,14 @@ def stencil_norm(symbol: SymbolMatrix, arity: int) -> Fraction:
     return best
 
 
-def conjugate(mask: Mask, r: RatMatrix) -> Mask:
-    """Similarity transform of every coefficient: symbol -> R^-1 * symbol * R."""
+def conjugate(mask: Mask, r: RatMatrix, *, r_inv: RatMatrix | None = None) -> Mask:
+    """Similarity transform of every coefficient: symbol -> R^-1 * symbol * R.
+
+    ``r_inv`` is R^-1 for a caller that already holds it; it is trusted, not
+    checked.  Without it, r is inverted here (SingularMatrixError)."""
     if r.rows != mask.p or r.cols != mask.p:
         raise ValueError("transform dimension mismatch")
-    sym = (SymbolMatrix.from_constant(invert(r)) * mask.symbol
-           * SymbolMatrix.from_constant(r))
+    sym = mask.symbol.transform(invert(r) if r_inv is None else r_inv, r)
     if mask.kind is Kind.HERMITE:
         return Mask(Kind.HERMITE, sym, derive_phi(sym))
     return Mask(mask.kind, sym)
@@ -211,7 +219,9 @@ def canonical_transform(mask: Mask) -> Eigenstructure:
                 "eigenvalue 1 is defective (non-convergent-style mask)")
         cols.extend(comp)
     r = reduce(RatMatrix.hstack, cols)
-    if rank(r) != p:
-        raise EigenspaceError(
-            "eigenspace and complement overlap; no canonical transform exists")
-    return Eigenstructure(k=k, basis=tuple(basis), r=r, r_inv=invert(r))
+    try:
+        r_inv = invert(r)
+    except SingularMatrixError:
+        raise EigenspaceError("eigenspace and complement overlap; "
+                              "no canonical transform exists") from None
+    return Eigenstructure(k=k, basis=tuple(basis), r=r, r_inv=r_inv)

@@ -19,17 +19,18 @@ from functools import cached_property
 
 from .laurent import (TAYLOR_OPERATOR, LaurentPoly, SymbolMatrix,
                       difference_operator, joint_support)
-from .masks import (Kind, Mask, canonical_transform, common_one_eigenspace,
-                    conjugate, stencil_norm)
+from .masks import Kind, Mask, canonical_transform, conjugate, stencil_norm
 from .vector_smoothing import derived
-from .hermite_smoothing import check_spectral, taylor_scheme
+from .hermite_smoothing import _eigenspace_is_e2, check_spectral, taylor_scheme
 
 DEFAULT_LMAX = 12
 
 # Work ceilings the CLI checks before it starts: the iterated symbol at power
 # L is (2**L - 1) * (hi - lo) + 1 terms wide, a render at depth n has about
 # 2**n * (hi - lo + 1) rows, and every smoothing round widens the support.
+# The contractivity search checks the width of each power before building it.
 MAX_LMAX = 16
+MAX_SYMBOL_TERMS = 2 ** 20
 MAX_RENDER_ROWS = 2 ** 17
 MAX_ROUNDS = 64
 
@@ -218,12 +219,21 @@ class Refusal:
         return "\n".join(lines)
 
 
+def _symbol_width(mask: Mask, L: int) -> int:
+    """Terms in each entry's span of the iterated symbol at power L."""
+    lo, hi = mask.support
+    return (2 ** L - 1) * (hi - lo) + 1
+
+
 def _contractive_power(mask: Mask, lmax: int):
     """Smallest L with |(1/2 S)^L| < 1, plus that exact norm, or the norms
-    found if none is contractive up to lmax."""
+    found if none is contractive up to lmax or up to the first power whose
+    iterated symbol would be wider than MAX_SYMBOL_TERMS."""
     norms = []
     symbol = None
     for L in range(1, lmax + 1):
+        if _symbol_width(mask, L) > MAX_SYMBOL_TERMS:
+            break
         symbol = iterated_symbol(mask, L, _prev=symbol)
         norm = stencil_norm(symbol, 2 ** L) * Fraction(1, 2 ** L)
         norms.append(norm)
@@ -241,14 +251,17 @@ def certify_c0(mask: Mask, lmax: int = DEFAULT_LMAX):
     usable eigenspace or violating the derived-scheme conditions.
     """
     es = canonical_transform(mask)
-    der = derived(conjugate(mask, es.r), es.k)
+    der = derived(conjugate(mask, es.r, r_inv=es.r_inv), es.k)
     L, norm, norms = _contractive_power(der, lmax)
     steps = (f"canonical transform with k={es.k}",
              f"derived scheme support {der.support}")
     if L is None:
-        return Refusal(stage="contractivity",
-                       reason=f"no power up to {lmax} is contractive",
-                       norms=tuple(norms))
+        stop = len(norms) + 1
+        reason = (f"no power up to {lmax} is contractive" if stop > lmax else
+                  f"the iterated symbol at L={stop} would be "
+                  f"{_symbol_width(der, stop)} terms wide, over the budget of "
+                  f"{MAX_SYMBOL_TERMS}")
+        return Refusal(stage="contractivity", reason=reason, norms=tuple(norms))
     return Certificate(kind="C0", L=L, norm_value=norm,
                        steps=steps + (f"contractive at L={L} with norm {norm}",))
 
@@ -262,7 +275,7 @@ def certify_vector(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):
     current = mask
     for r in range(1, ell + 1):
         es = canonical_transform(current)
-        current = derived(conjugate(current, es.r), es.k)
+        current = derived(conjugate(current, es.r, r_inv=es.r_inv), es.k)
         steps.append(f"descent {r}: derived scheme with k={es.k}")
     res = certify_c0(current, lmax)
     if ell == 0:
@@ -289,8 +302,7 @@ def certify_hermite(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):
         return Refusal(stage="spectral condition",
                        reason=f"violated conditions {list(rep.violated)}")
     tay = taylor_scheme(mask)
-    basis = common_one_eigenspace(tay)
-    if not (len(basis) == 1 and basis[0][0, 0] == 0):
+    if not _eigenspace_is_e2(tay):
         return Refusal(stage="taylor eigenspace",
                        reason="common 1-eigenspace of the Taylor scheme "
                               "is not span{e2}")

@@ -103,14 +103,14 @@ def smooth_vector(mask: Mask) -> Mask:
     the left and 0 on the right; both postconditions are verified before
     returning.
     """
-    kind = _out_kind(mask)
+    _out_kind(mask)
     es = canonical_transform(mask)  # EmptyEigenspaceError for 1-eigenspace {0}
-    barred = conjugate(mask, es.r)
+    barred = conjugate(mask, es.r, r_inv=es.r_inv)
     try:
         smoothed = smooth_raw(barred, es.k)
     except NotDivisibleError:
         raise ConsistencyError("conjugated mask lost the smoothing condition") from None
-    out = conjugate(smoothed, es.r_inv)
+    out = conjugate(smoothed, es.r_inv, r_inv=es.r)
 
     if not _same_span(common_one_eigenspace(out), list(es.basis)):
         raise ConsistencyError("smoothing changed the common 1-eigenspace")
@@ -120,4 +120,4 @@ def smooth_vector(mask: Mask) -> Mask:
             raise ConsistencyError(
                 f"support {s_out} exceeds the guaranteed window "
                 f"[{s_in[0] - 2}, {s_in[1]}]")
-    return Mask(kind, out.symbol)
+    return out  # its eigenspace, computed above, serves the next round

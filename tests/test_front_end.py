@@ -3,15 +3,20 @@ error reporting at the command-line front end."""
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsmooth import (ConsistencyError, LaurentPoly, MaskFileError, Refusal,
                        catalog, certify_vector, maskfile, scalar_mask,
                        smooth_scalar)
 from subsmooth import cli
 from subsmooth.cli import main
-from subsmooth.refine import MAX_LMAX, MAX_RENDER_ROWS, MAX_ROUNDS
+from subsmooth import refine
+from subsmooth.refine import (MAX_LMAX, MAX_RENDER_ROWS, MAX_ROUNDS,
+                              MAX_SYMBOL_TERMS)
 
 
 def scalar_doc(values, **overrides):
@@ -98,6 +103,85 @@ class TestStrictFields:
         with pytest.raises(MaskFileError):
             maskfile.parse('{"p": ' + "1" * 5000 + "}")
 
+    @pytest.mark.parametrize("kind", [[], {}, 1, None])
+    def test_kind_of_wrong_type_rejected(self, kind):
+        with pytest.raises(MaskFileError) as err:
+            maskfile.parse(scalar_doc(["1"], kind=kind))
+        assert "kind:" in str(err.value)
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(MaskFileError) as err:
+            maskfile.parse("[" * 100_000)
+        assert "nested too deeply" in str(err.value)
+
+    def test_cli_show_hostile_files(self, tmp_path, capsys):
+        for name, text in (("deep", "[" * 100_000),
+                           ("list-kind", scalar_doc(["1"], kind=[])),
+                           ("dict-kind", scalar_doc(["1"], kind={}))):
+            path = tmp_path / f"{name}.mask"
+            path.write_text(text)
+            assert main(["show", str(path)]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+
+
+def _check_round_trip(text):
+    """text parses to a mask that round-trips byte-stably, or is refused
+    with MaskFileError; any other exception fails the test."""
+    try:
+        mask = maskfile.parse(text)
+    except MaskFileError:
+        return
+    canonical = maskfile.serialize(mask)
+    again = maskfile.parse(canonical)
+    assert again == mask
+    assert maskfile.serialize(again) == canonical
+
+
+_SAMPLES = [maskfile.serialize(catalog.get(n))
+            for n in ("bspline2", "double-knot", "merrien")]
+_RATIONALS = st.sampled_from(["0", "1", "-1", "1/2", "-3/8", "2/4", "1.5", "",
+                              "1e5", "x"])
+_JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 3) | _RATIONALS,
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                     max_leaves=12)
+
+
+@st.composite
+def _mask_docs(draw):
+    """Mask-file documents near the schema: each field valid, missing or
+    replaced by arbitrary JSON."""
+    p = draw(st.integers(1, 2))
+    coeffs = [[[draw(_RATIONALS) for _ in range(p)] for _ in range(p)]
+              for _ in range(draw(st.integers(0, 3)))]
+    valid = {"schema_version": 1, "kind": draw(st.sampled_from(
+                 ["scalar", "vector", "hermite"])),
+             "p": p, "support_lo": draw(st.integers(-3, 3)),
+             "coeffs": coeffs, "phi": draw(_RATIONALS)}
+    doc = {}
+    for key, value in valid.items():
+        how = draw(st.sampled_from(["valid", "valid", "valid", "missing", "json"]))
+        if how == "valid":
+            doc[key] = value
+        elif how == "json":
+            doc[key] = draw(_JSON)
+    return json.dumps(doc)
+
+
+@st.composite
+def _mutated_samples(draw):
+    """A canonical mask file with one span of characters replaced."""
+    text = draw(st.sampled_from(_SAMPLES))
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 4)))
+    return text[:i] + draw(st.text(max_size=4)) + text[j:]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.text(), _mask_docs(), _mutated_samples()))
+def test_any_text_round_trips_or_raises_mask_file_error(text):
+    _check_round_trip(text)
+
 
 class TestWorkCeilings:
     def test_lmax_over_ceiling(self, capsys):
@@ -142,6 +226,37 @@ class TestWorkCeilings:
         monkeypatch.setenv("SUBSMOOTH_LMAX", "12")
         assert main(["certify", "catalog:bspline1"]) == 0
         assert main(["certify", "catalog:bspline1", "--lmax", "12"]) == 0
+
+    def test_wide_mask_refused_by_symbol_width_budget(self):
+        """Derived symbol 1 + z**350000 has norm 1 at every power; at L = 2
+        its iterated symbol would be 3*350000 + 1 terms wide."""
+        n = 175_000
+        half = Fraction(1, 2)
+        wide = scalar_mask(LaurentPoly({0: half, 1: half, 2 * n: half,
+                                        2 * n + 1: half}))
+        t0 = time.perf_counter()
+        res = certify_vector(wide, 0, MAX_LMAX)
+        assert time.perf_counter() - t0 < 1.0
+        assert isinstance(res, Refusal)
+        assert res.norms == (1,)
+        assert res.reason == (f"the iterated symbol at L=2 would be 1050001 terms "
+                              f"wide, over the budget of {MAX_SYMBOL_TERMS}")
+
+    def test_width_budget_refusal_at_cli(self, capsys, monkeypatch):
+        """The stage of merrien --ell 2 spans 6 exponents (hi - lo = 5): L = 5
+        is 156 terms wide and L = 6 would be 316."""
+        monkeypatch.setattr(refine, "MAX_SYMBOL_TERMS", 200)
+        assert main(["certify", "catalog:merrien", "--ell", "2", "--lmax", "16"]) == 2
+        out = capsys.readouterr().out
+        assert "the iterated symbol at L=6 would be 316 terms wide" in out
+        assert "norms per power: 5, 13/2, 31/4, 67/8, 139/16\n" in out
+
+    def test_width_budget_checked_per_power(self):
+        """bspline64 is granted at L = 1; its L = 16 stage would be over the
+        budget."""
+        res = certify_vector(catalog.get("bspline64"), 0, MAX_LMAX)
+        assert (2 ** MAX_LMAX - 1) * 64 + 1 > MAX_SYMBOL_TERMS
+        assert not isinstance(res, Refusal) and res.L == 1
 
     def test_rounds_over_ceiling_refused_before_loading(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_load", lambda ref: pytest.fail("mask loaded"))

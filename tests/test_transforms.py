@@ -1,0 +1,205 @@
+"""Conjugation, transform inverses and the cached 1-eigenspace against the
+oracles of tests/masks_oracle.py, plus counts of the exact linear algebra a
+smoothing round does."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import subsmooth.linalg as linalg
+import subsmooth.masks as masks_module
+from subsmooth import (EigenspaceError, EmptyEigenspaceError, LaurentPoly,
+                       RatMatrix, SymbolMatrix, canonical_transform, catalog,
+                       common_one_eigenspace, conjugate, hermite_mask, invert,
+                       kernel_basis, retaylor, scalar_mask, smooth_hermite,
+                       smooth_raw, smooth_vector, taylor_scheme, vector_mask)
+from subsmooth.cli import main
+from subsmooth.hermite_smoothing import (_R_TAYLOR, _R_TAYLOR_INV,
+                                         _eigenspace_is_e2)
+from subsmooth.linalg import rank
+
+import tests.masks_oracle as oracle
+from tests.maskgen import (rand_convergent_style_mask,
+                           rand_smoothing_ready_spectral, with_values)
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+polys = st.builds(LaurentPoly.from_coeffs, st.integers(-3, 1),
+                  st.lists(fractions, max_size=5))
+
+
+@st.composite
+def masks(draw, sizes=st.integers(1, 3)):
+    p = draw(sizes)
+    sym = SymbolMatrix([[draw(polys) for _ in range(p)] for _ in range(p)])
+    if p == 1 and draw(st.booleans()):
+        return scalar_mask(sym[0, 0])
+    if p == 2 and draw(st.booleans()):
+        return hermite_mask(sym)
+    return vector_mask(sym)
+
+
+@st.composite
+def invertible(draw, p):
+    r = RatMatrix.from_rows([[draw(fractions) for _ in range(p)] for _ in range(p)])
+    assume(rank(r) == p)
+    return r
+
+
+@st.composite
+def mask_and_transform(draw):
+    mask = draw(masks())
+    return mask, draw(invertible(mask.p))
+
+
+@SETTINGS
+@given(mask_and_transform())
+def test_conjugate_matches_symbol_products(case):
+    mask, r = case
+    want = oracle.conjugate(mask, r)  # for Hermite masks, equality covers phi
+    assert conjugate(mask, r) == want
+    assert conjugate(mask, r, r_inv=invert(r)) == want
+
+
+small = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1), Fraction(2),
+                         Fraction(1, 2)])
+
+
+@st.composite
+def masks_2x2_with_values(draw):
+    """2x2 masks whose stacked matrix [A(1) - 2I; A(-1)] has each column
+    zero or drawn from a small set of values, so that every kernel
+    dimension occurs."""
+    entries = [[None, None], [None, None]]
+    for j in range(2):
+        zero_column = draw(st.booleans())
+        for i in range(2):
+            at1, atm1 = (2 if i == j else 0), 0
+            if not zero_column:
+                at1, atm1 = draw(small), draw(small)
+            entries[i][j] = with_values(draw(polys), at1, atm1)
+    return vector_mask(SymbolMatrix(entries))
+
+
+@SETTINGS
+@given(st.one_of(masks_2x2_with_values(), masks(sizes=st.just(2))))
+def test_eigenspace_is_e2_matches_kernel_basis(mask):
+    assert _eigenspace_is_e2(mask) == oracle.eigenspace_is_e2(mask)
+
+
+def test_eigenspace_is_e2_zero_stacked_matrix():
+    """A(1) = 2I and A(-1) = 0: the kernel is the whole plane, not span{e2}."""
+    one_plus_z = LaurentPoly({0: 1, 1: 1})
+    zero = LaurentPoly.zero()
+    mask = vector_mask(SymbolMatrix([[one_plus_z, zero], [zero, one_plus_z]]))
+    assert len(oracle.one_eigenspace(mask)) == 2
+    assert not _eigenspace_is_e2(mask)
+
+
+@SETTINGS
+@given(masks())
+def test_cached_eigenspace_equals_fresh_kernel(mask):
+    first = common_one_eigenspace(mask)
+    assert first == oracle.one_eigenspace(mask)
+    first.append(RatMatrix.column([0] * mask.p))
+    first.clear()
+    assert common_one_eigenspace(mask) == oracle.one_eigenspace(mask)
+
+
+def test_eigenspace_computed_once_per_mask(monkeypatch):
+    calls = []
+    monkeypatch.setattr(masks_module, "kernel_basis",
+                        lambda m: calls.append(1) or kernel_basis(m))
+    dk = catalog.get("double-knot")
+    for _ in range(3):
+        common_one_eigenspace(dk)
+    canonical_transform(dk)
+    assert len(calls) == 1
+
+
+def test_fixed_transform_pairs_are_inverse():
+    identity = RatMatrix.identity(2)
+    assert _R_TAYLOR @ _R_TAYLOR_INV == identity == _R_TAYLOR_INV @ _R_TAYLOR
+    for eta in (Fraction(0), Fraction(3), Fraction(-7, 5)):
+        shear = RatMatrix.from_rows([[1, 0], [eta, 1]])
+        inverse = RatMatrix.from_rows([[1, 0], [-eta, 1]])
+        assert shear @ inverse == identity == inverse @ shear
+
+
+def test_retaylor_matches_conjugation_by_shear():
+    """retaylor conjugates with the closed-form inverse of its shear."""
+    rng = random.Random(11)
+    inputs = [catalog.get("merrien"), catalog.get("derham")]
+    inputs += [rand_smoothing_ready_spectral(rng) for _ in range(5)]
+    for mask in inputs:
+        barred = oracle.conjugate(taylor_scheme(mask), _R_TAYLOR)
+        smoothed = oracle.conjugate(smooth_raw(barred, 1), invert(_R_TAYLOR))
+        out, eta = retaylor(smoothed)
+        assert out == oracle.conjugate(smoothed,
+                                       RatMatrix.from_rows([[1, 0], [eta, 1]]))
+
+
+def test_canonical_transform_refuses_overlapping_columns():
+    """Mean matrix [[1, 1], [0, 1]]: eigenspace and complement are both
+    span{e1}, so the transform would be singular."""
+    one_plus_z = LaurentPoly({0: 1, 1: 1})
+    mask = vector_mask(SymbolMatrix([[one_plus_z, one_plus_z],
+                                     [LaurentPoly.zero(), one_plus_z]]))
+    with pytest.raises(EigenspaceError, match="eigenspace and complement overlap; "
+                       "no canonical transform exists") as err:
+        canonical_transform(mask)
+    assert not isinstance(err.value, EmptyEigenspaceError)
+
+
+def _count_linalg(monkeypatch):
+    """Count rref and invert calls; rank, kernel_basis, column_space_basis
+    and invert all eliminate through linalg.rref."""
+    counts = {"rref": 0, "invert": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
+    inv = counted("invert", linalg.invert)
+    monkeypatch.setattr(linalg, "invert", inv)
+    monkeypatch.setattr(masks_module, "invert", inv)
+    return counts
+
+
+def test_smooth_hermite_does_no_elimination(monkeypatch):
+    rng = random.Random(5)
+    inputs = [catalog.get("merrien"), catalog.get("derham")]
+    inputs += [rand_smoothing_ready_spectral(rng) for _ in range(5)]
+    counts = _count_linalg(monkeypatch)
+    for mask in inputs:
+        for _ in range(3):
+            mask = smooth_hermite(mask)
+    assert counts == {"rref": 0, "invert": 0}
+
+
+def test_vector_round_computes_each_eigenspace_once(monkeypatch):
+    rng = random.Random(3)
+    calls = []
+    monkeypatch.setattr(masks_module, "kernel_basis",
+                        lambda m: calls.append(1) or kernel_basis(m))
+    for mask in (catalog.get("double-knot"), rand_convergent_style_mask(rng, 3, 2)):
+        calls.clear()
+        for _ in range(4):
+            mask = smooth_vector(mask)
+        assert len(calls) == 5  # the input's, then each round's result's
+
+
+def test_cli_smooth_computes_each_eigenspace_once(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(masks_module, "kernel_basis",
+                        lambda m: calls.append(1) or kernel_basis(m))
+    assert main(["smooth", "catalog:double-knot", "--rounds", "3",
+                 "--out", str(tmp_path / "dk.mask")]) == 0
+    assert len(calls) == 4
