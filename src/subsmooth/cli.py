@@ -206,10 +206,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"internal error, please report: {exc}", file=sys.stderr)
         return 1
-    except SubsmoothError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (SubsmoothError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

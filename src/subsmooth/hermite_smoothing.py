@@ -27,8 +27,9 @@ from .errors import (ConsistencyError, DegenerateAError, NotInTildeError,
 from .laurent import (TAYLOR_OPERATOR, intertwine, root_multiplicity_at_one,
                       untwine)
 from .linalg import RatMatrix
-from .masks import Kind, Mask, conjugate, derive_phi, hermite_mask, vector_mask
-from .vector_smoothing import smooth_raw
+from .masks import (Eigenstructure, Kind, Mask, conjugate, derive_phi,
+                    hermite_mask, vector_mask)
+from .vector_smoothing import _check_window, _smooth_in_basis
 
 HALF = Fraction(1, 2)
 
@@ -37,6 +38,8 @@ HALF = Fraction(1, 2)
 # eigenvalue 1 and eigenvector (1, -1) for the other eigenvalue.
 _R_TAYLOR = RatMatrix.from_rows([[0, 1], [1, -1]])
 _R_TAYLOR_INV = RatMatrix.from_rows([[1, 1], [1, 0]])
+_TAYLOR_BASIS = Eigenstructure(k=1, basis=(RatMatrix.column([0, 1]),),
+                               r=_R_TAYLOR, r_inv=_R_TAYLOR_INV)
 
 
 @dataclass(frozen=True)
@@ -217,20 +220,13 @@ def smooth_hermite(mask: Mask) -> Mask:
         raise NotInTildeError(
             "Taylor scheme eigenspace is not span{e2}; the vanishing "
             "first-component hypothesis cannot be established")
-    barred = conjugate(tay, _R_TAYLOR, r_inv=_R_TAYLOR_INV)
-    smoothed = conjugate(smooth_raw(barred, 1), _R_TAYLOR_INV, r_inv=_R_TAYLOR)
-    normalized, _eta = retaylor(smoothed)
+    normalized, _eta = retaylor(_smooth_in_basis(tay, _TAYLOR_BASIS))
     out = inverse_taylor(normalized)
 
     if out.phi != rep.phi - HALF:
         raise ConsistencyError(
             f"phi moved from {rep.phi} to {out.phi}, expected a drop of 1/2")
-    s_in, s_out = mask.support, out.support
-    if s_in is not None and s_out is not None:
-        if s_out[0] < s_in[0] - 5 or s_out[1] > s_in[1]:
-            raise ConsistencyError(
-                f"support {s_out} exceeds the guaranteed window "
-                f"[{s_in[0] - 5}, {s_in[1]}]")
+    _check_window(mask, out, 5)
     return out
 
 

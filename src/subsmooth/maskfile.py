@@ -73,16 +73,10 @@ def _int_field(doc: dict, key: str):
 
 def serialize(mask: Mask) -> str:
     """Canonical text form; parse(serialize(m)) == m, byte-stable."""
-    sup = mask.support
-    if sup is None:
-        lo, coeffs = 0, []
-    else:
-        lo = sup[0]
-        coeffs = []
-        for i in range(sup[0], sup[1] + 1):
-            m = mask.coefficient(i)
-            coeffs.append([[_rat_to_str(m[r, c]) for c in range(mask.p)]
-                           for r in range(mask.p)])
+    sym, p = mask.symbol, mask.p
+    lo, hi = mask.support or (0, -1)
+    coeffs = [[[_rat_to_str(sym[r, c].coeff(i)) for c in range(p)] for r in range(p)]
+              for i in range(lo, hi + 1)]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": mask.kind.value,
@@ -139,15 +133,10 @@ def parse(text: str) -> Mask:
                 and all(isinstance(row, list) and len(row) == p for row in mat)):
             raise MaskFileError(f"coeffs[{idx}]: expected a {p}x{p} array")
     # the shapes are checked first, so a huge p costs no more than the file
-    entries = [[{} for _ in range(p)] for _ in range(p)]
-    for idx, mat in enumerate(coeffs):
-        for r in range(p):
-            for c in range(p):
-                v = _str_to_rat(mat[r][c], f"coeffs[{idx}][{r}][{c}]")
-                if v != 0:
-                    entries[r][c][lo + idx] = v
-    sym = SymbolMatrix(tuple(tuple(LaurentPoly(entries[r][c]) for c in range(p))
-                             for r in range(p)))
+    vals = [[[_str_to_rat(x, f"coeffs[{idx}][{r}][{c}]") for c, x in enumerate(row)]
+             for r, row in enumerate(mat)] for idx, mat in enumerate(coeffs)]
+    sym = SymbolMatrix([[LaurentPoly.from_coeffs(lo, [v[r][c] for v in vals])
+                         for c in range(p)] for r in range(p)])
     if sym.is_zero():
         raise MaskFileError("coeffs: expected at least one nonzero coefficient")
 

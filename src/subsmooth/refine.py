@@ -28,9 +28,14 @@ DEFAULT_LMAX = 12
 # Work ceilings the CLI checks before it starts: the iterated symbol at power
 # L is (2**L - 1) * (hi - lo) + 1 terms wide, a render at depth n has about
 # 2**n * (hi - lo + 1) rows, and every smoothing round widens the support.
-# The contractivity search checks the width of each power before building it.
+# The contractivity search checks the width of each power before building it,
+# and the work of its product: p**3 products of that width times the 64-bit
+# words of the previous power's and the mask's largest numerators.  The
+# costliest power of a catalog search up to MAX_LMAX (derham --ell 3, L = 16)
+# is 3,669,968; one near the bound takes about 0.8 s on a 2-core x86 host.
 MAX_LMAX = 16
 MAX_SYMBOL_TERMS = 2 ** 20
+MAX_SYMBOL_WORK = 4 * 10 ** 6
 MAX_RENDER_ROWS = 2 ** 17
 MAX_ROUNDS = 64
 
@@ -225,21 +230,35 @@ def _symbol_width(mask: Mask, L: int) -> int:
     return (2 ** L - 1) * (hi - lo) + 1
 
 
+def _words(symbol: SymbolMatrix) -> int:
+    """64-bit words of the largest integer numerator of the symbol."""
+    return max(max(max(e.nums), -min(e.nums)).bit_length()
+               for row in symbol.entries for e in row if e.nums) // 64 + 1
+
+
 def _contractive_power(mask: Mask, lmax: int):
-    """Smallest L with |(1/2 S)^L| < 1, plus that exact norm, or the norms
-    found if none is contractive up to lmax or up to the first power whose
-    iterated symbol would be wider than MAX_SYMBOL_TERMS."""
+    """Smallest L with |(1/2 S)^L| < 1, that exact norm and the norms found;
+    without one, None, why the search stopped (at lmax or before a power
+    over MAX_SYMBOL_TERMS or MAX_SYMBOL_WORK) and the norms found."""
     norms = []
     symbol = None
+    words, mask_words = 1, _words(mask.symbol)
     for L in range(1, lmax + 1):
-        if _symbol_width(mask, L) > MAX_SYMBOL_TERMS:
-            break
+        width = _symbol_width(mask, L)
+        if width > MAX_SYMBOL_TERMS:
+            return None, (f"the iterated symbol at L={L} would be {width} terms "
+                          f"wide, over the budget of {MAX_SYMBOL_TERMS}"), norms
+        work = mask.p ** 3 * width * words * mask_words
+        if work > MAX_SYMBOL_WORK:
+            return None, (f"the iterated symbol at L={L} would cost {work} word "
+                          f"products, over the budget of {MAX_SYMBOL_WORK}"), norms
         symbol = iterated_symbol(mask, L, _prev=symbol)
+        words = _words(symbol)
         norm = stencil_norm(symbol, 2 ** L) * Fraction(1, 2 ** L)
         norms.append(norm)
         if norm < 1:
             return L, norm, norms
-    return None, None, norms
+    return None, f"no power up to {lmax} is contractive", norms
 
 
 def certify_c0(mask: Mask, lmax: int = DEFAULT_LMAX):
@@ -250,41 +269,30 @@ def certify_c0(mask: Mask, lmax: int = DEFAULT_LMAX):
     Certificate or an (inconclusive) Refusal.  Raises for masks without a
     usable eigenspace or violating the derived-scheme conditions.
     """
-    es = canonical_transform(mask)
-    der = derived(conjugate(mask, es.r, r_inv=es.r_inv), es.k)
-    L, norm, norms = _contractive_power(der, lmax)
-    steps = (f"canonical transform with k={es.k}",
-             f"derived scheme support {der.support}")
-    if L is None:
-        stop = len(norms) + 1
-        reason = (f"no power up to {lmax} is contractive" if stop > lmax else
-                  f"the iterated symbol at L={stop} would be "
-                  f"{_symbol_width(der, stop)} terms wide, over the budget of "
-                  f"{MAX_SYMBOL_TERMS}")
-        return Refusal(stage="contractivity", reason=reason, norms=tuple(norms))
-    return Certificate(kind="C0", L=L, norm_value=norm,
-                       steps=steps + (f"contractive at L={L} with norm {norm}",))
+    return certify_vector(mask, 0, lmax)
 
 
 def certify_vector(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):
-    """Certificate that a scalar/vector scheme is C^ell: descend ell derived
-    schemes (fresh canonical transform each round), then certify C0."""
+    """Certificate that a scalar/vector scheme is C^ell: descend ell + 1
+    derived schemes (fresh canonical transform each round), then search
+    L <= lmax for an exact norm |(1/2 S)^L| < 1 of the last one."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
     steps: list[str] = []
     current = mask
-    for r in range(1, ell + 1):
+    for r in range(1, ell + 2):
         es = canonical_transform(current)
         current = derived(conjugate(current, es.r, r_inv=es.r_inv), es.k)
-        steps.append(f"descent {r}: derived scheme with k={es.k}")
-    res = certify_c0(current, lmax)
-    if ell == 0:
-        return res
-    if isinstance(res, Refusal):
-        return Refusal(stage=f"{res.stage} after {ell} descents",
-                       reason=res.reason, norms=res.norms)
-    return Certificate(kind="chain", L=res.L, norm_value=res.norm_value,
-                       steps=tuple(steps) + res.steps, ell=ell)
+        steps.append(f"descent {r}: derived scheme with k={es.k}" if r <= ell
+                     else f"canonical transform with k={es.k}")
+    steps.append(f"derived scheme support {current.support}")
+    L, norm, norms = _contractive_power(current, lmax)
+    if L is None:
+        stage = f"contractivity after {ell} descents" if ell else "contractivity"
+        return Refusal(stage=stage, reason=norm, norms=tuple(norms))
+    steps.append(f"contractive at L={L} with norm {norm}")
+    return Certificate(kind="chain" if ell else "C0", L=L, norm_value=norm,
+                       steps=tuple(steps), ell=ell or None)
 
 
 def certify_hermite(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):

@@ -15,13 +15,10 @@ repeated smoothing only needs a fresh canonical transform per round.
 
 from __future__ import annotations
 
-from functools import reduce
-
 from .errors import ConsistencyError, NotDivisibleError
 from .laurent import difference_operator, intertwine, untwine
-from .linalg import RatMatrix, rank
-from .masks import (Kind, Mask, canonical_transform, common_one_eigenspace,
-                    conjugate, scheme_scalar)
+from .masks import (Eigenstructure, Kind, Mask, canonical_transform,
+                    common_one_eigenspace, conjugate, scheme_scalar)
 
 
 def _out_kind(mask: Mask) -> Kind:
@@ -89,9 +86,26 @@ def smooth_scalar(mask: Mask) -> Mask:
 
 # -- full procedure -------------------------------------------------------------------
 
-def _same_span(va: list[RatMatrix], vb: list[RatMatrix]) -> bool:
-    """Equal spans of two lists of column vectors, vb nonempty."""
-    return len(va) == len(vb) and rank(reduce(RatMatrix.hstack, va + vb)) == len(va)
+def _smooth_in_basis(mask: Mask, es: Eigenstructure) -> Mask:
+    """Conjugate by es.r, smooth the leading es.k components (exact when
+    es.r puts a common 1-eigenspace first), conjugate back."""
+    barred = conjugate(mask, es.r, r_inv=es.r_inv)
+    try:
+        smoothed = smooth_raw(barred, es.k)
+    except NotDivisibleError:
+        raise ConsistencyError("conjugated mask lost the smoothing condition") from None
+    return conjugate(smoothed, es.r_inv, r_inv=es.r)
+
+
+def _check_window(mask: Mask, out: Mask, slack: int) -> None:
+    """Postcondition of a smoothing round: the support of out lies in
+    [lo - slack, hi] for the support [lo, hi] of mask."""
+    s_in, s_out = mask.support, out.support
+    if s_in is not None and s_out is not None:
+        if s_out[0] < s_in[0] - slack or s_out[1] > s_in[1]:
+            raise ConsistencyError(
+                f"support {s_out} exceeds the guaranteed window "
+                f"[{s_in[0] - slack}, {s_in[1]}]")
 
 
 def smooth_vector(mask: Mask) -> Mask:
@@ -105,19 +119,10 @@ def smooth_vector(mask: Mask) -> Mask:
     """
     _out_kind(mask)
     es = canonical_transform(mask)  # EmptyEigenspaceError for 1-eigenspace {0}
-    barred = conjugate(mask, es.r, r_inv=es.r_inv)
-    try:
-        smoothed = smooth_raw(barred, es.k)
-    except NotDivisibleError:
-        raise ConsistencyError("conjugated mask lost the smoothing condition") from None
-    out = conjugate(smoothed, es.r_inv, r_inv=es.r)
-
-    if not _same_span(common_one_eigenspace(out), list(es.basis)):
+    out = _smooth_in_basis(mask, es)
+    # kernel_basis reads the basis off the reduced echelon form, which the
+    # kernel determines, so equal eigenspaces give equal basis lists
+    if common_one_eigenspace(out) != list(es.basis):
         raise ConsistencyError("smoothing changed the common 1-eigenspace")
-    s_in, s_out = mask.support, out.support
-    if s_in is not None and s_out is not None:
-        if s_out[0] < s_in[0] - 2 or s_out[1] > s_in[1]:
-            raise ConsistencyError(
-                f"support {s_out} exceeds the guaranteed window "
-                f"[{s_in[0] - 2}, {s_in[1]}]")
+    _check_window(mask, out, 2)
     return out  # its eigenspace, computed above, serves the next round

@@ -2,6 +2,7 @@
 error reporting at the command-line front end."""
 
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -10,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsmooth import (ConsistencyError, LaurentPoly, MaskFileError, Refusal,
-                       catalog, certify_vector, maskfile, scalar_mask,
-                       smooth_scalar)
+                       SymbolMatrix, catalog, certify_vector, maskfile,
+                       scalar_mask, smooth_scalar, vector_mask)
 from subsmooth import cli
 from subsmooth.cli import main
 from subsmooth import refine
 from subsmooth.refine import (MAX_LMAX, MAX_RENDER_ROWS, MAX_ROUNDS,
-                              MAX_SYMBOL_TERMS)
+                              MAX_SYMBOL_TERMS, MAX_SYMBOL_WORK)
 
 
 def scalar_doc(values, **overrides):
@@ -183,6 +184,26 @@ def test_any_text_round_trips_or_raises_mask_file_error(text):
     _check_round_trip(text)
 
 
+def dense_vector_mask():
+    """p = 4 vector mask (1 + 1/z)/2 * B with B(1) = 2I: its 1-eigenspace is
+    everything, the canonical transform is the identity and the derived
+    scheme is B, dense with entries 1 + z**16 on and 1 - z**16 off the
+    diagonal and norms 4, 9, 28, 81, ..."""
+    half = LaurentPoly({-1: Fraction(1, 2), 0: Fraction(1, 2)})
+    return vector_mask(SymbolMatrix(
+        [[half * LaurentPoly({0: 1, 16: 1 if i == j else -1}) for j in range(4)]
+         for i in range(4)]))
+
+
+def big_coefficient_mask():
+    """Scalar mask (1 + z) q(z), q with 16 integer coefficients of about 600
+    digits and q(1) = 1; an 11 KB mask file."""
+    rng = random.Random(0)
+    q = [rng.randrange(10 ** 599, 10 ** 600) for _ in range(15)]
+    return scalar_mask(LaurentPoly({0: 1, 1: 1})
+                       * LaurentPoly.from_coeffs(0, q + [1 - sum(q)]))
+
+
 class TestWorkCeilings:
     def test_lmax_over_ceiling(self, capsys):
         assert main(["certify", "catalog:merrien", "--lmax", str(MAX_LMAX + 1)]) == 1
@@ -257,6 +278,29 @@ class TestWorkCeilings:
         res = certify_vector(catalog.get("bspline64"), 0, MAX_LMAX)
         assert (2 ** MAX_LMAX - 1) * 64 + 1 > MAX_SYMBOL_TERMS
         assert not isinstance(res, Refusal) and res.L == 1
+
+    def test_catalog_search_to_max_lmax_within_work_budget(self, capsys):
+        """The stage of derham --ell 3 costs the most per power of the catalog
+        searches: 8 * 458,746 word products at L = 16."""
+        assert main(["certify", "catalog:derham", "--ell", "3",
+                     "--lmax", str(MAX_LMAX)]) == 2
+        assert "no power up to 16 is contractive" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("make,L,work", [
+        # p**3 * width(L) * words(power L - 1) * words(mask)
+        (dense_vector_mask, 12, 64 * 65_521 * 1 * 1),
+        (big_coefficient_mask, 6, 1 * 946 * 157 * 32)])
+    def test_work_budget_refuses_hostile_masks(self, make, L, work, tmp_path, capsys):
+        path = tmp_path / "hostile.mask"
+        path.write_text(maskfile.serialize(make()))
+        t0 = time.perf_counter()
+        assert main(["certify", str(path), "--lmax", str(MAX_LMAX)]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        out = capsys.readouterr().out
+        assert (f"the iterated symbol at L={L} would cost {work} word products, "
+                f"over the budget of {MAX_SYMBOL_WORK}") in out
+        norms = out.split("norms per power: ")[1].split(", ")
+        assert len(norms) == L - 1
 
     def test_rounds_over_ceiling_refused_before_loading(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_load", lambda ref: pytest.fail("mask loaded"))

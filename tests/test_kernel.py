@@ -209,7 +209,7 @@ def test_incremental_search_matches_per_power_norms(mask):
         norms.append(norm)
     hit = next((L for L, n in enumerate(norms, 1) if n < 1), None)
     expected = ((hit, norms[hit - 1], norms[:hit]) if hit is not None
-                else (None, None, norms))
+                else (None, f"no power up to {lmax} is contractive", norms))
     assert _contractive_power(mask, lmax) == expected
 
 

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import subsmooth
 from subsmooth import MaskFileError, RatMatrix, catalog, maskfile
 from subsmooth.cli import main
 
@@ -216,7 +218,9 @@ class TestCli:
         assert "1/2" in out
 
     def test_module_entry_point(self):
+        src = os.path.dirname(os.path.dirname(subsmooth.__file__))
         proc = subprocess.run([sys.executable, "-m", "subsmooth", "show",
-                               "catalog:derham"], capture_output=True, text=True)
+                               "catalog:derham"], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0
         assert "phi: -1/2" in proc.stdout

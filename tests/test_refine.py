@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from subsmooth import (Certificate, EmptyEigenspaceError, FinSeq, LaurentPoly,
-                       Refusal, apply, canonical_transform, catalog,
-                       certify_c0, certify_hermite, certify_vector, conjugate,
-                       derived, difference, full_support_window,
+                       Refusal, SubsmoothError, apply, canonical_transform,
+                       catalog, certify_c0, certify_hermite, certify_vector,
+                       conjugate, derived, difference, full_support_window,
                        iterated_symbol, render, scalar_mask, stencil_norm,
                        taylor_diff, taylor_scheme, vector_mask)
 
@@ -226,6 +227,23 @@ class TestCertificates:
         assert res.kind == "chain"
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (SubsmoothError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_certify_c0_is_certify_vector_at_ell_zero():
+    rng = random.Random(4)
+    masks = [catalog.get(f"bspline{d}") for d in range(6)]
+    masks += [catalog.get(n) for n in catalog.names()[1:]]
+    masks += [taylor_scheme(catalog.get(n)) for n in ("merrien", "derham")]
+    masks += [rand_derivable_mask(rng, p, 1) for p in (1, 2, 3)]
+    for mask in masks:
+        assert _outcome(certify_c0, mask, 6) == _outcome(certify_vector, mask, 0, 6)
+
+
 class TestRender:
     def test_hat_function(self):
         s = render(catalog.get("bspline1"), 6, 1)
@@ -266,6 +284,13 @@ class TestRender:
         s = render(catalog.get("merrien"), 2, 1)
         text = s.to_csv(exact=True)
         assert "/" in text  # rational entries present
+
+    @pytest.mark.parametrize("name", ["bspline1", "bspline3", "merrien",
+                                      "merrien-smoothed", "derham-smoothed"])
+    def test_demo_csv_reproduced(self, name):
+        """The committed demo renders (depth 6, basis 1) byte for byte."""
+        path = Path(__file__).parents[1] / "demos" / "out" / f"{name}.csv"
+        assert render(catalog.get(name), 6, 1).to_csv().encode() == path.read_bytes()
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 import subsmooth.linalg as linalg
 import subsmooth.masks as masks_module
-from subsmooth import (EigenspaceError, EmptyEigenspaceError, LaurentPoly,
-                       RatMatrix, SymbolMatrix, canonical_transform, catalog,
-                       common_one_eigenspace, conjugate, hermite_mask, invert,
-                       kernel_basis, retaylor, scalar_mask, smooth_hermite,
-                       smooth_raw, smooth_vector, taylor_scheme, vector_mask)
+import subsmooth.vector_smoothing as vector_module
+from subsmooth import (ConsistencyError, EigenspaceError, EmptyEigenspaceError,
+                       LaurentPoly, RatMatrix, SymbolMatrix, canonical_transform,
+                       catalog, common_one_eigenspace, conjugate, hermite_mask,
+                       invert, kernel_basis, retaylor, scalar_mask,
+                       smooth_hermite, smooth_raw, smooth_vector, taylor_scheme,
+                       vector_mask)
 from subsmooth.cli import main
 from subsmooth.hermite_smoothing import (_R_TAYLOR, _R_TAYLOR_INV,
                                          _eigenspace_is_e2)
@@ -110,6 +112,42 @@ def test_cached_eigenspace_equals_fresh_kernel(mask):
     assert common_one_eigenspace(mask) == oracle.one_eigenspace(mask)
 
 
+@st.composite
+def stacked_and_invertible(draw):
+    """A 2p x p matrix of rank r = 0..p, drawn as a product through r
+    dimensions, and an invertible 2p x 2p matrix."""
+    p = draw(st.integers(1, 3))
+    r = draw(st.integers(0, p))
+    m = RatMatrix.zero(2 * p, p)
+    if r:
+        left = RatMatrix.from_rows([[draw(fractions) for _ in range(r)]
+                                    for _ in range(2 * p)])
+        m = left @ RatMatrix.from_rows([[draw(fractions) for _ in range(p)]
+                                        for _ in range(r)])
+    return m, draw(invertible(2 * p))
+
+
+@SETTINGS
+@given(stacked_and_invertible())
+def test_kernel_basis_depends_only_on_the_kernel(case):
+    """E M has the kernel of M, so it has the same basis list: comparing
+    lists is how a vector round checks that it kept the 1-eigenspace."""
+    m, e = case
+    assert kernel_basis(e @ m) == kernel_basis(m)
+
+
+def test_vector_round_detects_a_moved_eigenspace(monkeypatch):
+    """A round whose result has another eigenspace of the same dimension is
+    reported as a bug."""
+    real = vector_module._smooth_in_basis
+    shear = RatMatrix.from_rows([[1, 0], [1, 1]])
+    monkeypatch.setattr(vector_module, "_smooth_in_basis",
+                        lambda mask, es: conjugate(real(mask, es), shear))
+    with pytest.raises(ConsistencyError,
+                       match="smoothing changed the common 1-eigenspace"):
+        smooth_vector(catalog.get("double-knot"))
+
+
 def test_eigenspace_computed_once_per_mask(monkeypatch):
     calls = []
     monkeypatch.setattr(masks_module, "kernel_basis",
@@ -182,6 +220,20 @@ def test_smooth_hermite_does_no_elimination(monkeypatch):
         for _ in range(3):
             mask = smooth_hermite(mask)
     assert counts == {"rref": 0, "invert": 0}
+
+
+def test_vector_round_eliminations(monkeypatch):
+    """A round on a 2x2 mask eliminates for the input's eigenspace (cached
+    after the first round), the complement, the inverse transform and the
+    result's eigenspace; the eigenspace check itself eliminates nothing."""
+    counts = _count_linalg(monkeypatch)
+    mask = catalog.get("double-knot")
+    seen = []
+    for _ in range(3):
+        mask = smooth_vector(mask)
+        seen.append(dict(counts))
+        counts.update(rref=0, invert=0)
+    assert seen == [{"rref": 4, "invert": 1}] + [{"rref": 3, "invert": 1}] * 2
 
 
 def test_vector_round_computes_each_eigenspace_once(monkeypatch):
