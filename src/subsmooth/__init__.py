@@ -28,7 +28,7 @@ from .hermite_smoothing import (SpectralReport, TaylorReport, check_interpolator
                                 zeta_multiplicity_forecast, zeta_of)
 from .refine import (Certificate, FinSeq, LimitSample, Refusal, apply,
                      certify_c0, certify_hermite, certify_vector, difference,
-                     full_support_window, iterated_symbol, render, taylor_diff)
+                     iterated_symbol, render, taylor_diff)
 from . import catalog, maskfile
 
 __all__ = [name for name in dir() if not name.startswith("_")]

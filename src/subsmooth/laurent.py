@@ -12,8 +12,10 @@ Arithmetic stays in the integers.  Sums bring both operands onto a shared
 denominator; products convolve the numerators with a schoolbook loop over
 the nonzero terms of the sparser operand, which for the dilated factor
 A(z**(2**k)) of an iterated symbol is a few terms however long the other
-operand is.  Rationals appear only at the boundary: ``coeff``, ``coeffs``,
-``evaluate`` and ``derivative_at`` return Fractions.
+operand is.  The refinement product A(z) c(z**2) never builds c(z**2): each
+term of A adds its multiple of c into every second slot.  Rationals appear
+only at the boundary: ``coeff``, ``coeffs``, ``evaluate`` and
+``derivative_at`` return Fractions.
 
 Division is deliberately restricted to the four binomials the smoothing
 calculus needs (z+1, 1/z+1, 1/z-1, 1/z**2-1); each has an exact quotient in
@@ -43,6 +45,18 @@ def _conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
     for i, x in enumerate(b):
         if x:
             out[i:i + n] = map(add, out[i:i + n], map(x.__mul__, a))
+    return out
+
+
+def _conv_dilated(a: Sequence[int], c: Sequence[int], step: int) -> list[int]:
+    """Integer product a(z) * c(z**step) of two nonempty coefficient
+    sequences.  Each nonzero term of a adds its multiple of c into every
+    step-th slot, so no product reads a zero of the dilated c."""
+    n = step * (len(c) - 1) + 1
+    out = [0] * (len(a) + n - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + n:step] = map(add, out[i:i + n:step], map(x.__mul__, c))
     return out
 
 
@@ -429,11 +443,19 @@ class SymbolMatrix:
             rows.append(tuple(row))
         return SymbolMatrix(rows)
 
-    def mul_vector(self, v: Sequence[LaurentPoly]) -> tuple[LaurentPoly, ...]:
-        """The product self(z) * v(z) with a column of p polynomials."""
+    def mul_vector(self, v: Sequence[LaurentPoly], step: int = 1
+                   ) -> tuple[LaurentPoly, ...]:
+        """The product self(z) * v(z**step) with a column of p polynomials;
+        each entry's products are summed on one denominator."""
         if len(v) != self.p:
             raise ValueError("dimension mismatch")
-        return tuple(_dot(row, v) for row in self.entries)
+        out = []
+        for row in self.entries:
+            terms = [(a.lo + step * c.lo, _conv_dilated(a.nums, c.nums, step),
+                      a.den * c.den) for a, c in zip(row, v) if a.nums and c.nums]
+            # _sum_terms trusts a lone term to be normalized; a product is not
+            out.append(_normalize(*terms[0]) if len(terms) == 1 else _sum_terms(terms))
+        return tuple(out)
 
     def scale(self, c) -> "SymbolMatrix":
         c = rat(c)

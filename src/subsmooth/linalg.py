@@ -171,10 +171,6 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     return _matrix(nr, nc, tuple(x for row in a for x in row)), pivots
 
 
-def rank(m: RatMatrix) -> int:
-    return len(rref(m)[1])
-
-
 def kernel_basis(m: RatMatrix) -> list[RatMatrix]:
     """Exact basis of the null space, as column vectors.
 

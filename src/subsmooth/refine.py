@@ -13,10 +13,15 @@ nothing about the scheme.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
+from math import gcd
+from operator import floordiv
 
+from .errors import SubsmoothError
 from .laurent import (TAYLOR_OPERATOR, LaurentPoly, SymbolMatrix,
                       difference_operator, joint_support)
 from .masks import Kind, Mask, canonical_transform, conjugate, stencil_norm
@@ -33,10 +38,16 @@ DEFAULT_LMAX = 12
 # words of the previous power's and the mask's largest numerators.  The
 # costliest power of a catalog search up to MAX_LMAX (derham --ell 3, L = 16)
 # is 3,669,968; one near the bound takes about 0.8 s on a 2-core x86 host.
+# render checks each refinement step the same way: p**2 entry products of the
+# mask's support width times the sequence's length, times the words of the
+# sequence's and the mask's largest numerators.  The costliest step of a
+# catalog render inside the row budget (bspline64, depth 10) is 19,730,304;
+# a step near the bound with long numerators takes about 0.4 s on that host.
 MAX_LMAX = 16
 MAX_SYMBOL_TERMS = 2 ** 20
 MAX_SYMBOL_WORK = 4 * 10 ** 6
 MAX_RENDER_ROWS = 2 ** 17
+MAX_RENDER_WORK = 5 * 10 ** 7
 MAX_ROUNDS = 64
 
 
@@ -102,60 +113,92 @@ class FinSeq:
             raise ValueError("dimension mismatch")
         return FinSeq(tuple(map(LaurentPoly.__add__, self.comps, other.comps)), self.n)
 
+    def _columns(self) -> list[tuple[list[int], int]]:
+        """Per component, its numerators on the whole support and its
+        denominator."""
+        lo, hi = self.support
+        return [([0] * (f.lo - lo) + list(f.nums) + [0] * (hi + 1 - f.lo - len(f.nums))
+                 if f.nums else [0] * (hi - lo + 1), f.den) for f in self.comps]
+
+    def _float_columns(self) -> list[list[float]]:
+        """t, then the p values as floats: x / den, the correctly rounded
+        value.  A value beyond the float range is a SubsmoothError."""
+        lo, hi = self.support
+        cols = [list(map((2 ** self.n).__rtruediv__, range(lo, hi + 1)))]
+        for r, (nums, den) in enumerate(self._columns()):
+            top = den * _FLOAT_OVERFLOW
+            if max(nums) >= top or -min(nums) >= top:
+                i = next(i for i, x in enumerate(nums) if abs(x) >= top)
+                raise SubsmoothError(f"component c{r + 1} at index {lo + i} is beyond "
+                                     "the float range; render it with --exact")
+            cols.append(list(map(den.__rtruediv__, nums)))
+        return cols
+
     @property
     def rows(self) -> list[tuple[float, tuple[float, ...]]]:
-        s = self.support
-        if s is None:
+        if self.is_zero():
             return []
-        lo, hi = s
-        cols = []
-        for f in self.comps:  # x / den is the correctly rounded float
-            nums = (0,) * (f.lo - lo) + f.nums if f.nums else ()
-            cols.append([x / f.den for x in nums] + [0.0] * (hi - lo + 1 - len(nums)))
-        scale = 2 ** self.n
-        return [((lo + i) / scale, v) for i, v in enumerate(zip(*cols))]
+        ts, *cols = self._float_columns()
+        return list(zip(ts, zip(*cols)))
 
     def to_csv(self, exact: bool = False) -> str:
         """One row per index: t, then the p values, as floats with 17
         significant digits or, with exact, as p/q strings."""
-        lines = ["t," + ",".join(f"c{r + 1}" for r in range(self.p))]
-        if exact:
-            scale = 2 ** self.n
-            for i, v in enumerate(self.values, self.offset):
-                lines.append(",".join(map(str, (Fraction(i, scale), *v))))
+        head = "t," + ",".join(f"c{r + 1}" for r in range(self.p))
+        if self.is_zero():
+            return head + "\n"
+        if exact:  # str(Fraction) of t, then of the p values
+            lo, hi = self.support
+            lines = map(",".join, zip(
+                _exact_strings(list(range(lo, hi + 1)), 2 ** self.n, "t", lo),
+                *(_exact_strings(nums, den, f"component c{r + 1}", lo)
+                  for r, (nums, den) in enumerate(self._columns()))))
         else:
-            for t, v in self.rows:
-                lines.append(",".join(f"{x:.17g}" for x in (t, *v)))
-        return "\n".join(lines) + "\n"
+            lines = map(",".join(["%.17g"] * (self.p + 1)).__mod__,
+                        zip(*self._float_columns()))
+        return "\n".join(chain((head,), lines)) + "\n"
 
 
 # render returns the sequence it refined, sampled at its level
 LimitSample = FinSeq
+
+# x / den overflows exactly when |x| >= den * this: the values from here on
+# round to 2**1024
+_FLOAT_OVERFLOW = (2 ** 54 - 1) << 970
+
+
+def _unprintable(n: int) -> str | None:
+    """Why str(n) would fail under the interpreter's digit limit for integer
+    strings (read, never set), or None when it would not."""
+    limit = sys.get_int_max_str_digits()
+    n = abs(n)
+    if not limit or n < 10 ** limit:
+        return None
+    d = int((n.bit_length() - 1) * 0.30102999566398120) + 1
+    return (f"{d + (n >= 10 ** d)} digits, over the limit of {limit} digits "
+            "for integer strings")
+
+
+def _exact_strings(nums: list[int], den: int, name: str, lo: int) -> list[str]:
+    """str(Fraction(x, den)) for each x, from the gcd of x and den, without
+    building the Fractions.  A value str() would refuse is a SubsmoothError
+    naming the column and the index, lo being the index of nums[0]."""
+    gs = list(map(gcd, nums, repeat(den)))
+    ns = list(map(floordiv, nums, gs))
+    ds = list(map(den.__floordiv__, gs))
+    top = max(max(ns), -min(ns), max(ds))
+    why = _unprintable(top)
+    if why:
+        big = list(map(max, map(abs, ns), ds))
+        raise SubsmoothError(f"{name} at index {lo + big.index(top)} has {why}")
+    return ["%d" % x if d == 1 else "%d/%d" % (x, d) for x, d in zip(ns, ds)]
 
 
 def apply(mask: Mask, c: FinSeq) -> FinSeq:
     """One subdivision step (S c)_i = sum_j A_{i-2j} c_j, i.e. A(z) c(z**2)."""
     if mask.p != c.p:
         raise ValueError(f"mask dimension {mask.p} != data dimension {c.p}")
-    return FinSeq(mask.symbol.mul_vector([f.dilate() for f in c.comps]), c.n)
-
-
-def full_support_window(mask: Mask, c: FinSeq) -> tuple[int, int] | None:
-    """Output indices of one subdivision step whose stencil lies entirely
-    inside the stored window of c.
-
-    On this range the result agrees with applying the mask to any infinite
-    extension of c, which is what truncated reproduction tests compare
-    against.
-    """
-    ms, cs = mask.support, c.support
-    if ms is None or cs is None:
-        return None
-    lo_m, hi_m = ms
-    lo_c, hi_c = cs
-    lo = 2 * lo_c + hi_m
-    hi = 2 * hi_c + lo_m
-    return (lo, hi) if lo <= hi else None
+    return FinSeq(mask.symbol.mul_vector(c.comps, 2), c.n)
 
 
 def difference(c: FinSeq, k: int) -> FinSeq:
@@ -230,19 +273,20 @@ def _symbol_width(mask: Mask, L: int) -> int:
     return (2 ** L - 1) * (hi - lo) + 1
 
 
-def _words(symbol: SymbolMatrix) -> int:
-    """64-bit words of the largest integer numerator of the symbol."""
+def _words(polys) -> int:
+    """64-bit words of the largest integer numerator of the polynomials."""
     return max(max(max(e.nums), -min(e.nums)).bit_length()
-               for row in symbol.entries for e in row if e.nums) // 64 + 1
+               for e in polys if e.nums) // 64 + 1
 
 
 def _contractive_power(mask: Mask, lmax: int):
     """Smallest L with |(1/2 S)^L| < 1, that exact norm and the norms found;
-    without one, None, why the search stopped (at lmax or before a power
-    over MAX_SYMBOL_TERMS or MAX_SYMBOL_WORK) and the norms found."""
+    without one, None, why the search stopped (at lmax, before a power over
+    MAX_SYMBOL_TERMS or MAX_SYMBOL_WORK, or at a norm longer than the
+    interpreter's digit limit for integer strings) and the norms found."""
     norms = []
     symbol = None
-    words, mask_words = 1, _words(mask.symbol)
+    words, mask_words = 1, _words(chain.from_iterable(mask.symbol.entries))
     for L in range(1, lmax + 1):
         width = _symbol_width(mask, L)
         if width > MAX_SYMBOL_TERMS:
@@ -253,8 +297,11 @@ def _contractive_power(mask: Mask, lmax: int):
             return None, (f"the iterated symbol at L={L} would cost {work} word "
                           f"products, over the budget of {MAX_SYMBOL_WORK}"), norms
         symbol = iterated_symbol(mask, L, _prev=symbol)
-        words = _words(symbol)
+        words = _words(chain.from_iterable(symbol.entries))
         norm = stencil_norm(symbol, 2 ** L) * Fraction(1, 2 ** L)
+        why = _unprintable(max(abs(norm.numerator), norm.denominator))
+        if why:
+            return None, f"the norm at L={L} would print {why}", norms
         norms.append(norm)
         if norm < 1:
             return L, norm, norms
@@ -331,11 +378,23 @@ def render(mask: Mask, n: int, component: int = 1) -> LimitSample:
     Hermite data is re-normalized by diag(1, 2**n) afterwards so both
     channels approximate the limit function and its derivative on the grid
     i / 2**n.  Conversion to floats happens only in the CSV/rows views.
+    A step that would cost more than MAX_RENDER_WORK is a SubsmoothError.
     """
     if n < 1:
         raise ValueError("depth must be >= 1")
     c = FinSeq.delta(mask.p, component)
-    for _ in range(n):
+    lo, hi = mask.support
+    mask_cost = (mask.p ** 2 * (hi - lo + 1)
+                 * _words(chain.from_iterable(mask.symbol.entries)))
+    for step in range(1, n + 1):
+        s = c.support
+        if s is None:
+            break
+        work = mask_cost * (s[1] - s[0] + 1) * _words(c.comps)
+        if work > MAX_RENDER_WORK:
+            raise SubsmoothError(f"--depth {n}: refinement step {step} would cost "
+                                 f"{work} word products, over the budget of "
+                                 f"{MAX_RENDER_WORK}")
         c = apply(mask, c)
     comps = c.comps
     if mask.kind is Kind.HERMITE:

@@ -14,7 +14,8 @@ from fractions import Fraction
 from subsmooth import (FinSeq, LaurentPoly, Mask, RatMatrix, SymbolMatrix,
                        common_one_eigenspace, conjugate, hermite_mask,
                        invert, taylor_scheme, vector_mask)
-from subsmooth.linalg import rank
+
+from tests.masks_oracle import rank
 
 
 def rand_fraction(rng: random.Random, num: int = 6, den: int = 4) -> Fraction:

@@ -5,13 +5,19 @@ constant symbols, R^-1 inverted by Gauss-Jordan elimination; the package
 computes each entry of R^-1 A(z) R as one linear combination of the entries
 of A and takes R^-1 from its caller.  ``eigenspace_is_e2`` reads the common
 1-eigenspace off a kernel basis from the reduced echelon form; the package
-reads eight symbol values instead.
+reads eight symbol values instead.  ``rank`` counts the pivots of that form;
+the package needs no rank.
 """
 
 from __future__ import annotations
 
 from subsmooth import (Kind, LaurentPoly, Mask, RatMatrix, SymbolMatrix,
                        derive_phi, invert, kernel_basis)
+from subsmooth.linalg import rref
+
+
+def rank(m: RatMatrix) -> int:
+    return len(rref(m)[1])
 
 
 def from_constant(m: RatMatrix) -> SymbolMatrix:

@@ -6,7 +6,10 @@ as sums over the entries of the data, reading a mask only through
 the package computes them as products of symbols.  The ``*_condition``
 functions are the explicit root conditions under which the derived scheme,
 the smoothing operator and the two Taylor factorizations exist; the package
-finds out by attempting the exact divisions.
+finds out by attempting the exact divisions.  ``full_support_window`` is the
+range on which a truncated step agrees with the infinite one, which
+reproduction tests compare on.  ``to_csv`` writes a sequence row by row
+through Fractions; the package formats whole columns of integers.
 """
 
 from __future__ import annotations
@@ -39,6 +42,37 @@ def apply(mask, c: FinSeq) -> FinSeq:
             for r in range(c.p):
                 row[r] += sum(m[r, t] * cj[t] for t in range(c.p))
     return FinSeq.make(c.p, out_lo, acc)
+
+
+def full_support_window(mask, c: FinSeq) -> tuple[int, int] | None:
+    """Output indices of one subdivision step whose stencil lies entirely
+    inside the stored window of c.
+
+    On this range the result agrees with applying the mask to any infinite
+    extension of c, which is what truncated reproduction tests compare
+    against.
+    """
+    ms, cs = mask.support, c.support
+    if ms is None or cs is None:
+        return None
+    lo_m, hi_m = ms
+    lo_c, hi_c = cs
+    lo = 2 * lo_c + hi_m
+    hi = 2 * hi_c + lo_m
+    return (lo, hi) if lo <= hi else None
+
+
+def to_csv(c: FinSeq, exact: bool = False) -> str:
+    """One row per index: t, then the p values, as floats with 17
+    significant digits or, with exact, as p/q strings."""
+    lines = ["t," + ",".join(f"c{r + 1}" for r in range(c.p))]
+    scale = 2 ** c.n
+    for i, v in enumerate(c.values, c.offset):
+        if exact:
+            lines.append(",".join(map(str, (Fraction(i, scale), *v))))
+        else:
+            lines.append(",".join(f"{float(x):.17g}" for x in (Fraction(i, scale), *v)))
+    return "\n".join(lines) + "\n"
 
 
 def difference(c: FinSeq, k: int) -> FinSeq:

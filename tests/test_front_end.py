@@ -2,7 +2,10 @@
 error reporting at the command-line front end."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -10,14 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsmooth import (ConsistencyError, LaurentPoly, MaskFileError, Refusal,
-                       SymbolMatrix, catalog, certify_vector, maskfile,
-                       scalar_mask, smooth_scalar, vector_mask)
+import subsmooth
+from subsmooth import (ConsistencyError, FinSeq, LaurentPoly, MaskFileError,
+                       Refusal, SubsmoothError, SymbolMatrix, catalog,
+                       certify_vector, maskfile, render, scalar_mask,
+                       smooth_hermite, smooth_scalar, vector_mask)
 from subsmooth import cli
 from subsmooth.cli import main
 from subsmooth import refine
-from subsmooth.refine import (MAX_LMAX, MAX_RENDER_ROWS, MAX_ROUNDS,
-                              MAX_SYMBOL_TERMS, MAX_SYMBOL_WORK)
+from subsmooth.refine import (MAX_LMAX, MAX_RENDER_ROWS, MAX_RENDER_WORK,
+                              MAX_ROUNDS, MAX_SYMBOL_TERMS, MAX_SYMBOL_WORK)
 
 
 def scalar_doc(values, **overrides):
@@ -204,6 +209,21 @@ def big_coefficient_mask():
                        * LaurentPoly.from_coeffs(0, q + [1 - sum(q)]))
 
 
+def long_value_mask():
+    """Scalar mask (1 + z)(10**998 + (1 - 10**998) z): a 2.2 KB mask file whose
+    limit values and norms outgrow floats and the digit limit of int strings."""
+    big = 10 ** 998
+    return scalar_mask(LaurentPoly({0: big, 1: 1, 2: 1 - big}))
+
+
+def merrien_64_rounds():
+    """merrien smoothed 64 times: support (-132, 1), 699-bit numerators."""
+    mask = catalog.get("merrien")
+    for _ in range(64):
+        mask = smooth_hermite(mask)
+    return mask
+
+
 class TestWorkCeilings:
     def test_lmax_over_ceiling(self, capsys):
         assert main(["certify", "catalog:merrien", "--lmax", str(MAX_LMAX + 1)]) == 1
@@ -242,6 +262,29 @@ class TestWorkCeilings:
         monkeypatch.setattr(cli, "render", lambda *a: calls.append(a) or Sample())
         assert main(["render", f"catalog:{name}", "--depth", str(depth)]) == 0
         assert calls
+
+    @pytest.mark.parametrize("name,depth", [("bspline3", 11), ("merrien-smoothed", 11),
+                                            ("derham-smoothed", 11), ("bspline1", 13),
+                                            ("bspline64", 10)])
+    def test_used_depths_within_render_work_budget(self, name, depth):
+        """The depths above, and bspline64 at depth 10, the costliest catalog
+        render inside the row budget (19,730,304 word products in its last
+        step), really render."""
+        assert render(catalog.get(name), depth).n == depth
+
+    def test_render_work_budget(self, tmp_path, capsys):
+        """The 64-round merrien mask renders at depth 4, the largest depth the
+        work budget admits, within 2 s; depth 9 is refused before step 5."""
+        path = tmp_path / "m64.mask"
+        path.write_text(maskfile.serialize(merrien_64_rounds()))
+        t0 = time.perf_counter()
+        assert main(["render", str(path), "--depth", "4"]) == 0
+        assert time.perf_counter() - t0 < 2.0
+        capsys.readouterr()
+        assert main(["render", str(path), "--depth", "9"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --depth 9: refinement step 5 would cost 94807680 word products, "
+            f"over the budget of {MAX_RENDER_WORK}\n")
 
     def test_used_lmax_stays_accepted(self, capsys, monkeypatch):
         monkeypatch.setenv("SUBSMOOTH_LMAX", "12")
@@ -314,6 +357,71 @@ class TestWorkCeilings:
         assert main(["smooth", "catalog:bspline3", "--rounds", str(MAX_ROUNDS),
                      "--out", str(out)]) == 0
         assert maskfile.load(str(out)) == catalog.bspline(3 + MAX_ROUNDS)
+
+
+def run_cli(*argv):
+    """The command line in a child process, with the interpreter's default
+    digit limit for integer strings."""
+    src = os.path.dirname(os.path.dirname(subsmooth.__file__))
+    return subprocess.run([sys.executable, "-m", "subsmooth", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src,
+                                   PYTHONINTMAXSTRDIGITS="4300"))
+
+
+class TestOutputBoundary:
+    """Values that floats or int strings cannot hold are refused by name."""
+
+    @pytest.fixture
+    def long_mask(self, tmp_path):
+        path = tmp_path / "long.mask"
+        path.write_text(maskfile.serialize(long_value_mask()))
+        return str(path)
+
+    def test_float_overflow_refused(self, long_mask):
+        proc = run_cli("render", long_mask, "--depth", "2")
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr == ("error: component c1 at index 0 is beyond the float "
+                               "range; render it with --exact\n")
+
+    def test_exact_digit_limit_refused(self, long_mask):
+        proc = run_cli("render", long_mask, "--depth", "6", "--exact")
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr == ("error: component c1 at index 0 has 5989 digits, over "
+                               "the limit of 4300 digits for integer strings\n")
+
+    def test_long_norm_refused(self, long_mask):
+        """The norms from L = 5 on have over 4300 digits."""
+        proc = run_cli("certify", long_mask, "--lmax", "16")
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert ("the norm at L=5 would print 4991 digits, over the limit of 4300 "
+                "digits for integer strings") in proc.stdout
+        assert len(proc.stdout.split("norms per power: ")[1].split(", ")) == 4
+
+    def test_float_boundary_is_exact(self):
+        """x / den overflows from (2**54 - 1) * 2**970 on, which rounds to
+        2**1024; the value just below rounds to the largest float."""
+        top = (2 ** 54 - 1) << 970
+        assert FinSeq.make(1, 0, [[top - 1]]).to_csv() == "t,c1\n0,1.7976931348623157e+308\n"
+        assert FinSeq.make(1, 0, [[Fraction(3 * top - 1, 3)]]).rows[0][1][0] > 1e308
+        for value in (top, Fraction(-3 * top, 3), Fraction(5 * top, 5)):
+            seq = FinSeq.make(1, 0, [[0], [value]])
+            with pytest.raises(SubsmoothError, match="c1 at index 1 is beyond"):
+                seq.to_csv()
+            with pytest.raises(SubsmoothError):
+                seq.rows
+
+    def test_digit_boundary_is_exact(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("this interpreter has no digit limit for int strings")
+        fits = 10 ** limit - 1
+        seq = FinSeq.make(2, 0, [[fits, Fraction(1, fits)]])
+        assert seq.to_csv(exact=True) == f"t,c1,c2\n0,{fits},1/{fits}\n"
+        for value in (10 ** limit, Fraction(-1, 10 ** limit), Fraction(10 ** limit, 3)):
+            with pytest.raises(SubsmoothError, match=f"c2 at index 0 has {limit + 1} "
+                                                     f"digits, over the limit of {limit}"):
+                FinSeq.make(2, 0, [[1, value]]).to_csv(exact=True)
 
 
 class TestRefusalWording:

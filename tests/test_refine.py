@@ -7,11 +7,12 @@ import pytest
 from subsmooth import (Certificate, EmptyEigenspaceError, FinSeq, LaurentPoly,
                        Refusal, SubsmoothError, apply, canonical_transform,
                        catalog, certify_c0, certify_hermite, certify_vector,
-                       conjugate, derived, difference, full_support_window,
+                       conjugate, derived, difference,
                        iterated_symbol, render, scalar_mask, stencil_norm,
                        taylor_diff, taylor_scheme, vector_mask)
 
 from tests.maskgen import rand_derivable_mask, rand_seq, rand_spectral_mask
+from tests.refine_oracle import full_support_window
 
 LP = LaurentPoly
 HALF = Fraction(1, 2)

@@ -21,9 +21,9 @@ from subsmooth import (ConsistencyError, EigenspaceError, EmptyEigenspaceError,
 from subsmooth.cli import main
 from subsmooth.hermite_smoothing import (_R_TAYLOR, _R_TAYLOR_INV,
                                          _eigenspace_is_e2)
-from subsmooth.linalg import rank
 
 import tests.masks_oracle as oracle
+from tests.masks_oracle import rank
 from tests.maskgen import (rand_convergent_style_mask,
                            rand_smoothing_ready_spectral, with_values)
 
@@ -194,8 +194,8 @@ def test_canonical_transform_refuses_overlapping_columns():
 
 
 def _count_linalg(monkeypatch):
-    """Count rref and invert calls; rank, kernel_basis, column_space_basis
-    and invert all eliminate through linalg.rref."""
+    """Count rref and invert calls; kernel_basis, column_space_basis and
+    invert all eliminate through linalg.rref."""
     counts = {"rref": 0, "invert": 0}
 
     def counted(name, fn):
