@@ -8,12 +8,15 @@ triples is equality of the polynomials.  These are the generating functions
 of finitely supported sequences: all of the subdivision calculus in this
 package is phrased in terms of them.
 
-Arithmetic stays in the integers.  Sums bring both operands onto a shared
-denominator; products convolve the numerators with a schoolbook loop over
-the nonzero terms of the sparser operand, which for the dilated factor
-A(z**(2**k)) of an iterated symbol is a few terms however long the other
-operand is.  The refinement product A(z) c(z**2) never builds c(z**2): each
-term of A adds its multiple of c into every second slot.  Rationals appear
+Arithmetic stays in the integers, in one kernel: ``_products`` returns
+sum f(z) * g(z**step) over a list of pairs (f, g) on one lcm denominator.
+For each pair it runs a schoolbook loop over the nonzero terms of the
+sparser operand and adds each term's multiple of the other operand straight
+into one integer buffer, which is normalized once at the end.  A product is
+one pair with step 1, a sum pairs each operand with 1, a matrix entry is
+one row of pairs, and the refinement product A(z) c(z**2) and the factor
+A(z**(2**k)) of an iterated symbol pass their step instead of building the
+dilated operand, so no product reads one of its zeros.  Rationals appear
 only at the boundary: ``coeff``, ``coeffs``, ``evaluate`` and
 ``derivative_at`` return Fractions.
 
@@ -32,32 +35,6 @@ from typing import Mapping, Sequence
 
 from .errors import NotDivisibleError
 from .linalg import RatMatrix, _matrix, rat
-
-
-def _conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Integer convolution of two nonempty coefficient sequences.  The outer
-    loop runs over the operand with fewer nonzero terms and skips its zeros,
-    so a dilated factor costs its nonzero terms times the other's length."""
-    if len(a) - a.count(0) < len(b) - b.count(0):
-        a, b = b, a
-    n = len(a)
-    out = [0] * (n + len(b) - 1)
-    for i, x in enumerate(b):
-        if x:
-            out[i:i + n] = map(add, out[i:i + n], map(x.__mul__, a))
-    return out
-
-
-def _conv_dilated(a: Sequence[int], c: Sequence[int], step: int) -> list[int]:
-    """Integer product a(z) * c(z**step) of two nonempty coefficient
-    sequences.  Each nonzero term of a adds its multiple of c into every
-    step-th slot, so no product reads a zero of the dilated c."""
-    n = step * (len(c) - 1) + 1
-    out = [0] * (len(a) + n - 1)
-    for i, x in enumerate(a):
-        if x:
-            out[i:i + n:step] = map(add, out[i:i + n:step], map(x.__mul__, c))
-    return out
 
 
 _new = object.__new__
@@ -98,21 +75,46 @@ def _normalize(lo: int, nums: Sequence[int], den: int) -> "LaurentPoly":
     return _raw(lo, tuple(nums), den)
 
 
-def _sum_terms(terms: list) -> "LaurentPoly":
-    """Sum of normalized (lo, nums, den) triples, each nums nonempty, on one
-    denominator."""
+def _products(pairs, step: int = 1) -> "LaurentPoly":
+    """sum f(z) * g(z**step) over the pairs (f, g), on one denominator.
+
+    Each pair loops over the nonzero terms of its sparser operand and adds
+    that term's multiple of the other operand straight into one integer
+    buffer, the pair's share den // (f.den * g.den) of the common
+    denominator folded into the term: a term of f adds into every step-th
+    slot, a term of g into consecutive slots at step * j.  No zero of
+    g(z**step) is read and the sum is normalized once, at the end, so the
+    operands need a positive denominator but need not be normalized."""
+    terms = []
+    den, lo, hi = 1, math.inf, -math.inf
+    for f, g in pairs:
+        a, c = f.nums, g.nums
+        if a and c:
+            start, d = f.lo + step * g.lo, f.den * g.den
+            terms.append((start, a, c, d))
+            den = math.lcm(den, d)
+            lo = min(lo, start)
+            hi = max(hi, start + len(a) + step * (len(c) - 1))
     if not terms:
         return _ZERO
-    if len(terms) == 1:
-        return _raw(*terms[0])
-    den = math.lcm(*(d for _, _, d in terms))
-    lo = min(t[0] for t in terms)
-    out = [0] * (max(t[0] + len(t[1]) for t in terms) - lo)
-    for tlo, nums, d in terms:
-        i = tlo - lo
-        j = i + len(nums)
-        f = den // d
-        out[i:j] = map(add, out[i:j], nums if f == 1 else map(f.__mul__, nums))
+    out = [0] * (hi - lo)
+    for start, a, c, d in terms:
+        k = den // d
+        start -= lo
+        if len(a) - a.count(0) <= len(c) - c.count(0):
+            n = step * (len(c) - 1) + 1
+            for i, x in enumerate(a, start):
+                if x:
+                    x *= k
+                    out[i:i + n:step] = map(add, out[i:i + n:step],
+                                            c if x == 1 else map(x.__mul__, c))
+        else:
+            n = len(a)
+            for i, y in zip(range(start, start + step * len(c), step), c):
+                if y:
+                    y *= k
+                    out[i:i + n] = map(add, out[i:i + n],
+                                       a if y == 1 else map(y.__mul__, a))
     return _normalize(lo, out, den)
 
 
@@ -186,8 +188,7 @@ class LaurentPoly:
             return self
         if not self.nums:
             return other
-        return _sum_terms([(self.lo, self.nums, self.den),
-                           (other.lo, other.nums, other.den)])
+        return _products(((self, _ONE), (other, _ONE)))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -196,10 +197,7 @@ class LaurentPoly:
         return _raw(self.lo, tuple(-x for x in self.nums), self.den)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self.nums or not other.nums:
-            return _ZERO
-        return _normalize(self.lo + other.lo, _conv(self.nums, other.nums),
-                          self.den * other.den)
+        return _products(((self, other),))
 
     def scale(self, c) -> "LaurentPoly":
         c = rat(c)
@@ -353,12 +351,6 @@ def joint_support(polys) -> tuple[int, int] | None:
     return min(s[0] for s in sups), max(s[1] for s in sups)
 
 
-def _dot(row: Sequence[LaurentPoly], col: Sequence[LaurentPoly]) -> LaurentPoly:
-    """sum_t row[t] * col[t], the products summed on one denominator."""
-    return _sum_terms([(f.lo, f.nums, f.den)
-                       for f in map(LaurentPoly.__mul__, row, col) if f.nums])
-
-
 class SymbolMatrix:
     """Square matrix of LaurentPoly; the symbol of a matrix mask."""
 
@@ -411,16 +403,21 @@ class SymbolMatrix:
         return SymbolMatrix(tuple(tuple(fn(e) for e in row) for row in self.entries))
 
     def __mul__(self, other: "SymbolMatrix") -> "SymbolMatrix":
+        return self.mul_dilated(other)
+
+    def mul_dilated(self, other: "SymbolMatrix", step: int = 1) -> "SymbolMatrix":
+        """The product self(z) * other(z**step), without building
+        other(z**step)."""
         self._same_p(other)
         cols = list(zip(*other.entries))
-        return SymbolMatrix(tuple(tuple(_dot(row, col) for col in cols)
+        return SymbolMatrix(tuple(tuple(_products(zip(row, col), step) for col in cols)
                                   for row in self.entries))
 
     def transform(self, left: RatMatrix, right: RatMatrix) -> "SymbolMatrix":
         """The symbol left * self(z) * right for constant p x p matrices.
 
         Entry (i, j) is sum_{k,l} left[i,k] * right[l,j] * self[k,l]: one
-        linear combination of the entries, summed on a shared denominator."""
+        call of the product kernel, each constant a one-term polynomial."""
         p = self.p
         if not left.rows == left.cols == right.rows == right.cols == p:
             raise ValueError("dimension mismatch")
@@ -428,34 +425,17 @@ class SymbolMatrix:
                    for l, e in enumerate(row) if e.nums]
         lft = [[(x.numerator, x.denominator) for x in left.row(i)] for i in range(p)]
         rgt = [[(x.numerator, x.denominator) for x in right.col(j)] for j in range(p)]
-        rows = []
-        for li in lft:
-            row = []
-            for rj in rgt:
-                terms = []
-                for k, l, e in nonzero:
-                    (a, b), (c, d) = li[k], rj[l]
-                    if a and c:
-                        terms.append((e.lo, [a * c * x for x in e.nums], e.den * b * d))
-                # _sum_terms trusts a lone term to be normalized; a scaled one is not
-                row.append(_normalize(*terms[0]) if len(terms) == 1
-                           else _sum_terms(terms))
-            rows.append(tuple(row))
-        return SymbolMatrix(rows)
+        return SymbolMatrix(tuple(
+            tuple(_products([(_raw(0, (li[k][0] * rj[l][0],), li[k][1] * rj[l][1]), e)
+                             for k, l, e in nonzero if li[k][0] and rj[l][0]])
+                  for rj in rgt) for li in lft))
 
     def mul_vector(self, v: Sequence[LaurentPoly], step: int = 1
                    ) -> tuple[LaurentPoly, ...]:
-        """The product self(z) * v(z**step) with a column of p polynomials;
-        each entry's products are summed on one denominator."""
+        """The product self(z) * v(z**step) with a column of p polynomials."""
         if len(v) != self.p:
             raise ValueError("dimension mismatch")
-        out = []
-        for row in self.entries:
-            terms = [(a.lo + step * c.lo, _conv_dilated(a.nums, c.nums, step),
-                      a.den * c.den) for a, c in zip(row, v) if a.nums and c.nums]
-            # _sum_terms trusts a lone term to be normalized; a product is not
-            out.append(_normalize(*terms[0]) if len(terms) == 1 else _sum_terms(terms))
-        return tuple(out)
+        return tuple(_products(zip(row, v), step) for row in self.entries)
 
     def scale(self, c) -> "SymbolMatrix":
         c = rat(c)
@@ -534,5 +514,5 @@ def untwine(b: SymbolMatrix, d: SymbolMatrix) -> SymbolMatrix:
     """Right inverse of intertwine: the symbol 1/2 D(z)**-1 B(z) D(z**2).
 
     Raises NotDivisibleError when no such mask exists."""
-    rows = _solve(d.entries, (b * d.dilate()).entries, reversed(range(b.p)))
+    rows = _solve(d.entries, b.mul_dilated(d, 2).entries, reversed(range(b.p)))
     return SymbolMatrix(rows).scale(Fraction(1, 2))

@@ -25,7 +25,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import MaskFileError
+from .errors import MaskFileError, SubsmoothError
 from .laurent import LaurentPoly, SymbolMatrix
 from .masks import Kind, Mask, derive_phi, hermite_mask, scalar_mask, vector_mask
 
@@ -40,6 +40,17 @@ _MAX_RATIONAL_CHARS = 1000
 
 def _rat_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _writable(x: Fraction, where: str) -> str:
+    """_rat_to_str(x), refused by name when parse would refuse its length;
+    a value of over 4 * _MAX_RATIONAL_CHARS bits is refused before str()."""
+    if max(abs(x.numerator), x.denominator).bit_length() <= 4 * _MAX_RATIONAL_CHARS:
+        s = _rat_to_str(x)
+        if len(s) <= _MAX_RATIONAL_CHARS:
+            return s
+    raise SubsmoothError(f"{where}: rational longer than {_MAX_RATIONAL_CHARS} "
+                         "characters, which a mask file cannot hold")
 
 
 def _str_to_rat(s, where: str) -> Fraction:
@@ -72,11 +83,12 @@ def _int_field(doc: dict, key: str):
 
 
 def serialize(mask: Mask) -> str:
-    """Canonical text form; parse(serialize(m)) == m, byte-stable."""
+    """Canonical text form; parse(serialize(m)) == m, byte-stable.  A
+    rational that parse would refuse for its length is a SubsmoothError."""
     sym, p = mask.symbol, mask.p
     lo, hi = mask.support or (0, -1)
-    coeffs = [[[_rat_to_str(sym[r, c].coeff(i)) for c in range(p)] for r in range(p)]
-              for i in range(lo, hi + 1)]
+    coeffs = [[[_writable(sym[r, c].coeff(i), f"coeffs[{i - lo}][{r}][{c}]")
+                for c in range(p)] for r in range(p)] for i in range(lo, hi + 1)]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": mask.kind.value,
@@ -85,7 +97,7 @@ def serialize(mask: Mask) -> str:
         "coeffs": coeffs,
     }
     if mask.kind is Kind.HERMITE:
-        doc["phi"] = _rat_to_str(mask.phi)
+        doc["phi"] = _writable(mask.phi, "phi")
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

@@ -37,12 +37,15 @@ DEFAULT_LMAX = 12
 # and the work of its product: p**3 products of that width times the 64-bit
 # words of the previous power's and the mask's largest numerators.  The
 # costliest power of a catalog search up to MAX_LMAX (derham --ell 3, L = 16)
-# is 3,669,968; one near the bound takes about 0.8 s on a 2-core x86 host.
-# render checks each refinement step the same way: p**2 entry products of the
-# mask's support width times the sequence's length, times the words of the
-# sequence's and the mask's largest numerators.  The costliest step of a
-# catalog render inside the row budget (bspline64, depth 10) is 19,730,304;
-# a step near the bound with long numerators takes about 0.4 s on that host.
+# is 3,669,968 and takes 0.5-0.7 s on a 2-core x86 host; one near the bound
+# with long numerators (merrien smoothed 64 times, --ell 30, L = 2:
+# 3,964,928) takes 0.2-0.3 s.  render checks each refinement step the same
+# way: p**2 entry products of the mask's support width times the sequence's
+# length, times the words of the sequence's and the mask's largest
+# numerators.  The costliest step of a catalog render inside the row budget
+# (bspline64, depth 10) is 19,730,304 and takes 0.5-0.6 s on that host; one
+# near the bound with long numerators (that merrien mask at depth 4:
+# 44,243,584) takes 0.3-0.4 s.
 MAX_LMAX = 16
 MAX_SYMBOL_TERMS = 2 ** 20
 MAX_SYMBOL_WORK = 4 * 10 ** 6
@@ -172,7 +175,8 @@ def _unprintable(n: int) -> str | None:
     strings (read, never set), or None when it would not."""
     limit = sys.get_int_max_str_digits()
     n = abs(n)
-    if not limit or n < 10 ** limit:
+    # n < 8**limit < 10**limit needs no power of ten
+    if not limit or n.bit_length() <= 3 * limit or n < 10 ** limit:
         return None
     d = int((n.bit_length() - 1) * 0.30102999566398120) + 1
     return (f"{d + (n >= 10 ** d)} digits, over the limit of {limit} digits "
@@ -226,7 +230,7 @@ def iterated_symbol(mask: Mask, L: int, *, _prev: SymbolMatrix | None = None) ->
     if _prev is not None and L > 1:
         out, start = _prev, L - 1
     for k in range(start, L):
-        out = out * mask.symbol.dilate(2 ** k)
+        out = out.mul_dilated(mask.symbol, 2 ** k)
     return out
 
 

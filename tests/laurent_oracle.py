@@ -43,8 +43,8 @@ def mul(a: dict, b: dict) -> dict:
     return _clean(out)
 
 
-def dilate(a: dict) -> dict:
-    return {2 * e: c for e, c in a.items()}
+def dilate(a: dict, factor: int = 2) -> dict:
+    return {factor * e: c for e, c in a.items()}
 
 
 class NotDivisible(Exception):

@@ -1,6 +1,7 @@
-"""The strided refinement kernel and the column CSV writer against slow
-references: the plain convolution with the dilated operand, and the
-row-by-row Fraction writer of tests/refine_oracle.py."""
+"""The product kernel and the column CSV writer against slow references:
+the dict-of-Fraction product with the explicitly dilated operand of
+tests/laurent_oracle.py, and the row-by-row Fraction writer of
+tests/refine_oracle.py."""
 
 from fractions import Fraction
 
@@ -8,25 +9,58 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsmooth import FinSeq, LaurentPoly
-from subsmooth.laurent import _conv, _conv_dilated
+from subsmooth.laurent import _products, _raw
 
+from tests import laurent_oracle
 from tests import refine_oracle as oracle
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
 # zeros at the ends and inside, signs, one-word and multi-word integers
 coefficients = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2 ** 130, 2 ** 130))
-operands = st.lists(coefficients, min_size=1, max_size=12)
+# mostly zeros, so that either operand of a pair can be the sparser one
+sparse = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-2 ** 70, 2 ** 70))
+
+
+@st.composite
+def operands(draw):
+    """The zero polynomial, or numerators over a denominator as the kernel
+    may meet them: zeros inside and at the ends, not reduced, one term."""
+    nums = draw(st.lists(coefficients | sparse, max_size=12))
+    if not nums:
+        return LaurentPoly.zero()
+    den = draw(st.sampled_from([1, 2, 3, 6, 2 ** 64, 3 ** 45]))
+    return _raw(draw(st.integers(-6, 6)), tuple(nums), den)
+
+
+def poly(lo, nums, den=1):
+    return _raw(lo, tuple(nums), den)
+
+
+def dilated_product_sum(pairs, step):
+    """sum f * g(z**step) in dict-of-Fraction arithmetic, g dilated first."""
+    out = {}
+    for f, g in pairs:
+        out = laurent_oracle.add(out, laurent_oracle.mul(
+            laurent_oracle.to_dict(f),
+            laurent_oracle.dilate(laurent_oracle.to_dict(g), step)))
+    return out
 
 
 @SETTINGS
-@given(operands, operands, st.integers(1, 3))
-@example([5], [-7], 3)
-@example([0, 3, 0], [0, 0, -1, 0], 2)
-def test_strided_kernel_is_product_with_dilated_operand(a, c, step):
-    dilated = [0] * (step * (len(c) - 1) + 1)
-    dilated[::step] = c
-    assert _conv_dilated(a, c, step) == _conv(a, dilated)
+@given(st.lists(st.tuples(operands(), operands()), min_size=1, max_size=3),
+       st.sampled_from([1, 2, 3, 512]))
+@example([(poly(0, [5]), poly(0, [-7]))], 3)
+@example([(poly(0, [0, 3, 0]), poly(-1, [0, 0, -1, 0]))], 2)
+# the sparse operand on the left, then on the right, then one of each
+@example([(poly(-3, [1, 0, 0, 0, 0, 0, -2], 3), poly(2, [4, -5, 6, 2 ** 90], 2))], 512)
+@example([(poly(1, [4, -5, 6, -2 ** 90], 2), poly(0, [0, 1, 0, 0, 0, -1], 3))], 2)
+@example([(poly(0, [1, 0, 0, 1]), poly(0, [1, 2, 3], 6)),
+          (poly(2, [1, 2, 3], 6), poly(0, [0, 0, 0, 7]))], 3)
+def test_kernel_is_sum_of_products_with_dilated_operand(pairs, step):
+    # LaurentPoly(dict) normalizes on its own, so equality also checks that
+    # the kernel's result is normalized
+    assert _products(pairs, step) == LaurentPoly(dilated_product_sum(pairs, step))
 
 
 denominators = st.one_of(st.sampled_from([1, 2, 3, 64, 2 ** 40, 3 ** 30]),

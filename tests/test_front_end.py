@@ -424,6 +424,26 @@ class TestOutputBoundary:
                 FinSeq.make(2, 0, [[1, value]]).to_csv(exact=True)
 
 
+    def test_smooth_refuses_output_parse_would_refuse(self, long_mask, tmp_path, capsys):
+        out = tmp_path / "smoothed.mask"
+        assert main(["smooth", long_mask, "--rounds", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("error: coeffs[1][0][0]: rational longer than 1000 "
+                            "characters, which a mask file cannot hold\n")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_mask_file_length_boundary_is_exact(self):
+        fits = scalar_mask(LaurentPoly({0: 1, 1: Fraction(-10 ** 996 - 1, 2)}))
+        assert len(maskfile._rat_to_str(fits.symbol[0, 0].coeff(1))) == 1000
+        assert maskfile.parse(maskfile.serialize(fits)) == fits
+        # 1001 characters, and one that str() would refuse under the digit limit
+        for value in (Fraction(-10 ** 997 - 1, 2), 10 ** 5000):
+            with pytest.raises(SubsmoothError, match=r"^coeffs\[1\]\[0\]\[0\]: rational "
+                                                     "longer than 1000 characters"):
+                maskfile.serialize(scalar_mask(LaurentPoly({0: 1, 1: value})))
+
+
 class TestRefusalWording:
     WILD = scalar_mask(LaurentPoly({0: -2, 1: 1, 2: 3}))
 

@@ -213,18 +213,38 @@ def test_incremental_search_matches_per_power_norms(mask):
     assert _contractive_power(mask, lmax) == expected
 
 
-def test_search_does_one_symbol_product_per_power(monkeypatch):
-    """The stage of `certify catalog:merrien --ell 2` is not contractive up
-    to L = 10; its search must cost 9 symbol products, not 45."""
-    from subsmooth import SymbolMatrix, canonical_transform, conjugate, derived
+def _merrien_stage():
+    """The stage of `certify catalog:merrien --ell 2`."""
+    from subsmooth import canonical_transform, conjugate, derived
     stage = taylor_scheme(catalog.get("merrien"))
     for _ in range(2):
         es = canonical_transform(stage)
         stage = derived(conjugate(stage, es.r), es.k)
+    return stage
+
+
+def test_search_does_one_symbol_product_per_power(monkeypatch):
+    """The stage of `certify catalog:merrien --ell 2` is not contractive up
+    to L = 10; its search must cost 9 symbol products, not 45."""
+    from subsmooth import SymbolMatrix
+    stage = _merrien_stage()
     calls = []
-    real = SymbolMatrix.__mul__
-    monkeypatch.setattr(SymbolMatrix, "__mul__",
-                        lambda a, b: calls.append(1) or real(a, b))
+    real = SymbolMatrix.mul_dilated
+    monkeypatch.setattr(SymbolMatrix, "mul_dilated",
+                        lambda a, b, step=1: calls.append(step) or real(a, b, step))
     L, _, norms = _contractive_power(stage, 10)
     assert L is None and len(norms) == 10
-    assert len(calls) == 9
+    assert calls == [2 ** k for k in range(1, 10)]
+
+
+@pytest.mark.parametrize("mask", [_merrien_stage(), catalog.get("derham")],
+                         ids=["merrien-stage", "derham"])
+def test_search_builds_no_dilated_symbol(monkeypatch, mask):
+    """The search multiplies by A(z**(2**k)) without building it."""
+    want = _contractive_power(mask, 10)
+    calls = []
+    real = LaurentPoly.dilate
+    monkeypatch.setattr(LaurentPoly, "dilate",
+                        lambda f, factor=2: calls.append(factor) or real(f, factor))
+    assert _contractive_power(mask, 10) == want
+    assert calls == []
