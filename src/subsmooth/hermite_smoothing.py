@@ -19,7 +19,7 @@ re-normalization constant zeta lives in the tests as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (ConsistencyError, DegenerateAError, NotInTildeError,
@@ -42,8 +42,7 @@ _TAYLOR_BASIS = Eigenstructure(k=1, basis=(RatMatrix.column([0, 1]),),
                                r=_R_TAYLOR, r_inv=_R_TAYLOR_INV)
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(namedtuple("SpectralReport", "holds phi violated")):
     """Outcome of the eight spectral-condition equalities.
 
     ``violated`` lists the failing condition groups (1)-(4); ``phi`` is the
@@ -51,13 +50,10 @@ class SpectralReport:
     meaningful only when ``holds``.
     """
 
-    holds: bool
-    phi: Fraction
-    violated: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TaylorReport:
+class TaylorReport(namedtuple("TaylorReport", "holds_taylor in_tilde zeta")):
     """Outcome of the Taylor conditions for a 2x2 vector mask.
 
     ``in_tilde`` additionally requires the common 1-eigenspace to equal
@@ -65,9 +61,7 @@ class TaylorReport:
     smoothing round would use (None when undefined, i.e. b11(1) = 2).
     """
 
-    holds_taylor: bool
-    in_tilde: bool
-    zeta: Fraction | None
+    __slots__ = ()
 
 
 def check_spectral(mask: Mask) -> SpectralReport:

@@ -9,16 +9,17 @@ of finitely supported sequences: all of the subdivision calculus in this
 package is phrased in terms of them.
 
 Arithmetic stays in the integers, in one kernel: ``_products`` returns
-sum f(z) * g(z**step) over a list of pairs (f, g) on one lcm denominator.
-For each pair it runs a schoolbook loop over the nonzero terms of the
-sparser operand and adds each term's multiple of the other operand straight
-into one integer buffer, which is normalized once at the end.  A product is
-one pair with step 1, a sum pairs each operand with 1, a matrix entry is
-one row of pairs, and the refinement product A(z) c(z**2) and the factor
-A(z**(2**k)) of an iterated symbol pass their step instead of building the
-dilated operand, so no product reads one of its zeros.  Rationals appear
-only at the boundary: ``coeff``, ``coeffs``, ``evaluate`` and
-``derivative_at`` return Fractions.
+sum m * f(z) * g(z**step) over a list of pairs (f, g) and optional integer
+factors m on one lcm denominator.  For each pair it runs a schoolbook loop
+over the nonzero terms of the sparser operand and adds each term's multiple
+of the other operand straight into one integer buffer, which is normalized
+once at the end.  A product is one pair with step 1, a sum pairs each
+operand with 1, a matrix entry is one row of pairs, a constant basis change
+weighs the entries by integer factors, and the refinement product
+A(z) c(z**2) and the factor A(z**(2**k)) of an iterated symbol pass their
+step instead of building the dilated operand, so no product reads one of
+its zeros.  Rationals appear only at the boundary: ``coeff``, ``coeffs``,
+``evaluate`` and ``derivative_at`` return Fractions.
 
 Division is deliberately restricted to the four binomials the smoothing
 calculus needs (z+1, 1/z+1, 1/z-1, 1/z**2-1); each has an exact quotient in
@@ -28,10 +29,11 @@ the Laurent ring precisely when the matching root condition holds.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from itertools import repeat
 from operator import add
 from types import MappingProxyType
-from typing import Mapping, Sequence
 
 from .errors import NotDivisibleError
 from .linalg import RatMatrix, _matrix, rat
@@ -75,46 +77,59 @@ def _normalize(lo: int, nums: Sequence[int], den: int) -> "LaurentPoly":
     return _raw(lo, tuple(nums), den)
 
 
-def _products(pairs, step: int = 1) -> "LaurentPoly":
-    """sum f(z) * g(z**step) over the pairs (f, g), on one denominator.
+def _integer_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
+    """The rows of m times the lcm of its denominators, and that lcm."""
+    ratios = [x.as_integer_ratio() for x in m.entries]
+    den = math.lcm(*(d for _, d in ratios))
+    ints = [n * (den // d) for n, d in ratios]
+    return [ints[i:i + m.cols] for i in range(0, len(ints), m.cols)], den
+
+
+def _products(pairs, step: int = 1, factors=None) -> "LaurentPoly":
+    """sum m * f(z) * g(z**step) over the pairs (f, g) and their integer
+    factors m (all 1 without factors), on one denominator.
 
     Each pair loops over the nonzero terms of its sparser operand and adds
     that term's multiple of the other operand straight into one integer
-    buffer, the pair's share den // (f.den * g.den) of the common
+    buffer, the pair's share m * den // (f.den * g.den) of the common
     denominator folded into the term: a term of f adds into every step-th
     slot, a term of g into consecutive slots at step * j.  No zero of
     g(z**step) is read and the sum is normalized once, at the end, so the
     operands need a positive denominator but need not be normalized."""
     terms = []
     den, lo, hi = 1, math.inf, -math.inf
-    for f, g in pairs:
+    for (f, g), m in zip(pairs, repeat(1) if factors is None else factors):
         a, c = f.nums, g.nums
-        if a and c:
+        if a and c and m:
             start, d = f.lo + step * g.lo, f.den * g.den
-            terms.append((start, a, c, d))
-            den = math.lcm(den, d)
-            lo = min(lo, start)
-            hi = max(hi, start + len(a) + step * (len(c) - 1))
+            terms.append((start, a, c, d, m))
+            if den % d:
+                den = math.lcm(den, d)
+            if start < lo:
+                lo = start
+            end = start + len(a) + step * (len(c) - 1)
+            if end > hi:
+                hi = end
     if not terms:
         return _ZERO
     out = [0] * (hi - lo)
-    for start, a, c, d in terms:
-        k = den // d
+    for start, a, c, d, m in terms:
+        k = den // d * m
         start -= lo
-        if len(a) - a.count(0) <= len(c) - c.count(0):
-            n = step * (len(c) - 1) + 1
+        na, nc = len(a), len(c)
+        if na == 1 or nc != 1 and na - a.count(0) <= nc - c.count(0):
+            n = step * (nc - 1) + 1
             for i, x in enumerate(a, start):
                 if x:
                     x *= k
                     out[i:i + n:step] = map(add, out[i:i + n:step],
                                             c if x == 1 else map(x.__mul__, c))
         else:
-            n = len(a)
-            for i, y in zip(range(start, start + step * len(c), step), c):
+            for i, y in zip(range(start, start + step * nc, step), c):
                 if y:
                     y *= k
-                    out[i:i + n] = map(add, out[i:i + n],
-                                       a if y == 1 else map(y.__mul__, a))
+                    out[i:i + na] = map(add, out[i:i + na],
+                                        a if y == 1 else map(y.__mul__, a))
     return _normalize(lo, out, den)
 
 
@@ -351,6 +366,15 @@ def joint_support(polys) -> tuple[int, int] | None:
     return min(s[0] for s in sups), max(s[1] for s in sups)
 
 
+def _symbol(entries: tuple) -> "SymbolMatrix":
+    """A SymbolMatrix from a square tuple of tuples of LaurentPoly,
+    unchecked; for results computed here."""
+    s = _new(SymbolMatrix)
+    _set(s, "p", len(entries))
+    _set(s, "entries", entries)
+    return s
+
+
 class SymbolMatrix:
     """Square matrix of LaurentPoly; the symbol of a matrix mask."""
 
@@ -410,25 +434,25 @@ class SymbolMatrix:
         other(z**step)."""
         self._same_p(other)
         cols = list(zip(*other.entries))
-        return SymbolMatrix(tuple(tuple(_products(zip(row, col), step) for col in cols)
-                                  for row in self.entries))
+        return _symbol(tuple(tuple(_products(zip(row, col), step) for col in cols)
+                             for row in self.entries))
 
     def transform(self, left: RatMatrix, right: RatMatrix) -> "SymbolMatrix":
         """The symbol left * self(z) * right for constant p x p matrices.
 
-        Entry (i, j) is sum_{k,l} left[i,k] * right[l,j] * self[k,l]: one
-        call of the product kernel, each constant a one-term polynomial."""
+        With dl and dr the lcm of the denominators of left and right, entry
+        (i, j) is sum_{k,l} (dl * left[i,k]) * (dr * right[l,j]) * self[k,l]
+        / (dl * dr): one call of the product kernel that pairs every entry of
+        self with the constant 1 / (dl * dr) and weighs it by that integer."""
         p = self.p
         if not left.rows == left.cols == right.rows == right.cols == p:
             raise ValueError("dimension mismatch")
-        nonzero = [(k, l, e) for k, row in enumerate(self.entries)
-                   for l, e in enumerate(row) if e.nums]
-        lft = [[(x.numerator, x.denominator) for x in left.row(i)] for i in range(p)]
-        rgt = [[(x.numerator, x.denominator) for x in right.col(j)] for j in range(p)]
-        return SymbolMatrix(tuple(
-            tuple(_products([(_raw(0, (li[k][0] * rj[l][0],), li[k][1] * rj[l][1]), e)
-                             for k, l, e in nonzero if li[k][0] and rj[l][0]])
-                  for rj in rgt) for li in lft))
+        lft, dl = _integer_rows(left)
+        rgt, dr = _integer_rows(right)
+        unit = _raw(0, (1,), dl * dr)
+        pairs = [(unit, e) for row in self.entries for e in row]
+        return _symbol(tuple(tuple(_products(pairs, 1, [a * b for a in li for b in col])
+                                   for col in zip(*rgt)) for li in lft))
 
     def mul_vector(self, v: Sequence[LaurentPoly], step: int = 1
                    ) -> tuple[LaurentPoly, ...]:

@@ -8,8 +8,8 @@ Gauss elimination with full pivot search.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import SingularMatrixError
 

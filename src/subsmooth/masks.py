@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import add
@@ -34,24 +34,26 @@ class Kind(enum.Enum):
     HERMITE = "hermite"
 
 
-@dataclass(frozen=True)
-class Mask:
-    """A subdivision scheme: kind + symbol (+ phi for Hermite kinds)."""
+class Mask(namedtuple("Mask", "kind symbol phi", defaults=(None,))):
+    """A subdivision scheme: kind + symbol (+ phi for Hermite kinds).
 
-    kind: Kind
-    symbol: SymbolMatrix
-    phi: Fraction | None = None
+    Immutable, equal and hashed by its fields; the instance dict holds only
+    the cached 1-eigenspace."""
 
-    def __post_init__(self):
-        if self.kind is Kind.SCALAR and self.symbol.p != 1:
+    def __new__(cls, kind: Kind, symbol: SymbolMatrix, phi: Fraction | None = None):
+        if kind is Kind.SCALAR and symbol.p != 1:
             raise ValueError("scalar masks store a 1x1 symbol")
-        if self.kind is Kind.HERMITE:
-            if self.symbol.p != 2:
+        if kind is Kind.HERMITE:
+            if symbol.p != 2:
                 raise ValueError("Hermite masks refine value/derivative pairs (p = 2)")
-            if self.phi is None:
+            if phi is None:
                 raise ValueError("Hermite masks carry their shift parameter phi")
-        if self.kind is not Kind.HERMITE and self.phi is not None:
+        if kind is not Kind.HERMITE and phi is not None:
             raise ValueError("phi is only meaningful for Hermite masks")
+        return tuple.__new__(cls, (kind, symbol, phi))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Mask is immutable")
 
     @property
     def p(self) -> int:
@@ -177,20 +179,17 @@ def conjugate(mask: Mask, r: RatMatrix, *, r_inv: RatMatrix | None = None) -> Ma
     return Mask(mask.kind, sym)
 
 
-@dataclass(frozen=True)
-class Eigenstructure:
+class Eigenstructure(namedtuple("Eigenstructure", "k basis r r_inv")):
     """Canonical basis change moving the common 1-eigenspace to the front.
 
-    The first k columns of r are the eigenspace basis; the remaining
-    columns span the complementary invariant subspace of the even/odd mean
-    matrix.  After conjugation by r, that matrix becomes block diagonal
-    with identity leading block.
+    The first k columns of r are the eigenspace basis (the k columns
+    ``basis``); the remaining columns span the complementary invariant
+    subspace of the even/odd mean matrix, and ``r_inv`` is r**-1.  After
+    conjugation by r, that matrix becomes block diagonal with identity
+    leading block.
     """
 
-    k: int
-    basis: tuple[RatMatrix, ...]
-    r: RatMatrix
-    r_inv: RatMatrix
+    __slots__ = ()
 
 
 def canonical_transform(mask: Mask) -> Eigenstructure:

@@ -14,7 +14,7 @@ nothing about the scheme.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
@@ -41,31 +41,34 @@ DEFAULT_LMAX = 12
 # with long numerators (merrien smoothed 64 times, --ell 30, L = 2:
 # 3,964,928) takes 0.2-0.3 s.  render checks each refinement step the same
 # way: p**2 entry products of the mask's support width times the sequence's
-# length, times the words of the sequence's and the mask's largest
-# numerators.  The costliest step of a catalog render inside the row budget
-# (bspline64, depth 10) is 19,730,304 and takes 0.5-0.6 s on that host; one
-# near the bound with long numerators (that merrien mask at depth 4:
-# 44,243,584) takes 0.3-0.4 s.
+# length, each charged the words of the sequence's and the mask's largest
+# numerators, but at least RENDER_ENTRY_FLOOR: the kernel spends 70-140 ns
+# on an entry product of one-word values, against about 9 ns per word
+# product on long ones.  The costliest step of a catalog render inside the
+# row budget (bspline64, depth 10, 9 words per entry product) is 43,845,120
+# and takes 0.5-0.6 s on that host; one near the bound with long numerators
+# (that merrien mask at depth 4: 44,243,584) takes 0.3-0.4 s.
 MAX_LMAX = 16
 MAX_SYMBOL_TERMS = 2 ** 20
 MAX_SYMBOL_WORK = 4 * 10 ** 6
 MAX_RENDER_ROWS = 2 ** 17
 MAX_RENDER_WORK = 5 * 10 ** 7
+RENDER_ENTRY_FLOOR = 20
 MAX_ROUNDS = 64
 
 
-@dataclass(frozen=True)
-class FinSeq:
+class FinSeq(namedtuple("FinSeq", "comps n", defaults=(0,))):
     """Finitely supported sequence of p-vectors, stored as its generating
     function: ``comps[r]`` is sum_i c_i[r] z**i, so equality is semantic.
 
     ``n`` is the grid level of a sampled limit function: the CSV and rows
     views put index i at t = i / 2**n, floats only there.  render sets it;
     every other operation keeps the level of its sequence operand.
+    Immutable; the instance dict holds only the cached ``values``.
     """
 
-    comps: tuple[LaurentPoly, ...]
-    n: int = 0
+    def __setattr__(self, name, value):
+        raise AttributeError("FinSeq is immutable")
 
     @staticmethod
     def make(p: int, offset: int, values) -> "FinSeq":
@@ -236,16 +239,13 @@ def iterated_symbol(mask: Mask, L: int, *, _prev: SymbolMatrix | None = None) ->
 
 # -- certificates -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "kind L norm_value steps ell",
+                             defaults=(None,))):
     """Witness that a scheme converges (kind "C0") or that a smoothness
-    chain down to a contractive stage exists (kind "chain")."""
+    chain down to a contractive stage exists (kind "chain"): the power L,
+    its exact norm, the steps that led there and, for a chain, ell."""
 
-    kind: str
-    L: int
-    norm_value: Fraction
-    steps: tuple[str, ...]
-    ell: int | None = None
+    __slots__ = ()
 
     def __str__(self) -> str:
         head = "C0 certificate" if self.kind == "C0" else f"chain certificate (ell={self.ell})"
@@ -254,14 +254,11 @@ class Certificate:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Refusal:
-    """Inconclusive outcome; carries the stage that stopped the search and
-    any exact norms that were computed."""
+class Refusal(namedtuple("Refusal", "stage reason norms", defaults=((),))):
+    """Inconclusive outcome; carries the stage that stopped the search, why,
+    and any exact norms that were computed."""
 
-    stage: str
-    reason: str
-    norms: tuple[Fraction, ...] = ()
+    __slots__ = ()
 
     def __str__(self) -> str:
         lines = [f"inconclusive at stage '{self.stage}': {self.reason}"]
@@ -388,13 +385,14 @@ def render(mask: Mask, n: int, component: int = 1) -> LimitSample:
         raise ValueError("depth must be >= 1")
     c = FinSeq.delta(mask.p, component)
     lo, hi = mask.support
-    mask_cost = (mask.p ** 2 * (hi - lo + 1)
-                 * _words(chain.from_iterable(mask.symbol.entries)))
+    mask_entries = mask.p ** 2 * (hi - lo + 1)
+    mask_words = _words(chain.from_iterable(mask.symbol.entries))
     for step in range(1, n + 1):
         s = c.support
         if s is None:
             break
-        work = mask_cost * (s[1] - s[0] + 1) * _words(c.comps)
+        work = (mask_entries * (s[1] - s[0] + 1)
+                * max(mask_words * _words(c.comps), RENDER_ENTRY_FLOOR))
         if work > MAX_RENDER_WORK:
             raise SubsmoothError(f"--depth {n}: refinement step {step} would cost "
                                  f"{work} word products, over the budget of "

@@ -63,6 +63,22 @@ def test_kernel_is_sum_of_products_with_dilated_operand(pairs, step):
     assert _products(pairs, step) == LaurentPoly(dilated_product_sum(pairs, step))
 
 
+@SETTINGS
+@given(st.lists(st.tuples(operands(), operands(), st.one_of(st.integers(-3, 3),
+                                                             st.integers(-2 ** 70, 2 ** 70))),
+                min_size=1, max_size=4),
+       st.sampled_from([1, 2, 512]))
+@example([(poly(0, [1]), poly(-1, [1, 2], 3), 0)], 1)
+@example([(poly(0, [1], 6), poly(-1, [1, 2], 3), -4), (poly(1, [1, 0, 5]), poly(0, [1]), 9)], 1)
+def test_kernel_weighs_each_pair_by_its_integer_factor(triples, step):
+    pairs = [(f, g) for f, g, _ in triples]
+    expected = {}
+    for f, g, m in triples:
+        expected = laurent_oracle.add(expected, laurent_oracle.mul(
+            {0: Fraction(m)}, dilated_product_sum([(f, g)], step)))
+    assert _products(pairs, step, [m for _, _, m in triples]) == LaurentPoly(expected)
+
+
 denominators = st.one_of(st.sampled_from([1, 2, 3, 64, 2 ** 40, 3 ** 30]),
                          st.integers(1, 10 ** 20))
 

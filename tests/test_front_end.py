@@ -286,6 +286,23 @@ class TestWorkCeilings:
             "error: --depth 9: refinement step 5 would cost 94807680 word products, "
             f"over the budget of {MAX_RENDER_WORK}\n")
 
+    def test_render_work_floor_per_entry_product(self, tmp_path, capsys):
+        """A scalar mask of 300 one-digit coefficients at depth 8 is inside
+        the row budget, but each of its one-word entry products is charged
+        RENDER_ENTRY_FLOOR word products, so step 6 (2,781,000 entry
+        products) is refused after five cheap steps, within 1 s."""
+        path = tmp_path / "wide.mask"
+        mask = scalar_mask(LaurentPoly.from_coeffs(0, [1 + i % 9 for i in range(300)]))
+        path.write_text(maskfile.serialize(mask))
+        assert 300 * 2 ** 8 <= MAX_RENDER_ROWS
+        t0 = time.perf_counter()
+        assert main(["render", str(path), "--depth", "8"]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == (
+            "error: --depth 8: refinement step 6 would cost "
+            f"{2_781_000 * refine.RENDER_ENTRY_FLOOR} word products, "
+            f"over the budget of {MAX_RENDER_WORK}\n")
+
     def test_used_lmax_stays_accepted(self, capsys, monkeypatch):
         monkeypatch.setenv("SUBSMOOTH_LMAX", "12")
         assert main(["certify", "catalog:bspline1"]) == 0

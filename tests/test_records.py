@@ -1,0 +1,159 @@
+"""The immutable result records: Mask, Eigenstructure, FinSeq (LimitSample),
+Certificate, Refusal, SpectralReport and TaylorReport.  Equality and hash go
+by the fields, no attribute can be assigned, the defaults, Mask's argument
+checks, the per-instance caches and the printed forms of certificates and
+refusals."""
+
+from fractions import Fraction
+
+import pytest
+
+import subsmooth.masks as masks_module
+from subsmooth import (Certificate, Eigenstructure, FinSeq, Kind, LaurentPoly,
+                       LimitSample, Mask, Refusal, SpectralReport, SymbolMatrix,
+                       TaylorReport, canonical_transform, catalog,
+                       certify_hermite, certify_vector, check_spectral,
+                       check_taylor, common_one_eigenspace, render,
+                       taylor_scheme)
+
+HALF = Fraction(1, 2)
+
+
+def hat():
+    return SymbolMatrix(((LaurentPoly({-1: HALF, 0: 1, 1: HALF}),),))
+
+
+def pair_symbol():
+    return catalog.get("merrien").symbol
+
+
+def records():
+    """One instance of each record, built twice from equal fields, and one
+    that differs in a field."""
+    merrien = catalog.get("merrien")
+    es = canonical_transform(catalog.get("double-knot"))
+    return [
+        (Mask(Kind.SCALAR, hat()), Mask(Kind.SCALAR, hat()),
+         Mask(Kind.VECTOR, hat())),
+        (Mask(Kind.HERMITE, pair_symbol(), HALF), Mask(Kind.HERMITE, pair_symbol(), HALF),
+         Mask(Kind.HERMITE, pair_symbol(), Fraction(1, 4))),
+        (es, Eigenstructure(es.k, es.basis, es.r, es.r_inv),
+         Eigenstructure(es.k + 1, es.basis, es.r, es.r_inv)),
+        (FinSeq.delta(2), FinSeq.make(2, 0, [[1, 0]]), FinSeq.delta(2, 2)),
+        (FinSeq.delta(2), FinSeq(FinSeq.delta(2).comps, 0), FinSeq(FinSeq.delta(2).comps, 3)),
+        (certify_vector(catalog.get("bspline3"), 1), certify_vector(catalog.get("bspline3"), 1),
+         certify_vector(catalog.get("bspline3"), 0)),
+        (certify_hermite(merrien, 2, 3), certify_hermite(merrien, 2, 3),
+         certify_hermite(merrien, 2, 2)),
+        (check_spectral(merrien), check_spectral(merrien),
+         check_spectral(catalog.get("double-knot"))),
+        (check_taylor(taylor_scheme(merrien)), check_taylor(taylor_scheme(merrien)),
+         check_taylor(catalog.get("double-knot"))),
+    ]
+
+
+def test_the_records_cover_every_type():
+    assert {type(a) for a, _, _ in records()} == {
+        Mask, Eigenstructure, FinSeq, Certificate, Refusal, SpectralReport, TaylorReport}
+    assert LimitSample is FinSeq
+
+
+@pytest.mark.parametrize("a,b,other", records())
+def test_equality_and_hash_go_by_the_fields(a, b, other):
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != other
+    assert len({a, b, other}) == 2
+
+
+@pytest.mark.parametrize("a,b,other", records())
+def test_no_attribute_can_be_assigned(a, b, other):
+    name = type(a).__name__
+    fields = {"Mask": "kind", "Eigenstructure": "k", "FinSeq": "comps",
+              "Certificate": "L", "Refusal": "reason", "SpectralReport": "holds",
+              "TaylorReport": "zeta"}
+    with pytest.raises(AttributeError):
+        setattr(a, fields[name], None)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+
+
+def test_defaults():
+    assert Mask(Kind.SCALAR, hat()).phi is None
+    assert Mask(Kind.VECTOR, pair_symbol()).phi is None
+    assert FinSeq(FinSeq.delta(1).comps).n == 0
+    assert Certificate("C0", 2, HALF, ("a",)).ell is None
+    assert Refusal("contractivity", "no power").norms == ()
+
+
+def test_keyword_construction_matches_positional():
+    assert Certificate(kind="C0", L=2, norm_value=HALF, steps=()) == \
+        Certificate("C0", 2, HALF, ())
+    assert Refusal(stage="s", reason="r", norms=(1,)) == Refusal("s", "r", (1,))
+    assert Mask(kind=Kind.HERMITE, symbol=pair_symbol(), phi=HALF) == \
+        Mask(Kind.HERMITE, pair_symbol(), HALF)
+
+
+@pytest.mark.parametrize("kind,symbol,phi,message", [
+    (Kind.SCALAR, pair_symbol(), None, "scalar masks store a 1x1 symbol"),
+    (Kind.HERMITE, hat(), HALF, "Hermite masks refine value/derivative pairs (p = 2)"),
+    (Kind.HERMITE, pair_symbol(), None, "Hermite masks carry their shift parameter phi"),
+    (Kind.VECTOR, pair_symbol(), HALF, "phi is only meaningful for Hermite masks"),
+    (Kind.SCALAR, hat(), HALF, "phi is only meaningful for Hermite masks"),
+])
+def test_mask_argument_errors(kind, symbol, phi, message):
+    with pytest.raises(ValueError) as err:
+        Mask(kind, symbol, phi)
+    assert str(err.value) == message
+
+
+def test_mask_eigenspace_is_computed_once_per_instance(monkeypatch):
+    calls = []
+    kernel_basis = masks_module.kernel_basis
+    monkeypatch.setattr(masks_module, "kernel_basis",
+                        lambda m: calls.append(m) or kernel_basis(m))
+    mask = Mask(Kind.HERMITE, pair_symbol(), HALF)
+    first = common_one_eigenspace(mask)
+    assert common_one_eigenspace(mask) == first
+    assert common_one_eigenspace(mask) is not first  # a fresh list each call
+    assert len(calls) == 1
+    common_one_eigenspace(Mask(Kind.HERMITE, pair_symbol(), HALF))
+    assert len(calls) == 2
+
+
+def test_sequence_values_are_computed_once_per_instance(monkeypatch):
+    calls = []
+    at = FinSeq.at
+    monkeypatch.setattr(FinSeq, "at", lambda self, i: calls.append(i) or at(self, i))
+    seq = render(catalog.get("bspline1"), 2)
+    values = seq.values
+    assert len(calls) == len(values) == 7
+    assert seq.values is values
+    assert len(calls) == 7
+    assert FinSeq(seq.comps, seq.n).values == values
+    assert len(calls) == 14
+
+
+def test_certificate_and_refusal_print_as_before():
+    assert str(Certificate("C0", 3, Fraction(3, 4), ("a", "b"))) == (
+        "C0 certificate: |(1/2 S)^3| = 3/4 < 1\n  - a\n  - b")
+    assert str(Certificate("chain", 1, HALF, (), ell=2)) == (
+        "chain certificate (ell=2): |(1/2 S)^1| = 1/2 < 1")
+    assert str(Refusal("contractivity", "no power up to 2 is contractive",
+                       (Fraction(1), Fraction(3, 2)))) == (
+        "inconclusive at stage 'contractivity': no power up to 2 is contractive\n"
+        "  norms per power: 1, 3/2")
+    assert str(Refusal("spectral condition", "violated conditions [1]")) == (
+        "inconclusive at stage 'spectral condition': violated conditions [1]")
+
+
+def test_reprs_name_the_fields():
+    assert repr(Refusal("s", "r")) == "Refusal(stage='s', reason='r', norms=())"
+    assert repr(Certificate("C0", 1, HALF, ("x",))) == (
+        "Certificate(kind='C0', L=1, norm_value=Fraction(1, 2), steps=('x',), ell=None)")
+    assert repr(SpectralReport(True, HALF, ())) == (
+        "SpectralReport(holds=True, phi=Fraction(1, 2), violated=())")
+    assert repr(TaylorReport(True, False, None)) == (
+        "TaylorReport(holds_taylor=True, in_tilde=False, zeta=None)")
