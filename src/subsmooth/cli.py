@@ -5,6 +5,11 @@ Masks are given either as file paths or as catalog references like
 2 inconclusive certification, 1 any error (bad input, violated
 precondition, unknown catalog entry, work over a fixed ceiling, or an
 internal consistency check that failed, which is reported as a bug).
+
+``COMMANDS`` gives each command's handler, help and arguments as data.  A
+call naming a command is parsed by that command's parser alone; the full
+parser, built from the same table, serves top-level help, a missing or
+unknown command and leftover arguments, so both routes agree byte for byte.
 """
 
 from __future__ import annotations
@@ -143,9 +148,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    mask = _load(args.path)
     if args.depth < 1:
         raise SubsmoothError("--depth must be >= 1")
+    mask = _load(args.path)
     if not 1 <= args.basis <= mask.p:
         raise SubsmoothError(f"--basis must be in 1..{mask.p}")
     lo, hi = mask.support
@@ -159,48 +164,64 @@ def cmd_render(args) -> int:
     return 0
 
 
+# name -> (handler, help, ((flag, add_argument keywords), ...))
+COMMANDS = {
+    "show": (cmd_show, "print the structure of a mask",
+             (("path", {"help": "mask file or catalog:NAME"}),)),
+    "smooth": (cmd_smooth, "raise smoothness by one per round", (
+        ("path", {}),
+        ("--rounds", {"type": int, "default": 1,
+                      "help": f"smoothing rounds, 1..{MAX_ROUNDS} (default 1)"}),
+        ("--out", {"help": "output mask file"}))),
+    "certify": (cmd_certify, "search for a convergence certificate", (
+        ("path", {}),
+        ("--ell", {"type": int,
+                   "help": "smoothness order (default: 1 hermite, 0 otherwise)"}),
+        ("--lmax", {"type": int,
+                    "help": f"largest power to test (default {DEFAULT_LMAX}, "
+                            "or SUBSMOOTH_LMAX)"}))),
+    "render": (cmd_render, "sample a basic limit function to CSV", (
+        ("path", {}),
+        ("--depth", {"type": int, "required": True, "help": "refinement steps"}),
+        ("--basis", {"type": int, "default": 1,
+                     "help": "1-based component of the unit impulse"}),
+        ("--out", {"help": "output CSV file"}),
+        ("--exact", {"action": "store_true",
+                     "help": "emit exact p/q values instead of floats"}))),
+}
+
+
+def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give parser the arguments and the handler of the command name."""
+    fn, _help, arguments = COMMANDS[name]
+    for flag, kwargs in arguments:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(fn=fn)
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The full parser: the top level and one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="subsmooth",
         description="Symbol calculus for raising the smoothness of "
                     "scalar, vector and Hermite subdivision schemes.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_show = sub.add_parser("show", help="print the structure of a mask")
-    p_show.add_argument("path", help="mask file or catalog:NAME")
-    p_show.set_defaults(fn=cmd_show)
-
-    p_smooth = sub.add_parser("smooth", help="raise smoothness by one per round")
-    p_smooth.add_argument("path")
-    p_smooth.add_argument("--rounds", type=int, default=1,
-                          help=f"smoothing rounds, 1..{MAX_ROUNDS} (default 1)")
-    p_smooth.add_argument("--out", default=None, help="output mask file")
-    p_smooth.set_defaults(fn=cmd_smooth)
-
-    p_cert = sub.add_parser("certify", help="search for a convergence certificate")
-    p_cert.add_argument("path")
-    p_cert.add_argument("--ell", type=int, default=None,
-                        help="smoothness order (default: 1 hermite, 0 otherwise)")
-    p_cert.add_argument("--lmax", type=int, default=None,
-                        help=f"largest power to test (default {DEFAULT_LMAX}, "
-                             "or SUBSMOOTH_LMAX)")
-    p_cert.set_defaults(fn=cmd_certify)
-
-    p_render = sub.add_parser("render", help="sample a basic limit function to CSV")
-    p_render.add_argument("path")
-    p_render.add_argument("--depth", type=int, required=True, help="refinement steps")
-    p_render.add_argument("--basis", type=int, default=1,
-                          help="1-based component of the unit impulse")
-    p_render.add_argument("--out", default=None, help="output CSV file")
-    p_render.add_argument("--exact", action="store_true",
-                          help="emit exact p/q values instead of floats")
-    p_render.set_defaults(fn=cmd_render)
+    for name, (_fn, help_, _arguments) in COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=help_), name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        parser = _command_parser(argparse.ArgumentParser(prog=f"subsmooth {argv[0]}"), argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:  # reported by the full parser, in its words and usage line
+            args = _build_parser().parse_args(argv)
+        args.command = argv[0]
+    else:  # top-level -h, no command or an unknown one
+        args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConsistencyError as exc:

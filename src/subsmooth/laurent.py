@@ -77,12 +77,23 @@ def _normalize(lo: int, nums: Sequence[int], den: int) -> "LaurentPoly":
     return _raw(lo, tuple(nums), den)
 
 
-def _integer_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
+def _integer_rows(m: RatMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The rows of m times the lcm of its denominators, and that lcm."""
     ratios = [x.as_integer_ratio() for x in m.entries]
     den = math.lcm(*(d for _, d in ratios))
-    ints = [n * (den // d) for n, d in ratios]
-    return [ints[i:i + m.cols] for i in range(0, len(ints), m.cols)], den
+    ints = tuple(n * (den // d) for n, d in ratios)
+    return tuple(ints[i:i + m.cols] for i in range(0, len(ints), m.cols)), den
+
+
+def _integer_form(m: RatMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """_integer_rows(m), kept on m: a constant that every round transforms
+    by, such as the Taylor basis change, is converted once."""
+    try:
+        return m._integer_form
+    except AttributeError:
+        form = _integer_rows(m)
+        object.__setattr__(m, "_integer_form", form)
+        return form
 
 
 def _products(pairs, step: int = 1, factors=None) -> "LaurentPoly":
@@ -447,8 +458,8 @@ class SymbolMatrix:
         p = self.p
         if not left.rows == left.cols == right.rows == right.cols == p:
             raise ValueError("dimension mismatch")
-        lft, dl = _integer_rows(left)
-        rgt, dr = _integer_rows(right)
+        lft, dl = _integer_form(left)
+        rgt, dr = _integer_form(right)
         unit = _raw(0, (1,), dl * dr)
         pairs = [(unit, e) for row in self.entries for e in row]
         return _symbol(tuple(tuple(_products(pairs, 1, [a * b for a in li for b in col])

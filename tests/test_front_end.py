@@ -243,6 +243,12 @@ class TestWorkCeilings:
         monkeypatch.setattr(cli, "_load", lambda ref: pytest.fail("mask loaded"))
         assert main(["certify", "catalog:merrien", "--lmax", "1000000"]) == 1
 
+    def test_depth_checked_before_loading(self, tmp_path, capsys):
+        """A depth below 1 is refused by name before the mask is looked up,
+        as --rounds and --lmax are."""
+        assert main(["render", str(tmp_path / "missing.mask"), "--depth", "0"]) == 1
+        assert capsys.readouterr().err == "error: --depth must be >= 1\n"
+
     def test_depth_over_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "render", lambda *a: pytest.fail("rendered"))
         assert main(["render", "catalog:merrien-smoothed", "--depth", "15"]) == 1
@@ -268,7 +274,7 @@ class TestWorkCeilings:
                                             ("bspline64", 10)])
     def test_used_depths_within_render_work_budget(self, name, depth):
         """The depths above, and bspline64 at depth 10, the costliest catalog
-        render inside the row budget (19,730,304 word products in its last
+        render inside the row budget (43,845,120 word products in its last
         step), really render."""
         assert render(catalog.get(name), depth).n == depth
 
