@@ -17,10 +17,6 @@ from .laurent import LaurentPoly, SymbolMatrix, Z_PLUS_1
 from .masks import Mask, hermite_mask, scalar_mask, vector_mask
 
 
-def lp(coeffs: dict[int, object]) -> LaurentPoly:
-    return LaurentPoly(coeffs)
-
-
 def bspline(degree: int) -> Mask:
     """Scalar scheme of B-spline degree l: ((z+1)/2 * z^-1)**l * (z+1).
 
@@ -30,7 +26,7 @@ def bspline(degree: int) -> Mask:
     if degree < 0:
         raise ValueError("degree must be >= 0")
     f = Z_PLUS_1
-    factor = lp({-1: Fraction(1, 2), 0: Fraction(1, 2)})
+    factor = LaurentPoly({-1: Fraction(1, 2), 0: Fraction(1, 2)})
     for _ in range(degree):
         f = f * factor
     return scalar_mask(f)
@@ -40,8 +36,8 @@ def double_knot() -> Mask:
     """C^1 vector scheme for cubic splines with double knots (p = 2)."""
     e = Fraction(1, 8)
     sym = SymbolMatrix((
-        (lp({0: 2 * e, 1: 6 * e, 2: e}), lp({1: 2 * e, 2: 5 * e})),
-        (lp({0: 5 * e, 1: 2 * e}), lp({0: e, 1: 6 * e, 2: 2 * e})),
+        (LaurentPoly({0: 2 * e, 1: 6 * e, 2: e}), LaurentPoly({1: 2 * e, 2: 5 * e})),
+        (LaurentPoly({0: 5 * e, 1: 2 * e}), LaurentPoly({0: e, 1: 6 * e, 2: 2 * e})),
     ))
     return vector_mask(sym)
 
@@ -49,8 +45,8 @@ def double_knot() -> Mask:
 def merrien() -> Mask:
     """Interpolatory HC^1 Hermite scheme (piecewise cubic; Merrien 1992)."""
     sym = SymbolMatrix((
-        (lp({-1: "1/2", 0: 1, 1: "1/2"}), lp({-1: "-1/8", 1: "1/8"})),
-        (lp({-1: "3/4", 1: "-3/4"}), lp({-1: "-1/8", 0: "1/2", 1: "-1/8"})),
+        (LaurentPoly({-1: "1/2", 0: 1, 1: "1/2"}), LaurentPoly({-1: "-1/8", 1: "1/8"})),
+        (LaurentPoly({-1: "3/4", 1: "-3/4"}), LaurentPoly({-1: "-1/8", 0: "1/2", 1: "-1/8"})),
     ))
     return hermite_mask(sym, 0)
 
@@ -58,10 +54,10 @@ def merrien() -> Mask:
 def derham() -> Mask:
     """De Rham-type HC^2 Hermite scheme obtained by corner cutting."""
     sym = SymbolMatrix((
-        (lp({-2: "5/32", -1: "27/32", 0: "27/32", 1: "5/32"}),
-         lp({-2: "-3/64", -1: "-9/64", 0: "9/64", 1: "3/64"})),
-        (lp({-2: "9/16", -1: "9/16", 0: "-9/16", 1: "-9/16"}),
-         lp({-2: "-5/32", -1: "3/32", 0: "3/32", 1: "-5/32"})),
+        (LaurentPoly({-2: "5/32", -1: "27/32", 0: "27/32", 1: "5/32"}),
+         LaurentPoly({-2: "-3/64", -1: "-9/64", 0: "9/64", 1: "3/64"})),
+        (LaurentPoly({-2: "9/16", -1: "9/16", 0: "-9/16", 1: "-9/16"}),
+         LaurentPoly({-2: "-5/32", -1: "3/32", 0: "3/32", 1: "-5/32"})),
     ))
     return hermite_mask(sym, Fraction(-1, 2))
 
@@ -69,24 +65,24 @@ def derham() -> Mask:
 def merrien_smoothed() -> Mask:
     """Reference: one smoothing round applied to the Merrien scheme (HC^2)."""
     s = Fraction(1, 16)
-    c11 = (lp({-1: 1, 0: 1}) * lp({-1: 1, 0: 1})
-           * lp({-2: -1, -1: 1, 0: 6, 1: 2})).scale(s)
-    c12 = lp({0: -1, 1: -1}).scale(s)
-    c21 = (lp({-2: 1, 0: -1})
-           * lp({-4: 1, -3: -3, -2: -3, -1: 13, 0: 6})).scale(s)
-    c22 = lp({-2: 1, -1: -3, 0: 3, 1: 1}).scale(s)
+    c11 = (LaurentPoly({-1: 1, 0: 1}) * LaurentPoly({-1: 1, 0: 1})
+           * LaurentPoly({-2: -1, -1: 1, 0: 6, 1: 2})).scale(s)
+    c12 = LaurentPoly({0: -1, 1: -1}).scale(s)
+    c21 = (LaurentPoly({-2: 1, 0: -1})
+           * LaurentPoly({-4: 1, -3: -3, -2: -3, -1: 13, 0: 6})).scale(s)
+    c22 = LaurentPoly({-2: 1, -1: -3, 0: 3, 1: 1}).scale(s)
     return hermite_mask(SymbolMatrix(((c11, c12), (c21, c22))), Fraction(-1, 2))
 
 
 def derham_smoothed() -> Mask:
     """Reference: one smoothing round applied to the de Rham scheme (HC^3)."""
     s = Fraction(1, 128)
-    c11 = (lp({-1: 1, 0: 1})
-           * lp({-4: -3, -3: -9, -2: 25, -1: 75, 0: 36, 1: 4})).scale(s)
-    c12 = lp({-1: 1, 0: 4, 1: 1}).scale(-3 * s)
-    c21 = (lp({-2: 1, 0: -1})
-           * lp({-5: 3, -4: -7, -3: -37, -2: 37, -1: 128, 0: 20, 1: -8})).scale(s)
-    c22 = lp({-3: 3, -2: -7, -1: -21, 0: 21, 1: -4}).scale(s)
+    c11 = (LaurentPoly({-1: 1, 0: 1})
+           * LaurentPoly({-4: -3, -3: -9, -2: 25, -1: 75, 0: 36, 1: 4})).scale(s)
+    c12 = LaurentPoly({-1: 1, 0: 4, 1: 1}).scale(-3 * s)
+    c21 = (LaurentPoly({-2: 1, 0: -1})
+           * LaurentPoly({-5: 3, -4: -7, -3: -37, -2: 37, -1: 128, 0: 20, 1: -8})).scale(s)
+    c22 = LaurentPoly({-3: 3, -2: -7, -1: -21, 0: 21, 1: -4}).scale(s)
     return hermite_mask(SymbolMatrix(((c11, c12), (c21, c22))), Fraction(-1))
 
 

@@ -2,9 +2,10 @@
 
 Masks are given either as file paths or as catalog references like
 ``catalog:merrien``.  Exit codes: 0 success / certificate granted,
-2 inconclusive certification, 1 any error (bad input, violated
-precondition, unknown catalog entry, work over a fixed ceiling, or an
-internal consistency check that failed, which is reported as a bug).
+2 inconclusive certification, 1 any error (bad input, a file that cannot
+be read or written, violated precondition, unknown catalog entry, work over
+a fixed ceiling, or an internal consistency check that failed, which is
+reported as a bug).
 
 ``COMMANDS`` gives each command's handler, help and arguments as data.  A
 call naming a command is parsed by that command's parser alone; the full
@@ -34,8 +35,6 @@ def _load(ref: str) -> Mask:
             return catalog.get(ref[len("catalog:"):])
         except KeyError as exc:
             raise SubsmoothError(str(exc)) from None
-    if not os.path.exists(ref):
-        raise SubsmoothError(f"no such file: {ref}")
     return maskfile.load(ref)
 
 
@@ -229,6 +228,10 @@ def main(argv=None) -> int:
         return 1
     except (SubsmoothError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a mask file to read or an --out file to write
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename is not None
+              else f"error: {exc}", file=sys.stderr)
         return 1
 
 

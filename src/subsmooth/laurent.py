@@ -53,7 +53,7 @@ def _raw(lo: int, nums: tuple, den: int) -> "LaurentPoly":
 
 
 def _normalize(lo: int, nums: Sequence[int], den: int) -> "LaurentPoly":
-    """A LaurentPoly from any numerators over a nonzero denominator."""
+    """A LaurentPoly from any numerators over a positive denominator."""
     n = len(nums)
     start = 0
     while start < n and not nums[start]:
@@ -66,9 +66,6 @@ def _normalize(lo: int, nums: Sequence[int], den: int) -> "LaurentPoly":
     if start or end != n:
         nums = nums[start:end]
         lo += start
-    if den < 0:
-        den = -den
-        nums = [-x for x in nums]
     if den != 1:
         g = math.gcd(den, *nums)
         if g != 1:
@@ -83,17 +80,6 @@ def _integer_rows(m: RatMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     den = math.lcm(*(d for _, d in ratios))
     ints = tuple(n * (den // d) for n, d in ratios)
     return tuple(ints[i:i + m.cols] for i in range(0, len(ints), m.cols)), den
-
-
-def _integer_form(m: RatMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """_integer_rows(m), kept on m: a constant that every round transforms
-    by, such as the Taylor basis change, is converted once."""
-    try:
-        return m._integer_form
-    except AttributeError:
-        form = _integer_rows(m)
-        object.__setattr__(m, "_integer_form", form)
-        return form
 
 
 def _products(pairs, step: int = 1, factors=None) -> "LaurentPoly":
@@ -458,8 +444,8 @@ class SymbolMatrix:
         p = self.p
         if not left.rows == left.cols == right.rows == right.cols == p:
             raise ValueError("dimension mismatch")
-        lft, dl = _integer_form(left)
-        rgt, dr = _integer_form(right)
+        lft, dl = _integer_rows(left)
+        rgt, dr = _integer_rows(right)
         unit = _raw(0, (1,), dl * dr)
         pairs = [(unit, e) for row in self.entries for e in row]
         return _symbol(tuple(tuple(_products(pairs, 1, [a * b for a in li for b in col])

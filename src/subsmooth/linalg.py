@@ -36,10 +36,9 @@ def _matrix(rows: int, cols: int, entries: tuple) -> "RatMatrix":
 
 
 class RatMatrix:
-    """Immutable dense matrix of Fractions, row-major.  The slot
-    ``_integer_form`` keeps laurent's integer form once it is derived."""
+    """Immutable dense matrix of Fractions, row-major."""
 
-    __slots__ = ("rows", "cols", "entries", "_integer_form")
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         flat = tuple(rat(x) for x in entries)

@@ -4,8 +4,9 @@ Floats never appear, so files round-trip without any loss and canonical
 serialization is byte-stable: keys sorted, fixed indentation, rationals
 reduced with positive denominator, support trimmed to the true window.
 Parsing is strict: a rational is an integer or p/q in lowest terms with
-q > 0 and at most 1000 characters, integer fields reject JSON booleans, and
-a mask has at least one nonzero coefficient.
+q > 0 and at most 1000 characters, integer fields reject JSON booleans,
+a mask has at least one nonzero coefficient, and p is at most 5: exact
+elimination over such wide entries grows too fast for larger p.
 
 Schema (version 1):
     {
@@ -36,6 +37,9 @@ _KINDS = {"scalar": Kind.SCALAR, "vector": Kind.VECTOR, "hermite": Kind.HERMITE}
 # Rationals in a mask file: "-?digits" or "-?digits/digits", ASCII only.
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _MAX_RATIONAL_CHARS = 1000
+# Largest p: show, certify and smooth of a p = 5 file of 1000-character
+# entries, whose eigenspace needs all three eliminations, take under 2 s.
+_MAX_P = 5
 
 
 def _rat_to_str(x: Fraction) -> str:
@@ -84,8 +88,11 @@ def _int_field(doc: dict, key: str):
 
 def serialize(mask: Mask) -> str:
     """Canonical text form; parse(serialize(m)) == m, byte-stable.  A
-    rational that parse would refuse for its length is a SubsmoothError."""
+    rational that parse would refuse for its length, or a p over _MAX_P, is
+    a SubsmoothError."""
     sym, p = mask.symbol, mask.p
+    if p > _MAX_P:
+        raise SubsmoothError(f"p: {p} is over the mask-file limit of {_MAX_P}")
     lo, hi = mask.support or (0, -1)
     coeffs = [[[_writable(sym[r, c].coeff(i), f"coeffs[{i - lo}][{r}][{c}]")
                 for c in range(p)] for r in range(p)] for i in range(lo, hi + 1)]
@@ -157,6 +164,8 @@ def parse(text: str) -> Mask:
     if kind is Kind.VECTOR:
         if "phi" in doc:
             raise MaskFileError("phi: only hermite masks carry phi")
+        if p > _MAX_P:  # checked last, so other faults keep their messages
+            raise MaskFileError(f"p: {p} is over the mask-file limit of {_MAX_P}")
         return vector_mask(sym)
 
     if "phi" not in doc:

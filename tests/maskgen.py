@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from subsmooth import (FinSeq, LaurentPoly, Mask, RatMatrix, SymbolMatrix,
                        common_one_eigenspace, conjugate, hermite_mask,
-                       invert, taylor_scheme, vector_mask)
+                       inverse_taylor, invert, taylor_scheme, vector_mask)
 
 from tests.masks_oracle import rank
 
@@ -155,6 +155,14 @@ def rand_convergent_style_mask(rng: random.Random, p: int, k: int) -> Mask:
         barred = vector_mask(sym)
         r = rand_unimodular(rng, p)
         return conjugate(barred, invert(r))
+
+
+def not_in_tilde_mask() -> Mask:
+    """A Hermite mask with the spectral condition whose Taylor scheme,
+    diag(1 + z, 1 + z), has the whole plane as its 1-eigenspace."""
+    f = LaurentPoly({0: 1, 1: 1})
+    zero = LaurentPoly.zero()
+    return inverse_taylor(vector_mask(_sym([[f, zero], [zero, f]])))
 
 
 # -- symbol-level intertwining identities ---------------------------------------

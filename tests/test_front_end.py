@@ -1,6 +1,7 @@
 """Strict mask-file parsing, work ceilings, refusal wording and internal
 error reporting at the command-line front end."""
 
+import errno
 import json
 import os
 import random
@@ -14,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subsmooth
-from subsmooth import (ConsistencyError, FinSeq, LaurentPoly, MaskFileError,
-                       Refusal, SubsmoothError, SymbolMatrix, catalog,
-                       certify_vector, maskfile, render, scalar_mask,
+from subsmooth import (Z_PLUS_1, ConsistencyError, FinSeq, LaurentPoly,
+                       MaskFileError, Refusal, SubsmoothError, SymbolMatrix,
+                       catalog, certify_vector, maskfile, render, scalar_mask,
                        smooth_hermite, smooth_scalar, vector_mask)
 from subsmooth import cli
 from subsmooth.cli import main
@@ -222,6 +223,113 @@ def merrien_64_rounds():
     for _ in range(64):
         mask = smooth_hermite(mask)
     return mask
+
+
+def wide_entry_doc(p, seed=0):
+    """A vector mask file of 1000-character integer entries: two coefficients
+    whose rows each sum to 1, so [A(1) - 2I; A(-1)] has rank p - 1 (its
+    kernel is the ones vector) and canonical_transform runs all three
+    eliminations on wide entries."""
+    rng = random.Random(seed)
+
+    def row():
+        while True:
+            xs = [rng.randrange(1 - 10 ** 999, 10 ** 999) for _ in range(p - 1)]
+            xs.append(1 - sum(xs))
+            if len(str(xs[-1])) <= 1000:
+                return [str(x) for x in xs]
+
+    return json.dumps({"schema_version": 1, "kind": "vector", "p": p,
+                       "support_lo": 0,
+                       "coeffs": [[row() for _ in range(p)] for _ in range(2)]})
+
+
+class TestComponentCap:
+    CAP = maskfile._MAX_P
+    REFUSAL = f"p: {CAP + 1} is over the mask-file limit of {CAP}"
+
+    def test_cap_admits_the_widest_test_mask(self):
+        assert self.CAP >= dense_vector_mask().p
+
+    def test_p_over_cap_refused_by_name(self, tmp_path, capsys):
+        text = wide_entry_doc(self.CAP + 1)
+        with pytest.raises(MaskFileError) as err:
+            maskfile.parse(text)
+        assert str(err.value) == self.REFUSAL
+        path = tmp_path / "wide.mask"
+        path.write_text(text)
+        assert main(["show", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {self.REFUSAL}\n"
+
+    def test_other_faults_keep_their_messages(self):
+        doc = json.loads(wide_entry_doc(self.CAP + 1))
+        doc["phi"] = "0"
+        with pytest.raises(MaskFileError) as err:
+            maskfile.parse(json.dumps(doc))
+        assert str(err.value) == "phi: only hermite masks carry phi"
+        doc = json.loads(wide_entry_doc(self.CAP + 1))
+        doc["coeffs"][1][0][0] = "1/0"
+        with pytest.raises(MaskFileError) as err:
+            maskfile.parse(json.dumps(doc))
+        assert "coeffs[1][0][0]: invalid rational" in str(err.value)
+
+    def test_serialize_refuses_what_parse_refuses(self):
+        n = self.CAP + 1
+        wide = vector_mask(SymbolMatrix(
+            [[Z_PLUS_1 if i == j else LaurentPoly.zero() for j in range(n)]
+             for i in range(n)]))
+        with pytest.raises(SubsmoothError) as err:
+            maskfile.serialize(wide)
+        assert str(err.value) == self.REFUSAL
+        at_cap = maskfile.parse(wide_entry_doc(self.CAP))
+        assert maskfile.parse(maskfile.serialize(at_cap)) == at_cap
+
+    @pytest.mark.parametrize("argv,code", [(["show"], 0), (["certify"], 2),
+                                           (["smooth"], 1)])
+    def test_wide_entries_at_cap_within_two_seconds(self, argv, code, tmp_path,
+                                                    capsys):
+        """At p = cap the eliminations, and smooth's conjugations, of
+        1000-character entries stay fast; smooth then refuses to write its
+        longer result and certify to print its norm."""
+        path = tmp_path / "wide.mask"
+        path.write_text(wide_entry_doc(self.CAP))
+        t0 = time.perf_counter()
+        assert main([*argv, str(path)]) == code
+        assert time.perf_counter() - t0 < 2.0
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert "common 1-eigenspace basis: (1, 1, 1, 1, 1)" in out
+        assert "Traceback" not in err
+
+
+class TestFileErrors:
+    """A file that cannot be read or written is one error line, exit 1."""
+
+    def test_show_directory(self, tmp_path, capsys):
+        assert main(["show", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path}: {os.strerror(errno.EISDIR)}\n")
+
+    def test_certify_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "missing.mask"
+        assert main(["certify", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: {os.strerror(errno.ENOENT)}\n")
+
+    @pytest.mark.parametrize("argv", [["smooth", "catalog:merrien"],
+                                      ["render", "catalog:bspline1", "--depth", "2"]])
+    def test_out_into_missing_directory(self, argv, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.out"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        # smooth logs its rounds before it writes
+        lines = err.splitlines()
+        assert [l for l in lines if l.startswith("error:")] == lines[-1:]
+        assert lines[-1] == f"error: {out}: {os.strerror(errno.ENOENT)}"
+        if argv[0] == "render":
+            assert len(lines) == 1
+        assert not out.parent.exists()
 
 
 class TestWorkCeilings:

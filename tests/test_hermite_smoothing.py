@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import subsmooth.hermite_smoothing as hermite_module
 from subsmooth import (ConsistencyError, DegenerateAError, Kind, LaurentPoly,
                        NotInTildeError, SpectralConditionError, SymbolMatrix,
                        catalog, check_interpolatory, check_spectral,
@@ -13,7 +14,8 @@ from subsmooth import (ConsistencyError, DegenerateAError, Kind, LaurentPoly,
                        zeta_multiplicity_forecast, zeta_of)
 
 from tests.hermite_oracle import smooth_hermite_closed_form
-from tests.maskgen import (intertwines_taylor, rand_smoothing_ready_spectral,
+from tests.maskgen import (intertwines_taylor, not_in_tilde_mask,
+                           rand_smoothing_ready_spectral,
                            rand_spectral_mask, rand_taylor_mask, with_values,
                            rand_laurent)
 
@@ -219,6 +221,37 @@ class TestSmoothHermite:
     def test_spectral_precondition_enforced(self):
         with pytest.raises(SpectralConditionError):
             smooth_hermite(hermite_mask(SymbolMatrix.zero(2), 0))
+
+    def test_eigenspace_not_e2_refused(self):
+        mask = not_in_tilde_mask()
+        assert check_spectral(mask).holds
+        with pytest.raises(NotInTildeError) as err:
+            smooth_hermite(mask)
+        assert str(err.value) == ("Taylor scheme eigenspace is not span{e2}; the "
+                                  "vanishing first-component hypothesis cannot "
+                                  "be established")
+
+    def test_phi_without_drop_is_internal(self, monkeypatch):
+        real = inverse_taylor
+        monkeypatch.setattr(hermite_module, "inverse_taylor", lambda m:
+                            hermite_mask(real(m).symbol, real(m).phi + 1))
+        with pytest.raises(ConsistencyError) as err:
+            smooth_hermite(catalog.get("merrien"))
+        assert str(err.value) == "phi moved from 0 to 1/2, expected a drop of 1/2"
+
+    def test_support_outside_window_is_internal(self, monkeypatch):
+        """merrien's round result (-6, 1) moved by 1/z, phi kept, leaves the
+        window [lo - 5, hi] = [-6, 1]."""
+        real = inverse_taylor
+
+        def shifted(m):
+            out = real(m)
+            return hermite_mask(out.symbol.map(lambda e: e.shift(-1)), out.phi)
+
+        monkeypatch.setattr(hermite_module, "inverse_taylor", shifted)
+        with pytest.raises(ConsistencyError) as err:
+            smooth_hermite(catalog.get("merrien"))
+        assert str(err.value) == "support (-7, 0) exceeds the guaranteed window [-6, 1]"
 
     def test_support_window_fuzz(self):
         rng = random.Random(307)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -128,7 +129,8 @@ class TestCli:
 
     def test_show_missing_file(self, capsys):
         assert main(["show", "/nonexistent/mask.json"]) == 1
-        assert "no such file" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: /nonexistent/mask.json: {os.strerror(errno.ENOENT)}\n")
 
     def test_smooth_merrien_matches_reference(self, tmp_path, capsys):
         out = tmp_path / "c.mask"

@@ -8,10 +8,12 @@ from subsmooth import (Certificate, EmptyEigenspaceError, FinSeq, LaurentPoly,
                        Refusal, SubsmoothError, apply, canonical_transform,
                        catalog, certify_c0, certify_hermite, certify_vector,
                        conjugate, derived, difference,
-                       iterated_symbol, render, scalar_mask, stencil_norm,
-                       taylor_diff, taylor_scheme, vector_mask)
+                       iterated_symbol, maskfile, render, scalar_mask,
+                       stencil_norm, taylor_diff, taylor_scheme, vector_mask)
+from subsmooth.cli import main
 
-from tests.maskgen import rand_derivable_mask, rand_seq, rand_spectral_mask
+from tests.maskgen import (not_in_tilde_mask, rand_derivable_mask, rand_seq,
+                           rand_spectral_mask)
 from tests.refine_oracle import full_support_window
 
 LP = LaurentPoly
@@ -221,6 +223,19 @@ class TestCertificates:
         res = certify_hermite(vector_mask(SymbolMatrix.zero(2)), 1)
         assert isinstance(res, Refusal)
         assert res.stage == "spectral condition"
+
+    def test_taylor_eigenspace_not_e2_refused(self, tmp_path, capsys):
+        mask = not_in_tilde_mask()
+        res = certify_hermite(mask, 1)
+        assert isinstance(res, Refusal)
+        assert res.stage == "taylor eigenspace"
+        assert res.reason == "common 1-eigenspace of the Taylor scheme is not span{e2}"
+        path = tmp_path / "diag.mask"
+        path.write_text(maskfile.serialize(mask))
+        assert main(["certify", str(path)]) == 2
+        assert capsys.readouterr().out == (
+            "inconclusive at stage 'taylor eigenspace': common 1-eigenspace "
+            "of the Taylor scheme is not span{e2}\n")
 
     def test_vector_chain_bspline(self):
         res = certify_vector(catalog.get("bspline3"), 2)

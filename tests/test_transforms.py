@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import subsmooth.laurent as laurent
 import subsmooth.linalg as linalg
 import subsmooth.masks as masks_module
 import subsmooth.vector_smoothing as vector_module
@@ -257,17 +256,3 @@ def test_cli_smooth_computes_each_eigenspace_once(monkeypatch, tmp_path):
                  "--out", str(tmp_path / "dk.mask")]) == 0
     assert len(calls) == 4
 
-
-def test_cli_smooth_converts_only_each_rounds_shear(monkeypatch, tmp_path):
-    """transform keeps the integer form of a constant matrix on it, so the
-    Taylor basis change and its inverse, used twice by every Hermite round,
-    are converted on their first use only; after that, a round converts
-    just its shear [[1, 0], [eta, 1]] and the shear's inverse."""
-    out = str(tmp_path / "m.mask")
-    assert main(["smooth", "catalog:merrien", "--out", out]) == 0
-    calls = []
-    real = laurent._integer_rows
-    monkeypatch.setattr(laurent, "_integer_rows", lambda m: calls.append(m) or real(m))
-    assert main(["smooth", "catalog:merrien", "--rounds", "3", "--out", out]) == 0
-    assert len(calls) == 6
-    assert all(m.entries[:2] == (1, 0) and m.entries[3] == 1 for m in calls)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from subsmooth import (EmptyEigenspaceError, Kind,
+import subsmooth.vector_smoothing as vector_module
+from subsmooth import (ConsistencyError, EmptyEigenspaceError, Kind,
                        LaurentPoly, NotDivisibleError, RatMatrix,
                        SymbolMatrix, admits_derived, admits_smoothing,
                        canonical_transform, catalog, common_one_eigenspace,
@@ -197,6 +198,25 @@ class TestSmoothVector:
         m = scalar_mask(LP({0: 1}))  # value 1 at z=1, not 2
         with pytest.raises(EmptyEigenspaceError):
             smooth_vector(m)
+
+    def test_lost_smoothing_condition_is_internal(self, monkeypatch):
+        def lost(mask, k):
+            raise NotDivisibleError("no exact quotient")
+
+        monkeypatch.setattr(vector_module, "smooth_raw", lost)
+        with pytest.raises(ConsistencyError) as err:
+            smooth_vector(catalog.get("double-knot"))
+        assert str(err.value) == "conjugated mask lost the smoothing condition"
+
+    def test_support_outside_window_is_internal(self, monkeypatch):
+        """A round result moved by 1/z keeps its 1-eigenspace but leaves the
+        window [lo - 2, hi]."""
+        real = vector_module._smooth_in_basis
+        monkeypatch.setattr(vector_module, "_smooth_in_basis", lambda mask, es:
+                            vector_mask(real(mask, es).symbol.map(lambda e: e.shift(-1))))
+        with pytest.raises(ConsistencyError) as err:
+            smooth_vector(catalog.get("double-knot"))
+        assert str(err.value) == "support (-3, 1) exceeds the guaranteed window [-2, 2]"
 
     def test_support_growth_bound_fuzz(self):
         from tests.maskgen import rand_convergent_style_mask
