@@ -5,8 +5,8 @@ serialization is byte-stable: keys sorted, fixed indentation, rationals
 reduced with positive denominator, support trimmed to the true window.
 Parsing is strict: a rational is an integer or p/q in lowest terms with
 q > 0 and at most 1000 characters, integer fields reject JSON booleans,
-a mask has at least one nonzero coefficient, and p is at most 5: exact
-elimination over such wide entries grows too fast for larger p.
+a mask has at least one nonzero coefficient, and p is at most 5, because
+exact elimination over long entries slows down fast as p grows.
 
 Schema (version 1):
     {
@@ -37,8 +37,8 @@ _KINDS = {"scalar": Kind.SCALAR, "vector": Kind.VECTOR, "hermite": Kind.HERMITE}
 # Rationals in a mask file: "-?digits" or "-?digits/digits", ASCII only.
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _MAX_RATIONAL_CHARS = 1000
-# Largest p: show, certify and smooth of a p = 5 file of 1000-character
-# entries, whose eigenspace needs all three eliminations, take under 2 s.
+# Largest p.  For a file of 1000-character entries whose eigenspace needs
+# all three eliminations, smooth takes under 2 s at p = 5, 2-5 s at p = 6.
 _MAX_P = 5
 
 

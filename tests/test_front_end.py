@@ -248,9 +248,6 @@ class TestComponentCap:
     CAP = maskfile._MAX_P
     REFUSAL = f"p: {CAP + 1} is over the mask-file limit of {CAP}"
 
-    def test_cap_admits_the_widest_test_mask(self):
-        assert self.CAP >= dense_vector_mask().p
-
     def test_p_over_cap_refused_by_name(self, tmp_path, capsys):
         text = wide_entry_doc(self.CAP + 1)
         with pytest.raises(MaskFileError) as err:
@@ -310,12 +307,6 @@ class TestFileErrors:
         assert capsys.readouterr().err == (
             f"error: {tmp_path}: {os.strerror(errno.EISDIR)}\n")
 
-    def test_certify_missing_file(self, tmp_path, capsys):
-        path = tmp_path / "missing.mask"
-        assert main(["certify", str(path)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {path}: {os.strerror(errno.ENOENT)}\n")
-
     @pytest.mark.parametrize("argv", [["smooth", "catalog:merrien"],
                                       ["render", "catalog:bspline1", "--depth", "2"]])
     def test_out_into_missing_directory(self, argv, tmp_path, capsys):
@@ -330,6 +321,17 @@ class TestFileErrors:
         if argv[0] == "render":
             assert len(lines) == 1
         assert not out.parent.exists()
+
+    def test_stdout_closed_by_reader(self, capsys, monkeypatch):
+        """An error with no file name, such as a closed pipe, is one line."""
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["render", "catalog:bspline1", "--depth", "2"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
 
 
 class TestWorkCeilings:
