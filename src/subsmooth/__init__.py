@@ -10,7 +10,7 @@ contractivity certificates and exact limit-curve sampling.
 from .errors import (ConsistencyError, DegenerateAError, EigenspaceError,
                      EmptyEigenspaceError, MaskFileError, NotDivisibleError,
                      NotInTildeError, SingularMatrixError,
-                     SpectralConditionError, SubsmoothError)
+                     SpectralConditionError, SubsmoothError, WorkBudgetError)
 from .linalg import RatMatrix, column_space_basis, invert, kernel_basis, rat
 from .laurent import (TAYLOR_OPERATOR, LaurentPoly, SymbolMatrix, Z_PLUS_1,
                       ZINV2_MINUS_1, ZINV_MINUS_1, ZINV_PLUS_1, difference_operator,

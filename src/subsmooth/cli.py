@@ -94,6 +94,11 @@ def cmd_smooth(args) -> int:
     if not 1 <= args.rounds <= MAX_ROUNDS:
         raise SubsmoothError(f"--rounds must be in 1..{MAX_ROUNDS}, got {args.rounds}")
     mask = _load(args.path)
+    if args.out:  # fail before round 1 if it cannot be written; change no file
+        new = not os.path.exists(args.out)
+        open(args.out, "a", encoding="utf-8").close()
+        if new:
+            os.remove(args.out)
     print("note: input regularity is assumed, not verified; "
           "run 'subsmooth certify' for a convergence certificate",
           file=sys.stderr)

@@ -45,6 +45,15 @@ class DegenerateAError(SubsmoothError):
     """The shear normalization is undefined (leading eigenvalue equals 2)."""
 
 
+class WorkBudgetError(SubsmoothError):
+    """A symbol operation is over its work budget; raised before it runs."""
+
+    def __init__(self, price, budget):
+        self.price = price
+        self.cost = f"would cost {price} word products, over the budget of {budget}"
+        super().__init__(f"a symbol operation {self.cost}")
+
+
 class ConsistencyError(SubsmoothError):
     """An internal postcondition or cross-check failed; indicates a bug."""
 

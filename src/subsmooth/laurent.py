@@ -9,17 +9,15 @@ of finitely supported sequences: all of the subdivision calculus in this
 package is phrased in terms of them.
 
 Arithmetic stays in the integers, in one kernel: ``_products`` returns
-sum m * f(z) * g(z**step) over a list of pairs (f, g) and optional integer
-factors m on one lcm denominator.  For each pair it runs a schoolbook loop
-over the nonzero terms of the sparser operand and adds each term's multiple
-of the other operand straight into one integer buffer, which is normalized
-once at the end.  A product is one pair with step 1, a sum pairs each
-operand with 1, a matrix entry is one row of pairs, a constant basis change
-weighs the entries by integer factors, and the refinement product
-A(z) c(z**2) and the factor A(z**(2**k)) of an iterated symbol pass their
-step instead of building the dilated operand, so no product reads one of
-its zeros.  Rationals appear only at the boundary: ``coeff``, ``coeffs``,
-``evaluate`` and ``derivative_at`` return Fractions.
+sum m * f(z) * g(z**step) over pairs (f, g) and integer factors m on one
+denominator.  A product is one pair with step 1, a sum pairs each operand
+with 1, a matrix entry is one row of pairs, a constant basis change weighs
+the entries by integer factors, and A(z) c(z**2) and A(z**(2**k)) pass
+their step instead of building the dilated operand.  A symbol product,
+refinement step or basis change first prices its pairs (``_charge``) against
+MAX_WORK, calibrated in README "Command line".  Rationals appear only at the
+boundary: ``coeff``, ``coeffs``, ``evaluate`` and ``derivative_at`` return
+Fractions.
 
 Division is deliberately restricted to the four binomials the smoothing
 calculus needs (z+1, 1/z+1, 1/z-1, 1/z**2-1); each has an exact quotient in
@@ -35,8 +33,10 @@ from itertools import repeat
 from operator import add
 from types import MappingProxyType
 
-from .errors import NotDivisibleError
+from .errors import NotDivisibleError, WorkBudgetError
 from .linalg import RatMatrix, _matrix, rat
+
+MAX_WORK, _FLOOR = 8 * 10 ** 7, 16
 
 
 _new = object.__new__
@@ -80,6 +80,35 @@ def _integer_rows(m: RatMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     den = math.lcm(*(d for _, d in ratios))
     ints = tuple(n * (den // d) for n, d in ratios)
     return tuple(ints[i:i + m.cols] for i in range(0, len(ints), m.cols)), den
+
+
+def _charge(fs, gs, jobs, bits=1) -> None:
+    """WorkBudgetError, before any product runs, when the _products calls of
+    one operation (jobs: pairs, factors' bit lengths or None) cost more than
+    MAX_WORK: per pair, the nonzero terms of the operand the kernel loops over
+    times the other's length, each at least _FLOOR or the words of both largest
+    numerators times those of the factor and denominator share.  Pairs are
+    priced only when a bound from their operands fs and gs alone is over."""
+    def words(numss):  # 64-bit words of the largest numerator in the tuples
+        return (max(max(map(max, numss)), -min(map(min, numss))).bit_length() >> 6) + 1
+    fnums, gnums = [f.nums for f in fs if f.nums], [g.nums for g in gs if g.nums]
+    dens = (len(fs) + len(gs)) * sum(x.den.bit_length() for x in (*fs, *gs)) + bits
+    if fnums and gnums and sum(map(len, fnums)) * sum(map(len, gnums)) * max(
+            words(fnums + gnums) ** 2 * (dens // 64 + 1), _FLOOR) <= MAX_WORK:
+        return
+    price = 0
+    for pairs, bs in jobs:
+        live = [(f.nums, g.nums, f.den * g.den, b) for (f, g), b in zip(pairs, bs or repeat(1))
+                if f.nums and g.nums and b]
+        top = max((d for _, _, d, _ in live), default=1)
+        den = top.bit_length() + sum(d.bit_length() for d in {x[2] for x in live} if top % d)
+        for a, c, d, b in live:
+            za, zc = len(a) - a.count(0), len(c) - c.count(0)
+            terms = za * len(c) if len(a) == 1 or len(c) != 1 and za <= zc else zc * len(a)
+            price += terms * max(words((a,)) * words((c,))
+                                 * ((den - d.bit_length() + b) // 64 + 1), _FLOOR)
+    if price > MAX_WORK:
+        raise WorkBudgetError(price, MAX_WORK)
 
 
 def _products(pairs, step: int = 1, factors=None) -> "LaurentPoly":
@@ -423,39 +452,42 @@ class SymbolMatrix:
     def map(self, fn) -> "SymbolMatrix":
         return SymbolMatrix(tuple(tuple(fn(e) for e in row) for row in self.entries))
 
-    def __mul__(self, other: "SymbolMatrix") -> "SymbolMatrix":
-        return self.mul_dilated(other)
-
     def mul_dilated(self, other: "SymbolMatrix", step: int = 1) -> "SymbolMatrix":
-        """The product self(z) * other(z**step), without building
-        other(z**step)."""
-        self._same_p(other)
+        """The product self(z) * other(z**step), not building other(z**step)."""
+        if self.p != other.p:
+            raise ValueError("dimension mismatch")
         cols = list(zip(*other.entries))
+        _charge(sum(self.entries, ()), sum(other.entries, ()),
+                ((zip(row, col), None) for row in self.entries for col in cols))
         return _symbol(tuple(tuple(_products(zip(row, col), step) for col in cols)
                              for row in self.entries))
+    __mul__ = mul_dilated
 
     def transform(self, left: RatMatrix, right: RatMatrix) -> "SymbolMatrix":
         """The symbol left * self(z) * right for constant p x p matrices.
 
-        With dl and dr the lcm of the denominators of left and right, entry
-        (i, j) is sum_{k,l} (dl * left[i,k]) * (dr * right[l,j]) * self[k,l]
-        / (dl * dr): one call of the product kernel that pairs every entry of
-        self with the constant 1 / (dl * dr) and weighs it by that integer."""
+        Entry (i, j) is one kernel call pairing each self[k,l] with 1 / (dl * dr),
+        weighed by (dl * left[i,k]) * (dr * right[l,j]), dl and dr the lcm of
+        the denominators of left and right."""
         p = self.p
         if not left.rows == left.cols == right.rows == right.cols == p:
             raise ValueError("dimension mismatch")
         lft, dl = _integer_rows(left)
         rgt, dr = _integer_rows(right)
-        unit = _raw(0, (1,), dl * dr)
+        unit, cols = _raw(0, (1,), dl * dr), list(zip(*rgt))
         pairs = [(unit, e) for row in self.entries for e in row]
+        _charge([unit] * p * p, sum(self.entries, ()), ((pairs, [
+            x.bit_length() + y.bit_length() if x and y else 0 for x in li for y in col])
+            for li in lft for col in cols), 2 * max(map(int.bit_length, sum(lft + rgt, ()))))
         return _symbol(tuple(tuple(_products(pairs, 1, [a * b for a in li for b in col])
-                                   for col in zip(*rgt)) for li in lft))
+                                   for col in cols) for li in lft))
 
     def mul_vector(self, v: Sequence[LaurentPoly], step: int = 1
                    ) -> tuple[LaurentPoly, ...]:
         """The product self(z) * v(z**step) with a column of p polynomials."""
         if len(v) != self.p:
             raise ValueError("dimension mismatch")
+        _charge(sum(self.entries, ()), v, ((zip(row, v), None) for row in self.entries))
         return tuple(_products(zip(row, v), step) for row in self.entries)
 
     def scale(self, c) -> "SymbolMatrix":
@@ -464,10 +496,6 @@ class SymbolMatrix:
 
     def dilate(self, factor: int = 2) -> "SymbolMatrix":
         return self.map(lambda e: e.dilate(factor))
-
-    def _same_p(self, other: "SymbolMatrix") -> None:
-        if self.p != other.p:
-            raise ValueError("dimension mismatch")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymbolMatrix) and self.entries == other.entries

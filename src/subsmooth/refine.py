@@ -21,7 +21,7 @@ from itertools import chain, repeat
 from math import gcd
 from operator import floordiv
 
-from .errors import SubsmoothError
+from .errors import SubsmoothError, WorkBudgetError
 from .laurent import (TAYLOR_OPERATOR, LaurentPoly, SymbolMatrix,
                       difference_operator, joint_support)
 from .masks import Kind, Mask, canonical_transform, conjugate, stencil_norm
@@ -29,31 +29,9 @@ from .vector_smoothing import derived
 from .hermite_smoothing import _eigenspace_is_e2, check_spectral, taylor_scheme
 
 DEFAULT_LMAX = 12
-
-# Work ceilings the CLI checks before it starts: the iterated symbol at power
-# L is (2**L - 1) * (hi - lo) + 1 terms wide, a render at depth n has about
-# 2**n * (hi - lo + 1) rows, and every smoothing round widens the support.
-# The contractivity search checks the width of each power before building it,
-# and the work of its product: p**3 products of that width times the 64-bit
-# words of the previous power's and the mask's largest numerators.  The
-# costliest power of a catalog search up to MAX_LMAX (derham --ell 3, L = 16)
-# is 3,669,968 and takes 0.5-0.7 s on a 2-core x86 host; one near the bound
-# with long numerators (merrien smoothed 64 times, --ell 30, L = 2:
-# 3,964,928) takes 0.2-0.3 s.  render checks each refinement step the same
-# way: p**2 entry products of the mask's support width times the sequence's
-# length, each charged the words of the sequence's and the mask's largest
-# numerators, but at least RENDER_ENTRY_FLOOR: the kernel spends 70-140 ns
-# on an entry product of one-word values, against about 9 ns per word
-# product on long ones.  The costliest step of a catalog render inside the
-# row budget (bspline64, depth 10, 9 words per entry product) is 43,845,120
-# and takes 0.5-0.6 s on that host; one near the bound with long numerators
-# (that merrien mask at depth 4: 44,243,584) takes 0.3-0.4 s.
 MAX_LMAX = 16
 MAX_SYMBOL_TERMS = 2 ** 20
-MAX_SYMBOL_WORK = 4 * 10 ** 6
 MAX_RENDER_ROWS = 2 ** 17
-MAX_RENDER_WORK = 5 * 10 ** 7
-RENDER_ENTRY_FLOOR = 20
 MAX_ROUNDS = 64
 
 
@@ -268,37 +246,22 @@ class Refusal(namedtuple("Refusal", "stage reason norms", defaults=((),))):
         return "\n".join(lines)
 
 
-def _symbol_width(mask: Mask, L: int) -> int:
-    """Terms in each entry's span of the iterated symbol at power L."""
-    lo, hi = mask.support
-    return (2 ** L - 1) * (hi - lo) + 1
-
-
-def _words(polys) -> int:
-    """64-bit words of the largest integer numerator of the polynomials."""
-    return max(max(max(e.nums), -min(e.nums)).bit_length()
-               for e in polys if e.nums) // 64 + 1
-
-
 def _contractive_power(mask: Mask, lmax: int):
     """Smallest L with |(1/2 S)^L| < 1, that exact norm and the norms found;
-    without one, None, why the search stopped (at lmax, before a power over
-    MAX_SYMBOL_TERMS or MAX_SYMBOL_WORK, or at a norm longer than the
-    interpreter's digit limit for integer strings) and the norms found."""
+    without one, None, why the search stopped (lmax, MAX_SYMBOL_TERMS, the
+    work budget or the digit limit of integer strings) and the norms found."""
     norms = []
     symbol = None
-    words, mask_words = 1, _words(chain.from_iterable(mask.symbol.entries))
+    lo, hi = mask.support
     for L in range(1, lmax + 1):
-        width = _symbol_width(mask, L)
+        width = (2 ** L - 1) * (hi - lo) + 1
         if width > MAX_SYMBOL_TERMS:
             return None, (f"the iterated symbol at L={L} would be {width} terms "
                           f"wide, over the budget of {MAX_SYMBOL_TERMS}"), norms
-        work = mask.p ** 3 * width * words * mask_words
-        if work > MAX_SYMBOL_WORK:
-            return None, (f"the iterated symbol at L={L} would cost {work} word "
-                          f"products, over the budget of {MAX_SYMBOL_WORK}"), norms
-        symbol = iterated_symbol(mask, L, _prev=symbol)
-        words = _words(chain.from_iterable(symbol.entries))
+        try:
+            symbol = iterated_symbol(mask, L, _prev=symbol)
+        except WorkBudgetError as exc:
+            return None, f"the iterated symbol at L={L} {exc.cost}", norms
         norm = stencil_norm(symbol, 2 ** L) * Fraction(1, 2 ** L)
         why = _unprintable(max(abs(norm.numerator), norm.denominator))
         if why:
@@ -330,7 +293,10 @@ def certify_vector(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):
     current = mask
     for r in range(1, ell + 2):
         es = canonical_transform(current)
-        current = derived(conjugate(current, es.r, r_inv=es.r_inv), es.k)
+        try:
+            current = derived(conjugate(current, es.r, r_inv=es.r_inv), es.k)
+        except WorkBudgetError as exc:
+            return Refusal(stage=f"descent {r}", reason=str(exc))
         steps.append(f"descent {r}: derived scheme with k={es.k}" if r <= ell
                      else f"canonical transform with k={es.k}")
     steps.append(f"derived scheme support {current.support}")
@@ -379,25 +345,16 @@ def render(mask: Mask, n: int, component: int = 1) -> LimitSample:
     Hermite data is re-normalized by diag(1, 2**n) afterwards so both
     channels approximate the limit function and its derivative on the grid
     i / 2**n.  Conversion to floats happens only in the CSV/rows views.
-    A step that would cost more than MAX_RENDER_WORK is a SubsmoothError.
+    A step over the work budget is a SubsmoothError naming it.
     """
     if n < 1:
         raise ValueError("depth must be >= 1")
     c = FinSeq.delta(mask.p, component)
-    lo, hi = mask.support
-    mask_entries = mask.p ** 2 * (hi - lo + 1)
-    mask_words = _words(chain.from_iterable(mask.symbol.entries))
     for step in range(1, n + 1):
-        s = c.support
-        if s is None:
-            break
-        work = (mask_entries * (s[1] - s[0] + 1)
-                * max(mask_words * _words(c.comps), RENDER_ENTRY_FLOOR))
-        if work > MAX_RENDER_WORK:
-            raise SubsmoothError(f"--depth {n}: refinement step {step} would cost "
-                                 f"{work} word products, over the budget of "
-                                 f"{MAX_RENDER_WORK}")
-        c = apply(mask, c)
+        try:
+            c = apply(mask, c)
+        except WorkBudgetError as exc:
+            raise SubsmoothError(f"--depth {n}: refinement step {step} {exc.cost}") from None
     comps = c.comps
     if mask.kind is Kind.HERMITE:
         comps = (comps[0], comps[1].scale(2 ** n))

@@ -21,9 +21,11 @@ from subsmooth import (Z_PLUS_1, ConsistencyError, FinSeq, LaurentPoly,
                        smooth_hermite, smooth_scalar, vector_mask)
 from subsmooth import cli
 from subsmooth.cli import main
-from subsmooth import refine
-from subsmooth.refine import (MAX_LMAX, MAX_RENDER_ROWS, MAX_RENDER_WORK,
-                              MAX_ROUNDS, MAX_SYMBOL_TERMS, MAX_SYMBOL_WORK)
+from subsmooth import laurent, refine
+from subsmooth.laurent import MAX_WORK
+from subsmooth.refine import MAX_LMAX, MAX_RENDER_ROWS, MAX_ROUNDS, MAX_SYMBOL_TERMS
+
+from tests.maskgen import long_denominator_doc
 
 
 def scalar_doc(values, **overrides):
@@ -285,9 +287,9 @@ class TestComponentCap:
                                            (["smooth"], 1)])
     def test_wide_entries_at_cap_within_two_seconds(self, argv, code, tmp_path,
                                                     capsys):
-        """At p = cap the eliminations, and smooth's conjugations, of
-        1000-character entries stay fast; smooth then refuses to write its
-        longer result and certify to print its norm."""
+        """At p = cap the eliminations of 1000-character entries stay fast;
+        smooth's first conjugation is then over the work budget, and certify
+        refuses to print its norm."""
         path = tmp_path / "wide.mask"
         path.write_text(wide_entry_doc(self.CAP))
         t0 = time.perf_counter()
@@ -312,15 +314,27 @@ class TestFileErrors:
     def test_out_into_missing_directory(self, argv, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "x.out"
         assert main([*argv, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        # smooth logs its rounds before it writes
-        lines = err.splitlines()
-        assert [l for l in lines if l.startswith("error:")] == lines[-1:]
-        assert lines[-1] == f"error: {out}: {os.strerror(errno.ENOENT)}"
-        if argv[0] == "render":
-            assert len(lines) == 1
+        # the file is opened before any work: no round is run or logged
+        assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.ENOENT)}\n"
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command,text,args", [
+        ("smooth", long_denominator_doc(4), []),  # round 1 is over the work budget
+        ("render", maskfile.serialize(long_value_mask()), ["--depth", "2"])])
+    def test_failure_leaves_out_file_as_it_was(self, command, text, args, tmp_path,
+                                               capsys):
+        """A failed round or render leaves an existing --out file byte for
+        byte as it was, and creates no new one."""
+        path = tmp_path / "in.mask"
+        path.write_text(text)
+        old = tmp_path / "old.out"
+        old.write_bytes(b"kept\r\n")
+        assert main([command, str(path), *args, "--out", str(old)]) == 1
+        assert old.read_bytes() == b"kept\r\n"
+        new = tmp_path / "new.out"
+        assert main([command, str(path), *args, "--out", str(new)]) == 1
+        assert not new.exists()
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_stdout_closed_by_reader(self, capsys, monkeypatch):
         """An error with no file name, such as a closed pipe, is one line."""
@@ -384,8 +398,8 @@ class TestWorkCeilings:
                                             ("bspline64", 10)])
     def test_used_depths_within_render_work_budget(self, name, depth):
         """The depths above, and bspline64 at depth 10, the costliest catalog
-        render inside the row budget (43,845,120 word products in its last
-        step), really render."""
+        render inside the row budget (its last step prices 35,076,096: 2,192,256
+        term products at the floor), really render."""
         assert render(catalog.get(name), depth).n == depth
 
     def test_render_work_budget(self, tmp_path, capsys):
@@ -399,14 +413,14 @@ class TestWorkCeilings:
         capsys.readouterr()
         assert main(["render", str(path), "--depth", "9"]) == 1
         assert capsys.readouterr().err == (
-            "error: --depth 9: refinement step 5 would cost 94807680 word products, "
-            f"over the budget of {MAX_RENDER_WORK}\n")
+            "error: --depth 9: refinement step 5 would cost 90601049 word products, "
+            f"over the budget of {MAX_WORK}\n")
 
     def test_render_work_floor_per_entry_product(self, tmp_path, capsys):
         """A scalar mask of 300 one-digit coefficients at depth 8 is inside
-        the row budget, but each of its one-word entry products is charged
-        RENDER_ENTRY_FLOOR word products, so step 6 (2,781,000 entry
-        products) is refused after five cheap steps, within 1 s."""
+        the row budget, but each of its one-word term products is charged the
+        floor of word products, so step 7 (5,651,400 term products) is
+        refused after six cheap steps, within 1 s."""
         path = tmp_path / "wide.mask"
         mask = scalar_mask(LaurentPoly.from_coeffs(0, [1 + i % 9 for i in range(300)]))
         path.write_text(maskfile.serialize(mask))
@@ -415,9 +429,9 @@ class TestWorkCeilings:
         assert main(["render", str(path), "--depth", "8"]) == 1
         assert time.perf_counter() - t0 < 1.0
         assert capsys.readouterr().err == (
-            "error: --depth 8: refinement step 6 would cost "
-            f"{2_781_000 * refine.RENDER_ENTRY_FLOOR} word products, "
-            f"over the budget of {MAX_RENDER_WORK}\n")
+            "error: --depth 8: refinement step 7 would cost "
+            f"{5_651_400 * laurent._FLOOR} word products, "
+            f"over the budget of {MAX_WORK}\n")
 
     def test_used_lmax_stays_accepted(self, capsys, monkeypatch):
         monkeypatch.setenv("SUBSMOOTH_LMAX", "12")
@@ -457,15 +471,18 @@ class TestWorkCeilings:
 
     def test_catalog_search_to_max_lmax_within_work_budget(self, capsys):
         """The stage of derham --ell 3 costs the most per power of the catalog
-        searches: 8 * 458,746 word products at L = 16."""
+        searches: 4,194,382 term products at L = 16, priced at the floor."""
         assert main(["certify", "catalog:derham", "--ell", "3",
                      "--lmax", str(MAX_LMAX)]) == 2
         assert "no power up to 16 is contractive" in capsys.readouterr().out
 
     @pytest.mark.parametrize("make,L,work", [
-        # p**3 * width(L) * words(power L - 1) * words(mask)
-        (dense_vector_mask, 12, 64 * 65_521 * 1 * 1),
-        (big_coefficient_mask, 6, 1 * 946 * 157 * 32)])
+        # 64 pairs of one-word entries: two terms of A(z**4096) times each
+        # entry of the power at L = 12, at the floor
+        (dense_vector_mask, 13, 64 * 2 * 65_509 * 16),
+        # the 16 terms of the mask (32-word numerators) times the 946 terms of
+        # the power at L = 6 (188-word numerators)
+        (big_coefficient_mask, 7, 16 * 946 * 188 * 32)])
     def test_work_budget_refuses_hostile_masks(self, make, L, work, tmp_path, capsys):
         path = tmp_path / "hostile.mask"
         path.write_text(maskfile.serialize(make()))
@@ -474,9 +491,28 @@ class TestWorkCeilings:
         assert time.perf_counter() - t0 < 2.0
         out = capsys.readouterr().out
         assert (f"the iterated symbol at L={L} would cost {work} word products, "
-                f"over the budget of {MAX_SYMBOL_WORK}") in out
+                f"over the budget of {MAX_WORK}") in out
         norms = out.split("norms per power: ")[1].split(", ")
         assert len(norms) == L - 1
+
+    @pytest.mark.parametrize("p,price", [(4, 153_047_654), (5, 1_233_240_076)])
+    def test_conjugation_of_long_denominators_refused(self, p, price, tmp_path, capsys):
+        """The first basis change of a mask with independent ~490-digit
+        denominators is over the work budget: smooth refuses it before round
+        1 ends and certify in its first descent, each within 2 s."""
+        path = tmp_path / "long-den.mask"
+        path.write_text(long_denominator_doc(p))
+        refusal = (f"a symbol operation would cost {price} word products, "
+                   f"over the budget of {MAX_WORK}")
+        t0 = time.perf_counter()
+        assert main(["smooth", str(path)]) == 1
+        assert time.perf_counter() - t0 < 2.0
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("note: ") and err[1:] == [f"error: {refusal}"]
+        t0 = time.perf_counter()
+        assert main(["certify", str(path)]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        assert capsys.readouterr().out == f"inconclusive at stage 'descent 1': {refusal}\n"
 
     def test_rounds_over_ceiling_refused_before_loading(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_load", lambda ref: pytest.fail("mask loaded"))

@@ -4,12 +4,16 @@ dict-of-Fraction oracle, the list product of tests/maskgen.py and sympy."""
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subsmooth import (LaurentPoly, NotDivisibleError, Z_PLUS_1, ZINV2_MINUS_1,
-                       ZINV_MINUS_1, ZINV_PLUS_1, catalog, divide_exact,
-                       iterated_symbol, stencil_norm, taylor_scheme)
+from subsmooth import (LaurentPoly, NotDivisibleError, RatMatrix, SymbolMatrix,
+                       WorkBudgetError, Z_PLUS_1, ZINV2_MINUS_1, ZINV_MINUS_1,
+                       ZINV_PLUS_1, catalog, divide_exact, iterated_symbol, laurent,
+                       stencil_norm, taylor_scheme)
 from subsmooth.refine import _contractive_power
 
 from tests import laurent_oracle as oracle
@@ -248,3 +252,63 @@ def test_search_builds_no_dilated_symbol(monkeypatch, mask):
                         lambda f, factor=2: calls.append(factor) or real(f, factor))
     assert _contractive_power(mask, 10) == want
     assert calls == []
+
+
+# -- the work budget of symbol operations ------------------------------------------
+
+_COEFFS = st.one_of(st.just(Fraction(0)),
+                    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+                    st.builds(Fraction, st.integers(-2 ** 300, 2 ** 300),
+                              st.integers(1, 2 ** 200)))
+
+
+@st.composite
+def _polys(draw):
+    return LaurentPoly.from_coeffs(draw(st.integers(-3, 3)),
+                                   draw(st.lists(_COEFFS, max_size=6)))
+
+
+@st.composite
+def _symbol_operations(draw):
+    """(operation, Σ nnz(f)·nnz(g) over the pairs of polynomials it
+    multiplies): a product A(z)·B(z**step), a refinement-style product
+    A(z)·v(z**step), or a basis change L·A(z)·R with constant L and R."""
+    p = draw(st.integers(1, 3))
+    a = SymbolMatrix([[draw(_polys()) for _ in range(p)] for _ in range(p)])
+    nnz = [[len(a[i, k].coeffs) for k in range(p)] for i in range(p)]
+    step = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["mul_dilated", "mul_vector", "transform"]))
+    if kind == "mul_dilated":
+        b = SymbolMatrix([[draw(_polys()) for _ in range(p)] for _ in range(p)])
+        pairs = sum(nnz[i][k] * len(b[k, j].coeffs)
+                    for i in range(p) for j in range(p) for k in range(p))
+        return (lambda: a.mul_dilated(b, step)), pairs
+    if kind == "mul_vector":
+        v = tuple(draw(_polys()) for _ in range(p))
+        pairs = sum(nnz[i][k] * len(v[k].coeffs) for i in range(p) for k in range(p))
+        return (lambda: a.mul_vector(v, step)), pairs
+    left, right = (RatMatrix(p, p, [draw(_COEFFS) for _ in range(p * p)])
+                   for _ in range(2))
+    # each entry of A is paired with the constant 1 and weighed by a factor
+    pairs = sum(nnz[k][l] for i in range(p) for j in range(p) for k in range(p)
+                for l in range(p) if left[i, k] and right[l, j])
+    return (lambda: a.transform(left, right)), pairs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_symbol_operations())
+def test_work_price_bounds_term_products_and_is_checked_before_products(case):
+    run, pairs = case
+    want = run()
+    with mock.patch.object(laurent, "MAX_WORK", -1):
+        with pytest.raises(WorkBudgetError) as err:
+            run()
+    price = err.value.price
+    assert price >= pairs
+    with mock.patch.object(laurent, "MAX_WORK", price - 1), \
+            mock.patch.object(laurent, "_products", side_effect=AssertionError("ran")):
+        with pytest.raises(WorkBudgetError) as err:
+            run()
+    assert err.value.price == price
+    with mock.patch.object(laurent, "MAX_WORK", price):
+        assert run() == want
