@@ -48,7 +48,7 @@ def merrien() -> Mask:
         (LaurentPoly({-1: "1/2", 0: 1, 1: "1/2"}), LaurentPoly({-1: "-1/8", 1: "1/8"})),
         (LaurentPoly({-1: "3/4", 1: "-3/4"}), LaurentPoly({-1: "-1/8", 0: "1/2", 1: "-1/8"})),
     ))
-    return hermite_mask(sym, 0)
+    return hermite_mask(sym)
 
 
 def derham() -> Mask:
@@ -59,7 +59,7 @@ def derham() -> Mask:
         (LaurentPoly({-2: "9/16", -1: "9/16", 0: "-9/16", 1: "-9/16"}),
          LaurentPoly({-2: "-5/32", -1: "3/32", 0: "3/32", 1: "-5/32"})),
     ))
-    return hermite_mask(sym, Fraction(-1, 2))
+    return hermite_mask(sym)
 
 
 def merrien_smoothed() -> Mask:
@@ -71,7 +71,7 @@ def merrien_smoothed() -> Mask:
     c21 = (LaurentPoly({-2: 1, 0: -1})
            * LaurentPoly({-4: 1, -3: -3, -2: -3, -1: 13, 0: 6})).scale(s)
     c22 = LaurentPoly({-2: 1, -1: -3, 0: 3, 1: 1}).scale(s)
-    return hermite_mask(SymbolMatrix(((c11, c12), (c21, c22))), Fraction(-1, 2))
+    return hermite_mask(SymbolMatrix(((c11, c12), (c21, c22))))
 
 
 def derham_smoothed() -> Mask:
@@ -83,7 +83,7 @@ def derham_smoothed() -> Mask:
     c21 = (LaurentPoly({-2: 1, 0: -1})
            * LaurentPoly({-5: 3, -4: -7, -3: -37, -2: 37, -1: 128, 0: 20, 1: -8})).scale(s)
     c22 = LaurentPoly({-3: 3, -2: -7, -1: -21, 0: 21, 1: -4}).scale(s)
-    return hermite_mask(SymbolMatrix(((c11, c12), (c21, c22))), Fraction(-1))
+    return hermite_mask(SymbolMatrix(((c11, c12), (c21, c22))))
 
 
 _FIXED = {

@@ -34,7 +34,7 @@ def _load(ref: str) -> Mask:
         try:
             return catalog.get(ref[len("catalog:"):])
         except KeyError as exc:
-            raise SubsmoothError(str(exc)) from None
+            raise SubsmoothError(exc.args[0]) from None
     return maskfile.load(ref)
 
 

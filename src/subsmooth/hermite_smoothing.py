@@ -27,7 +27,7 @@ from .errors import (ConsistencyError, DegenerateAError, NotInTildeError,
 from .laurent import (TAYLOR_OPERATOR, intertwine, root_multiplicity_at_one,
                       untwine)
 from .linalg import RatMatrix
-from .masks import (Eigenstructure, Kind, Mask, conjugate, derive_phi,
+from .masks import (Eigenstructure, Mask, conjugate, derive_phi,
                     hermite_mask, vector_mask)
 from .vector_smoothing import _check_window, _smooth_in_basis
 
@@ -89,11 +89,7 @@ def check_spectral(mask: Mask) -> SpectralReport:
     if not (a21.derivative_at(1) - 2 * a22.evaluate(1) == -2
             and a21.derivative_at(-1) + 2 * a22.evaluate(-1) == 0):
         violated.append(4)
-    holds = not violated
-    if holds and mask.kind is Kind.HERMITE and mask.phi != phi:
-        raise ConsistencyError(
-            f"stored phi {mask.phi} disagrees with the symbol value {phi}")
-    return SpectralReport(holds=holds, phi=phi, violated=tuple(violated))
+    return SpectralReport(holds=not violated, phi=phi, violated=tuple(violated))
 
 
 def check_interpolatory(mask: Mask) -> bool:
@@ -165,14 +161,11 @@ def inverse_taylor(mask: Mask) -> Mask:
 
     It exists iff (b12 - b11 - b21 + b22)(1) = 0, which the Taylor
     conditions imply, otherwise NotDivisibleError.  The output is a Hermite
-    mask satisfying the spectral condition with
-    phi = (b12'(1) + b22'(1) - 1)/2.
+    mask; on Taylor-class input it satisfies the spectral condition.
     """
     if mask.p != 2:
         raise ValueError("inverse Taylor factorization applies to 2x2 masks")
-    s = mask.symbol
-    phi = (s[0, 1].derivative_at(1) + s[1, 1].derivative_at(1) - 1) / 2
-    return hermite_mask(untwine(s, TAYLOR_OPERATOR), phi)
+    return hermite_mask(untwine(mask.symbol, TAYLOR_OPERATOR))
 
 
 def retaylor(mask: Mask) -> tuple[Mask, Fraction]:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import MaskFileError, SubsmoothError
 from .laurent import LaurentPoly, SymbolMatrix
-from .masks import Kind, Mask, derive_phi, hermite_mask, scalar_mask, vector_mask
+from .masks import Kind, Mask, hermite_mask, scalar_mask, vector_mask
 
 SCHEMA_VERSION = 1
 
@@ -171,12 +171,12 @@ def parse(text: str) -> Mask:
     if "phi" not in doc:
         raise MaskFileError("phi: required for hermite masks")
     phi = _str_to_rat(doc["phi"], "phi")
-    derived_phi = derive_phi(sym)
-    if phi != derived_phi:
+    mask = hermite_mask(sym)
+    if phi != mask.phi:
         raise MaskFileError(
             f"phi: stored value {_rat_to_str(phi)} disagrees with the symbol "
-            f"(linear reproduction gives {_rat_to_str(derived_phi)})")
-    return hermite_mask(sym, phi)
+            f"(linear reproduction gives {_rat_to_str(mask.phi)})")
+    return mask
 
 
 def load(path: str) -> Mask:

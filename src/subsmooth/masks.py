@@ -4,7 +4,7 @@ A mask is a finitely supported sequence of p x p rational matrices,
 represented by its symbol (a SymbolMatrix).  The scheme kind records how
 the data refined by the mask is interpreted: plain scalar sequences,
 coupled vector sequences, or Hermite data (function value and first
-derivative, dimension 2, with a shift parameter phi).
+derivative, dimension 2, with a shift parameter phi read off the symbol).
 
 The common 1-eigenspace of the even/odd coefficient sums drives all of
 the smoothing machinery; this module computes it exactly, once per mask
@@ -25,7 +25,7 @@ from operator import add
 
 from .errors import EigenspaceError, EmptyEigenspaceError, SingularMatrixError
 from .laurent import LaurentPoly, SymbolMatrix
-from .linalg import RatMatrix, column_space_basis, invert, kernel_basis, rat
+from .linalg import RatMatrix, column_space_basis, invert, kernel_basis
 
 
 class Kind(enum.Enum):
@@ -34,23 +34,19 @@ class Kind(enum.Enum):
     HERMITE = "hermite"
 
 
-class Mask(namedtuple("Mask", "kind symbol phi", defaults=(None,))):
-    """A subdivision scheme: kind + symbol (+ phi for Hermite kinds).
+class Mask(namedtuple("Mask", "kind symbol")):
+    """A subdivision scheme: kind + symbol.  A Hermite mask's shift
+    parameter phi is read off its symbol.
 
     Immutable, equal and hashed by its fields; the instance dict holds only
-    the cached 1-eigenspace."""
+    the cached 1-eigenspace and phi."""
 
-    def __new__(cls, kind: Kind, symbol: SymbolMatrix, phi: Fraction | None = None):
+    def __new__(cls, kind: Kind, symbol: SymbolMatrix):
         if kind is Kind.SCALAR and symbol.p != 1:
             raise ValueError("scalar masks store a 1x1 symbol")
-        if kind is Kind.HERMITE:
-            if symbol.p != 2:
-                raise ValueError("Hermite masks refine value/derivative pairs (p = 2)")
-            if phi is None:
-                raise ValueError("Hermite masks carry their shift parameter phi")
-        if kind is not Kind.HERMITE and phi is not None:
-            raise ValueError("phi is only meaningful for Hermite masks")
-        return tuple.__new__(cls, (kind, symbol, phi))
+        if kind is Kind.HERMITE and symbol.p != 2:
+            raise ValueError("Hermite masks refine value/derivative pairs (p = 2)")
+        return tuple.__new__(cls, (kind, symbol))
 
     def __setattr__(self, name, value):
         raise AttributeError("Mask is immutable")
@@ -72,6 +68,11 @@ class Mask(namedtuple("Mask", "kind symbol phi", defaults=(None,))):
         top = self.symbol.evaluate(1) - RatMatrix.identity(p).scale(2)
         return tuple(kernel_basis(top.vstack(self.symbol.evaluate(-1))))
 
+    @cached_property
+    def phi(self) -> Fraction | None:
+        """derive_phi of the symbol for a Hermite mask, None otherwise."""
+        return derive_phi(self.symbol) if self.kind is Kind.HERMITE else None
+
 
 def scalar_mask(f: LaurentPoly) -> Mask:
     return Mask(Kind.SCALAR, SymbolMatrix(((f,),)))
@@ -90,10 +91,8 @@ def derive_phi(symbol: SymbolMatrix) -> Fraction:
     return (a11.derivative_at(1) - 2 * a12.evaluate(1)) / 2
 
 
-def hermite_mask(symbol: SymbolMatrix, phi=None) -> Mask:
-    if phi is None:
-        phi = derive_phi(symbol)
-    return Mask(Kind.HERMITE, symbol, rat(phi))
+def hermite_mask(symbol: SymbolMatrix) -> Mask:
+    return Mask(Kind.HERMITE, symbol)
 
 
 def scheme_scalar(mask: Mask) -> LaurentPoly:
@@ -173,10 +172,7 @@ def conjugate(mask: Mask, r: RatMatrix, *, r_inv: RatMatrix | None = None) -> Ma
     checked.  Without it, r is inverted here (SingularMatrixError)."""
     if r.rows != mask.p or r.cols != mask.p:
         raise ValueError("transform dimension mismatch")
-    sym = mask.symbol.transform(invert(r) if r_inv is None else r_inv, r)
-    if mask.kind is Kind.HERMITE:
-        return Mask(Kind.HERMITE, sym, derive_phi(sym))
-    return Mask(mask.kind, sym)
+    return Mask(mask.kind, mask.symbol.transform(invert(r) if r_inv is None else r_inv, r))
 
 
 class Eigenstructure(namedtuple("Eigenstructure", "k basis r r_inv")):

@@ -23,20 +23,22 @@ def smooth_hermite_closed_form(mask: Mask) -> Mask:
 
     With zeta = 1 + a12(1)/(2 - a22(1)), the smoothed symbol is a fixed
     polynomial combination of the four input entries (the zeta = 1 special
-    case is also evaluated as an internal cross-check when applicable).
-    Must agree exactly with smooth_hermite().
+    case is also evaluated as an internal cross-check when applicable), and
+    phi must drop by exactly 1/2.  Must agree exactly with smooth_hermite().
     """
     rep = check_spectral(mask)
     if not rep.holds:
         raise SpectralConditionError(
             f"spectral condition fails; violated conditions {list(rep.violated)}")
     zeta = zeta_of(mask)  # DegenerateAError when a22(1) = 2
-    out = _closed_form_general(mask.symbol, zeta)
+    out = hermite_mask(_closed_form_general(mask.symbol, zeta))
     if zeta == 1:
         special = _closed_form_special(mask.symbol)
-        if special != out:
+        if special != out.symbol:
             raise ConsistencyError("general and zeta=1 closed forms disagree")
-    return hermite_mask(out, rep.phi - HALF)
+    if out.phi != rep.phi - HALF:
+        raise ConsistencyError(f"closed form moved phi from {rep.phi} to {out.phi}")
+    return out
 
 
 def _lp(coeffs: dict[int, Fraction]) -> LaurentPoly:

@@ -11,8 +11,7 @@ the package needs no rank.
 
 from __future__ import annotations
 
-from subsmooth import (Kind, LaurentPoly, Mask, RatMatrix, SymbolMatrix,
-                       derive_phi, invert, kernel_basis)
+from subsmooth import LaurentPoly, Mask, RatMatrix, SymbolMatrix, invert, kernel_basis
 from subsmooth.linalg import rref
 
 
@@ -27,11 +26,8 @@ def from_constant(m: RatMatrix) -> SymbolMatrix:
 
 
 def conjugate(mask: Mask, r: RatMatrix) -> Mask:
-    """symbol -> R^-1 * symbol * R, with phi re-derived for Hermite masks."""
-    sym = from_constant(invert(r)) * mask.symbol * from_constant(r)
-    if mask.kind is Kind.HERMITE:
-        return Mask(Kind.HERMITE, sym, derive_phi(sym))
-    return Mask(mask.kind, sym)
+    """symbol -> R^-1 * symbol * R."""
+    return Mask(mask.kind, from_constant(invert(r)) * mask.symbol * from_constant(r))
 
 
 def one_eigenspace(mask: Mask) -> list[RatMatrix]:

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import subsmooth
 from subsmooth import (Z_PLUS_1, ConsistencyError, FinSeq, LaurentPoly,
                        MaskFileError, Refusal, SubsmoothError, SymbolMatrix,
-                       catalog, certify_vector, maskfile, render, scalar_mask,
-                       smooth_hermite, smooth_scalar, vector_mask)
+                       catalog, certify_vector, hermite_mask, maskfile, render,
+                       scalar_mask, smooth_hermite, smooth_scalar, vector_mask)
 from subsmooth import cli
 from subsmooth.cli import main
 from subsmooth import laurent, refine
@@ -633,6 +633,52 @@ class TestRefusalWording:
         out = capsys.readouterr().out
         assert "inconclusive at stage 'contractivity':" in out
         assert "descents" not in out
+
+
+def _doc(name, **change):
+    doc = json.loads(maskfile.serialize(catalog.get(name)))
+    doc.update(change)
+    return doc
+
+
+def _merrien_with_a22_at_one_2():
+    """merrien's first row (phi = 0) with a21 = z - 1/z and a22 = 1/2 + 3z/2:
+    the spectral condition holds and a22(1) = 2."""
+    s = catalog.get("merrien").symbol
+    return json.loads(maskfile.serialize(hermite_mask(SymbolMatrix((
+        (s[0, 0], s[0, 1]),
+        (LaurentPoly({-1: -1, 1: 1}), LaurentPoly({0: "1/2", 1: "3/2"})))))))
+
+
+class TestRefusalMessages:
+    """Refusals at the front end, each through main: exit 1 and one exact
+    error line on stderr."""
+
+    DEFECTIVE = {"schema_version": 1, "kind": "vector", "p": 2, "support_lo": 0,
+                 "coeffs": [[["1", "0"], ["0", "3/2"]], [["1", "0"], ["0", "1/2"]]]}
+    DEFECTIVE_ERROR = ("complement has dimension 0, expected 1; eigenvalue 1 is "
+                       "defective (non-convergent-style mask)")
+
+    @pytest.mark.parametrize("command,doc,message", [
+        ("show", _doc("bspline1", coeffs=[[[1]], [["1"]], [["1/2"]]]),
+         "coeffs[0][0][0]: rationals must be strings, got 1"),
+        ("show", {k: v for k, v in _doc("merrien").items() if k != "phi"},
+         "phi: required for hermite masks"),
+        ("certify", DEFECTIVE, DEFECTIVE_ERROR),
+        ("smooth", DEFECTIVE, DEFECTIVE_ERROR),
+        ("smooth", _merrien_with_a22_at_one_2(), "zeta undefined: a22(1) = 2"),
+    ])
+    def test_file_refused(self, command, doc, message, tmp_path, capsys):
+        path = tmp_path / "x.mask"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1] == f"error: {message}"
+        assert len(lines) == (2 if command == "smooth" else 1)  # smooth's note first
+
+    def test_basis_over_p_refused(self, capsys):
+        assert main(["render", "catalog:merrien", "--depth", "2", "--basis", "3"]) == 1
+        assert capsys.readouterr().err == "error: --basis must be in 1..2\n"
 
 
 def test_consistency_error_reported_as_internal(capsys, monkeypatch):

@@ -45,12 +45,6 @@ class TestSpectralCondition:
         # and (3) are vacuously satisfied by the zero symbol
         assert rep.violated == (1, 4)
 
-    def test_stored_phi_mismatch_is_detected(self):
-        sym = catalog.get("merrien").symbol
-        bad = hermite_mask(sym, phi=Fraction(1, 3))
-        with pytest.raises(ConsistencyError):
-            check_spectral(bad)
-
     def test_random_spectral_masks_hold(self):
         rng = random.Random(300)
         for _ in range(20):
@@ -138,10 +132,14 @@ class TestInverseTaylor:
             assert check_spectral(out).holds
 
     def test_phi_formula(self):
-        b = taylor_scheme(catalog.get("merrien"))
-        out = inverse_taylor(b)
-        assert out.phi == (b.symbol[0, 1].derivative_at(1)
-                           + b.symbol[1, 1].derivative_at(1) - 1) / 2
+        """On Taylor-class input, phi = (b12'(1) + b22'(1) - 1)/2."""
+        rng = random.Random(310)
+        bs = [taylor_scheme(catalog.get("merrien"))]
+        bs += [rand_taylor_mask(rng) for _ in range(25)]
+        for b in bs:
+            out = inverse_taylor(b)
+            assert out.phi == (b.symbol[0, 1].derivative_at(1)
+                               + b.symbol[1, 1].derivative_at(1) - 1) / 2
 
 
 class TestRetaylor:
@@ -220,7 +218,7 @@ class TestSmoothHermite:
 
     def test_spectral_precondition_enforced(self):
         with pytest.raises(SpectralConditionError):
-            smooth_hermite(hermite_mask(SymbolMatrix.zero(2), 0))
+            smooth_hermite(hermite_mask(SymbolMatrix.zero(2)))
 
     def test_eigenspace_not_e2_refused(self):
         mask = not_in_tilde_mask()
@@ -232,26 +230,34 @@ class TestSmoothHermite:
                                   "be established")
 
     def test_phi_without_drop_is_internal(self, monkeypatch):
+        """z times the first row of the round result raises phi by
+        a11(1)/2 = 1 and leaves the support inside the window."""
         real = inverse_taylor
-        monkeypatch.setattr(hermite_module, "inverse_taylor", lambda m:
-                            hermite_mask(real(m).symbol, real(m).phi + 1))
+
+        def forged(m):
+            s = real(m).symbol
+            z = LP({1: 1})
+            return hermite_mask(sym2(z * s[0, 0], z * s[0, 1], s[1, 0], s[1, 1]))
+
+        monkeypatch.setattr(hermite_module, "inverse_taylor", forged)
         with pytest.raises(ConsistencyError) as err:
             smooth_hermite(catalog.get("merrien"))
         assert str(err.value) == "phi moved from 0 to 1/2, expected a drop of 1/2"
 
     def test_support_outside_window_is_internal(self, monkeypatch):
-        """merrien's round result (-6, 1) moved by 1/z, phi kept, leaves the
-        window [lo - 5, hi] = [-6, 1]."""
+        """merrien's round result (-6, 1) with its second row moved by 1/z
+        keeps phi, which reads only the first row, and leaves the window
+        [lo - 5, hi] = [-6, 1]."""
         real = inverse_taylor
 
         def shifted(m):
-            out = real(m)
-            return hermite_mask(out.symbol.map(lambda e: e.shift(-1)), out.phi)
+            s = real(m).symbol
+            return hermite_mask(sym2(s[0, 0], s[0, 1], s[1, 0].shift(-1), s[1, 1].shift(-1)))
 
         monkeypatch.setattr(hermite_module, "inverse_taylor", shifted)
         with pytest.raises(ConsistencyError) as err:
             smooth_hermite(catalog.get("merrien"))
-        assert str(err.value) == "support (-7, 0) exceeds the guaranteed window [-6, 1]"
+        assert str(err.value) == "support (-7, 1) exceeds the guaranteed window [-6, 1]"
 
     def test_support_window_fuzz(self):
         rng = random.Random(307)

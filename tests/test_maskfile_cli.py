@@ -6,9 +6,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import subsmooth
-from subsmooth import MaskFileError, RatMatrix, catalog, maskfile
+from subsmooth import (LaurentPoly, MaskFileError, RatMatrix, SymbolMatrix,
+                       catalog, inverse_taylor, maskfile, vector_mask)
 from subsmooth.cli import main
 
 ALL_CATALOG = ["bspline0", "bspline1", "bspline3", "double-knot", "merrien",
@@ -55,6 +58,28 @@ class TestMaskFile:
         with pytest.raises(MaskFileError) as err:
             maskfile.parse(json.dumps(doc))
         assert "phi" in str(err.value)
+
+    def test_inverse_taylor_outside_the_taylor_class_round_trips(self):
+        """B = [[1+z, 1], [1, 1+z]] is not Taylor-class; its inverse Taylor
+        mask has phi = -1/4, which the file must carry."""
+        f, one = LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1})
+        m = inverse_taylor(vector_mask(SymbolMatrix(((f, one), (one, f)))))
+        assert m.phi == Fraction(-1, 4)
+        assert maskfile.parse(maskfile.serialize(m)) == m
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.fractions(-8, 8, max_denominator=8), min_size=1,
+                             max_size=4), min_size=4, max_size=4),
+           st.lists(st.integers(-2, 1), min_size=4, max_size=4))
+    def test_inverse_taylor_round_trips(self, coeffs, los):
+        """Any 2x2 B with (b12 - b11 - b21 + b22)(1) = 0, the condition
+        untwining by the Taylor operator needs."""
+        b11, b12, b21, b22 = (LaurentPoly.from_coeffs(lo, c) for lo, c in zip(los, coeffs))
+        b22 = b22 + LaurentPoly({0: (b11 + b21 - b12 - b22).evaluate(1)})
+        sym = SymbolMatrix(((b11, b12), (b21, b22)))
+        assume(not sym.is_zero())
+        m = inverse_taylor(vector_mask(sym))
+        assert maskfile.parse(maskfile.serialize(m)) == m
 
     def test_wrong_shape_rejected(self):
         text = maskfile.serialize(catalog.get("merrien"))
@@ -119,6 +144,15 @@ class TestCli:
         assert main(["show", "catalog:double-knot"]) == 0
         out = capsys.readouterr().out
         assert "common 1-eigenspace basis: (1, 1)" in out
+
+    @pytest.mark.parametrize("name,message", [
+        ("nope", "unknown catalog scheme 'nope'; available: bspline{l}, derham, "
+                 "derham-smoothed, double-knot, merrien, merrien-smoothed"),
+        ("bspline65", "b-spline degree 65 out of range (<= 64)"),
+    ])
+    def test_catalog_error_prints_its_message(self, name, message, capsys):
+        assert main(["show", f"catalog:{name}"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_show_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mask"

@@ -35,8 +35,8 @@ def records():
     return [
         (Mask(Kind.SCALAR, hat()), Mask(Kind.SCALAR, hat()),
          Mask(Kind.VECTOR, hat())),
-        (Mask(Kind.HERMITE, pair_symbol(), HALF), Mask(Kind.HERMITE, pair_symbol(), HALF),
-         Mask(Kind.HERMITE, pair_symbol(), Fraction(1, 4))),
+        (Mask(Kind.HERMITE, pair_symbol()), Mask(Kind.HERMITE, pair_symbol()),
+         Mask(Kind.HERMITE, catalog.get("derham").symbol)),
         (es, Eigenstructure(es.k, es.basis, es.r, es.r_inv),
          Eigenstructure(es.k + 1, es.basis, es.r, es.r_inv)),
         (FinSeq.delta(2), FinSeq.make(2, 0, [[1, 0]]), FinSeq.delta(2, 2)),
@@ -92,20 +92,17 @@ def test_keyword_construction_matches_positional():
     assert Certificate(kind="C0", L=2, norm_value=HALF, steps=()) == \
         Certificate("C0", 2, HALF, ())
     assert Refusal(stage="s", reason="r", norms=(1,)) == Refusal("s", "r", (1,))
-    assert Mask(kind=Kind.HERMITE, symbol=pair_symbol(), phi=HALF) == \
-        Mask(Kind.HERMITE, pair_symbol(), HALF)
+    assert Mask(kind=Kind.HERMITE, symbol=pair_symbol()) == \
+        Mask(Kind.HERMITE, pair_symbol())
 
 
-@pytest.mark.parametrize("kind,symbol,phi,message", [
-    (Kind.SCALAR, pair_symbol(), None, "scalar masks store a 1x1 symbol"),
-    (Kind.HERMITE, hat(), HALF, "Hermite masks refine value/derivative pairs (p = 2)"),
-    (Kind.HERMITE, pair_symbol(), None, "Hermite masks carry their shift parameter phi"),
-    (Kind.VECTOR, pair_symbol(), HALF, "phi is only meaningful for Hermite masks"),
-    (Kind.SCALAR, hat(), HALF, "phi is only meaningful for Hermite masks"),
+@pytest.mark.parametrize("kind,symbol,message", [
+    (Kind.SCALAR, pair_symbol(), "scalar masks store a 1x1 symbol"),
+    (Kind.HERMITE, hat(), "Hermite masks refine value/derivative pairs (p = 2)"),
 ])
-def test_mask_argument_errors(kind, symbol, phi, message):
+def test_mask_argument_errors(kind, symbol, message):
     with pytest.raises(ValueError) as err:
-        Mask(kind, symbol, phi)
+        Mask(kind, symbol)
     assert str(err.value) == message
 
 
@@ -114,13 +111,28 @@ def test_mask_eigenspace_is_computed_once_per_instance(monkeypatch):
     kernel_basis = masks_module.kernel_basis
     monkeypatch.setattr(masks_module, "kernel_basis",
                         lambda m: calls.append(m) or kernel_basis(m))
-    mask = Mask(Kind.HERMITE, pair_symbol(), HALF)
+    mask = Mask(Kind.HERMITE, pair_symbol())
     first = common_one_eigenspace(mask)
     assert common_one_eigenspace(mask) == first
     assert common_one_eigenspace(mask) is not first  # a fresh list each call
     assert len(calls) == 1
-    common_one_eigenspace(Mask(Kind.HERMITE, pair_symbol(), HALF))
+    common_one_eigenspace(Mask(Kind.HERMITE, pair_symbol()))
     assert len(calls) == 2
+
+
+def test_mask_phi_is_read_off_the_symbol_once_per_instance(monkeypatch):
+    calls = []
+    derive_phi = masks_module.derive_phi
+    monkeypatch.setattr(masks_module, "derive_phi",
+                        lambda s: calls.append(s) or derive_phi(s))
+    mask = Mask(Kind.HERMITE, catalog.get("derham").symbol)
+    assert Mask._fields == ("kind", "symbol")
+    assert mask.phi == Fraction(-1, 2)
+    assert mask.phi == Fraction(-1, 2)
+    assert len(calls) == 1
+    with pytest.raises(AttributeError):
+        mask.phi = 0
+    assert mask.phi == Fraction(-1, 2)
 
 
 def test_sequence_values_are_computed_once_per_instance(monkeypatch):

@@ -62,7 +62,7 @@ def mask_and_transform(draw):
 @given(mask_and_transform())
 def test_conjugate_matches_symbol_products(case):
     mask, r = case
-    want = oracle.conjugate(mask, r)  # for Hermite masks, equality covers phi
+    want = oracle.conjugate(mask, r)
     assert conjugate(mask, r) == want
     assert conjugate(mask, r, r_inv=invert(r)) == want
 
