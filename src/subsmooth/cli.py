@@ -105,9 +105,8 @@ def cmd_smooth(args) -> int:
     current = mask
     for r in range(1, args.rounds + 1):
         if current.kind is Kind.HERMITE:
-            zeta = zeta_of(current)
             nxt = smooth_hermite(current)
-            print(f"round {r}: zeta = {zeta}, phi {current.phi} -> {nxt.phi}, "
+            print(f"round {r}: zeta = {zeta_of(current)}, phi {current.phi} -> {nxt.phi}, "
                   f"support {current.support} -> {nxt.support}", file=sys.stderr)
         else:
             k = len(common_one_eigenspace(current))

@@ -8,12 +8,11 @@ it factors through the Taylor operator
 
 and the Taylor scheme is a vector scheme satisfying the Taylor conditions.
 Smoothing a Hermite scheme = smoothing its Taylor scheme as a vector
-scheme (with a fixed canonical transform valid for every Taylor mask),
-re-normalizing with a shear so the Taylor conditions hold again, and
-inverting the factorization.  One round lowers phi by exactly 1/2 and
-grows the support by at most 5 on the left.  The Taylor scheme and its
-inverse are laurent.intertwine and laurent.untwine with the operator
-symbol T; the same round written as explicit polynomial formulas in the
+scheme, re-normalizing with a shear so the Taylor conditions hold again,
+and inverting the factorization; one round lowers phi by exactly 1/2 and
+grows the support by at most 5 on the left.  All but the shear are
+laurent.untwine/intertwine: by T, and by the Taylor-basis operator for the
+smoothing.  The same round as explicit polynomial formulas in the
 re-normalization constant zeta lives in the tests as an independent oracle.
 """
 
@@ -22,24 +21,15 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import (ConsistencyError, DegenerateAError, NotInTildeError,
-                     SpectralConditionError)
-from .laurent import (TAYLOR_OPERATOR, intertwine, root_multiplicity_at_one,
-                      untwine)
+from .errors import (ConsistencyError, DegenerateAError, NotDivisibleError,
+                     NotInTildeError, SpectralConditionError)
+from .laurent import (TAYLOR_BASIS_OPERATOR, TAYLOR_OPERATOR, intertwine,
+                      root_multiplicity_at_one, untwine)
 from .linalg import RatMatrix
-from .masks import (Eigenstructure, Mask, conjugate, derive_phi,
-                    hermite_mask, vector_mask)
-from .vector_smoothing import _check_window, _smooth_in_basis
+from .masks import Mask, conjugate, derive_phi, hermite_mask, vector_mask
+from .vector_smoothing import _check_window
 
 HALF = Fraction(1, 2)
-
-# Canonical transform valid for every mask satisfying the Taylor conditions:
-# the even/odd mean matrix is lower triangular with eigenvector e2 for the
-# eigenvalue 1 and eigenvector (1, -1) for the other eigenvalue.
-_R_TAYLOR = RatMatrix.from_rows([[0, 1], [1, -1]])
-_R_TAYLOR_INV = RatMatrix.from_rows([[1, 1], [1, 0]])
-_TAYLOR_BASIS = Eigenstructure(k=1, basis=(RatMatrix.column([0, 1]),),
-                               r=_R_TAYLOR, r_inv=_R_TAYLOR_INV)
 
 
 class SpectralReport(namedtuple("SpectralReport", "holds phi violated")):
@@ -193,22 +183,27 @@ def retaylor(mask: Mask) -> tuple[Mask, Fraction]:
 def smooth_hermite(mask: Mask) -> Mask:
     """One Hermite smoothing round (compositional pipeline).
 
-    Steps: Taylor scheme -> blockwise vector smoothing with the fixed
-    canonical transform for Taylor masks -> shear re-normalization ->
-    inverse Taylor factorization.  Verifies phi drops by 1/2 and the
-    support stays within [lo-5, hi].
+    Steps: Taylor scheme -> vector smoothing in the basis that puts span{e2}
+    first (one untwine by the Taylor-basis operator) -> shear
+    re-normalization (DegenerateAError from zeta_of when a22(1) = 2) ->
+    inverse Taylor factorization.  Verifies phi drops by 1/2 and the support
+    stays within [lo-5, hi].
     """
     rep = check_spectral(mask)
     if not rep.holds:
         raise SpectralConditionError(
             f"spectral condition fails; violated conditions {list(rep.violated)}")
+    zeta_of(mask)  # the shear is degenerate exactly when zeta is undefined
     tay = taylor_scheme(mask)
     if not _eigenspace_is_e2(tay):
         raise NotInTildeError(
             "Taylor scheme eigenspace is not span{e2}; the vanishing "
             "first-component hypothesis cannot be established")
-    normalized, _eta = retaylor(_smooth_in_basis(tay, _TAYLOR_BASIS))
-    out = inverse_taylor(normalized)
+    try:
+        smoothed = untwine(tay.symbol, TAYLOR_BASIS_OPERATOR)
+    except NotDivisibleError:
+        raise ConsistencyError("conjugated mask lost the smoothing condition") from None
+    out = inverse_taylor(retaylor(vector_mask(smoothed))[0])
 
     if out.phi != rep.phi - HALF:
         raise ConsistencyError(

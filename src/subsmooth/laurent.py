@@ -510,16 +510,20 @@ class SymbolMatrix:
 
 # -- operator symbols and intertwining ---------------------------------------------
 #
-# An operator symbol D is upper triangular with diagonal entries 1 or 1/z - 1:
-# the partial difference diag((1/z - 1) I_k, I) and the Taylor operator
-# [[1/z - 1, -1], [0, 1]] are the two in use.  A mask A and the mask B with
-# D S_A = 1/2 S_B D are related by B(z) = 2 D(z) A(z) D(z**2)**-1; both
-# inverses are triangular solves whose divisions are exact precisely when the
-# result is a Laurent polynomial, so NotDivisibleError is the existence test.
+# An operator symbol D is triangular with diagonal entries 1 or 1/z - 1.  Three
+# are in use: the partial difference diag((1/z - 1) I_k, I), the Taylor
+# operator [[1/z - 1, -1], [0, 1]], and the Taylor-basis operator: the
+# difference on the first component seen through R = [[0, 1], [1, -1]], which
+# puts the 1-eigenspace span{e2} of a Taylor scheme first, so that untwine by
+# it is smooth_raw(k = 1) between conjugations by R and R**-1.  A mask A and
+# the mask B with D S_A = 1/2 S_B D are related by B(z) = 2 D(z) A(z) D(z**2)**-1;
+# both inverses are triangular solves whose divisions are exact precisely when
+# the result is a Laurent polynomial, so NotDivisibleError is the existence test.
 
 # Symbol of the Taylor operator on (value, derivative) pairs:
 # (T c)_i = (c1_(i+1) - c1_i - c2_i, c2_i).
 TAYLOR_OPERATOR = SymbolMatrix(((ZINV_MINUS_1, -_ONE), (_ZERO, _ONE)))
+TAYLOR_BASIS_OPERATOR = SymbolMatrix(((_ONE, _ZERO), (LaurentPoly({-1: 1, 0: -2}), ZINV_MINUS_1)))
 
 
 def difference_operator(p: int, k: int) -> SymbolMatrix:
@@ -532,17 +536,17 @@ def difference_operator(p: int, k: int) -> SymbolMatrix:
                               for i in range(p)))
 
 
-def _solve(t, r, order) -> list:
-    """Rows x with t x = r, solved row by row in the given order, which must
-    visit every row after the rows its off-diagonal entries refer to."""
-    x = [None] * len(t)
-    for i in order:
+def _solve(t, r) -> list:
+    """Rows x with t x = r for a triangular t, solved top down if t is lower
+    triangular, else bottom up: each row after the rows it refers to."""
+    rows, x = range(len(t)), [None] * len(t)
+    for i in rows if any(t[j][k].nums for j in rows for k in range(j)) else reversed(rows):
         row = r[i]
         for k, tik in enumerate(t[i]):
             if k != i and tik.nums:
                 if x[k] is None:
-                    raise ValueError("an operator symbol must be upper triangular")
-                row = [a - tik * b for a, b in zip(row, x[k])]
+                    raise ValueError("an operator symbol must be triangular")
+                row = [_products(((a, _ONE), (tik, b)), 1, (1, -1)) for a, b in zip(row, x[k])]
         d = t[i][i]
         x[i] = row if d == _ONE else [divide_exact(a, d) for a in row]
     return x
@@ -552,16 +556,16 @@ def intertwine(a: SymbolMatrix, d: SymbolMatrix) -> SymbolMatrix:
     """The symbol 2 D(z) A(z) D(z**2)**-1 of the scheme B with D S_A = 1/2 S_B D.
 
     Raises NotDivisibleError when no such mask exists."""
-    m = d * a
-    # X D(z**2) = M is D(z**2)^T X^T = M^T, a forward substitution
-    cols = _solve(list(zip(*d.dilate().entries)), list(zip(*m.entries)),
-                  range(a.p))
-    return SymbolMatrix(tuple(zip(*cols))).scale(2)
+    m = _symbol(tuple(tuple(e.scale(2) for e in row) for row in d.entries)) * a
+    # X D(z**2) = M is D(z**2)^T X^T = M^T
+    cols = _solve(list(zip(*d.dilate().entries)), list(zip(*m.entries)))
+    return _symbol(tuple(zip(*cols)))
 
 
 def untwine(b: SymbolMatrix, d: SymbolMatrix) -> SymbolMatrix:
     """Right inverse of intertwine: the symbol 1/2 D(z)**-1 B(z) D(z**2).
 
     Raises NotDivisibleError when no such mask exists."""
-    rows = _solve(d.entries, b.mul_dilated(d, 2).entries, reversed(range(b.p)))
-    return SymbolMatrix(rows).scale(Fraction(1, 2))
+    half = _symbol(tuple(tuple(e.scale(Fraction(1, 2)) for e in row) for row in d.entries))
+    rows = _solve(d.entries, b.mul_dilated(half, 2).entries)
+    return _symbol(tuple(map(tuple, rows)))

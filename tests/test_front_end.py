@@ -641,13 +641,14 @@ def _doc(name, **change):
     return doc
 
 
-def _merrien_with_a22_at_one_2():
-    """merrien's first row (phi = 0) with a21 = z - 1/z and a22 = 1/2 + 3z/2:
-    the spectral condition holds and a22(1) = 2."""
+def _merrien_with_a22_at_one_2(spectral=True):
+    """merrien's first row (phi = 0) and a22 = 1/2 + 3z/2, so a22(1) = 2, with
+    a21 = z - 1/z, under which the spectral condition holds, or with merrien's
+    own a21, under which it fails in group (4)."""
     s = catalog.get("merrien").symbol
+    a21 = LaurentPoly({-1: -1, 1: 1}) if spectral else s[1, 0]
     return json.loads(maskfile.serialize(hermite_mask(SymbolMatrix((
-        (s[0, 0], s[0, 1]),
-        (LaurentPoly({-1: -1, 1: 1}), LaurentPoly({0: "1/2", 1: "3/2"})))))))
+        (s[0, 0], s[0, 1]), (a21, LaurentPoly({0: "1/2", 1: "3/2"})))))))
 
 
 class TestRefusalMessages:
@@ -667,6 +668,8 @@ class TestRefusalMessages:
         ("certify", DEFECTIVE, DEFECTIVE_ERROR),
         ("smooth", DEFECTIVE, DEFECTIVE_ERROR),
         ("smooth", _merrien_with_a22_at_one_2(), "zeta undefined: a22(1) = 2"),
+        ("smooth", _merrien_with_a22_at_one_2(spectral=False),
+         "spectral condition fails; violated conditions [4]"),
     ])
     def test_file_refused(self, command, doc, message, tmp_path, capsys):
         path = tmp_path / "x.mask"

@@ -9,18 +9,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import subsmooth.hermite_smoothing as hermite_module
 import subsmooth.linalg as linalg
 import subsmooth.masks as masks_module
 import subsmooth.vector_smoothing as vector_module
 from subsmooth import (ConsistencyError, EigenspaceError, EmptyEigenspaceError,
-                       LaurentPoly, RatMatrix, SymbolMatrix, canonical_transform,
-                       catalog, common_one_eigenspace, conjugate, hermite_mask,
-                       invert, kernel_basis, retaylor, scalar_mask,
-                       smooth_hermite, smooth_raw, smooth_vector, taylor_scheme,
+                       Eigenstructure, LaurentPoly, RatMatrix, SymbolMatrix,
+                       canonical_transform, catalog, common_one_eigenspace,
+                       conjugate, difference_operator, hermite_mask, invert,
+                       kernel_basis, retaylor, scalar_mask, smooth_hermite,
+                       smooth_raw, smooth_vector, taylor_scheme, untwine,
                        vector_mask)
 from subsmooth.cli import main
-from subsmooth.hermite_smoothing import (_R_TAYLOR, _R_TAYLOR_INV,
-                                         _eigenspace_is_e2)
+from subsmooth.hermite_smoothing import _eigenspace_is_e2
+from subsmooth.laurent import TAYLOR_BASIS_OPERATOR
 
 import tests.masks_oracle as oracle
 from tests.masks_oracle import rank
@@ -28,6 +30,12 @@ from tests.maskgen import (rand_convergent_style_mask,
                            rand_smoothing_ready_spectral, with_values)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+# The basis change that puts the 1-eigenspace span{e2} of every mask meeting
+# the Taylor conditions first: their even/odd mean matrix is lower triangular
+# with eigenvector e2 for the eigenvalue 1 and (1, -1) for the other one.
+R_TAYLOR = RatMatrix.from_rows([[0, 1], [1, -1]])
+R_TAYLOR_INV = RatMatrix.from_rows([[1, 1], [1, 0]])
 
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 polys = st.builds(LaurentPoly.from_coeffs, st.integers(-3, 1),
@@ -161,7 +169,7 @@ def test_eigenspace_computed_once_per_mask(monkeypatch):
 
 def test_fixed_transform_pairs_are_inverse():
     identity = RatMatrix.identity(2)
-    assert _R_TAYLOR @ _R_TAYLOR_INV == identity == _R_TAYLOR_INV @ _R_TAYLOR
+    assert R_TAYLOR @ R_TAYLOR_INV == identity == R_TAYLOR_INV @ R_TAYLOR
     for eta in (Fraction(0), Fraction(3), Fraction(-7, 5)):
         shear = RatMatrix.from_rows([[1, 0], [eta, 1]])
         inverse = RatMatrix.from_rows([[1, 0], [-eta, 1]])
@@ -174,11 +182,54 @@ def test_retaylor_matches_conjugation_by_shear():
     inputs = [catalog.get("merrien"), catalog.get("derham")]
     inputs += [rand_smoothing_ready_spectral(rng) for _ in range(5)]
     for mask in inputs:
-        barred = oracle.conjugate(taylor_scheme(mask), _R_TAYLOR)
-        smoothed = oracle.conjugate(smooth_raw(barred, 1), invert(_R_TAYLOR))
+        barred = oracle.conjugate(taylor_scheme(mask), R_TAYLOR)
+        smoothed = oracle.conjugate(smooth_raw(barred, 1), invert(R_TAYLOR))
         out, eta = retaylor(smoothed)
         assert out == oracle.conjugate(smoothed,
                                        RatMatrix.from_rows([[1, 0], [eta, 1]]))
+
+
+def test_taylor_basis_operator_is_the_difference_in_the_taylor_basis():
+    assert TAYLOR_BASIS_OPERATOR == difference_operator(2, 1).transform(R_TAYLOR,
+                                                                        R_TAYLOR_INV)
+
+
+def test_untwine_by_taylor_basis_operator_matches_three_steps():
+    """One untwine by R D R**-1 is a vector round in the basis R: conjugate
+    by R, smooth the first component, conjugate back."""
+    basis = Eigenstructure(k=1, basis=(RatMatrix.column([0, 1]),), r=R_TAYLOR,
+                           r_inv=R_TAYLOR_INV)
+    rng = random.Random(13)
+    inputs = [catalog.get(name) for name in ("merrien", "derham", "merrien-smoothed",
+                                             "derham-smoothed")]
+    inputs += [rand_smoothing_ready_spectral(rng) for _ in range(10)]
+    for mask in inputs:
+        tay = taylor_scheme(mask)
+        assert (untwine(tay.symbol, TAYLOR_BASIS_OPERATOR)
+                == vector_module._smooth_in_basis(tay, basis).symbol)
+
+
+def test_hermite_round_conjugates_once_and_scales_nothing(monkeypatch):
+    """A Hermite round conjugates only by its shear; its intertwinings fold
+    their factor 2 or 1/2 into the operator symbol and update rows in one
+    kernel call, so no symbol is scaled and no polynomial product or sum runs."""
+    mask, want = catalog.get("derham"), catalog.get("derham-smoothed")
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    real = masks_module.conjugate
+    for module in (masks_module, vector_module, hermite_module):
+        monkeypatch.setattr(module, "conjugate", counted("conjugate", real))
+    for cls, attr in ((SymbolMatrix, "scale"), (LaurentPoly, "__mul__"),
+                      (LaurentPoly, "__add__")):
+        monkeypatch.setattr(cls, attr, counted(attr, getattr(cls, attr)))
+    assert smooth_hermite(mask) == want
+    assert calls == ["conjugate"]
 
 
 def test_canonical_transform_refuses_overlapping_columns():
