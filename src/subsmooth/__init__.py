@@ -24,7 +24,7 @@ from .vector_smoothing import (admits_derived, admits_smoothing, derived,
                                smooth_vector)
 from .hermite_smoothing import (SpectralReport, TaylorReport, check_interpolatory,
                                 check_spectral, check_taylor, inverse_taylor,
-                                retaylor, smooth_hermite, taylor_scheme,
+                                smooth_hermite, taylor_scheme,
                                 zeta_multiplicity_forecast, zeta_of)
 from .refine import (Certificate, FinSeq, LimitSample, Refusal, apply,
                      certify_c0, certify_hermite, certify_vector, difference,

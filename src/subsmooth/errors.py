@@ -42,7 +42,8 @@ class NotInTildeError(SubsmoothError):
 
 
 class DegenerateAError(SubsmoothError):
-    """The shear normalization is undefined (leading eigenvalue equals 2)."""
+    """The Hermite round's shear constant zeta is undefined: zeta_of raises
+    it when a22(1) = 2."""
 
 
 class WorkBudgetError(SubsmoothError):

@@ -8,12 +8,13 @@ it factors through the Taylor operator
 
 and the Taylor scheme is a vector scheme satisfying the Taylor conditions.
 Smoothing a Hermite scheme = smoothing its Taylor scheme as a vector
-scheme, re-normalizing with a shear so the Taylor conditions hold again,
-and inverting the factorization; one round lowers phi by exactly 1/2 and
-grows the support by at most 5 on the left.  All but the shear are
-laurent.untwine/intertwine: by T, and by the Taylor-basis operator for the
-smoothing.  The same round as explicit polynomial formulas in the
-re-normalization constant zeta lives in the tests as an independent oracle.
+scheme, re-normalizing with the shear [[1, 0], [zeta - 1, 1]] so the Taylor
+conditions hold again, and inverting the factorization; one round lowers
+phi by exactly 1/2 and grows the support by at most 5 on the left.  The
+constant zeta = zeta_of(A) is read off the input mask.  All but the shear
+are laurent.untwine/intertwine: by T, and by the Taylor-basis operator for
+the smoothing.  The same round as explicit polynomial formulas in zeta
+lives in the tests as an independent oracle.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ class SpectralReport(namedtuple("SpectralReport", "holds phi violated")):
     __slots__ = ()
 
 
-class TaylorReport(namedtuple("TaylorReport", "holds_taylor in_tilde zeta")):
+class TaylorReport(namedtuple("TaylorReport", "holds_taylor in_tilde")):
     """Outcome of the Taylor conditions for a 2x2 vector mask.
 
     ``in_tilde`` additionally requires the common 1-eigenspace to equal
-    span{e2} exactly.  ``zeta`` is the re-normalization constant the
-    smoothing round would use (None when undefined, i.e. b11(1) = 2).
+    span{e2} exactly.
     """
 
     __slots__ = ()
@@ -112,12 +112,7 @@ def check_taylor(mask: Mask) -> TaylorReport:
     holds = (b12.evaluate(1) == 0 and b12.evaluate(-1) == 0
              and b22.evaluate(1) == 2 and b22.evaluate(-1) == 0
              and b11.evaluate(1) + b21.evaluate(1) == 2)
-    in_tilde = holds and _eigenspace_is_e2(mask)
-    a = b11.evaluate(1)
-    zeta = None
-    if a != 2:
-        zeta = 2 + b21.evaluate(1) / (a - 2)  # eta + 1 with eta = 1 + b/(a-2)
-    return TaylorReport(holds_taylor=holds, in_tilde=in_tilde, zeta=zeta)
+    return TaylorReport(holds_taylor=holds, in_tilde=holds and _eigenspace_is_e2(mask))
 
 
 def _eigenspace_is_e2(mask: Mask) -> bool:
@@ -158,52 +153,41 @@ def inverse_taylor(mask: Mask) -> Mask:
     return hermite_mask(untwine(mask.symbol, TAYLOR_OPERATOR))
 
 
-def retaylor(mask: Mask) -> tuple[Mask, Fraction]:
-    """Shear a vector mask with 1-eigenspace span{e2} back into the Taylor
-    class.
-
-    With a = b11(1) and b = b21(1), conjugation by [[1,0],[eta,1]] with
-    eta = 1 + b/(a-2) restores the trace condition b11(1)+b21(1) = 2 while
-    keeping the eigenspace; requires a != 2.  Returns (mask, eta); eta = 0
-    means the input already satisfied the condition.
-    """
-    if mask.p != 2:
-        raise ValueError("re-normalization applies to 2x2 masks")
-    if not _eigenspace_is_e2(mask):
-        raise NotInTildeError("common 1-eigenspace is not span{e2}")
-    a = mask.symbol[0, 0].evaluate(1)
-    b = mask.symbol[1, 0].evaluate(1)
-    if a == 2:
-        raise DegenerateAError("leading value 2 admits no shear normalization")
-    eta = 1 + b / (a - 2)
-    shear = RatMatrix.from_rows([[1, 0], [eta, 1]])
-    return conjugate(mask, shear, r_inv=RatMatrix.from_rows([[1, 0], [-eta, 1]])), eta
-
-
 def smooth_hermite(mask: Mask) -> Mask:
     """One Hermite smoothing round (compositional pipeline).
 
-    Steps: Taylor scheme -> vector smoothing in the basis that puts span{e2}
-    first (one untwine by the Taylor-basis operator) -> shear
-    re-normalization (DegenerateAError from zeta_of when a22(1) = 2) ->
-    inverse Taylor factorization.  Verifies phi drops by 1/2 and the support
-    stays within [lo-5, hi].
+    Steps: zeta = zeta_of(mask) (DegenerateAError when a22(1) = 2) -> Taylor
+    scheme -> vector smoothing in the basis that puts span{e2} first (one
+    untwine by the Taylor-basis operator) -> conjugation by the shear
+    [[1, 0], [zeta - 1, 1]], which restores the trace condition
+    b11(1) + b21(1) = 2 -> inverse Taylor factorization.  A smoothed scheme
+    that leaves span{e2}, or a shear that misses the trace condition (the
+    inverse factorization does not divide), is a ConsistencyError.  Verifies
+    phi drops by 1/2 and the support stays within [lo-5, hi].
     """
     rep = check_spectral(mask)
     if not rep.holds:
         raise SpectralConditionError(
             f"spectral condition fails; violated conditions {list(rep.violated)}")
-    zeta_of(mask)  # the shear is degenerate exactly when zeta is undefined
+    zeta = zeta_of(mask)
     tay = taylor_scheme(mask)
     if not _eigenspace_is_e2(tay):
         raise NotInTildeError(
             "Taylor scheme eigenspace is not span{e2}; the vanishing "
             "first-component hypothesis cannot be established")
     try:
-        smoothed = untwine(tay.symbol, TAYLOR_BASIS_OPERATOR)
+        smoothed = vector_mask(untwine(tay.symbol, TAYLOR_BASIS_OPERATOR))
     except NotDivisibleError:
         raise ConsistencyError("conjugated mask lost the smoothing condition") from None
-    out = inverse_taylor(retaylor(vector_mask(smoothed))[0])
+    if not _eigenspace_is_e2(smoothed):
+        raise ConsistencyError("smoothed Taylor scheme left the eigenspace span{e2}")
+    shear = RatMatrix.from_rows([[1, 0], [zeta - 1, 1]])
+    sheared = conjugate(smoothed, shear, r_inv=RatMatrix.from_rows([[1, 0], [1 - zeta, 1]]))
+    try:
+        out = inverse_taylor(sheared)
+    except NotDivisibleError:
+        raise ConsistencyError(
+            f"the shear by zeta = {zeta} missed the Taylor trace condition") from None
 
     if out.phi != rep.phi - HALF:
         raise ConsistencyError(

@@ -2,8 +2,9 @@
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, always reduced,
 positive denominator), so every result here is exact and canonical.
-Matrices are small and dense; all routines run plain fraction-free-enough
-Gauss elimination with full pivot search.
+Matrices are small and dense; all routines run plain Gauss-Jordan
+elimination over Fractions, taking the first nonzero entry of each column
+as its pivot.
 """
 
 from __future__ import annotations

@@ -9,11 +9,12 @@ from subsmooth import (ConsistencyError, DegenerateAError, Kind, LaurentPoly,
                        NotInTildeError, SpectralConditionError, SymbolMatrix,
                        catalog, check_interpolatory, check_spectral,
                        check_taylor, common_one_eigenspace, hermite_mask,
-                       inverse_taylor, retaylor, smooth_hermite,
-                       taylor_scheme, vector_mask,
+                       inverse_taylor, smooth_hermite,
+                       taylor_scheme, vector_mask, ZINV_MINUS_1,
                        zeta_multiplicity_forecast, zeta_of)
 
 from tests.hermite_oracle import smooth_hermite_closed_form
+from tests.masks_oracle import eigenspace_is_e2
 from tests.maskgen import (intertwines_taylor, not_in_tilde_mask,
                            rand_smoothing_ready_spectral,
                            rand_spectral_mask, rand_taylor_mask, with_values,
@@ -96,7 +97,6 @@ class TestTaylorConditions:
         rep = check_taylor(taylor_scheme(catalog.get("merrien")))
         assert rep.holds_taylor
         assert rep.in_tilde
-        assert rep.zeta == 1
 
     def test_diagonal_embedding_not_in_tilde(self):
         f = LP({0: 1, 1: 1})
@@ -142,49 +142,6 @@ class TestInverseTaylor:
                                + b.symbol[1, 1].derivative_at(1) - 1) / 2
 
 
-class TestRetaylor:
-    def test_identity_when_conditions_hold(self):
-        t = taylor_scheme(catalog.get("merrien"))
-        rep = check_taylor(t)
-        assert rep.holds_taylor
-        normalized, eta = retaylor(t)
-        assert eta == 0
-        assert normalized == t
-
-    def test_restores_trace_condition(self):
-        rng = random.Random(305)
-        for _ in range(25):
-            # e2 in the eigenspace but trace condition broken
-            b11 = with_values(rand_laurent(rng), Fraction(1, 2), Fraction(1, 3))
-            b12 = with_values(rand_laurent(rng), 0, 0)
-            b21 = with_values(rand_laurent(rng), 1, rand_laurent(rng).evaluate(-1))
-            b22 = with_values(rand_laurent(rng), 2, 0)
-            m = vector_mask(sym2(b11, b12, b21, b22))
-            basis = common_one_eigenspace(m)
-            if not (len(basis) == 1 and basis[0][0, 0] == 0):
-                continue
-            normalized, eta = retaylor(m)
-            a = b11.evaluate(1)
-            assert (2 - a) * eta + b21.evaluate(1) + a == 2
-            rep = check_taylor(normalized)
-            assert rep.holds_taylor and rep.in_tilde
-
-    def test_degenerate_leading_value(self):
-        b11 = with_values(LP({0: 0}), 2, 1)
-        b12 = LP.zero()
-        b21 = with_values(LP({1: 1}), 1, 0)
-        b22 = with_values(LP({0: 0}), 2, 0)
-        m = vector_mask(sym2(b11, b12, b21, b22))
-        with pytest.raises(DegenerateAError):
-            retaylor(m)
-
-    def test_wrong_eigenspace_rejected(self):
-        f = LP({0: 1, 1: 1})
-        m = vector_mask(sym2(f, LP.zero(), LP.zero(), f))
-        with pytest.raises(NotInTildeError):
-            retaylor(m)
-
-
 class TestSmoothHermite:
     def test_merrien_matches_reference(self):
         out = smooth_hermite(catalog.get("merrien"))
@@ -219,6 +176,40 @@ class TestSmoothHermite:
     def test_spectral_precondition_enforced(self):
         with pytest.raises(SpectralConditionError):
             smooth_hermite(hermite_mask(SymbolMatrix.zero(2)))
+
+    def test_undefined_zeta_refused(self):
+        """a21 = z - 1/z has a21'(1) = 2, so condition (4) forces a22(1) = 2."""
+        a11 = with_values(LP.zero(), 2, 0)
+        a21 = LP({-1: -1, 1: 1})
+        a22 = with_values(LP.zero(), 2, -1)
+        a12 = with_values(LP.zero(), 1, -a11.derivative_at(-1) / 2)
+        m = hermite_mask(sym2(a11, a12, a21, a22))
+        assert check_spectral(m).holds
+        with pytest.raises(DegenerateAError) as err:
+            smooth_hermite(m)
+        assert str(err.value) == "zeta undefined: a22(1) = 2"
+
+    def test_one_zeta_of_per_round(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hermite_module, "zeta_of",
+                            lambda m: calls.append(m) or zeta_of(m))
+        for name in ("merrien", "derham", "merrien-smoothed"):
+            calls.clear()
+            smooth_hermite(catalog.get(name))
+            assert calls == [catalog.get(name)]
+
+    def test_wrong_zeta_is_internal(self, monkeypatch):
+        """The round shears by the zeta that zeta_of returns; any other
+        shear misses the trace condition, and the inverse factorization
+        does not divide."""
+        monkeypatch.setattr(hermite_module, "zeta_of",
+                            lambda m: zeta_of(m) + Fraction(1, 3))
+        for name, zeta in (("merrien", "4/3"), ("derham", "4/3"),
+                           ("merrien-smoothed", "19/15")):
+            with pytest.raises(ConsistencyError) as err:
+                smooth_hermite(catalog.get(name))
+            assert str(err.value) == (
+                f"the shear by zeta = {zeta} missed the Taylor trace condition")
 
     def test_eigenspace_not_e2_refused(self):
         mask = not_in_tilde_mask()
@@ -305,3 +296,26 @@ class TestZetaForecast:
         m = hermite_mask(sym2(a11, LP.zero(), a21, a22))
         assert check_spectral(m).holds
         assert zeta_multiplicity_forecast(m) == math.inf
+
+    def test_forecast_rounds_keep_zeta_one(self):
+        """With a12 = (1/z - 1)**r q and q(1) != 0, the forecast is r and the
+        first r rounds have zeta = 1."""
+        rng = random.Random(311)
+        for r in range(1, 5):
+            found = 0
+            while found < 3:
+                a = rand_smoothing_ready_spectral(rng).symbol
+                # a12(-1) = -a11'(-1)/2, and (1/z - 1)**r is (-2)**r at -1
+                a12 = with_values(rand_laurent(rng), rng.choice([-2, -1, 1, 3]),
+                                  -a[0, 0].derivative_at(-1) / 2 / (-2) ** r)
+                for _ in range(r):
+                    a12 = ZINV_MINUS_1 * a12
+                m = hermite_mask(sym2(a[0, 0], a12, a[1, 0], a[1, 1]))
+                if not eigenspace_is_e2(taylor_scheme(m)):
+                    continue
+                found += 1
+                assert check_spectral(m).holds
+                assert zeta_multiplicity_forecast(m) == r
+                for _ in range(r):
+                    assert zeta_of(m) == 1
+                    m = smooth_hermite(m)

@@ -72,7 +72,7 @@ def test_no_attribute_can_be_assigned(a, b, other):
     name = type(a).__name__
     fields = {"Mask": "kind", "Eigenstructure": "k", "FinSeq": "comps",
               "Certificate": "L", "Refusal": "reason", "SpectralReport": "holds",
-              "TaylorReport": "zeta"}
+              "TaylorReport": "in_tilde"}
     with pytest.raises(AttributeError):
         setattr(a, fields[name], None)
     with pytest.raises(AttributeError):
@@ -167,5 +167,5 @@ def test_reprs_name_the_fields():
         "Certificate(kind='C0', L=1, norm_value=Fraction(1, 2), steps=('x',), ell=None)")
     assert repr(SpectralReport(True, HALF, ())) == (
         "SpectralReport(holds=True, phi=Fraction(1, 2), violated=())")
-    assert repr(TaylorReport(True, False, None)) == (
-        "TaylorReport(holds_taylor=True, in_tilde=False, zeta=None)")
+    assert repr(TaylorReport(True, False)) == (
+        "TaylorReport(holds_taylor=True, in_tilde=False)")

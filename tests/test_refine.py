@@ -209,13 +209,13 @@ class TestCertificates:
     def test_smoothed_scheme_factors_back_to_its_pipeline_stage(self):
         # the chain's first stage for a smoothed mask is, by the round trip,
         # exactly the normalized smoothed factor the construction produced
-        from subsmooth import (conjugate, retaylor, smooth_raw, RatMatrix,
-                               invert as inv)
+        from subsmooth import smooth_raw, RatMatrix, invert as inv, zeta_of
         m = catalog.get("merrien")
         tay = taylor_scheme(m)
         r = RatMatrix.from_rows([[0, 1], [1, -1]])
         smoothed = conjugate(smooth_raw(conjugate(tay, r), 1), inv(r))
-        normalized, _ = retaylor(smoothed)
+        shear = RatMatrix.from_rows([[1, 0], [zeta_of(m) - 1, 1]])
+        normalized = conjugate(smoothed, shear)
         assert taylor_scheme(catalog.get("merrien-smoothed")) == normalized
 
     def test_spectral_violation_refused_at_stage_zero(self):

@@ -17,9 +17,9 @@ from subsmooth import (ConsistencyError, EigenspaceError, EmptyEigenspaceError,
                        Eigenstructure, LaurentPoly, RatMatrix, SymbolMatrix,
                        canonical_transform, catalog, common_one_eigenspace,
                        conjugate, difference_operator, hermite_mask, invert,
-                       kernel_basis, retaylor, scalar_mask, smooth_hermite,
-                       smooth_raw, smooth_vector, taylor_scheme, untwine,
-                       vector_mask)
+                       inverse_taylor, kernel_basis, scalar_mask,
+                       smooth_hermite, smooth_raw, smooth_vector,
+                       taylor_scheme, untwine, vector_mask, zeta_of)
 from subsmooth.cli import main
 from subsmooth.hermite_smoothing import _eigenspace_is_e2
 from subsmooth.laurent import TAYLOR_BASIS_OPERATOR
@@ -176,17 +176,17 @@ def test_fixed_transform_pairs_are_inverse():
         assert shear @ inverse == identity == inverse @ shear
 
 
-def test_retaylor_matches_conjugation_by_shear():
-    """retaylor conjugates with the closed-form inverse of its shear."""
+def test_round_shears_by_zeta_of():
+    """A Hermite round is the smoothed Taylor scheme conjugated by the shear
+    [[1, 0], [zeta - 1, 1]], zeta = zeta_of(mask), then factored back."""
     rng = random.Random(11)
-    inputs = [catalog.get("merrien"), catalog.get("derham")]
+    inputs = [catalog.get(name) for name in ("merrien", "derham", "merrien-smoothed")]
     inputs += [rand_smoothing_ready_spectral(rng) for _ in range(5)]
     for mask in inputs:
         barred = oracle.conjugate(taylor_scheme(mask), R_TAYLOR)
         smoothed = oracle.conjugate(smooth_raw(barred, 1), invert(R_TAYLOR))
-        out, eta = retaylor(smoothed)
-        assert out == oracle.conjugate(smoothed,
-                                       RatMatrix.from_rows([[1, 0], [eta, 1]]))
+        shear = RatMatrix.from_rows([[1, 0], [zeta_of(mask) - 1, 1]])
+        assert inverse_taylor(oracle.conjugate(smoothed, shear)) == smooth_hermite(mask)
 
 
 def test_taylor_basis_operator_is_the_difference_in_the_taylor_basis():
