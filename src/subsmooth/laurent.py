@@ -19,9 +19,9 @@ MAX_WORK, calibrated in README "Command line".  Rationals appear only at the
 boundary: ``coeff``, ``coeffs``, ``evaluate`` and ``derivative_at`` return
 Fractions.
 
-Division is deliberately restricted to the four binomials the smoothing
-calculus needs (z+1, 1/z+1, 1/z-1, 1/z**2-1); each has an exact quotient in
-the Laurent ring precisely when the matching root condition holds.
+Division is restricted to four binomials, z+1, 1/z+1, 1/z-1 and 1/z**2-1
+(the smoothing calculus divides by the last two); each has an exact quotient
+in the Laurent ring precisely when the matching root condition holds.
 """
 
 from __future__ import annotations

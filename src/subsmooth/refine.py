@@ -217,19 +217,24 @@ def iterated_symbol(mask: Mask, L: int, *, _prev: SymbolMatrix | None = None) ->
 
 # -- certificates -----------------------------------------------------------------
 
-class Certificate(namedtuple("Certificate", "kind L norm_value steps ell",
-                             defaults=(None,))):
-    """Witness that a scheme converges (kind "C0") or that a smoothness
-    chain down to a contractive stage exists (kind "chain"): the power L,
-    its exact norm, the steps that led there and, for a chain, ell."""
+class Certificate(namedtuple("Certificate", "L norm_value ks support ell phi",
+                             defaults=(None, None))):
+    """Witness that descents of eigenspace dimensions ks (the last one for the
+    final canonical transform) reach a derived scheme of this support with
+    |(1/2 S)^L| = norm_value < 1; ell is None for C0, phi set for Hermite."""
 
     __slots__ = ()
 
     def __str__(self) -> str:
-        head = "C0 certificate" if self.kind == "C0" else f"chain certificate (ell={self.ell})"
-        lines = [f"{head}: |(1/2 S)^{self.L}| = {self.norm_value} < 1"]
-        lines += [f"  - {s}" for s in self.steps]
-        return "\n".join(lines)
+        head = "C0 certificate" if self.ell is None else f"chain certificate (ell={self.ell})"
+        pre = () if self.phi is None else (f"spectral condition holds with phi={self.phi}",
+                                          "taylor scheme eigenspace is span{e2}")
+        return "\n  - ".join((f"{head}: |(1/2 S)^{self.L}| = {self.norm_value} < 1", *pre,
+                              *(f"descent {r}: derived scheme with k={k}"
+                                for r, k in enumerate(self.ks[:-1], 1)),
+                              f"canonical transform with k={self.ks[-1]}",
+                              f"derived scheme support {self.support}",
+                              f"contractive at L={self.L} with norm {self.norm_value}"))
 
 
 class Refusal(namedtuple("Refusal", "stage reason norms", defaults=((),))):
@@ -289,7 +294,7 @@ def certify_vector(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):
     L <= lmax for an exact norm |(1/2 S)^L| < 1 of the last one."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    steps: list[str] = []
+    ks = []
     current = mask
     for r in range(1, ell + 2):
         es = canonical_transform(current)
@@ -297,16 +302,12 @@ def certify_vector(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):
             current = derived(conjugate(current, es.r, r_inv=es.r_inv), es.k)
         except WorkBudgetError as exc:
             return Refusal(stage=f"descent {r}", reason=str(exc))
-        steps.append(f"descent {r}: derived scheme with k={es.k}" if r <= ell
-                     else f"canonical transform with k={es.k}")
-    steps.append(f"derived scheme support {current.support}")
+        ks.append(es.k)
     L, norm, norms = _contractive_power(current, lmax)
     if L is None:
         stage = f"contractivity after {ell} descents" if ell else "contractivity"
         return Refusal(stage=stage, reason=norm, norms=tuple(norms))
-    steps.append(f"contractive at L={L} with norm {norm}")
-    return Certificate(kind="chain" if ell else "C0", L=L, norm_value=norm,
-                       steps=tuple(steps), ell=ell or None)
+    return Certificate(L, norm, tuple(ks), current.support, ell or None)
 
 
 def certify_hermite(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):
@@ -329,12 +330,7 @@ def certify_hermite(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):
                        reason="common 1-eigenspace of the Taylor scheme "
                               "is not span{e2}")
     res = certify_vector(tay, ell - 1, lmax)
-    pre = (f"spectral condition holds with phi={rep.phi}",
-           "taylor scheme eigenspace is span{e2}")
-    if isinstance(res, Refusal):
-        return res
-    return Certificate(kind="chain", L=res.L, norm_value=res.norm_value,
-                       steps=pre + res.steps, ell=ell)
+    return res if isinstance(res, Refusal) else res._replace(ell=ell, phi=rep.phi)
 
 
 # -- limit rendering -----------------------------------------------------------------

@@ -6,12 +6,13 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subsmooth
-from subsmooth import (LaurentPoly, MaskFileError, RatMatrix, SymbolMatrix,
-                       catalog, inverse_taylor, maskfile, vector_mask)
+from subsmooth import (LaurentPoly, MaskFileError, RatMatrix, SubsmoothError,
+                       SymbolMatrix, catalog, inverse_taylor, maskfile, scalar_mask,
+                       vector_mask)
 from subsmooth.cli import main
 
 ALL_CATALOG = ["bspline0", "bspline1", "bspline3", "double-knot", "merrien",
@@ -73,13 +74,28 @@ class TestMaskFile:
            st.lists(st.integers(-2, 1), min_size=4, max_size=4))
     def test_inverse_taylor_round_trips(self, coeffs, los):
         """Any 2x2 B with (b12 - b11 - b21 + b22)(1) = 0, the condition
-        untwining by the Taylor operator needs."""
+        untwining by the Taylor operator needs; the zero B gives the zero
+        mask, which has no file."""
         b11, b12, b21, b22 = (LaurentPoly.from_coeffs(lo, c) for lo, c in zip(los, coeffs))
         b22 = b22 + LaurentPoly({0: (b11 + b21 - b12 - b22).evaluate(1)})
         sym = SymbolMatrix(((b11, b12), (b21, b22)))
-        assume(not sym.is_zero())
         m = inverse_taylor(vector_mask(sym))
-        assert maskfile.parse(maskfile.serialize(m)) == m
+        if sym.is_zero():
+            with pytest.raises(SubsmoothError, match="^the zero mask has no mask file$"):
+                maskfile.serialize(m)
+        else:
+            assert maskfile.parse(maskfile.serialize(m)) == m
+
+    @pytest.mark.parametrize("mask", [
+        scalar_mask(LaurentPoly.zero()), vector_mask(SymbolMatrix.zero(2)),
+        inverse_taylor(vector_mask(SymbolMatrix.zero(2)))],
+        ids=["scalar", "vector", "hermite"])
+    def test_zero_mask_refused_by_name(self, mask):
+        """parse refuses a file without a nonzero coefficient, so serialize
+        writes none."""
+        with pytest.raises(SubsmoothError) as err:
+            maskfile.serialize(mask)
+        assert str(err.value) == "the zero mask has no mask file"
 
     def test_wrong_shape_rejected(self):
         text = maskfile.serialize(catalog.get("merrien"))

@@ -84,13 +84,14 @@ def test_defaults():
     assert Mask(Kind.SCALAR, hat()).phi is None
     assert Mask(Kind.VECTOR, pair_symbol()).phi is None
     assert FinSeq(FinSeq.delta(1).comps).n == 0
-    assert Certificate("C0", 2, HALF, ("a",)).ell is None
+    assert Certificate(2, HALF, (1,), (0, 1)).ell is None
+    assert Certificate(2, HALF, (1,), (0, 1)).phi is None
     assert Refusal("contractivity", "no power").norms == ()
 
 
 def test_keyword_construction_matches_positional():
-    assert Certificate(kind="C0", L=2, norm_value=HALF, steps=()) == \
-        Certificate("C0", 2, HALF, ())
+    assert Certificate(L=2, norm_value=HALF, ks=(1,), support=(0, 1), phi=HALF) == \
+        Certificate(2, HALF, (1,), (0, 1), None, HALF)
     assert Refusal(stage="s", reason="r", norms=(1,)) == Refusal("s", "r", (1,))
     assert Mask(kind=Kind.HERMITE, symbol=pair_symbol()) == \
         Mask(Kind.HERMITE, pair_symbol())
@@ -149,10 +150,25 @@ def test_sequence_values_are_computed_once_per_instance(monkeypatch):
 
 
 def test_certificate_and_refusal_print_as_before():
-    assert str(Certificate("C0", 3, Fraction(3, 4), ("a", "b"))) == (
-        "C0 certificate: |(1/2 S)^3| = 3/4 < 1\n  - a\n  - b")
-    assert str(Certificate("chain", 1, HALF, (), ell=2)) == (
-        "chain certificate (ell=2): |(1/2 S)^1| = 1/2 < 1")
+    assert str(Certificate(3, Fraction(3, 4), (1,), (-1, 2))) == (
+        "C0 certificate: |(1/2 S)^3| = 3/4 < 1\n"
+        "  - canonical transform with k=1\n"
+        "  - derived scheme support (-1, 2)\n"
+        "  - contractive at L=3 with norm 3/4")
+    assert str(Certificate(1, HALF, (2, 1, 1), (0, 1), ell=2)) == (
+        "chain certificate (ell=2): |(1/2 S)^1| = 1/2 < 1\n"
+        "  - descent 1: derived scheme with k=2\n"
+        "  - descent 2: derived scheme with k=1\n"
+        "  - canonical transform with k=1\n"
+        "  - derived scheme support (0, 1)\n"
+        "  - contractive at L=1 with norm 1/2")
+    assert str(Certificate(2, HALF, (1,), (0, 1), ell=1, phi=Fraction(0))) == (
+        "chain certificate (ell=1): |(1/2 S)^2| = 1/2 < 1\n"
+        "  - spectral condition holds with phi=0\n"
+        "  - taylor scheme eigenspace is span{e2}\n"
+        "  - canonical transform with k=1\n"
+        "  - derived scheme support (0, 1)\n"
+        "  - contractive at L=2 with norm 1/2")
     assert str(Refusal("contractivity", "no power up to 2 is contractive",
                        (Fraction(1), Fraction(3, 2)))) == (
         "inconclusive at stage 'contractivity': no power up to 2 is contractive\n"
@@ -163,8 +179,9 @@ def test_certificate_and_refusal_print_as_before():
 
 def test_reprs_name_the_fields():
     assert repr(Refusal("s", "r")) == "Refusal(stage='s', reason='r', norms=())"
-    assert repr(Certificate("C0", 1, HALF, ("x",))) == (
-        "Certificate(kind='C0', L=1, norm_value=Fraction(1, 2), steps=('x',), ell=None)")
+    assert repr(Certificate(1, HALF, (1,), (0, 1))) == (
+        "Certificate(L=1, norm_value=Fraction(1, 2), ks=(1,), support=(0, 1), "
+        "ell=None, phi=None)")
     assert repr(SpectralReport(True, HALF, ())) == (
         "SpectralReport(holds=True, phi=Fraction(1, 2), violated=())")
     assert repr(TaylorReport(True, False)) == (

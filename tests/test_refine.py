@@ -198,8 +198,7 @@ class TestCertificates:
     def test_hermite_chain_merrien(self):
         res = certify_hermite(catalog.get("merrien"), 1)
         assert isinstance(res, Certificate)
-        assert res.kind == "chain"
-        assert res.ell == 1
+        assert (res.ell, res.phi, res.ks, res.support) == (1, 0, (1,), (-3, 1))
 
     def test_hermite_chain_smoothed_merrien(self):
         res = certify_hermite(catalog.get("merrien-smoothed"), 2)
@@ -240,7 +239,61 @@ class TestCertificates:
     def test_vector_chain_bspline(self):
         res = certify_vector(catalog.get("bspline3"), 2)
         assert isinstance(res, Certificate)
-        assert res.kind == "chain"
+        assert (res.ell, res.phi, res.ks, res.support) == (2, None, (1, 1, 1), (0, 1))
+
+    @pytest.mark.parametrize("name,ell,text", [
+        ("bspline1", 0, """\
+C0 certificate: |(1/2 S)^1| = 1/2 < 1
+  - canonical transform with k=1
+  - derived scheme support (0, 1)
+  - contractive at L=1 with norm 1/2
+"""),
+        ("bspline3", 2, """\
+chain certificate (ell=2): |(1/2 S)^1| = 1/2 < 1
+  - descent 1: derived scheme with k=1
+  - descent 2: derived scheme with k=1
+  - canonical transform with k=1
+  - derived scheme support (0, 1)
+  - contractive at L=1 with norm 1/2
+"""),
+        ("double-knot", 1, """\
+chain certificate (ell=1): |(1/2 S)^3| = 163/224 < 1
+  - descent 1: derived scheme with k=1
+  - canonical transform with k=1
+  - derived scheme support (-2, 2)
+  - contractive at L=3 with norm 163/224
+"""),
+        # phi = 0: the Hermite lines print although phi is falsy
+        ("merrien", 1, """\
+chain certificate (ell=1): |(1/2 S)^3| = 53/64 < 1
+  - spectral condition holds with phi=0
+  - taylor scheme eigenspace is span{e2}
+  - canonical transform with k=1
+  - derived scheme support (-3, 1)
+  - contractive at L=3 with norm 53/64
+"""),
+        ("derham", 2, """\
+chain certificate (ell=2): |(1/2 S)^5| = 16289/20480 < 1
+  - spectral condition holds with phi=-1/2
+  - taylor scheme eigenspace is span{e2}
+  - descent 1: derived scheme with k=1
+  - canonical transform with k=1
+  - derived scheme support (-5, 1)
+  - contractive at L=5 with norm 16289/20480
+"""),
+        ("merrien-smoothed", 2, """\
+chain certificate (ell=2): |(1/2 S)^3| = 397/512 < 1
+  - spectral condition holds with phi=-1/2
+  - taylor scheme eigenspace is span{e2}
+  - descent 1: derived scheme with k=1
+  - canonical transform with k=1
+  - derived scheme support (-3, 1)
+  - contractive at L=3 with norm 397/512
+"""),
+    ])
+    def test_certify_prints_the_chain(self, name, ell, text, capsys):
+        assert main(["certify", f"catalog:{name}", "--ell", str(ell)]) == 0
+        assert capsys.readouterr() == (text, "")
 
 
 def _outcome(fn, *args):
