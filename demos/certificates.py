@@ -7,18 +7,18 @@ certificate is machine-checkable.  A refusal is inconclusive by design:
 the criterion is sufficient, not necessary.
 """
 
-from subsmooth import (LaurentPoly, catalog, certify_c0, certify_hermite,
+from subsmooth import (LaurentPoly, catalog, certify_hermite, certify_vector,
                        scalar_mask, taylor_scheme)
 
 
 def main():
     for name in ("bspline1", "bspline2", "bspline4"):
         print(f"{name}:")
-        print(certify_c0(catalog.get(name)))
+        print(certify_vector(catalog.get(name), 0))
         print()
 
     print("taylor scheme of the interpolatory Hermite scheme:")
-    print(certify_c0(taylor_scheme(catalog.get("merrien"))))
+    print(certify_vector(taylor_scheme(catalog.get("merrien")), 0))
     print()
 
     for name, ell in (("merrien", 1), ("merrien-smoothed", 2), ("derham", 2)):
@@ -30,7 +30,7 @@ def main():
     # coefficients: the norm search comes back empty-handed
     wild = scalar_mask(LaurentPoly({0: -2, 1: 1, 2: 3}))
     print("wild scalar mask (-2 + z + 3z^2):")
-    print(certify_c0(wild, lmax=4))
+    print(certify_vector(wild, 0, lmax=4))
 
 
 if __name__ == "__main__":

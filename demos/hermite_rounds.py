@@ -13,18 +13,19 @@ import os
 import sys
 
 from subsmooth import (catalog, check_interpolatory, check_spectral,
-                       smooth_hermite, zeta_multiplicity_forecast, zeta_of)
+                       smooth_hermite, zeta_of)
 
-# The closed-form round is a test oracle; it lives in the repository's tests/.
+# The closed-form round and the zeta forecast are test oracles; they live in
+# the repository's tests/.
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-from tests.hermite_oracle import smooth_hermite_closed_form  # noqa: E402
+from tests.hermite_oracle import (smooth_hermite_closed_form,  # noqa: E402
+                                  zeta_multiplicity_forecast)
 
 
 def run(name, rounds=3):
     mask = catalog.get(name)
     print(f"== {name} ==")
-    rep = check_spectral(mask)
-    print(f"spectral condition: {rep.holds}, phi = {rep.phi}, "
+    print(f"spectral condition: {check_spectral(mask).holds}, phi = {mask.phi}, "
           f"interpolatory = {check_interpolatory(mask)}")
     print(f"coupling-entry root multiplicity at 1: "
           f"{zeta_multiplicity_forecast(mask)} "

@@ -13,22 +13,17 @@ from .errors import (ConsistencyError, DegenerateAError, EigenspaceError,
                      SpectralConditionError, SubsmoothError, WorkBudgetError)
 from .linalg import RatMatrix, column_space_basis, invert, kernel_basis, rat
 from .laurent import (TAYLOR_OPERATOR, LaurentPoly, SymbolMatrix, Z_PLUS_1,
-                      ZINV2_MINUS_1, ZINV_MINUS_1, ZINV_PLUS_1, difference_operator,
-                      divide_exact, intertwine, root_multiplicity_at_one, untwine)
+                      ZINV2_MINUS_1, ZINV_MINUS_1, difference_operator, divide_exact,
+                      intertwine, untwine)
 from .masks import (Eigenstructure, Kind, Mask, canonical_transform,
-                    common_one_eigenspace, conjugate, derive_phi,
-                    even_odd_mean, even_odd_sums, hermite_mask, operator_norm,
-                    scalar_mask, scheme_scalar, stencil_norm, vector_mask)
-from .vector_smoothing import (admits_derived, admits_smoothing, derived,
-                               derived_scalar, smooth_raw, smooth_scalar,
-                               smooth_vector)
+                    common_one_eigenspace, conjugate, derive_phi, even_odd_mean,
+                    hermite_mask, scalar_mask, stencil_norm, vector_mask)
+from .vector_smoothing import derived, smooth_raw, smooth_vector
 from .hermite_smoothing import (SpectralReport, TaylorReport, check_interpolatory,
                                 check_spectral, check_taylor, inverse_taylor,
-                                smooth_hermite, taylor_scheme,
-                                zeta_multiplicity_forecast, zeta_of)
+                                smooth_hermite, taylor_scheme, zeta_of)
 from .refine import (Certificate, FinSeq, LimitSample, Refusal, apply,
-                     certify_c0, certify_hermite, certify_vector, difference,
-                     iterated_symbol, render, taylor_diff)
+                     certify_hermite, certify_vector, iterated_symbol, render)
 from . import catalog, maskfile
 
 __all__ = [name for name in dir() if not name.startswith("_")]

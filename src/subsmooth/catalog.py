@@ -94,7 +94,7 @@ _FIXED = {
     "derham-smoothed": derham_smoothed,
 }
 
-_BSPLINE_RE = re.compile(r"^bspline(\d+)$")
+_BSPLINE_RE = re.compile(r"bspline([0-9]+)")
 
 
 def names() -> list[str]:
@@ -103,12 +103,13 @@ def names() -> list[str]:
 
 def get(name: str) -> Mask:
     """Look up a catalog scheme by name (e.g. "bspline3", "merrien")."""
-    m = _BSPLINE_RE.match(name)
+    m = _BSPLINE_RE.fullmatch(name)
     if m:
-        degree = int(m.group(1))
-        if degree > 64:
-            raise KeyError(f"b-spline degree {degree} out of range (<= 64)")
-        return bspline(degree)
+        digits = m.group(1)
+        # a degree has at most two digits; a longer run is refused unread
+        if len(digits) > 2 or int(digits) > 64:
+            raise KeyError(f"b-spline degree {digits} out of range (<= 64)")
+        return bspline(int(digits))
     try:
         return _FIXED[name]()
     except KeyError:

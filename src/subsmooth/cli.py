@@ -21,7 +21,7 @@ import sys
 
 from . import catalog, maskfile
 from .errors import ConsistencyError, SubsmoothError
-from .masks import Kind, Mask, common_one_eigenspace, even_odd_mean
+from .masks import Kind, Mask, common_one_eigenspace, derive_phi, even_odd_mean
 from .hermite_smoothing import (check_interpolatory, check_spectral,
                                 check_taylor, smooth_hermite, zeta_of)
 from .refine import (DEFAULT_LMAX, MAX_LMAX, MAX_RENDER_ROWS, MAX_ROUNDS,
@@ -75,8 +75,9 @@ def cmd_show(args) -> int:
         out.append("common 1-eigenspace: trivial")
     if mask.p == 2:
         rep = check_spectral(mask)
+        # derive_phi, not Mask.phi: a vector mask may meet the condition too
         out.append(f"spectral condition: {'holds' if rep.holds else 'fails'}"
-                   + (f", phi = {rep.phi}" if rep.holds
+                   + (f", phi = {derive_phi(sym)}" if rep.holds
                       else f", violated {list(rep.violated)}"))
         if rep.holds:
             out.append(f"interpolatory: {check_interpolatory(mask)}")

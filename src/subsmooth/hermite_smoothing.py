@@ -24,21 +24,19 @@ from fractions import Fraction
 
 from .errors import (ConsistencyError, DegenerateAError, NotDivisibleError,
                      NotInTildeError, SpectralConditionError)
-from .laurent import (TAYLOR_BASIS_OPERATOR, TAYLOR_OPERATOR, intertwine,
-                      root_multiplicity_at_one, untwine)
+from .laurent import TAYLOR_BASIS_OPERATOR, TAYLOR_OPERATOR, intertwine, untwine
 from .linalg import RatMatrix
-from .masks import Mask, conjugate, derive_phi, hermite_mask, vector_mask
+from .masks import Kind, Mask, conjugate, hermite_mask, vector_mask
 from .vector_smoothing import _check_window
 
 HALF = Fraction(1, 2)
 
 
-class SpectralReport(namedtuple("SpectralReport", "holds phi violated")):
+class SpectralReport(namedtuple("SpectralReport", "holds violated")):
     """Outcome of the eight spectral-condition equalities.
 
-    ``violated`` lists the failing condition groups (1)-(4); ``phi`` is the
-    shift parameter extracted from the linear-reproduction equality and is
-    meaningful only when ``holds``.
+    ``violated`` lists the failing condition groups (1)-(4).  The shift
+    parameter phi of condition (3) is Mask.phi.
     """
 
     __slots__ = ()
@@ -68,7 +66,6 @@ def check_spectral(mask: Mask) -> SpectralReport:
         raise ValueError("spectral condition applies to 2x2 masks")
     s = mask.symbol
     a11, a12, a21, a22 = s[0, 0], s[0, 1], s[1, 0], s[1, 1]
-    phi = derive_phi(s)
     violated = []
     if not (a11.evaluate(1) == 2 and a11.evaluate(-1) == 0):
         violated.append(1)
@@ -79,7 +76,7 @@ def check_spectral(mask: Mask) -> SpectralReport:
     if not (a21.derivative_at(1) - 2 * a22.evaluate(1) == -2
             and a21.derivative_at(-1) + 2 * a22.evaluate(-1) == 0):
         violated.append(4)
-    return SpectralReport(holds=not violated, phi=phi, violated=tuple(violated))
+    return SpectralReport(holds=not violated, violated=tuple(violated))
 
 
 def check_interpolatory(mask: Mask) -> bool:
@@ -163,12 +160,15 @@ def smooth_hermite(mask: Mask) -> Mask:
     b11(1) + b21(1) = 2 -> inverse Taylor factorization.  A smoothed scheme
     that leaves span{e2}, or a shear that misses the trace condition (the
     inverse factorization does not divide), is a ConsistencyError.  Verifies
-    phi drops by 1/2 and the support stays within [lo-5, hi].
+    phi drops by 1/2 and the support stays within [lo-5, hi].  A vector mask
+    that meets the spectral condition is a ValueError: it has no phi.
     """
     rep = check_spectral(mask)
     if not rep.holds:
         raise SpectralConditionError(
             f"spectral condition fails; violated conditions {list(rep.violated)}")
+    if mask.kind is not Kind.HERMITE:
+        raise ValueError("Hermite smoothing applies to Hermite masks")
     zeta = zeta_of(mask)
     tay = taylor_scheme(mask)
     if not _eigenspace_is_e2(tay):
@@ -189,9 +189,9 @@ def smooth_hermite(mask: Mask) -> Mask:
         raise ConsistencyError(
             f"the shear by zeta = {zeta} missed the Taylor trace condition") from None
 
-    if out.phi != rep.phi - HALF:
+    if out.phi != mask.phi - HALF:
         raise ConsistencyError(
-            f"phi moved from {rep.phi} to {out.phi}, expected a drop of 1/2")
+            f"phi moved from {mask.phi} to {out.phi}, expected a drop of 1/2")
     _check_window(mask, out, 5)
     return out
 
@@ -205,14 +205,3 @@ def zeta_of(mask: Mask) -> Fraction:
         raise DegenerateAError("zeta undefined: a22(1) = 2")
     return 1 + a12 / (2 - a22)
 
-
-def zeta_multiplicity_forecast(mask: Mask):
-    """Multiplicity r of the root at 1 of the coupling entry a12.
-
-    r - 1 further smoothing rounds stay in the zeta = 1 branch; returns
-    math.inf when a12 is identically zero (every round has zeta = 1).
-    """
-    rep = check_spectral(mask)
-    if not rep.holds:
-        raise SpectralConditionError("forecast requires the spectral condition")
-    return root_multiplicity_at_one(mask.symbol[0, 1])

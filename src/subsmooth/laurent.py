@@ -19,9 +19,9 @@ MAX_WORK, calibrated in README "Command line".  Rationals appear only at the
 boundary: ``coeff``, ``coeffs``, ``evaluate`` and ``derivative_at`` return
 Fractions.
 
-Division is restricted to four binomials, z+1, 1/z+1, 1/z-1 and 1/z**2-1
-(the smoothing calculus divides by the last two); each has an exact quotient
-in the Laurent ring precisely when the matching root condition holds.
+Division is restricted to the two binomials the smoothing calculus divides
+by, 1/z-1 and 1/z**2-1; each has an exact quotient in the Laurent ring
+precisely when the matching root condition holds.
 """
 
 from __future__ import annotations
@@ -328,60 +328,40 @@ class LaurentPoly:
 _ZERO = _raw(0, (), 1)
 _ONE = _raw(0, (1,), 1)
 
-# The four binomial divisors used by the smoothing calculus.
-Z_PLUS_1 = LaurentPoly({1: 1, 0: 1})            # z + 1
-ZINV_PLUS_1 = LaurentPoly({-1: 1, 0: 1})        # 1/z + 1
+Z_PLUS_1 = LaurentPoly({1: 1, 0: 1})            # z + 1, the b-spline seed
+# The two divisors of the smoothing calculus.
 ZINV_MINUS_1 = LaurentPoly({-1: 1, 0: -1})      # 1/z - 1
 ZINV2_MINUS_1 = LaurentPoly({-2: 1, 0: -1})     # 1/z**2 - 1
-
-_BINOMIALS = (Z_PLUS_1, ZINV_PLUS_1, ZINV_MINUS_1, ZINV2_MINUS_1)
+_DIVISORS = (ZINV_MINUS_1, ZINV2_MINUS_1)
 
 
 def divide_exact(f: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    """Exact quotient f/d in the Laurent ring for one of the four binomials.
+    """Exact quotient f/d in the Laurent ring for d = 1/z - 1 or 1/z**2 - 1.
 
-    Integer synthetic division from the lowest exponent upward: each binomial
-    is z**a * (1 + s*z**g) with s = +-1, so the quotient numerators are
-    q[j] = nums[j] - s*q[j-g] over the same denominator.  The quotient in the
-    Laurent ring is unique, so the direction is only a determinism choice.
-    Raises NotDivisibleError (carrying the remainder) when the matching root
-    condition fails, e.g. dividing by 1/z - 1 a polynomial with f(1) != 0.
+    Integer synthetic division from the lowest exponent upward: d is
+    z**-g * (1 - z**g), so the quotient numerators are q[j] = nums[j] + q[j-g]
+    over the same denominator.  The quotient in the Laurent ring is unique, so
+    the direction is only a determinism choice.  Raises NotDivisibleError
+    (carrying the remainder) when f(1) != 0, or for 1/z**2 - 1 also when
+    f(-1) != 0.
     """
-    if d not in _BINOMIALS:
+    if d not in _DIVISORS:
         raise ValueError(f"unsupported divisor {d}")
     if f.is_zero():
         return f
     gap = len(d.nums) - 1
-    s = d.nums[-1]
     nums = f.nums
     n = len(nums)
     if n <= gap:
         raise NotDivisibleError(f"{f} is not divisible by {d}", remainder=f)
     q = list(nums[:n - gap])
     for j in range(gap, n - gap):
-        q[j] -= s * q[j - gap]
-    rem = [nums[j] - s * q[j - gap] if j >= gap else nums[j]
-           for j in range(n - gap, n)]
+        q[j] += q[j - gap]
+    rem = [nums[j] + q[j - gap] if j >= gap else nums[j] for j in range(n - gap, n)]
     if any(rem):
         raise NotDivisibleError(f"{f} is not divisible by {d}",
                                 remainder=_normalize(f.lo + n - gap, rem, f.den))
     return _raw(f.lo - d.lo, tuple(q), f.den)
-
-
-def root_multiplicity_at_one(f: LaurentPoly):
-    """Largest m with (z-1)**m dividing f in the Laurent ring; inf for f = 0.
-
-    1/z - 1 is an associate of z - 1 in the Laurent ring, so dividing by it
-    repeatedly counts the multiplicity.
-    """
-    if f.is_zero():
-        return math.inf
-    m = 0
-    g = f
-    while g.evaluate(1) == 0:
-        g = divide_exact(g, ZINV_MINUS_1)
-        m += 1
-    return m
 
 
 def joint_support(polys) -> tuple[int, int] | None:

@@ -95,26 +95,7 @@ def hermite_mask(symbol: SymbolMatrix) -> Mask:
     return Mask(Kind.HERMITE, symbol)
 
 
-def scheme_scalar(mask: Mask) -> LaurentPoly:
-    """The underlying 1x1 symbol of a scalar mask."""
-    if mask.kind is not Kind.SCALAR:
-        raise ValueError("expected a scalar mask")
-    return mask.symbol[0, 0]
-
-
 # -- even/odd structure ----------------------------------------------------------
-
-def even_odd_sums(mask: Mask) -> tuple[RatMatrix, RatMatrix]:
-    """(sum of even-indexed coefficients, sum of odd-indexed coefficients).
-
-    Computed from the symbol values: even = (A*(1)+A*(-1))/2 and
-    odd = (A*(1)-A*(-1))/2.
-    """
-    at1 = mask.symbol.evaluate(1)
-    atm1 = mask.symbol.evaluate(-1)
-    half = Fraction(1, 2)
-    return (at1 + atm1).scale(half), (at1 - atm1).scale(half)
-
 
 def even_odd_mean(mask: Mask) -> RatMatrix:
     """Half the symbol value at 1, i.e. the mean of the even/odd sums."""
@@ -129,11 +110,6 @@ def common_one_eigenspace(mask: Mask) -> list[RatMatrix]:
     every call returns a fresh list.
     """
     return list(mask._one_eigenspace)
-
-
-def operator_norm(mask: Mask) -> Fraction:
-    """Exact sup-norm of the subdivision operator on bounded sequences."""
-    return stencil_norm(mask.symbol, 2)
 
 
 def stencil_norm(symbol: SymbolMatrix, arity: int) -> Fraction:

@@ -1,10 +1,9 @@
 """Applying schemes to data, contractivity certificates, limit rendering.
 
 Everything before the final float conversion is exact rational: applying a
-mask to a finitely supported sequence, difference operators, iterated
-symbols and operator norms.  Contractivity certificates are therefore
-machine-checkable witnesses, not numerical estimates: a granted
-certificate states an exact operator norm < 1.
+mask to a finitely supported sequence, iterated symbols and operator norms.
+Contractivity certificates are therefore machine-checkable witnesses, not
+numerical estimates: a granted certificate states an exact operator norm < 1.
 
 A refusal is always inconclusive.  The norm criterion is sufficient for
 convergence, not necessary, so failing to find a contractive power proves
@@ -22,8 +21,7 @@ from math import gcd
 from operator import floordiv
 
 from .errors import SubsmoothError, WorkBudgetError
-from .laurent import (TAYLOR_OPERATOR, LaurentPoly, SymbolMatrix,
-                      difference_operator, joint_support)
+from .laurent import LaurentPoly, SymbolMatrix, joint_support
 from .masks import Kind, Mask, canonical_transform, conjugate, stencil_norm
 from .vector_smoothing import derived
 from .hermite_smoothing import _eigenspace_is_e2, check_spectral, taylor_scheme
@@ -186,18 +184,6 @@ def apply(mask: Mask, c: FinSeq) -> FinSeq:
     return FinSeq(mask.symbol.mul_vector(c.comps, 2), c.n)
 
 
-def difference(c: FinSeq, k: int) -> FinSeq:
-    """Forward difference on the first k components, identity on the rest."""
-    return FinSeq(difference_operator(c.p, k).mul_vector(c.comps), c.n)
-
-
-def taylor_diff(c: FinSeq) -> FinSeq:
-    """Taylor operator on pairs: (Tc)_i = (c1_{i+1} - c1_i - c2_i, c2_i)."""
-    if c.p != 2:
-        raise ValueError("Taylor operator applies to 2-vector data")
-    return FinSeq(TAYLOR_OPERATOR.mul_vector(c.comps), c.n)
-
-
 def iterated_symbol(mask: Mask, L: int, *, _prev: SymbolMatrix | None = None) -> SymbolMatrix:
     """Symbol of the L-fold operator: A(z) A(z**2) ... A(z**(2**(L-1))).
 
@@ -277,17 +263,6 @@ def _contractive_power(mask: Mask, lmax: int):
     return None, f"no power up to {lmax} is contractive", norms
 
 
-def certify_c0(mask: Mask, lmax: int = DEFAULT_LMAX):
-    """Convergence certificate by contractivity of the halved derived scheme.
-
-    Conjugates the mask canonically, takes the derived scheme there, and
-    searches L <= lmax for an exact norm |(1/2 S)^L| < 1.  Returns a
-    Certificate or an (inconclusive) Refusal.  Raises for masks without a
-    usable eigenspace or violating the derived-scheme conditions.
-    """
-    return certify_vector(mask, 0, lmax)
-
-
 def certify_vector(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):
     """Certificate that a scalar/vector scheme is C^ell: descend ell + 1
     derived schemes (fresh canonical transform each round), then search
@@ -316,7 +291,8 @@ def certify_hermite(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):
     Verifies the spectral condition, computes the Taylor scheme, checks its
     eigenspace is span{e2} (the vanishing-first-component hypothesis), then
     certifies the Taylor scheme is C^(ell-1) by ell-1 derived-scheme
-    descents ending in a contractivity search.
+    descents ending in a contractivity search.  A vector mask that meets the
+    spectral condition is a ValueError: it has no phi.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1 for Hermite certificates")
@@ -324,13 +300,15 @@ def certify_hermite(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):
     if not rep.holds:
         return Refusal(stage="spectral condition",
                        reason=f"violated conditions {list(rep.violated)}")
+    if mask.kind is not Kind.HERMITE:
+        raise ValueError("Hermite certificates apply to Hermite masks")
     tay = taylor_scheme(mask)
     if not _eigenspace_is_e2(tay):
         return Refusal(stage="taylor eigenspace",
                        reason="common 1-eigenspace of the Taylor scheme "
                               "is not span{e2}")
     res = certify_vector(tay, ell - 1, lmax)
-    return res if isinstance(res, Refusal) else res._replace(ell=ell, phi=rep.phi)
+    return res if isinstance(res, Refusal) else res._replace(ell=ell, phi=mask.phi)
 
 
 # -- limit rendering -----------------------------------------------------------------

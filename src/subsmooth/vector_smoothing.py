@@ -18,7 +18,7 @@ from __future__ import annotations
 from .errors import ConsistencyError, NotDivisibleError
 from .laurent import difference_operator, intertwine, untwine
 from .masks import (Eigenstructure, Kind, Mask, canonical_transform,
-                    common_one_eigenspace, conjugate, scheme_scalar)
+                    common_one_eigenspace, conjugate)
 
 
 def _out_kind(mask: Mask) -> Kind:
@@ -46,42 +46,6 @@ def smooth_raw(mask: Mask, k: int) -> Mask:
     """
     kind = _out_kind(mask)
     return Mask(kind, untwine(mask.symbol, difference_operator(mask.p, k)))
-
-
-def _exists(op, mask: Mask, k: int) -> bool:
-    try:
-        op(mask.symbol, difference_operator(mask.p, k))
-    except NotDivisibleError:
-        return False
-    return True
-
-
-def admits_derived(mask: Mask, k: int) -> bool:
-    """True iff the derived scheme for the leading k components exists."""
-    return _exists(intertwine, mask, k)
-
-
-def admits_smoothing(mask: Mask, k: int) -> bool:
-    """True iff the smoothing operator for the leading k components exists."""
-    return _exists(untwine, mask, k)
-
-
-def derived_scalar(mask: Mask) -> Mask:
-    """Derived scheme of a scalar mask: symbol 2z * a(z) / (z+1).
-
-    Requires a(-1) = 0; satisfies Delta S_a = 1/2 S_(derived a) Delta.
-    """
-    scheme_scalar(mask)  # ValueError unless the mask is scalar
-    return derived(mask, 1)
-
-
-def smooth_scalar(mask: Mask) -> Mask:
-    """Smoothed scalar mask: symbol (1+z)/2 * z^-1 * a(z).
-
-    Right inverse of derived_scalar; raises the limit regularity by one.
-    """
-    scheme_scalar(mask)  # ValueError unless the mask is scalar
-    return smooth_raw(mask, 1)
 
 
 # -- full procedure -------------------------------------------------------------------

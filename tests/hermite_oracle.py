@@ -4,18 +4,23 @@
 polynomial formulas in the re-normalization constant zeta, without the
 Taylor factorization, the canonical transform or the intertwining solve
 that ``subsmooth.smooth_hermite`` composes; the two must agree bit for bit.
+
+``zeta_multiplicity_forecast`` predicts how many rounds keep zeta = 1 from
+the root multiplicity at 1 of the coupling entry a12.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from subsmooth import (ConsistencyError, LaurentPoly, Mask,
                        SpectralConditionError, SymbolMatrix, ZINV2_MINUS_1,
-                       ZINV_MINUS_1, ZINV_PLUS_1, check_spectral, divide_exact,
+                       ZINV_MINUS_1, check_spectral, divide_exact,
                        hermite_mask, zeta_of)
 
 HALF = Fraction(1, 2)
+ZINV_PLUS_1 = LaurentPoly({-1: 1, 0: 1})
 
 
 def smooth_hermite_closed_form(mask: Mask) -> Mask:
@@ -36,9 +41,36 @@ def smooth_hermite_closed_form(mask: Mask) -> Mask:
         special = _closed_form_special(mask.symbol)
         if special != out.symbol:
             raise ConsistencyError("general and zeta=1 closed forms disagree")
-    if out.phi != rep.phi - HALF:
-        raise ConsistencyError(f"closed form moved phi from {rep.phi} to {out.phi}")
+    if out.phi != mask.phi - HALF:
+        raise ConsistencyError(f"closed form moved phi from {mask.phi} to {out.phi}")
     return out
+
+
+def root_multiplicity_at_one(f: LaurentPoly):
+    """Largest m with (z-1)**m dividing f in the Laurent ring; inf for f = 0.
+
+    1/z - 1 is an associate of z - 1 in the Laurent ring, so dividing by it
+    repeatedly counts the multiplicity.
+    """
+    if f.is_zero():
+        return math.inf
+    m = 0
+    g = f
+    while g.evaluate(1) == 0:
+        g = divide_exact(g, ZINV_MINUS_1)
+        m += 1
+    return m
+
+
+def zeta_multiplicity_forecast(mask: Mask):
+    """Multiplicity r of the root at 1 of the coupling entry a12.
+
+    r - 1 further smoothing rounds stay in the zeta = 1 branch; returns
+    math.inf when a12 is identically zero (every round has zeta = 1).
+    """
+    if not check_spectral(mask).holds:
+        raise SpectralConditionError("forecast requires the spectral condition")
+    return root_multiplicity_at_one(mask.symbol[0, 1])
 
 
 def _lp(coeffs: dict[int, Fraction]) -> LaurentPoly:

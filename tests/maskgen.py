@@ -11,10 +11,14 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
-from subsmooth import (FinSeq, LaurentPoly, Mask, RatMatrix, SymbolMatrix,
-                       common_one_eigenspace, conjugate, hermite_mask,
-                       inverse_taylor, invert, taylor_scheme, vector_mask)
+from hypothesis import strategies as st
+
+from subsmooth import (FinSeq, Kind, LaurentPoly, Mask, RatMatrix, SymbolMatrix,
+                       catalog, common_one_eigenspace, conjugate, hermite_mask,
+                       inverse_taylor, invert, smooth_hermite, smooth_vector,
+                       taylor_scheme, vector_mask)
 
 from tests.masks_oracle import rank
 
@@ -183,6 +187,47 @@ def not_in_tilde_mask() -> Mask:
     f = LaurentPoly({0: 1, 1: 1})
     zero = LaurentPoly.zero()
     return inverse_taylor(vector_mask(_sym([[f, zero], [zero, f]])))
+
+
+# -- masks that certify ------------------------------------------------------------
+#
+# The smoothing round carries regularity from its input to its output, so
+# these masks are granted by construction; a test that draws from them sees
+# certificates, not only refusals.
+
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@lru_cache(maxsize=None)
+def smoothed(name: str, rounds: int) -> Mask:
+    """The catalog mask name after the given number of smoothing rounds."""
+    mask = catalog.get(name)
+    for _ in range(rounds):
+        mask = smooth_hermite(mask) if mask.kind is Kind.HERMITE else smooth_vector(mask)
+    return mask
+
+
+@st.composite
+def granted_vector_masks(draw):
+    """(mask, ell) that certify_vector grants at lmax 12: double-knot (C^1)
+    or its smoothed mask (C^2), conjugated by a random invertible rational
+    2x2 matrix, with ell up to that order.  The norm is an infinity norm, so
+    L and norm_value depend on the basis."""
+    rounds = draw(st.integers(0, 1))
+    a, b, c, d = draw(st.lists(_fractions, min_size=4, max_size=4)
+                      .filter(lambda e: e[0] * e[3] != e[1] * e[2]))
+    r = RatMatrix.from_rows([[a, b], [c, d]])
+    return conjugate(smoothed("double-knot", rounds), r), draw(st.integers(0, 1 + rounds))
+
+
+@st.composite
+def granted_hermite_masks(draw):
+    """(mask, ell) that certify_hermite grants at lmax 8: merrien (HC^1) or
+    derham (HC^2) smoothed 1-4 times, each round adding one order, with ell
+    from 1 up to the order reached."""
+    name, order = draw(st.sampled_from((("merrien", 1), ("derham", 2))))
+    rounds = draw(st.integers(1, 4))
+    return smoothed(name, rounds), draw(st.integers(1, order + rounds))
 
 
 # -- symbol-level intertwining identities ---------------------------------------

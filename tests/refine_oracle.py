@@ -3,7 +3,8 @@
 ``apply``, ``difference`` and ``taylor_diff`` are the sequence operations
 as sums over the entries of the data, reading a mask only through
 ``support``/``coefficient`` and a sequence only through ``support``/``at``;
-the package computes them as products of symbols.  The ``*_condition``
+the package computes them as products of symbols: ``subsmooth.apply`` and
+the products with ``difference_operator`` and ``TAYLOR_OPERATOR``.  The ``*_condition``
 functions are the explicit root conditions under which the derived scheme,
 the smoothing operator and the two Taylor factorizations exist; the package
 finds out by attempting the exact divisions.  ``full_support_window`` is the

@@ -18,7 +18,7 @@ import subsmooth
 from subsmooth import (Z_PLUS_1, ConsistencyError, FinSeq, LaurentPoly,
                        MaskFileError, Refusal, SubsmoothError, SymbolMatrix,
                        catalog, certify_vector, hermite_mask, maskfile, render,
-                       scalar_mask, smooth_hermite, smooth_scalar, vector_mask)
+                       scalar_mask, smooth_hermite, smooth_raw, vector_mask)
 from subsmooth import cli
 from subsmooth.cli import main
 from subsmooth import laurent, refine
@@ -622,7 +622,7 @@ class TestRefusalWording:
         assert res.stage == "contractivity"
 
     def test_ell_one_names_descents(self):
-        res = certify_vector(smooth_scalar(self.WILD), 1, 3)
+        res = certify_vector(smooth_raw(self.WILD, 1), 1, 3)
         assert isinstance(res, Refusal)
         assert res.stage == "contractivity after 1 descents"
 

@@ -10,10 +10,10 @@ from subsmooth import (ConsistencyError, DegenerateAError, Kind, LaurentPoly,
                        catalog, check_interpolatory, check_spectral,
                        check_taylor, common_one_eigenspace, hermite_mask,
                        inverse_taylor, smooth_hermite,
-                       taylor_scheme, vector_mask, ZINV_MINUS_1,
-                       zeta_multiplicity_forecast, zeta_of)
+                       taylor_scheme, vector_mask, ZINV_MINUS_1, zeta_of)
 
-from tests.hermite_oracle import smooth_hermite_closed_form
+from tests.hermite_oracle import (smooth_hermite_closed_form,
+                                  zeta_multiplicity_forecast)
 from tests.masks_oracle import eigenspace_is_e2
 from tests.maskgen import (intertwines_taylor, not_in_tilde_mask,
                            rand_smoothing_ready_spectral,
@@ -29,15 +29,14 @@ def sym2(a11, a12, a21, a22):
 
 class TestSpectralCondition:
     def test_merrien(self):
-        rep = check_spectral(catalog.get("merrien"))
-        assert rep.holds
-        assert rep.phi == 0
-        assert rep.violated == ()
+        m = catalog.get("merrien")
+        assert check_spectral(m) == (True, ())
+        assert m.phi == 0
 
     def test_derham(self):
-        rep = check_spectral(catalog.get("derham"))
-        assert rep.holds
-        assert rep.phi == Fraction(-1, 2)
+        m = catalog.get("derham")
+        assert check_spectral(m).holds
+        assert m.phi == Fraction(-1, 2)
 
     def test_zero_mask_fails_constant_and_linear_reproduction(self):
         rep = check_spectral(vector_mask(SymbolMatrix.zero(2)))
@@ -210,6 +209,12 @@ class TestSmoothHermite:
                 smooth_hermite(catalog.get(name))
             assert str(err.value) == (
                 f"the shear by zeta = {zeta} missed the Taylor trace condition")
+
+    def test_vector_mask_refused(self):
+        """A vector mask has no phi, even when it meets the spectral condition."""
+        with pytest.raises(ValueError) as err:
+            smooth_hermite(vector_mask(catalog.get("merrien").symbol))
+        assert str(err.value) == "Hermite smoothing applies to Hermite masks"
 
     def test_eigenspace_not_e2_refused(self):
         mask = not_in_tilde_mask()

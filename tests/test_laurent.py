@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from subsmooth import (LaurentPoly, NotDivisibleError, Z_PLUS_1,
-                       ZINV2_MINUS_1, ZINV_MINUS_1, ZINV_PLUS_1, divide_exact,
-                       root_multiplicity_at_one)
+                       ZINV2_MINUS_1, ZINV_MINUS_1, divide_exact)
 
+from tests.hermite_oracle import root_multiplicity_at_one
 from tests.maskgen import rand_laurent
 
 
@@ -83,16 +83,23 @@ class TestDivision:
         assert err.value.remainder is not None
 
     def test_unsupported_divisor_rejected(self):
-        with pytest.raises(ValueError):
-            divide_exact(Z_PLUS_1, LP({0: 1, 3: 1}))
+        for d in (LP({0: 1, 3: 1}), Z_PLUS_1, LP({-1: 1, 0: 1})):
+            with pytest.raises(ValueError):
+                divide_exact(Z_PLUS_1, d)
 
-    @pytest.mark.parametrize("d", [Z_PLUS_1, ZINV_PLUS_1, ZINV_MINUS_1, ZINV2_MINUS_1])
+    # z + 1 and 1/z + 1 (d0, d1) are refused: only the two divisors of the
+    # smoothing calculus (d2, d3) are accepted
+    @pytest.mark.parametrize("d", [Z_PLUS_1, LP({-1: 1, 0: 1}), ZINV_MINUS_1, ZINV2_MINUS_1])
     def test_divide_then_remultiply_fuzz(self, d):
         rng = random.Random(hash(tuple(sorted(d.coeffs))) & 0xFFFF)
         for _ in range(50):
             q = rand_laurent(rng, -3, 3)
             f = q * d
-            assert divide_exact(f, d) == q
+            if d in (ZINV_MINUS_1, ZINV2_MINUS_1):
+                assert divide_exact(f, d) == q
+            else:
+                with pytest.raises(ValueError, match="unsupported divisor"):
+                    divide_exact(f, d)
 
 
 class TestRootMultiplicity:

@@ -139,9 +139,9 @@ class TestCatalog:
             [["5/4", "3/8"], ["-9/2", "-5/4"]]).scale(eighth)
 
     def test_bspline_symbols(self):
-        from subsmooth import LaurentPoly, scheme_scalar
-        assert scheme_scalar(catalog.get("bspline0")) == LaurentPoly({0: 1, 1: 1})
-        assert scheme_scalar(catalog.get("bspline1")) == LaurentPoly(
+        from subsmooth import LaurentPoly
+        assert catalog.get("bspline0").symbol[0, 0] == LaurentPoly({0: 1, 1: 1})
+        assert catalog.get("bspline1").symbol[0, 0] == LaurentPoly(
             {-1: "1/2", 0: 1, 1: "1/2"})
 
     def test_unknown_name(self):
@@ -165,10 +165,21 @@ class TestCli:
         ("nope", "unknown catalog scheme 'nope'; available: bspline{l}, derham, "
                  "derham-smoothed, double-knot, merrien, merrien-smoothed"),
         ("bspline65", "b-spline degree 65 out of range (<= 64)"),
+        # the name is matched whole, in ASCII digits
+        pytest.param("bspline3\n", "unknown catalog scheme 'bspline3\\n'; available: "
+                     "bspline{l}, derham, derham-smoothed, double-knot, merrien, "
+                     "merrien-smoothed", id="trailing-newline"),
+        pytest.param("bspline\u0663", "unknown catalog scheme 'bspline\u0663'; available: "
+                     "bspline{l}, derham, derham-smoothed, double-knot, merrien, "
+                     "merrien-smoothed", id="arabic-indic-digit"),
+        # a run int() would refuse to read is out of range unread
+        pytest.param("bspline" + "0" * 5000 + "3",
+                     "b-spline degree " + "0" * 5000 + "3 out of range (<= 64)",
+                     id="overlong-digit-run"),
     ])
     def test_catalog_error_prints_its_message(self, name, message, capsys):
         assert main(["show", f"catalog:{name}"]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_show_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mask"

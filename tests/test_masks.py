@@ -6,8 +6,8 @@ import pytest
 from subsmooth import (EmptyEigenspaceError,
                        LaurentPoly, RatMatrix, SymbolMatrix,
                        canonical_transform, catalog, common_one_eigenspace,
-                       conjugate, even_odd_mean, even_odd_sums, invert,
-                       operator_norm, scalar_mask, vector_mask)
+                       conjugate, even_odd_mean, invert, scalar_mask,
+                       stencil_norm, vector_mask)
 
 from tests.maskgen import rand_laurent, rand_unimodular, span_equal
 
@@ -20,28 +20,26 @@ def diag_embedding(f, p=2):
 
 
 class TestEvenOddSums:
+    """The symbol values at +-1 are the sums and differences of the even-
+    and odd-indexed coefficients, which common_one_eigenspace reads."""
+
     def test_scalar_hat(self):
         m = scalar_mask(LP({0: 1, 1: 1}))
-        even, odd = even_odd_sums(m)
-        assert even == RatMatrix.from_rows([[1]])
-        assert odd == RatMatrix.from_rows([[1]])
+        assert m.symbol.evaluate(1) == RatMatrix.from_rows([[2]])
+        assert m.symbol.evaluate(-1) == RatMatrix.from_rows([[0]])
 
     def test_double_knot_sum_is_value_at_one(self):
         dk = catalog.get("double-knot")
-        even, odd = even_odd_sums(dk)
-        assert even + odd == RatMatrix.from_rows([["9/8", "7/8"], ["7/8", "9/8"]])
-        assert even - odd == dk.symbol.evaluate(-1)
+        assert dk.symbol.evaluate(1) == RatMatrix.from_rows([["9/8", "7/8"], ["7/8", "9/8"]])
+        assert dk.symbol.evaluate(-1) == RatMatrix.from_rows([["-3/8", "3/8"], ["3/8", "-3/8"]])
 
     def test_merrien_even_sum(self):
-        m = catalog.get("merrien")
-        even, _ = even_odd_sums(m)
-        assert even == RatMatrix.from_rows([[1, 0], [0, "1/2"]])
+        s = catalog.get("merrien").symbol
+        assert s.evaluate(1) + s.evaluate(-1) == RatMatrix.from_rows([[2, 0], [0, 1]])
 
     def test_matches_direct_coefficient_summation(self):
-        rng = random.Random(122)
         for name in ("double-knot", "merrien", "derham"):
             m = catalog.get(name)
-            even, odd = even_odd_sums(m)
             lo, hi = m.support
             se = so = RatMatrix.zero(m.p, m.p)
             for i in range(lo, hi + 1):
@@ -49,7 +47,7 @@ class TestEvenOddSums:
                     se = se + m.coefficient(i)
                 else:
                     so = so + m.coefficient(i)
-            assert (even, odd) == (se, so)
+            assert (m.symbol.evaluate(1), m.symbol.evaluate(-1)) == (se + so, se - so)
 
 
 class TestCommonOneEigenspace:
@@ -87,20 +85,20 @@ class TestEvenOddMean:
 
 class TestOperatorNorm:
     def test_linear_bspline(self):
-        assert operator_norm(catalog.get("bspline1")) == 1
+        assert stencil_norm(catalog.get("bspline1").symbol, 2) == 1
 
     def test_halved_two_tap(self):
         m = scalar_mask(LP({0: "1/2", 1: "1/2"}))
-        assert operator_norm(m) == Fraction(1, 2)
+        assert stencil_norm(m.symbol, 2) == Fraction(1, 2)
 
     def test_zero_mask(self):
-        assert operator_norm(scalar_mask(LP.zero())) == 0
+        assert stencil_norm(scalar_mask(LP.zero()).symbol, 2) == 0
 
     def test_norm_zero_iff_zero_symbol(self):
         rng = random.Random(123)
         for _ in range(20):
             f = rand_laurent(rng)
-            assert (operator_norm(scalar_mask(f)) == 0) == f.is_zero()
+            assert (stencil_norm(scalar_mask(f).symbol, 2) == 0) == f.is_zero()
 
 
 class TestConjugate:

@@ -1,6 +1,7 @@
 """Property tests: the symbol-product operations against the entry-loop
 oracles of tests/refine_oracle.py, on random masks (p = 1..3) and random
-sequences.
+sequences, and granted certificates against the dict oracle of
+tests/laurent_oracle.py.
 
 Masks are drawn with a target: entries corrected (tests.maskgen.with_values)
 so that the derived scheme, the smoothing operator or one of the Taylor
@@ -16,14 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsmooth import (TAYLOR_OPERATOR, FinSeq, LaurentPoly,
-                       NotDivisibleError, SymbolMatrix, ZINV_MINUS_1,
-                       admits_derived, admits_smoothing, apply, derived,
-                       difference, intertwine, inverse_taylor, smooth_raw,
-                       taylor_diff, taylor_scheme, untwine, vector_mask)
+from subsmooth import (TAYLOR_OPERATOR, Certificate, FinSeq, LaurentPoly,
+                       NotDivisibleError, SymbolMatrix, ZINV_MINUS_1, apply,
+                       canonical_transform, certify_hermite, certify_vector,
+                       conjugate, derived, difference_operator, intertwine,
+                       inverse_taylor, smooth_raw, taylor_scheme, untwine,
+                       vector_mask)
 
 import tests.refine_oracle as oracle
-from tests.maskgen import (intertwines_difference, intertwines_taylor,
+from tests import laurent_oracle
+from tests.maskgen import (granted_hermite_masks, granted_vector_masks,
+                           intertwines_difference, intertwines_taylor,
                            with_values)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -80,21 +84,30 @@ def mask_and_sequence(draw):
 def test_apply_difference_match_entry_loops(case):
     mask, k, c = case
     assert apply(mask, c) == oracle.apply(mask, c)
-    assert difference(c, k) == oracle.difference(c, k)
+    difference = difference_operator(c.p, k).mul_vector(c.comps)
+    assert FinSeq(difference, c.n) == oracle.difference(c, k)
 
 
 @SETTINGS
 @given(sequences(2))
 def test_taylor_diff_matches_entry_loop(c):
-    assert taylor_diff(c) == oracle.taylor_diff(c)
+    assert FinSeq(TAYLOR_OPERATOR.mul_vector(c.comps), c.n) == oracle.taylor_diff(c)
+
+
+def _divides(op, mask, k) -> bool:
+    try:
+        op(mask, k)
+    except NotDivisibleError:
+        return False
+    return True
 
 
 @SETTINGS
 @given(masks_with_k())
 def test_admits_equal_root_conditions(case):
     mask, k = case
-    assert admits_derived(mask, k) == oracle.derived_condition(mask, k)
-    assert admits_smoothing(mask, k) == oracle.smoothing_condition(mask, k)
+    assert _divides(derived, mask, k) == oracle.derived_condition(mask, k)
+    assert _divides(smooth_raw, mask, k) == oracle.smoothing_condition(mask, k)
 
 
 @SETTINGS
@@ -167,3 +180,39 @@ def test_operator_symbols_are_checked():
             op(a, full)
         with pytest.raises(ValueError, match="unsupported divisor"):
             op(SymbolMatrix([[LaurentPoly({0: 1, 1: 1})]]), bad_diagonal)
+
+
+def _assert_norm_rederived(cert, mask, ell):
+    """cert's ks and support are those of ell + 1 descents from mask, each in
+    a fresh canonical basis, and its norm_value is the dict oracle's
+    |(1/2 S)^L| of the last derived scheme."""
+    ks = []
+    for _ in range(ell + 1):
+        es = canonical_transform(mask)
+        mask = derived(conjugate(mask, es.r), es.k)
+        ks.append(es.k)
+    entries = [[laurent_oracle.to_dict(e) for e in row] for row in mask.symbol.entries]
+    L = cert.L
+    norm = laurent_oracle.stencil_norm(laurent_oracle.iterated_symbol(entries, L), 2 ** L)
+    assert (cert.ks, cert.support, cert.norm_value) == (tuple(ks), mask.support, norm / 2 ** L)
+
+
+GRANT_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@GRANT_SETTINGS
+@given(granted_vector_masks())
+def test_vector_grant_norm_matches_dict_oracle(case):
+    mask, ell = case
+    cert = certify_vector(mask, ell, 12)
+    assert isinstance(cert, Certificate) and cert.ell == (ell or None)
+    _assert_norm_rederived(cert, mask, ell)
+
+
+@GRANT_SETTINGS
+@given(granted_hermite_masks())
+def test_hermite_grant_norm_matches_dict_oracle(case):
+    mask, ell = case
+    cert = certify_hermite(mask, ell, 8)
+    assert isinstance(cert, Certificate) and (cert.ell, cert.phi) == (ell, mask.phi)
+    _assert_norm_rederived(cert, taylor_scheme(mask), ell - 1)

@@ -182,7 +182,6 @@ def test_reprs_name_the_fields():
     assert repr(Certificate(1, HALF, (1,), (0, 1))) == (
         "Certificate(L=1, norm_value=Fraction(1, 2), ks=(1,), support=(0, 1), "
         "ell=None, phi=None)")
-    assert repr(SpectralReport(True, HALF, ())) == (
-        "SpectralReport(holds=True, phi=Fraction(1, 2), violated=())")
+    assert repr(SpectralReport(True, ())) == "SpectralReport(holds=True, violated=())"
     assert repr(TaylorReport(True, False)) == (
         "TaylorReport(holds_taylor=True, in_tilde=False)")

@@ -5,16 +5,15 @@ from pathlib import Path
 import pytest
 
 from subsmooth import (Certificate, EmptyEigenspaceError, FinSeq, LaurentPoly,
-                       Refusal, SubsmoothError, apply, canonical_transform,
-                       catalog, certify_c0, certify_hermite, certify_vector,
-                       conjugate, derived, difference,
+                       Refusal, apply, canonical_transform, catalog,
+                       certify_hermite, certify_vector, conjugate, derived,
                        iterated_symbol, maskfile, render, scalar_mask,
-                       stencil_norm, taylor_diff, taylor_scheme, vector_mask)
+                       stencil_norm, taylor_scheme, vector_mask)
 from subsmooth.cli import main
 
 from tests.maskgen import (not_in_tilde_mask, rand_derivable_mask, rand_seq,
                            rand_spectral_mask)
-from tests.refine_oracle import full_support_window
+from tests.refine_oracle import difference, full_support_window, taylor_diff
 
 LP = LaurentPoly
 HALF = Fraction(1, 2)
@@ -157,19 +156,19 @@ from tests.maskgen import norm_via_repeated_apply
 
 class TestCertificates:
     def test_linear_bspline(self):
-        cert = certify_c0(catalog.get("bspline1"))
+        cert = certify_vector(catalog.get("bspline1"), 0)
         assert isinstance(cert, Certificate)
         assert cert.L == 1
         assert cert.norm_value == HALF
 
     def test_quadratic_bspline(self):
-        cert = certify_c0(catalog.get("bspline2"))
+        cert = certify_vector(catalog.get("bspline2"), 0)
         assert cert.L == 1
         assert cert.norm_value == HALF
 
     def test_merrien_taylor_scheme(self):
         tay = taylor_scheme(catalog.get("merrien"))
-        cert = certify_c0(tay)
+        cert = certify_vector(tay, 0)
         assert isinstance(cert, Certificate)
         assert cert.L <= 8
         assert cert.norm_value < 1
@@ -179,21 +178,21 @@ class TestCertificates:
                      taylor_scheme(catalog.get("merrien"))):
             es = canonical_transform(mask)
             halved = derived(conjugate(mask, es.r), es.k)
-            cert = certify_c0(mask)
+            cert = certify_vector(mask, 0)
             assert norm_via_repeated_apply(halved, cert.L) == cert.norm_value
             assert cert.norm_value < 1
 
     def test_divergent_scheme_refused(self):
         # value 2 at 1 and 0 at -1, but wildly large inner coefficients
         f = LP({0: 1, 1: 1}) + LP({0: -3, 2: 3})  # (1+z) + 3(z^2-1)
-        res = certify_c0(scalar_mask(f), lmax=4)
+        res = certify_vector(scalar_mask(f), 0, lmax=4)
         assert isinstance(res, Refusal)
         assert len(res.norms) == 4
         assert all(n >= 1 for n in res.norms)
 
     def test_zero_mask_raises(self):
         with pytest.raises(EmptyEigenspaceError):
-            certify_c0(scalar_mask(LP.zero()))
+            certify_vector(scalar_mask(LP.zero()), 0)
 
     def test_hermite_chain_merrien(self):
         res = certify_hermite(catalog.get("merrien"), 1)
@@ -222,6 +221,11 @@ class TestCertificates:
         res = certify_hermite(vector_mask(SymbolMatrix.zero(2)), 1)
         assert isinstance(res, Refusal)
         assert res.stage == "spectral condition"
+
+    def test_vector_mask_with_spectral_condition_raises(self):
+        with pytest.raises(ValueError) as err:
+            certify_hermite(vector_mask(catalog.get("merrien").symbol), 1)
+        assert str(err.value) == "Hermite certificates apply to Hermite masks"
 
     def test_taylor_eigenspace_not_e2_refused(self, tmp_path, capsys):
         mask = not_in_tilde_mask()
@@ -294,23 +298,6 @@ chain certificate (ell=2): |(1/2 S)^3| = 397/512 < 1
     def test_certify_prints_the_chain(self, name, ell, text, capsys):
         assert main(["certify", f"catalog:{name}", "--ell", str(ell)]) == 0
         assert capsys.readouterr() == (text, "")
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (SubsmoothError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-def test_certify_c0_is_certify_vector_at_ell_zero():
-    rng = random.Random(4)
-    masks = [catalog.get(f"bspline{d}") for d in range(6)]
-    masks += [catalog.get(n) for n in catalog.names()[1:]]
-    masks += [taylor_scheme(catalog.get(n)) for n in ("merrien", "derham")]
-    masks += [rand_derivable_mask(rng, p, 1) for p in (1, 2, 3)]
-    for mask in masks:
-        assert _outcome(certify_c0, mask, 6) == _outcome(certify_vector, mask, 0, 6)
 
 
 class TestRender:

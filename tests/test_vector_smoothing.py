@@ -6,11 +6,9 @@ import pytest
 import subsmooth.vector_smoothing as vector_module
 from subsmooth import (ConsistencyError, EmptyEigenspaceError, Kind,
                        LaurentPoly, NotDivisibleError, RatMatrix,
-                       SymbolMatrix, admits_derived, admits_smoothing,
-                       canonical_transform, catalog, common_one_eigenspace,
-                       conjugate, derived, derived_scalar, scalar_mask,
-                       scheme_scalar, smooth_raw, smooth_scalar,
-                       smooth_vector, vector_mask)
+                       SymbolMatrix, canonical_transform, catalog,
+                       common_one_eigenspace, conjugate, derived, scalar_mask,
+                       smooth_raw, smooth_vector, vector_mask)
 from tests.maskgen import (intertwines_difference, rand_derivable_mask,
                            rand_smoothable_mask)
 
@@ -19,33 +17,33 @@ HALF = Fraction(1, 2)
 
 
 def bspline_symbol(l):
-    return scheme_scalar(catalog.get(f"bspline{l}"))
+    return catalog.get(f"bspline{l}").symbol[0, 0]
 
 
 class TestScalar:
     def test_derived_keeps_shift_factor(self):
         # 2z(1+z)/(z+1) = 2z; the z factor is the index-shift convention
-        out = derived_scalar(scalar_mask(LP({0: 1, 1: 1})))
-        assert scheme_scalar(out) == LP({1: 2})
+        out = derived(scalar_mask(LP({0: 1, 1: 1})), 1)
+        assert out.symbol[0, 0] == LP({1: 2})
 
     def test_derived_rejects_nonzero_at_minus_one(self):
         with pytest.raises(NotDivisibleError):
-            derived_scalar(scalar_mask(LP({0: 1, 2: 1})))
+            derived(scalar_mask(LP({0: 1, 2: 1})), 1)
 
     def test_derived_lowers_bspline_degree(self):
         for l in range(1, 7):
-            out = derived_scalar(catalog.get(f"bspline{l}"))
-            assert scheme_scalar(out) == bspline_symbol(l - 1)
+            out = derived(catalog.get(f"bspline{l}"), 1)
+            assert out.symbol[0, 0] == bspline_symbol(l - 1)
 
     def test_smooth_raises_bspline_degree(self):
         m = catalog.get("bspline0")
         for l in range(1, 7):
-            m = smooth_scalar(m)
-            assert scheme_scalar(m) == bspline_symbol(l)
+            m = smooth_raw(m, 1)
+            assert m.symbol[0, 0] == bspline_symbol(l)
 
     def test_smooth_bspline0_gives_hat(self):
-        out = smooth_scalar(scalar_mask(LP({0: 1, 1: 1})))
-        assert scheme_scalar(out) == LP({-1: "1/2", 0: 1, 1: "1/2"})
+        out = smooth_raw(scalar_mask(LP({0: 1, 1: 1})), 1)
+        assert out.symbol[0, 0] == LP({-1: "1/2", 0: 1, 1: "1/2"})
 
     def test_round_trip(self):
         rng = random.Random(200)
@@ -53,26 +51,27 @@ class TestScalar:
             f = LP({e: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                     for e in range(-2, 3)})
             m = scalar_mask(f)
-            assert scheme_scalar(derived_scalar(smooth_scalar(m))) == f
+            assert derived(smooth_raw(m, 1), 1).symbol[0, 0] == f
 
 
 class TestBlockConditions:
     def test_double_knot_not_smoothable_raw(self):
-        assert not admits_smoothing(catalog.get("double-knot"), 1)
+        with pytest.raises(NotDivisibleError):
+            smooth_raw(catalog.get("double-knot"), 1)
 
     def test_conjugated_double_knot_smoothable(self):
         dk = catalog.get("double-knot")
         barred = conjugate(dk, RatMatrix.from_rows([[1, -1], [1, 1]]))
-        assert admits_smoothing(barred, 1)
+        smooth_raw(barred, 1)  # NotDivisibleError unless smoothable
         assert barred.symbol[0, 1].evaluate(1) == 0
 
     def test_diagonal_embedding_admits_everything(self):
         f = LP({0: 1, 1: 1})
         sym = SymbolMatrix(((f, LP.zero()), (LP.zero(), f)))
         m = vector_mask(sym)
-        for k in (1, 2):
-            assert admits_derived(m, k)
-            assert admits_smoothing(m, k)
+        for k in (1, 2):  # NotDivisibleError unless both divisions are exact
+            derived(m, k)
+            smooth_raw(m, k)
 
 
 class TestBlockOperators:
@@ -101,10 +100,8 @@ class TestBlockOperators:
             p = rng.choice([2, 3])
             k = rng.randint(1, p)
             a = rand_derivable_mask(rng, p, k)
-            assert admits_derived(a, k)
             assert smooth_raw(derived(a, k), k) == a
             b = rand_smoothable_mask(rng, p, k)
-            assert admits_smoothing(b, k)
             assert derived(smooth_raw(b, k), k) == b
 
     def test_derived_intertwines_symbolically(self):
@@ -191,7 +188,7 @@ class TestSmoothVector:
     def test_scalar_input_equals_scalar_smoothing(self):
         for l in range(0, 4):
             m = catalog.get(f"bspline{l}")
-            assert smooth_vector(m) == smooth_scalar(m)
+            assert smooth_vector(m) == smooth_raw(m, 1)
             assert smooth_vector(m).kind is Kind.SCALAR
 
     def test_empty_eigenspace_rejected(self):
