@@ -119,32 +119,16 @@ def cmd_smooth(args) -> int:
     return 0
 
 
-def _lmax(args) -> int:
-    if args.lmax is not None:
-        lmax, source = args.lmax, "--lmax"
-    else:
-        env = os.environ.get("SUBSMOOTH_LMAX")
-        if env is None:
-            return DEFAULT_LMAX
-        try:
-            lmax, source = int(env), "SUBSMOOTH_LMAX"
-        except ValueError:
-            raise SubsmoothError(
-                f"SUBSMOOTH_LMAX must be an integer, got {env!r}") from None
-    if not 1 <= lmax <= MAX_LMAX:
-        raise SubsmoothError(f"{source} must be in 1..{MAX_LMAX}, got {lmax}")
-    return lmax
-
-
 def cmd_certify(args) -> int:
-    lmax = _lmax(args)
+    if not 1 <= args.lmax <= MAX_LMAX:
+        raise SubsmoothError(f"--lmax must be in 1..{MAX_LMAX}, got {args.lmax}")
     mask = _load(args.path)
     if mask.kind is Kind.HERMITE:
         ell = args.ell if args.ell is not None else 1
-        result = certify_hermite(mask, ell, lmax)
+        result = certify_hermite(mask, ell, args.lmax)
     else:
         ell = args.ell if args.ell is not None else 0
-        result = certify_vector(mask, ell, lmax)
+        result = certify_vector(mask, ell, args.lmax)
     print(result)
     if isinstance(result, Certificate):
         return 0
@@ -181,9 +165,8 @@ COMMANDS = {
         ("path", {}),
         ("--ell", {"type": int,
                    "help": "smoothness order (default: 1 hermite, 0 otherwise)"}),
-        ("--lmax", {"type": int,
-                    "help": f"largest power to test (default {DEFAULT_LMAX}, "
-                            "or SUBSMOOTH_LMAX)"}))),
+        ("--lmax", {"type": int, "default": DEFAULT_LMAX,
+                    "help": f"largest power to test (default {DEFAULT_LMAX})"}))),
     "render": (cmd_render, "sample a basic limit function to CSV", (
         ("path", {}),
         ("--depth", {"type": int, "required": True, "help": "refinement steps"}),

@@ -252,31 +252,28 @@ class LaurentPoly:
         """Multiply by z**by."""
         return _raw(self.lo + by, self.nums, self.den) if self.nums else self
 
-    def dilate(self, factor: int = 2) -> "LaurentPoly":
-        """Substitute z -> z**factor (upsampling of the coefficient sequence)."""
+    def dilate(self) -> "LaurentPoly":
+        """Substitute z -> z**2 (upsampling of the coefficient sequence)."""
         nums = self.nums
         if len(nums) < 2:
-            return _raw(factor * self.lo, nums, self.den)
-        out = [0] * (factor * (len(nums) - 1) + 1)
-        out[::factor] = nums
-        return _raw(factor * self.lo, tuple(out), self.den)
+            return _raw(2 * self.lo, nums, self.den)
+        out = [0] * (2 * len(nums) - 1)
+        out[::2] = nums
+        return _raw(2 * self.lo, tuple(out), self.den)
 
     # -- evaluation ----------------------------------------------------------------
     def evaluate(self, x) -> Fraction:
-        """Exact value at a nonzero rational point (used at x = +-1)."""
+        """Exact value at x = 1 or x = -1, the only points the calculus reads."""
         nums = self.nums
         if x == 1:
             return Fraction(sum(nums), self.den)
         if x == -1:
             s = sum(nums[::2]) - sum(nums[1::2])
             return Fraction(-s if self.lo % 2 else s, self.den)
-        x = rat(x)
-        acc = Fraction(0)
-        for c in reversed(nums):
-            acc = acc * x + c
-        return acc * x ** self.lo / self.den
+        raise ValueError(f"evaluate is defined at 1 and -1 only, got {x}")
 
     def derivative_at(self, x) -> Fraction:
+        """Exact derivative at x = 1 or x = -1."""
         lo = self.lo
         if x == 1:
             return Fraction(sum((lo + i) * c for i, c in enumerate(self.nums)),
@@ -285,9 +282,7 @@ class LaurentPoly:
             s = sum((lo + i) * c if (lo + i) % 2 else -(lo + i) * c
                     for i, c in enumerate(self.nums))
             return Fraction(s, self.den)
-        x = rat(x)
-        return sum(((lo + i) * c * x ** (lo + i - 1) for i, c in enumerate(self.nums)),
-                   Fraction(0)) / self.den
+        raise ValueError(f"derivative_at is defined at 1 and -1 only, got {x}")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LaurentPoly) and self.nums == other.nums
@@ -474,8 +469,9 @@ class SymbolMatrix:
         c = rat(c)
         return self.map(lambda e: e.scale(c))
 
-    def dilate(self, factor: int = 2) -> "SymbolMatrix":
-        return self.map(lambda e: e.dilate(factor))
+    def dilate(self) -> "SymbolMatrix":
+        """Substitute z -> z**2 in every entry."""
+        return self.map(LaurentPoly.dilate)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymbolMatrix) and self.entries == other.entries

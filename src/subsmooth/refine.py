@@ -20,7 +20,7 @@ from itertools import chain, repeat
 from math import gcd
 from operator import floordiv
 
-from .errors import SubsmoothError, WorkBudgetError
+from .errors import EigenspaceError, SubsmoothError, WorkBudgetError
 from .laurent import LaurentPoly, SymbolMatrix, joint_support
 from .masks import Kind, Mask, canonical_transform, conjugate, stencil_norm
 from .vector_smoothing import derived
@@ -95,23 +95,26 @@ class FinSeq(namedtuple("FinSeq", "comps n", defaults=(0,))):
             raise ValueError("dimension mismatch")
         return FinSeq(tuple(map(LaurentPoly.__add__, self.comps, other.comps)), self.n)
 
-    def _columns(self) -> list[tuple[list[int], int]]:
-        """Per component, its numerators on the whole support and its
-        denominator."""
+    def _columns(self) -> list[tuple[str, list[int] | range, int]]:
+        """For t = i / 2**n, then per component: its name, its numerators on
+        the whole support and its denominator."""
         lo, hi = self.support
-        return [([0] * (f.lo - lo) + list(f.nums) + [0] * (hi + 1 - f.lo - len(f.nums))
-                 if f.nums else [0] * (hi - lo + 1), f.den) for f in self.comps]
+        cols = [("t", range(lo, hi + 1), 2 ** self.n)]
+        for r, f in enumerate(self.comps):
+            nums = ([0] * (f.lo - lo) + list(f.nums) + [0] * (hi + 1 - f.lo - len(f.nums))
+                    if f.nums else [0] * (hi - lo + 1))
+            cols.append((f"component c{r + 1}", nums, f.den))
+        return cols
 
     def _float_columns(self) -> list[list[float]]:
         """t, then the p values as floats: x / den, the correctly rounded
         value.  A value beyond the float range is a SubsmoothError."""
-        lo, hi = self.support
-        cols = [list(map((2 ** self.n).__rtruediv__, range(lo, hi + 1)))]
-        for r, (nums, den) in enumerate(self._columns()):
+        cols = []
+        for name, nums, den in self._columns():
             top = den * _FLOAT_OVERFLOW
             if max(nums) >= top or -min(nums) >= top:
                 i = next(i for i, x in enumerate(nums) if abs(x) >= top)
-                raise SubsmoothError(f"component c{r + 1} at index {lo + i} is beyond "
+                raise SubsmoothError(f"{name} at index {self.offset + i} is beyond "
                                      "the float range; render it with --exact")
             cols.append(list(map(den.__rtruediv__, nums)))
         return cols
@@ -130,11 +133,8 @@ class FinSeq(namedtuple("FinSeq", "comps n", defaults=(0,))):
         if self.is_zero():
             return head + "\n"
         if exact:  # str(Fraction) of t, then of the p values
-            lo, hi = self.support
-            lines = map(",".join, zip(
-                _exact_strings(list(range(lo, hi + 1)), 2 ** self.n, "t", lo),
-                *(_exact_strings(nums, den, f"component c{r + 1}", lo)
-                  for r, (nums, den) in enumerate(self._columns()))))
+            lines = map(",".join, zip(*(_exact_strings(nums, den, name, self.offset)
+                                        for name, nums, den in self._columns())))
         else:
             lines = map(",".join(["%.17g"] * (self.p + 1)).__mod__,
                         zip(*self._float_columns()))
@@ -162,7 +162,7 @@ def _unprintable(n: int) -> str | None:
             "for integer strings")
 
 
-def _exact_strings(nums: list[int], den: int, name: str, lo: int) -> list[str]:
+def _exact_strings(nums: list[int] | range, den: int, name: str, lo: int) -> list[str]:
     """str(Fraction(x, den)) for each x, from the gcd of x and den, without
     building the Fractions.  A value str() would refuse is a SubsmoothError
     naming the column and the index, lo being the index of nums[0]."""
@@ -266,16 +266,20 @@ def _contractive_power(mask: Mask, lmax: int):
 def certify_vector(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):
     """Certificate that a scalar/vector scheme is C^ell: descend ell + 1
     derived schemes (fresh canonical transform each round), then search
-    L <= lmax for an exact norm |(1/2 S)^L| < 1 of the last one."""
+    L <= lmax for an exact norm |(1/2 S)^L| < 1 of the last one.  A derived
+    scheme without a canonical transform ends the search as a refusal; the
+    input without one is an EigenspaceError."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
     ks = []
     current = mask
     for r in range(1, ell + 2):
-        es = canonical_transform(current)
         try:
+            es = canonical_transform(current)
             current = derived(conjugate(current, es.r, r_inv=es.r_inv), es.k)
-        except WorkBudgetError as exc:
+        except (EigenspaceError, WorkBudgetError) as exc:
+            if r == 1 and isinstance(exc, EigenspaceError):  # the input's own
+                raise
             return Refusal(stage=f"descent {r}", reason=str(exc))
         ks.append(es.k)
     L, norm, norms = _contractive_power(current, lmax)

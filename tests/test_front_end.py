@@ -351,17 +351,8 @@ class TestFileErrors:
 class TestWorkCeilings:
     def test_lmax_over_ceiling(self, capsys):
         assert main(["certify", "catalog:merrien", "--lmax", str(MAX_LMAX + 1)]) == 1
-        assert f"--lmax must be in 1..{MAX_LMAX}" in capsys.readouterr().err
-
-    def test_env_lmax_over_ceiling(self, capsys, monkeypatch):
-        monkeypatch.setenv("SUBSMOOTH_LMAX", str(MAX_LMAX + 1))
-        assert main(["certify", "catalog:merrien"]) == 1
-        assert "SUBSMOOTH_LMAX must be in" in capsys.readouterr().err
-
-    def test_env_lmax_not_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("SUBSMOOTH_LMAX", "twelve")
-        assert main(["certify", "catalog:merrien"]) == 1
-        assert "SUBSMOOTH_LMAX must be an integer, got 'twelve'" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: --lmax must be in 1..{MAX_LMAX}, got {MAX_LMAX + 1}\n")
 
     def test_ceiling_checked_before_loading(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_load", lambda ref: pytest.fail("mask loaded"))
@@ -433,8 +424,7 @@ class TestWorkCeilings:
             f"{5_651_400 * laurent._FLOOR} word products, "
             f"over the budget of {MAX_WORK}\n")
 
-    def test_used_lmax_stays_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("SUBSMOOTH_LMAX", "12")
+    def test_used_lmax_stays_accepted(self, capsys):
         assert main(["certify", "catalog:bspline1"]) == 0
         assert main(["certify", "catalog:bspline1", "--lmax", "12"]) == 0
 
@@ -552,6 +542,17 @@ class TestOutputBoundary:
         assert proc.returncode == 1 and "Traceback" not in proc.stderr
         assert proc.stderr == ("error: component c1 at index 0 is beyond the float "
                                "range; render it with --exact\n")
+
+    def test_far_support_t_refused(self, tmp_path, capsys):
+        """t = i / 2**n of a support far from 0 is refused by name, as the
+        values are; --exact writes it."""
+        path = tmp_path / "far.mask"
+        path.write_text(scalar_doc(["1/2", "1", "1/2"], support_lo=10 ** 400))
+        assert main(["render", str(path), "--depth", "2"]) == 1
+        assert capsys.readouterr().err == (f"error: t at index {3 * 10 ** 400} is beyond "
+                                           "the float range; render it with --exact\n")
+        assert main(["render", str(path), "--depth", "2", "--exact"]) == 0
+        assert capsys.readouterr().out.startswith(f"t,c1\n{3 * 10 ** 400 // 4},1/4\n")
 
     def test_exact_digit_limit_refused(self, long_mask):
         proc = run_cli("render", long_mask, "--depth", "6", "--exact")
@@ -682,6 +683,16 @@ class TestRefusalMessages:
     def test_basis_over_p_refused(self, capsys):
         assert main(["render", "catalog:merrien", "--depth", "2", "--basis", "3"]) == 1
         assert capsys.readouterr().err == "error: --basis must be in 1..2\n"
+
+
+@pytest.mark.parametrize("name,ell,reason", [
+    ("bspline1", 3, "the even/odd coefficient sums have no common 1-eigenvector"),
+    ("merrien", 4, TestRefusalMessages.DEFECTIVE_ERROR)])
+def test_eigenspace_error_after_descent_1_is_a_refusal(name, ell, reason, capsys):
+    """A derived scheme with no canonical transform ends the search at its
+    descent (exit 2); the input's own is an error (exit 1, above)."""
+    assert main(["certify", f"catalog:{name}", "--ell", str(ell)]) == 2
+    assert capsys.readouterr() == (f"inconclusive at stage 'descent 3': {reason}\n", "")
 
 
 def test_consistency_error_reported_as_internal(capsys, monkeypatch):

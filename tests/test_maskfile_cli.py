@@ -247,11 +247,9 @@ class TestCli:
         assert main(["certify", str(mask), "--lmax", "3"]) == 2
         assert "inconclusive" in capsys.readouterr().out
 
-    def test_certify_lmax_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("SUBSMOOTH_LMAX", "1")
+    def test_certify_lmax_bounds_the_search(self, capsys):
         # the Taylor scheme needs L=3, so lmax=1 must be inconclusive
-        assert main(["certify", "catalog:merrien", "--ell", "1"]) == 2
-        monkeypatch.delenv("SUBSMOOTH_LMAX")
+        assert main(["certify", "catalog:merrien", "--ell", "1", "--lmax", "1"]) == 2
         assert main(["certify", "catalog:merrien", "--ell", "1"]) == 0
 
     def test_render_merrien(self, tmp_path):
