@@ -13,11 +13,17 @@ sum m * f(z) * g(z**step) over pairs (f, g) and integer factors m on one
 denominator.  A product is one pair with step 1, a sum pairs each operand
 with 1, a matrix entry is one row of pairs, a constant basis change weighs
 the entries by integer factors, and A(z) c(z**2) and A(z**(2**k)) pass
-their step instead of building the dilated operand.  A symbol product,
-refinement step or basis change first prices its pairs (``_charge``) against
-MAX_WORK, calibrated in README "Command line".  Rationals appear only at the
-boundary: ``coeff``, ``coeffs``, ``evaluate`` and ``derivative_at`` return
-Fractions.
+their step instead of building the dilated operand.  The kernel has two
+strategies, chosen by size: below _PACK_MIN term products (len f - 1) *
+(len g - 1) summed over the pairs it adds each term's multiple of the other
+operand into a list of integers (``_schoolbook``); from there on, unless an
+output numerator needs more than _PACK_MAX bytes, it packs each operand
+into one integer by Kronecker substitution and multiplies those
+(``_kronecker``).  A symbol product, refinement step or basis change first
+prices its pairs (``_charge``) against MAX_WORK, calibrated in README
+"Command line"; the price counts schoolbook term products whichever
+strategy runs.  Rationals appear only at the boundary: ``coeff``,
+``coeffs``, ``evaluate`` and ``derivative_at`` return Fractions.
 
 Division is restricted to the two binomials the smoothing calculus divides
 by, 1/z-1 and 1/z**2-1; each has an exact quotient in the Laurent ring
@@ -27,16 +33,27 @@ precisely when the matching root condition holds.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from itertools import repeat
-from operator import add
+from itertools import chain, islice, repeat
+from operator import add, sub
+from struct import iter_unpack
 from types import MappingProxyType
 
 from .errors import NotDivisibleError, WorkBudgetError
 from .linalg import RatMatrix, _matrix, rat
 
 MAX_WORK, _FLOOR = 8 * 10 ** 7, 16
+# _products packs its operands from _PACK_MIN term products on, while an
+# output numerator fits in _PACK_MAX bytes: below either, packing and
+# unpacking cost more than they save (measured, README "Performance").
+_PACK_MIN, _PACK_MAX = 1000, 24
+_WORD = 8  # bytes of a slot read as a machine integer, array("q")
+_ROW = 64  # slots split by one struct format
+_FLIP = bytes(b ^ 0x80 for b in range(256))
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 _new = object.__new__
@@ -111,24 +128,29 @@ def _charge(fs, gs, jobs, bits=1) -> None:
         raise WorkBudgetError(price, MAX_WORK)
 
 
-def _products(pairs, step: int = 1, factors=None) -> "LaurentPoly":
+def _products(pairs, step: int = 1, factors=None, packs=None) -> "LaurentPoly":
     """sum m * f(z) * g(z**step) over the pairs (f, g) and their integer
     factors m (all 1 without factors), on one denominator.
 
     Each pair loops over the nonzero terms of its sparser operand and adds
-    that term's multiple of the other operand straight into one integer
-    buffer, the pair's share m * den // (f.den * g.den) of the common
-    denominator folded into the term: a term of f adds into every step-th
-    slot, a term of g into consecutive slots at step * j.  No zero of
-    g(z**step) is read and the sum is normalized once, at the end, so the
-    operands need a positive denominator but need not be normalized."""
+    that term's multiple of the other operand into the sum, the pair's share
+    m * den // (f.den * g.den) of the common denominator folded into the
+    term: a term of f adds into every step-th slot, a term of g into
+    consecutive slots at step * j.  The sum is a list of integers
+    (_schoolbook) below _PACK_MIN term products beyond each pair's first
+    pass, (len f - 1) * (len g - 1) summed over the pairs, and one packed
+    integer (_kronecker) from there on; the dict packs shares the packed
+    operands of one symbol operation.  No zero of g(z**step) is read and the
+    sum is normalized once, at the end, so the operands need a positive
+    denominator but need not be normalized."""
     terms = []
-    den, lo, hi = 1, math.inf, -math.inf
+    den, lo, hi, work = 1, math.inf, -math.inf, 0
     for (f, g), m in zip(pairs, repeat(1) if factors is None else factors):
         a, c = f.nums, g.nums
         if a and c and m:
             start, d = f.lo + step * g.lo, f.den * g.den
             terms.append((start, a, c, d, m))
+            work += (len(a) - 1) * (len(c) - 1)
             if den % d:
                 den = math.lcm(den, d)
             if start < lo:
@@ -138,25 +160,126 @@ def _products(pairs, step: int = 1, factors=None) -> "LaurentPoly":
                 hi = end
     if not terms:
         return _ZERO
-    out = [0] * (hi - lo)
-    for start, a, c, d, m in terms:
-        k = den // d * m
-        start -= lo
+    terms = [(start - lo, a, c, den // d * m) for start, a, c, d, m in terms]
+    if work < _PACK_MIN:
+        return _normalize(lo, _schoolbook(terms, hi - lo, step), den)
+    return _normalize(lo, _kronecker(terms, hi - lo, step, {} if packs is None else packs), den)
+
+
+def _loops_over_f(a, c) -> bool:
+    """Whether a pair's kernel loops over the terms of f (nums a) rather
+    than g (nums c): the operand with fewer nonzero terms, f on a tie."""
+    na, nc = len(a), len(c)
+    return na == 1 or nc != 1 and na - a.count(0) <= nc - c.count(0)
+
+
+def _schoolbook(terms, n: int, step: int) -> list:
+    """The numerators of sum k * a(z) * c(z**step) * z**start over the terms
+    (start, a, c, k), in one list of n integers."""
+    out = [0] * n
+    for start, a, c, k in terms:
         na, nc = len(a), len(c)
-        if na == 1 or nc != 1 and na - a.count(0) <= nc - c.count(0):
-            n = step * (nc - 1) + 1
+        if _loops_over_f(a, c):
+            span = step * (nc - 1) + 1
             for i, x in enumerate(a, start):
                 if x:
                     x *= k
-                    out[i:i + n:step] = map(add, out[i:i + n:step],
-                                            c if x == 1 else map(x.__mul__, c))
+                    out[i:i + span:step] = map(add, out[i:i + span:step],
+                                               c if x == 1 else map(x.__mul__, c))
         else:
             for i, y in zip(range(start, start + step * nc, step), c):
                 if y:
                     y *= k
                     out[i:i + na] = map(add, out[i:i + na],
                                         a if y == 1 else map(y.__mul__, a))
-    return _normalize(lo, out, den)
+    return out
+
+
+def _kronecker(terms, n: int, step: int, packs: dict) -> list:
+    """_schoolbook by Kronecker substitution: a(z) becomes the integer a(2**w)
+    for a slot width w = 8 * wb bits that holds every output numerator with
+    its sign (a bound per pair: |k| * max|a| * max|c| * min(len a, len c)),
+    so that each term of the looped operand is one integer product, shift
+    and sum, and a pair whose looped operand is dense may be one product of
+    the two packed operands.  The sum is unpacked once.  Slots wider than
+    _PACK_MAX bytes go to _schoolbook instead."""
+    bound, sized = 0, []
+    for start, a, c, k in terms:
+        ma, mc = max(max(a), -min(a)), max(max(c), -min(c))
+        if ma and mc:  # an operand may be all zeros
+            bound += abs(k) * ma * mc * min(len(a), len(c))
+            sized.append((start, a, c, k, ma, mc))
+    wb = max(-(-(bound.bit_length() + 1) // 8), _WORD)
+    if wb > _PACK_MAX:
+        return _schoolbook(terms, n, step)
+    w = 8 * wb
+    acc = 0
+    for start, a, c, k, ma, mc in sized:
+        if _loops_over_f(a, c):
+            looped, top, span, other, pitch = a, ma, 1, _pack(c, wb, step, packs), 1
+        else:
+            looped, top, span, other, pitch = c, mc, step, _pack(a, wb, 1, packs), step
+        nz = len(looped) - looped.count(0)
+        # Widening the looped terms to the slot width costs one full product
+        # more than it saves over a product per term, unless they are dense
+        # and fill a third of a slot or are many (measured).
+        if 2 * nz > span * (len(looped) - 1) + 1 and (
+                w <= 3 * top.bit_length() + 64 or nz >= 4 * wb):
+            acc += k * _pack(looped, wb, span, packs) * other << w * start
+            continue
+        for i, x in enumerate(looped):
+            if x:
+                acc += x * k * other << w * (start + pitch * i)
+    return _unpack(acc, n, wb)
+
+
+def _pack(nums, wb: int, step: int, packs: dict) -> int:
+    """sum nums[i] * 2**(8 * wb * step * i), packed once per operand, slot
+    width and step in packs, whose operands stay alive while it is used."""
+    key = (id(nums), wb, step)
+    packed = packs.get(key)
+    if packed is None:
+        gap = bytes(wb * (step - 1))
+        if wb == _WORD:  # x + 2**63 is x as an int64 with its top bit flipped
+            raw = array("q", nums)
+            if _BIG_ENDIAN:
+                raw.byteswap()
+            raw = raw.tobytes()
+            biased = bytearray(len(raw) * step)
+            for j in range(wb - 1):
+                biased[j::wb * step] = raw[j::wb]
+            biased[wb - 1::wb * step] = raw[wb - 1::wb].translate(_FLIP)
+        else:
+            biased = gap.join(map(int.to_bytes, map(add, nums, repeat(1 << 8 * wb - 1)),
+                                  repeat(wb), repeat("little")))
+        packed = packs[key] = (int.from_bytes(biased, "little")
+                               - _biases(len(nums), wb, gap))
+    return packed
+
+
+def _biases(n: int, wb: int, gap: bytes = b"") -> int:
+    """2**(8 * wb - 1) in each of n slots of wb bytes, gap bytes apart."""
+    return int.from_bytes((bytes(wb - 1) + b"\x80" + gap) * n, "little")
+
+
+def _unpack(acc: int, n: int, wb: int) -> list:
+    """The n signed slots of wb bytes of acc, lowest first.  Each slot holds
+    less than 2**(8 * wb - 1) in absolute value, so with that added to every
+    slot the slots are non-negative and need no carries."""
+    if wb == _WORD:  # flipping the top bit gives each slot as an int64
+        slots = bytearray((acc + _biases(n, wb)).to_bytes(n * wb, "little"))
+        slots[wb - 1::wb] = slots[wb - 1::wb].translate(_FLIP)
+        out = array("q", slots)
+        if _BIG_ENDIAN:
+            out.byteswap()
+        return out.tolist()
+    # whole rows of _ROW slots, so that one small Struct splits them
+    rows = -(-n // _ROW) * _ROW
+    slots = (acc + _biases(n, wb)).to_bytes(rows * wb, "little")
+    split = chain.from_iterable(iter_unpack(f"{wb}s" * _ROW, slots))
+    top = 1 << 8 * wb - 1
+    return list(map(sub, map(int.from_bytes, islice(split, n), repeat("little")),
+                    repeat(top)))
 
 
 class LaurentPoly:
@@ -434,7 +557,8 @@ class SymbolMatrix:
         cols = list(zip(*other.entries))
         _charge(sum(self.entries, ()), sum(other.entries, ()),
                 ((zip(row, col), None) for row in self.entries for col in cols))
-        return _symbol(tuple(tuple(_products(zip(row, col), step) for col in cols)
+        packs = {}
+        return _symbol(tuple(tuple(_products(zip(row, col), step, None, packs) for col in cols)
                              for row in self.entries))
     __mul__ = mul_dilated
 
@@ -463,7 +587,8 @@ class SymbolMatrix:
         if len(v) != self.p:
             raise ValueError("dimension mismatch")
         _charge(sum(self.entries, ()), v, ((zip(row, v), None) for row in self.entries))
-        return tuple(_products(zip(row, v), step) for row in self.entries)
+        packs = {}
+        return tuple(_products(zip(row, v), step, None, packs) for row in self.entries)
 
     def scale(self, c) -> "SymbolMatrix":
         c = rat(c)
