@@ -17,6 +17,7 @@ from subsmooth.laurent import _products, _raw
 
 from tests import laurent_oracle
 from tests import refine_oracle as oracle
+from tests.test_kernel import assert_normalized
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -195,14 +196,6 @@ def oracle_sum(pairs, step, factors):
         out = laurent_oracle.add(out, laurent_oracle.mul(
             {0: Fraction(m)}, dilated_product_sum([(f, g)], step)))
     return LaurentPoly(out)
-
-
-def assert_normalized(f):
-    if not f.nums:
-        assert (f.lo, f.nums, f.den) == (0, (), 1)
-        return
-    assert f.nums[0] and f.nums[-1] and f.den > 0
-    assert math.gcd(f.den, *f.nums) == 1
 
 
 @pytest.mark.parametrize("name", PACKED)
