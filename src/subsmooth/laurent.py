@@ -17,13 +17,15 @@ their step instead of building the dilated operand.  The kernel has two
 strategies, chosen by size: below _PACK_MIN term products (len f - 1) *
 (len g - 1) summed over the pairs it adds each term's multiple of the other
 operand into a list of integers (``_schoolbook``); from there on, unless an
-output numerator needs more than _PACK_MAX bytes, it packs each operand
-into one integer by Kronecker substitution and multiplies those
-(``_kronecker``).  A symbol product, refinement step or basis change first
-prices its pairs (``_charge``) against MAX_WORK, calibrated in README
-"Command line"; the price counts schoolbook term products whichever
-strategy runs.  Rationals appear only at the boundary: ``coeff``,
-``coeffs``, ``evaluate`` and ``derivative_at`` return Fractions.
+output numerator needs more than _PACK_MAX bytes, it packs the operand
+that each pair does not loop over into one integer by Kronecker
+substitution and adds one multiple of it per looped term (``_kronecker``).
+A symbol product, refinement step or basis change first prices its pairs
+(``_charge``) against MAX_WORK, calibrated in README "Command line"; the
+price counts the term products of the terms both strategies loop over
+(``_loops_over_f``), whichever runs.  Rationals appear only at the
+boundary: ``coeff``, ``coeffs``, ``evaluate`` and ``derivative_at`` return
+Fractions.
 
 Division is restricted to the two binomials the smoothing calculus divides
 by, 1/z-1 and 1/z**2-1; each has an exact quotient in the Laurent ring
@@ -120,10 +122,9 @@ def _charge(fs, gs, jobs, bits=1) -> None:
         top = max((d for _, _, d, _ in live), default=1)
         den = top.bit_length() + sum(d.bit_length() for d in {x[2] for x in live} if top % d)
         for a, c, d, b in live:
-            za, zc = len(a) - a.count(0), len(c) - c.count(0)
-            terms = za * len(c) if len(a) == 1 or len(c) != 1 and za <= zc else zc * len(a)
-            price += terms * max(words((a,)) * words((c,))
-                                 * ((den - d.bit_length() + b) // 64 + 1), _FLOOR)
+            looped, other = (a, c) if _loops_over_f(a, c) else (c, a)
+            price += (len(looped) - looped.count(0)) * len(other) * max(
+                words((a,)) * words((c,)) * ((den - d.bit_length() + b) // 64 + 1), _FLOOR)
     if price > MAX_WORK:
         raise WorkBudgetError(price, MAX_WORK)
 
@@ -138,8 +139,9 @@ def _products(pairs, step: int = 1, factors=None, packs=None) -> "LaurentPoly":
     term: a term of f adds into every step-th slot, a term of g into
     consecutive slots at step * j.  The sum is a list of integers
     (_schoolbook) below _PACK_MIN term products beyond each pair's first
-    pass, (len f - 1) * (len g - 1) summed over the pairs, and one packed
-    integer (_kronecker) from there on; the dict packs shares the packed
+    pass, (len f - 1) * (len g - 1) summed over the pairs, and from there on
+    one integer to which each term adds its multiple of the other operand
+    packed into one integer (_kronecker); the dict packs shares the packed
     operands of one symbol operation.  No zero of g(z**step) is read and the
     sum is normalized once, at the end, so the operands need a positive
     denominator but need not be normalized."""
@@ -196,37 +198,24 @@ def _schoolbook(terms, n: int, step: int) -> list:
 
 
 def _kronecker(terms, n: int, step: int, packs: dict) -> list:
-    """_schoolbook by Kronecker substitution: a(z) becomes the integer a(2**w)
-    for a slot width w = 8 * wb bits that holds every output numerator with
-    its sign (a bound per pair: |k| * max|a| * max|c| * min(len a, len c)),
-    so that each term of the looped operand is one integer product, shift
-    and sum, and a pair whose looped operand is dense may be one product of
-    the two packed operands.  The sum is unpacked once.  Slots wider than
-    _PACK_MAX bytes go to _schoolbook instead."""
-    bound, sized = 0, []
-    for start, a, c, k in terms:
-        ma, mc = max(max(a), -min(a)), max(max(c), -min(c))
-        if ma and mc:  # an operand may be all zeros
-            bound += abs(k) * ma * mc * min(len(a), len(c))
-            sized.append((start, a, c, k, ma, mc))
+    """_schoolbook by Kronecker substitution: the operand a pair does not
+    loop over, p(z), becomes the integer p(2**w) for a slot width w = 8 * wb
+    bits that holds every output numerator with its sign (a bound per pair:
+    |k| * max|a| * max|c| * min(len a, len c)), so that each term of the
+    looped operand is one integer product, shift and sum.  The sum is
+    unpacked once.  Slots wider than _PACK_MAX bytes go to _schoolbook
+    instead."""
+    bound = sum(abs(k) * max(max(a), -min(a)) * max(max(c), -min(c)) * min(len(a), len(c))
+                for _, a, c, k in terms)
     wb = max(-(-(bound.bit_length() + 1) // 8), _WORD)
     if wb > _PACK_MAX:
         return _schoolbook(terms, n, step)
-    w = 8 * wb
-    acc = 0
-    for start, a, c, k, ma, mc in sized:
+    w, acc = 8 * wb, 0
+    for start, a, c, k in terms:
         if _loops_over_f(a, c):
-            looped, top, span, other, pitch = a, ma, 1, _pack(c, wb, step, packs), 1
+            looped, other, pitch = a, _pack(c, wb, step, packs), 1
         else:
-            looped, top, span, other, pitch = c, mc, step, _pack(a, wb, 1, packs), step
-        nz = len(looped) - looped.count(0)
-        # Widening the looped terms to the slot width costs one full product
-        # more than it saves over a product per term, unless they are dense
-        # and fill a third of a slot or are many (measured).
-        if 2 * nz > span * (len(looped) - 1) + 1 and (
-                w <= 3 * top.bit_length() + 64 or nz >= 4 * wb):
-            acc += k * _pack(looped, wb, span, packs) * other << w * start
-            continue
+            looped, other, pitch = c, _pack(a, wb, 1, packs), step
         for i, x in enumerate(looped):
             if x:
                 acc += x * k * other << w * (start + pitch * i)

@@ -149,7 +149,7 @@ def packed_cases():
         "render-floor": ([(floor, long_operand(3, 400, 2 ** 20))], 2, None),
         "search-512": ([(sym[0], mask), (sym[1], coupling)], 512, None),
         "search-2": ([(sym[0], mask), (sym[1], coupling)], 2, None),
-        # a short dense g is the looped operand, multiplied whole at step 2
+        # a short dense g is the looped operand, walked term by term at step 2
         "dense-dilated": ([(long_operand(18, 600, bits=20), poly(-1, [1, 3, 3, 1], 8))],
                           2, None),
         "sparse-dense": ([(long_operand(4, 1000, 3, zeros=0.95, pad=4),

@@ -331,3 +331,41 @@ def test_work_price_bounds_term_products_and_is_checked_before_products(case):
     assert err.value.price == price
     with mock.patch.object(laurent, "MAX_WORK", price):
         assert run() == want
+
+
+@st.composite
+def _walk_operands(draw):
+    """1-60 numerators below 2**62 over 1 with 0-90% of the inner ones zero,
+    one-term operands drawn often, and sometimes zeros at the ends as the
+    kernel's unnormalized operands have them."""
+    n = draw(st.one_of(st.just(1), st.integers(1, 60)))
+    zeros = draw(st.integers(0, 9 * max(n - 2, 0) // 10))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    nums = [rng.choice((-1, 1)) * rng.randrange(1, 2 ** 62) for _ in range(n)]
+    for i in rng.sample(range(1, n - 1), zeros):
+        nums[i] = 0
+    pad = (0,) * draw(st.sampled_from((0, 0, 0, 1, 2)))
+    return laurent._raw(draw(st.integers(-3, 3)), pad + tuple(nums) + pad, 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.tuples(_walk_operands(), _walk_operands()), min_size=1, max_size=4),
+                min_size=1, max_size=3))
+def test_price_counts_the_terms_the_kernel_walks(jobs):
+    """At one word and denominator 1 each term product is priced at the
+    floor, 16, and the walked operand is the one the README names: f if it
+    is one term long, else g if it is, else the one with fewer nonzero terms,
+    f on a tie."""
+    def nz(f):
+        return len(f.nums) - f.nums.count(0)
+    want = 0
+    for pairs in jobs:
+        for f, g in pairs:
+            walked, other = ((f, g) if len(f.nums) == 1 else (g, f) if len(g.nums) == 1
+                             else (f, g) if nz(f) <= nz(g) else (g, f))
+            want += nz(walked) * len(other.nums)
+    fs, gs = [f for pairs in jobs for f, _ in pairs], [g for pairs in jobs for _, g in pairs]
+    with mock.patch.object(laurent, "MAX_WORK", 0):
+        with pytest.raises(WorkBudgetError) as err:
+            laurent._charge(fs, gs, [(pairs, None) for pairs in jobs])
+    assert err.value.price == 16 * want
