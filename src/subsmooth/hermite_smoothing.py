@@ -11,10 +11,11 @@ Smoothing a Hermite scheme = smoothing its Taylor scheme as a vector
 scheme, re-normalizing with the shear [[1, 0], [zeta - 1, 1]] so the Taylor
 conditions hold again, and inverting the factorization; one round lowers
 phi by exactly 1/2 and grows the support by at most 5 on the left.  The
-constant zeta = zeta_of(A) is read off the input mask.  All but the shear
-are laurent.untwine/intertwine: by T, and by the Taylor-basis operator for
-the smoothing.  The same round as explicit polynomial formulas in zeta
-lives in the tests as an independent oracle.
+constant zeta = zeta_of(A) is read off the input mask.  A round is two
+laurent.untwine calls, by the Taylor-basis operator with the shear folded in
+and by T, and its output carries its Taylor scheme into the next round.  The
+same round as explicit polynomial formulas in zeta lives in the tests as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from fractions import Fraction
 
 from .errors import (ConsistencyError, DegenerateAError, NotDivisibleError,
                      NotInTildeError, SpectralConditionError)
-from .laurent import TAYLOR_BASIS_OPERATOR, TAYLOR_OPERATOR, intertwine, untwine
+from .laurent import (_ONE, _ZERO, TAYLOR_OPERATOR, ZINV_MINUS_1, LaurentPoly, SymbolMatrix,
+                      intertwine, untwine)
 from .linalg import RatMatrix
-from .masks import Kind, Mask, conjugate, hermite_mask, vector_mask
+from .masks import Kind, Mask, hermite_mask, vector_mask
 from .vector_smoothing import _check_window
 
 HALF = Fraction(1, 2)
@@ -130,11 +132,12 @@ def taylor_scheme(mask: Mask) -> Mask:
 
     It exists iff a11(-1) = 0 and a21(+-1) = 0 (reproduction of constants),
     otherwise NotDivisibleError; under the full spectral condition the
-    output satisfies the Taylor conditions.
+    output satisfies the Taylor conditions.  The mask keeps it.
     """
     if mask.p != 2:
         raise ValueError("Taylor factorization applies to 2x2 masks")
-    return vector_mask(intertwine(mask.symbol, TAYLOR_OPERATOR))
+    return vars(mask).get("_taylor") or vars(mask).setdefault(
+        "_taylor", vector_mask(intertwine(mask.symbol, TAYLOR_OPERATOR)))
 
 
 def inverse_taylor(mask: Mask) -> Mask:
@@ -143,25 +146,29 @@ def inverse_taylor(mask: Mask) -> Mask:
 
     It exists iff (b12 - b11 - b21 + b22)(1) = 0, which the Taylor
     conditions imply, otherwise NotDivisibleError.  The output is a Hermite
-    mask; on Taylor-class input it satisfies the spectral condition.
+    mask; on Taylor-class input it satisfies the spectral condition, and
+    it carries the input as its Taylor scheme: intertwine(untwine(X, T), T) = X.
     """
     if mask.p != 2:
         raise ValueError("inverse Taylor factorization applies to 2x2 masks")
-    return hermite_mask(untwine(mask.symbol, TAYLOR_OPERATOR))
+    out = hermite_mask(untwine(mask.symbol, TAYLOR_OPERATOR))
+    vars(out)["_taylor"] = vector_mask(mask.symbol)
+    return out
 
 
 def smooth_hermite(mask: Mask) -> Mask:
     """One Hermite smoothing round (compositional pipeline).
 
     Steps: zeta = zeta_of(mask) (DegenerateAError when a22(1) = 2) -> Taylor
-    scheme -> vector smoothing in the basis that puts span{e2} first (one
-    untwine by the Taylor-basis operator) -> conjugation by the shear
-    [[1, 0], [zeta - 1, 1]], which restores the trace condition
-    b11(1) + b21(1) = 2 -> inverse Taylor factorization.  A smoothed scheme
-    that leaves span{e2}, or a shear that misses the trace condition (the
-    inverse factorization does not divide), is a ConsistencyError.  Verifies
-    phi drops by 1/2 and the support stays within [lo-5, hi].  A vector mask
-    that meets the spectral condition is a ValueError: it has no phi.
+    scheme (carried from the round that made the mask) -> one untwine by
+    G_zeta = G S: vector smoothing in the basis that puts span{e2} first (G),
+    then conjugation by the shear S = [[1, 0], [zeta - 1, 1]], which restores
+    the trace condition b11(1) + b21(1) = 2 -> inverse Taylor factorization.
+    A sheared scheme that leaves span{e2} (S fixes e2), or a shear that misses
+    the trace condition (the inverse factorization does not divide), is a
+    ConsistencyError.  Verifies phi drops by 1/2 and the support stays within
+    [lo-5, hi].  A vector mask that meets the spectral condition is a
+    ValueError: it has no phi.
     """
     rep = check_spectral(mask)
     if not rep.holds:
@@ -175,14 +182,13 @@ def smooth_hermite(mask: Mask) -> Mask:
         raise NotInTildeError(
             "Taylor scheme eigenspace is not span{e2}; the vanishing "
             "first-component hypothesis cannot be established")
+    g_zeta = SymbolMatrix(((_ONE, _ZERO), (LaurentPoly({-1: zeta, 0: -1 - zeta}), ZINV_MINUS_1)))
     try:
-        smoothed = vector_mask(untwine(tay.symbol, TAYLOR_BASIS_OPERATOR))
+        sheared = vector_mask(untwine(tay.symbol, g_zeta))
     except NotDivisibleError:
         raise ConsistencyError("conjugated mask lost the smoothing condition") from None
-    if not _eigenspace_is_e2(smoothed):
+    if not _eigenspace_is_e2(sheared):
         raise ConsistencyError("smoothed Taylor scheme left the eigenspace span{e2}")
-    shear = RatMatrix.from_rows([[1, 0], [zeta - 1, 1]])
-    sheared = conjugate(smoothed, shear, r_inv=RatMatrix.from_rows([[1, 0], [1 - zeta, 1]]))
     try:
         out = inverse_taylor(sheared)
     except NotDivisibleError:

@@ -115,16 +115,17 @@ def _charge(fs, gs, jobs, bits=1) -> None:
     if fnums and gnums and sum(map(len, fnums)) * sum(map(len, gnums)) * max(
             words(fnums + gnums) ** 2 * (dens // 64 + 1), _FLOOR) <= MAX_WORK:
         return
-    price = 0
+    price, sizes = 0, {}  # words((nums,)) of each operand, scanned once
     for pairs, bs in jobs:
         live = [(f.nums, g.nums, f.den * g.den, b) for (f, g), b in zip(pairs, bs or repeat(1))
                 if f.nums and g.nums and b]
         top = max((d for _, _, d, _ in live), default=1)
         den = top.bit_length() + sum(d.bit_length() for d in {x[2] for x in live} if top % d)
         for a, c, d, b in live:
+            wa, wc = (sizes.get(id(x)) or sizes.setdefault(id(x), words((x,))) for x in (a, c))
             looped, other = (a, c) if _loops_over_f(a, c) else (c, a)
             price += (len(looped) - looped.count(0)) * len(other) * max(
-                words((a,)) * words((c,)) * ((den - d.bit_length() + b) // 64 + 1), _FLOOR)
+                wa * wc * ((den - d.bit_length() + b) // 64 + 1), _FLOOR)
     if price > MAX_WORK:
         raise WorkBudgetError(price, MAX_WORK)
 
@@ -142,9 +143,9 @@ def _products(pairs, step: int = 1, factors=None, packs=None) -> "LaurentPoly":
     pass, (len f - 1) * (len g - 1) summed over the pairs, and from there on
     one integer to which each term adds its multiple of the other operand
     packed into one integer (_kronecker); the dict packs shares the packed
-    operands of one symbol operation.  No zero of g(z**step) is read and the
-    sum is normalized once, at the end, so the operands need a positive
-    denominator but need not be normalized."""
+    operands of one symbol operation and their largest numerators.  No zero
+    of g(z**step) is read and the sum is normalized once, at the end, so the
+    operands need a positive denominator but need not be normalized."""
     terms = []
     den, lo, hi, work = 1, math.inf, -math.inf, 0
     for (f, g), m in zip(pairs, repeat(1) if factors is None else factors):
@@ -205,8 +206,9 @@ def _kronecker(terms, n: int, step: int, packs: dict) -> list:
     looped operand is one integer product, shift and sum.  The sum is
     unpacked once.  Slots wider than _PACK_MAX bytes go to _schoolbook
     instead."""
-    bound = sum(abs(k) * max(max(a), -min(a)) * max(max(c), -min(c)) * min(len(a), len(c))
-                for _, a, c, k in terms)
+    def top(x):  # max |x|, once per operand: an int key, apart from _pack's tuple keys
+        return packs.get(id(x)) or packs.setdefault(id(x), max(max(x), -min(x)))
+    bound = sum(abs(k) * top(a) * top(c) * min(len(a), len(c)) for _, a, c, k in terms)
     wb = max(-(-(bound.bit_length() + 1) // 8), _WORD)
     if wb > _PACK_MAX:
         return _schoolbook(terms, n, step)
@@ -602,18 +604,18 @@ class SymbolMatrix:
 #
 # An operator symbol D is triangular with diagonal entries 1 or 1/z - 1.  Three
 # are in use: the partial difference diag((1/z - 1) I_k, I), the Taylor
-# operator [[1/z - 1, -1], [0, 1]], and the Taylor-basis operator: the
-# difference on the first component seen through R = [[0, 1], [1, -1]], which
-# puts the 1-eigenspace span{e2} of a Taylor scheme first, so that untwine by
-# it is smooth_raw(k = 1) between conjugations by R and R**-1.  A mask A and
-# the mask B with D S_A = 1/2 S_B D are related by B(z) = 2 D(z) A(z) D(z**2)**-1;
-# both inverses are triangular solves whose divisions are exact precisely when
-# the result is a Laurent polynomial, so NotDivisibleError is the existence test.
+# operator T = [[1/z - 1, -1], [0, 1]], and a Hermite round's smoothing operator
+# G_zeta = G S = [[1, 0], [zeta/z - 1 - zeta, 1/z - 1]]: G = R diag(1/z - 1, 1) R**-1
+# for R = [[0, 1], [1, -1]], which puts the 1-eigenspace span{e2} of a Taylor
+# scheme first, and the shear S = [[1, 0], [zeta - 1, 1]], so that a round is two
+# untwines, by G_zeta and by T.  A mask A and the mask B with D S_A = 1/2 S_B D
+# are related by B(z) = 2 D(z) A(z) D(z**2)**-1; both inverses are triangular
+# solves whose divisions are exact precisely when the result is a Laurent
+# polynomial, so NotDivisibleError is the existence test.
 
 # Symbol of the Taylor operator on (value, derivative) pairs:
 # (T c)_i = (c1_(i+1) - c1_i - c2_i, c2_i).
 TAYLOR_OPERATOR = SymbolMatrix(((ZINV_MINUS_1, -_ONE), (_ZERO, _ONE)))
-TAYLOR_BASIS_OPERATOR = SymbolMatrix(((_ONE, _ZERO), (LaurentPoly({-1: 1, 0: -2}), ZINV_MINUS_1)))
 
 
 def difference_operator(p: int, k: int) -> SymbolMatrix:
@@ -655,7 +657,19 @@ def intertwine(a: SymbolMatrix, d: SymbolMatrix) -> SymbolMatrix:
 def untwine(b: SymbolMatrix, d: SymbolMatrix) -> SymbolMatrix:
     """Right inverse of intertwine: the symbol 1/2 D(z)**-1 B(z) D(z**2).
 
+    Entry (i, j) of B(z) 1/2 D(z**2) is one kernel call pairing b[i,k] with
+    z**e / (2 den) at z**2, weighed by the integer c den, for each term c z**e
+    of d[k,j], den the lcm of D's denominators: so a long rational of D, such
+    as zeta, is priced as a factor, as in SymbolMatrix.transform.
     Raises NotDivisibleError when no such mask exists."""
-    half = _symbol(tuple(tuple(e.scale(Fraction(1, 2)) for e in row) for row in d.entries))
-    rows = _solve(d.entries, b.mul_dilated(half, 2).entries)
+    den = math.lcm(*(e.den for row in d.entries for e in row))
+    cols = [[(k, _raw(e.lo + i, (1,), 2 * den), x * (den // e.den))
+             for k, e in enumerate(col) for i, x in enumerate(e.nums) if x]
+            for col in zip(*d.entries)]
+    jobs = [[([(row[k], u) for k, u, _ in col], [m for _, _, m in col]) for col in cols]
+            for row in b.entries]
+    _charge(sum(b.entries, ()), [u for col in cols for _, u, _ in col],
+            ((pairs, [m.bit_length() for m in ms]) for line in jobs for pairs, ms in line),
+            max((m.bit_length() for col in cols for _, _, m in col), default=1))
+    rows = _solve(d.entries, [[_products(pairs, 2, ms) for pairs, ms in line] for line in jobs])
     return _symbol(tuple(map(tuple, rows)))

@@ -39,7 +39,7 @@ class Mask(namedtuple("Mask", "kind symbol")):
     parameter phi is read off its symbol.
 
     Immutable, equal and hashed by its fields; the instance dict holds only
-    the cached 1-eigenspace and phi."""
+    the cached 1-eigenspace, phi and Taylor scheme (hermite_smoothing's)."""
 
     def __new__(cls, kind: Kind, symbol: SymbolMatrix):
         if kind is Kind.SCALAR and symbol.p != 1:
@@ -145,9 +145,12 @@ def conjugate(mask: Mask, r: RatMatrix, *, r_inv: RatMatrix | None = None) -> Ma
     """Similarity transform of every coefficient: symbol -> R^-1 * symbol * R.
 
     ``r_inv`` is R^-1 for a caller that already holds it; it is trusted, not
-    checked.  Without it, r is inverted here (SingularMatrixError)."""
+    checked.  Without it, r is inverted here (SingularMatrixError).  R = I,
+    as for every scalar mask's canonical transform, returns the mask."""
     if r.rows != mask.p or r.cols != mask.p:
         raise ValueError("transform dimension mismatch")
+    if r == RatMatrix.identity(mask.p):
+        return mask
     return Mask(mask.kind, mask.symbol.transform(invert(r) if r_inv is None else r_inv, r))
 
 

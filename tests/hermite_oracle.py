@@ -5,6 +5,11 @@ polynomial formulas in the re-normalization constant zeta, without the
 Taylor factorization, the canonical transform or the intertwining solve
 that ``subsmooth.smooth_hermite`` composes; the two must agree bit for bit.
 
+``smooth_hermite_three_steps`` composes the round without folding the
+shear into the smoothing operator: a fresh Taylor scheme, one untwine by
+the Taylor-basis operator ``TAYLOR_BASIS_OPERATOR`` (G_1), a conjugation by
+the shear and the inverse factorization.
+
 ``zeta_multiplicity_forecast`` predicts how many rounds keep zeta = 1 from
 the root multiplicity at 1 of the coupling entry a12.
 """
@@ -14,13 +19,56 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from subsmooth import (ConsistencyError, LaurentPoly, Mask,
+from subsmooth import (TAYLOR_OPERATOR, ConsistencyError, Kind, LaurentPoly, Mask,
+                       NotDivisibleError, NotInTildeError, RatMatrix,
                        SpectralConditionError, SymbolMatrix, ZINV2_MINUS_1,
-                       ZINV_MINUS_1, check_spectral, divide_exact,
-                       hermite_mask, zeta_of)
+                       ZINV_MINUS_1, check_spectral, conjugate, divide_exact,
+                       hermite_mask, intertwine, inverse_taylor, untwine, vector_mask,
+                       zeta_of)
+from subsmooth.hermite_smoothing import _eigenspace_is_e2
+from subsmooth.vector_smoothing import _check_window
 
 HALF = Fraction(1, 2)
 ZINV_PLUS_1 = LaurentPoly({-1: 1, 0: 1})
+# G_1 = R diag(1/z - 1, 1) R**-1 for R = [[0, 1], [1, -1]], which puts the
+# 1-eigenspace span{e2} of a Taylor scheme first
+TAYLOR_BASIS_OPERATOR = SymbolMatrix(((LaurentPoly.one(), LaurentPoly.zero()),
+                                      (LaurentPoly({-1: 1, 0: -2}), ZINV_MINUS_1)))
+
+
+def smooth_hermite_three_steps(mask: Mask) -> Mask:
+    """One Hermite round with the checks and messages of smooth_hermite:
+    Taylor scheme by intertwine, untwine by G_1, conjugation by the shear
+    [[1, 0], [zeta - 1, 1]], inverse Taylor factorization."""
+    rep = check_spectral(mask)
+    if not rep.holds:
+        raise SpectralConditionError(
+            f"spectral condition fails; violated conditions {list(rep.violated)}")
+    if mask.kind is not Kind.HERMITE:
+        raise ValueError("Hermite smoothing applies to Hermite masks")
+    zeta = zeta_of(mask)
+    tay = vector_mask(intertwine(mask.symbol, TAYLOR_OPERATOR))
+    if not _eigenspace_is_e2(tay):
+        raise NotInTildeError(
+            "Taylor scheme eigenspace is not span{e2}; the vanishing "
+            "first-component hypothesis cannot be established")
+    try:
+        smoothed = vector_mask(untwine(tay.symbol, TAYLOR_BASIS_OPERATOR))
+    except NotDivisibleError:
+        raise ConsistencyError("conjugated mask lost the smoothing condition") from None
+    if not _eigenspace_is_e2(smoothed):
+        raise ConsistencyError("smoothed Taylor scheme left the eigenspace span{e2}")
+    shear = RatMatrix.from_rows([[1, 0], [zeta - 1, 1]])
+    try:
+        out = inverse_taylor(conjugate(smoothed, shear))
+    except NotDivisibleError:
+        raise ConsistencyError(
+            f"the shear by zeta = {zeta} missed the Taylor trace condition") from None
+    if out.phi != mask.phi - HALF:
+        raise ConsistencyError(
+            f"phi moved from {mask.phi} to {out.phi}, expected a drop of 1/2")
+    _check_window(mask, out, 5)
+    return out
 
 
 def smooth_hermite_closed_form(mask: Mask) -> Mask:

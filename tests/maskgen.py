@@ -100,37 +100,55 @@ def rand_taylor_mask(rng: random.Random) -> Mask:
     return vector_mask(_sym([[b11, b12], [b21, b22]]))
 
 
-def rand_spectral_mask(rng: random.Random, zeta_one: bool = False) -> Mask:
-    """Random Hermite mask satisfying the spectral condition.
+def rand_spectral_mask(rng: random.Random, zeta_one: bool = False,
+                       laurent=rand_laurent) -> Mask:
+    """Random Hermite mask satisfying the spectral condition, each entry
+    laurent(rng) plus an affine correction.
 
     With zeta_one the coupling entry vanishes at 1 (the smoothing round
     then has zeta = 1); otherwise its value there is a random nonzero
     rational.
     """
-    a11 = with_values(rand_laurent(rng), 2, 0)
-    a21 = with_values(rand_laurent(rng), 0, 0)
-    a22 = with_values(rand_laurent(rng),
+    a11 = with_values(laurent(rng), 2, 0)
+    a21 = with_values(laurent(rng), 0, 0)
+    a22 = with_values(laurent(rng),
                       (a21.derivative_at(1) + 2) / 2,
                       -a21.derivative_at(-1) / 2)
     coupling_at_1 = Fraction(0) if zeta_one else \
         Fraction(rng.randint(1, 5), rng.randint(1, 3)) * rng.choice([-1, 1])
-    a12 = with_values(rand_laurent(rng), coupling_at_1,
+    a12 = with_values(laurent(rng), coupling_at_1,
                       -a11.derivative_at(-1) / 2)
     return hermite_mask(_sym([[a11, a12], [a21, a22]]))
 
 
 def rand_smoothing_ready_spectral(rng: random.Random,
-                                  zeta_one: bool = False) -> Mask:
+                                  zeta_one: bool = False, laurent=rand_laurent) -> Mask:
     """Random spectral mask on which the Hermite smoothing round is
     well-defined (a22(1) != 2 and the Taylor scheme has eigenspace
     span{e2}); regenerates until both hold."""
     while True:
-        m = rand_spectral_mask(rng, zeta_one=zeta_one)
+        m = rand_spectral_mask(rng, zeta_one=zeta_one, laurent=laurent)
         if m.symbol[1, 1].evaluate(1) == 2:
             continue
         basis = common_one_eigenspace(taylor_scheme(m))
         if len(basis) == 1 and basis[0][0, 0] == 0:
             return m
+
+
+def long_spectral_mask(seed: int, bits: int, terms: int) -> Mask:
+    """A seeded smoothing-ready spectral mask whose entries, before their
+    affine corrections, have `terms` coefficients of `bits`-bit numerators
+    over independent `bits`-bit denominators, so that the entries' common
+    denominators and zeta run to thousands of bits."""
+    def rand_bits(rng):
+        return rng.getrandbits(bits - 1) | 1 << bits - 1
+
+    def laurent(rng):
+        lo = -(terms // 2)
+        return LaurentPoly({e: Fraction(rng.choice((-1, 1)) * rand_bits(rng), rand_bits(rng))
+                            for e in range(lo, lo + terms)})
+    return rand_smoothing_ready_spectral(random.Random(f"long/{seed}/{bits}/{terms}"),
+                                         laurent=laurent)
 
 
 def rand_convergent_style_mask(rng: random.Random, p: int, k: int) -> Mask:

@@ -1,24 +1,31 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 import subsmooth.hermite_smoothing as hermite_module
-from subsmooth import (ConsistencyError, DegenerateAError, Kind, LaurentPoly,
-                       NotInTildeError, SpectralConditionError, SymbolMatrix,
-                       catalog, check_interpolatory, check_spectral,
-                       check_taylor, common_one_eigenspace, hermite_mask,
-                       inverse_taylor, smooth_hermite,
-                       taylor_scheme, vector_mask, ZINV_MINUS_1, zeta_of)
+from subsmooth import (TAYLOR_OPERATOR, ConsistencyError, DegenerateAError, Kind,
+                       LaurentPoly, NotInTildeError, SpectralConditionError,
+                       SubsmoothError, SymbolMatrix, WorkBudgetError, catalog,
+                       check_interpolatory, check_spectral, check_taylor,
+                       common_one_eigenspace, hermite_mask, intertwine,
+                       inverse_taylor, smooth_hermite, taylor_scheme, vector_mask,
+                       ZINV_MINUS_1, zeta_of)
 
 from tests.hermite_oracle import (smooth_hermite_closed_form,
+                                  smooth_hermite_three_steps,
                                   zeta_multiplicity_forecast)
 from tests.masks_oracle import eigenspace_is_e2
-from tests.maskgen import (intertwines_taylor, not_in_tilde_mask,
+from tests.maskgen import (granted_hermite_masks, intertwines_taylor,
+                           long_spectral_mask, not_in_tilde_mask,
                            rand_smoothing_ready_spectral,
                            rand_spectral_mask, rand_taylor_mask, with_values,
                            rand_laurent)
+
+HERMITE_CATALOG = ("merrien", "derham", "merrien-smoothed", "derham-smoothed")
 
 LP = LaurentPoly
 
@@ -284,6 +291,91 @@ class TestClosedForm:
         for _ in range(15):
             m = rand_smoothing_ready_spectral(rng, zeta_one=False)
             assert smooth_hermite_closed_form(m) == smooth_hermite(m)
+
+
+def _outcome(round_, mask):
+    """The round's result, or its exception's type and message."""
+    try:
+        return round_(mask)
+    except (SubsmoothError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _rounds_carry_taylor_schemes(mask, rounds=3):
+    """After each round the output's carried Taylor scheme equals a fresh
+    intertwine, and from the second round on none is built."""
+    for r in range(rounds):
+        with mock.patch.object(hermite_module, "intertwine",
+                               wraps=hermite_module.intertwine) as built:
+            mask = smooth_hermite(mask)
+        assert r == 0 or built.call_count == 0
+        carried = vars(mask)["_taylor"]
+        assert taylor_scheme(mask) is carried
+        assert carried == vector_mask(intertwine(mask.symbol, TAYLOR_OPERATOR))
+
+
+class TestFoldedRound:
+    """The round untwines by G_zeta = G S and carries its Taylor scheme;
+    it must equal the three-step round it replaced (untwine by G_1,
+    conjugation by the shear), result for result and error for error."""
+
+    @pytest.mark.parametrize("name", HERMITE_CATALOG)
+    def test_catalog_carries_taylor_schemes(self, name):
+        _rounds_carry_taylor_schemes(catalog.get(name))
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(granted_hermite_masks())
+    def test_granted_masks_carry_taylor_schemes(self, case):
+        _rounds_carry_taylor_schemes(case[0])
+
+    def test_random_masks_carry_taylor_schemes(self):
+        rng = random.Random(312)
+        for i in range(8):
+            _rounds_carry_taylor_schemes(rand_smoothing_ready_spectral(rng, zeta_one=i % 2 == 0))
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(granted_hermite_masks())
+    def test_granted_masks_match_three_steps(self, case):
+        assert smooth_hermite(case[0]) == smooth_hermite_three_steps(case[0])
+
+    def test_catalog_and_random_masks_match_three_steps(self):
+        rng = random.Random(313)
+        inputs = [catalog.get(name) for name in HERMITE_CATALOG]
+        inputs += [rand_smoothing_ready_spectral(rng, zeta_one=i % 3 == 0) for i in range(12)]
+        # spectral masks that need not be smoothing-ready, and refused inputs
+        inputs += [rand_spectral_mask(rng, zeta_one=i % 3 == 0) for i in range(30)]
+        inputs += [not_in_tilde_mask(), hermite_mask(SymbolMatrix.zero(2)),
+                   vector_mask(catalog.get("merrien").symbol)]
+        outcomes = [_outcome(smooth_hermite_three_steps, m) for m in inputs]
+        assert [_outcome(smooth_hermite, m) for m in inputs] == outcomes
+        assert {o[0] for o in outcomes if isinstance(o, tuple)} >= {
+            NotInTildeError, SpectralConditionError, ValueError}
+
+    def test_carried_scheme_matches_three_steps(self):
+        """Rounds 2 and 3 start from the carried scheme, the oracle from a
+        fresh one."""
+        for name in ("merrien", "derham"):
+            mask = catalog.get(name)
+            for _ in range(3):
+                want = smooth_hermite_three_steps(mask)
+                mask = smooth_hermite(mask)
+                assert mask == want
+
+    @pytest.mark.parametrize("seed,bits,terms", [(0, 800, 9), (1, 200, 25)])
+    def test_long_coefficient_masks_are_smoothed(self, seed, bits, terms):
+        """Spectral masks with 200-800-bit input rationals (zeta of over
+        4000 bits): a symbol product with G_zeta as an operand of rational
+        entries is over the work budget, while the round prices zeta as
+        integer factors and smooths them as the three-step round does."""
+        mask = long_spectral_mask(seed, bits, terms)
+        zeta = zeta_of(mask)
+        assert zeta.denominator.bit_length() > 4000
+        half_g = SymbolMatrix(((LaurentPoly({0: Fraction(1, 2)}), LaurentPoly.zero()),
+                               (LaurentPoly({-1: zeta / 2, 0: (-1 - zeta) / 2}),
+                                ZINV_MINUS_1.scale(Fraction(1, 2)))))
+        with pytest.raises(WorkBudgetError):
+            taylor_scheme(mask).symbol.mul_dilated(half_g, 2)
+        assert smooth_hermite(mask) == smooth_hermite_three_steps(mask)
 
 
 class TestZetaForecast:

@@ -22,9 +22,9 @@ from subsmooth import (ConsistencyError, EigenspaceError, EmptyEigenspaceError,
                        taylor_scheme, untwine, vector_mask, zeta_of)
 from subsmooth.cli import main
 from subsmooth.hermite_smoothing import _eigenspace_is_e2
-from subsmooth.laurent import TAYLOR_BASIS_OPERATOR
 
 import tests.masks_oracle as oracle
+from tests.hermite_oracle import TAYLOR_BASIS_OPERATOR
 from tests.masks_oracle import rank
 from tests.maskgen import (rand_convergent_style_mask,
                            rand_smoothing_ready_spectral, with_values)
@@ -73,6 +73,22 @@ def test_conjugate_matches_symbol_products(case):
     want = oracle.conjugate(mask, r)
     assert conjugate(mask, r) == want
     assert conjugate(mask, r, r_inv=invert(r)) == want
+
+
+def test_identity_conjugation_returns_the_mask(monkeypatch):
+    """R = I is every scalar mask's canonical transform, and that of every
+    mask whose 1-eigenspace is the whole space: their vector rounds run no
+    basis change."""
+    b = catalog.get("bspline3")
+    b_entry, zero = b.symbol[0, 0], LaurentPoly.zero()
+    diagonal = vector_mask(SymbolMatrix(((b_entry, zero), (zero, b_entry))))
+    smoothed = catalog.get("bspline4").symbol[0, 0]
+    monkeypatch.setattr(SymbolMatrix, "transform", lambda *args: pytest.fail("transformed"))
+    for mask in (b, diagonal, vector_mask(SymbolMatrix.zero(3))):
+        assert conjugate(mask, RatMatrix.identity(mask.p)) is mask
+    assert smooth_vector(b) == catalog.get("bspline4")
+    assert smooth_vector(diagonal) == vector_mask(SymbolMatrix(((smoothed, zero),
+                                                               (zero, smoothed))))
 
 
 small = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1), Fraction(2),
@@ -210,9 +226,10 @@ def test_untwine_by_taylor_basis_operator_matches_three_steps():
 
 
 def test_hermite_round_conjugates_once_and_scales_nothing(monkeypatch):
-    """A Hermite round conjugates only by its shear; its intertwinings fold
-    their factor 2 or 1/2 into the operator symbol and update rows in one
-    kernel call, so no symbol is scaled and no polynomial product or sum runs."""
+    """A Hermite round conjugates by nothing: the shear is folded into the
+    smoothing operator; its intertwinings fold their factor 2 or 1/2 into the
+    operator symbol and update rows in one kernel call, so no symbol is
+    scaled and no polynomial product or sum runs."""
     mask, want = catalog.get("derham"), catalog.get("derham-smoothed")
     calls = []
 
@@ -223,13 +240,13 @@ def test_hermite_round_conjugates_once_and_scales_nothing(monkeypatch):
         return wrapper
 
     real = masks_module.conjugate
-    for module in (masks_module, vector_module, hermite_module):
-        monkeypatch.setattr(module, "conjugate", counted("conjugate", real))
+    for module in (masks_module, vector_module, hermite_module):  # catches a re-import
+        monkeypatch.setattr(module, "conjugate", counted("conjugate", real), raising=False)
     for cls, attr in ((SymbolMatrix, "scale"), (LaurentPoly, "__mul__"),
                       (LaurentPoly, "__add__")):
         monkeypatch.setattr(cls, attr, counted(attr, getattr(cls, attr)))
     assert smooth_hermite(mask) == want
-    assert calls == ["conjugate"]
+    assert calls == []
 
 
 def test_canonical_transform_refuses_overlapping_columns():
