@@ -161,6 +161,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert "common 1-eigenspace basis: (1, 1)" in out
 
+    def test_show_stdout_is_pinned(self, tmp_path, capsys):
+        """The whole stdout of show for every catalog mask and for three 2x2
+        vector masks, one per outcome of check_taylor: eigenspace span{e2}
+        (merrien's Taylor scheme), the whole plane (diag(1 + z, 1 + z)) and a
+        line other than span{e2} (double-knot, in the catalog)."""
+        one_plus_z, zero = LaurentPoly({0: 1, 1: 1}), LaurentPoly.zero()
+        files = {"merrien-taylor": subsmooth.taylor_scheme(catalog.get("merrien")),
+                 "diag-1+z": vector_mask(SymbolMatrix([[one_plus_z, zero],
+                                                       [zero, one_plus_z]]))}
+        args = [f"catalog:{name}" for name in ALL_CATALOG + ["bspline64"]]
+        for label, mask in files.items():
+            path = tmp_path / f"{label}.mask"
+            path.write_text(maskfile.serialize(mask))
+            args.append(str(path))
+        out = []
+        for arg in args:
+            assert main(["show", arg]) == 0
+            out.append(f"$ subsmooth show {os.path.basename(arg)}\n"
+                       + capsys.readouterr().out)
+        pinned = os.path.join(os.path.dirname(__file__), "show_stdout.txt")
+        with open(pinned, encoding="utf-8") as fh:
+            assert "".join(out) == fh.read()
+
     @pytest.mark.parametrize("name,message", [
         ("nope", "unknown catalog scheme 'nope'; available: bspline{l}, derham, "
                  "derham-smoothed, double-knot, merrien, merrien-smoothed"),
