@@ -28,10 +28,11 @@ from .errors import (ConsistencyError, DegenerateAError, NotDivisibleError,
 from .laurent import (_ONE, _ZERO, TAYLOR_OPERATOR, ZINV_MINUS_1, LaurentPoly, SymbolMatrix,
                       intertwine, untwine)
 from .linalg import RatMatrix
-from .masks import Kind, Mask, hermite_mask, vector_mask
+from .masks import Kind, Mask, common_one_eigenspace, hermite_mask, vector_mask
 from .vector_smoothing import _check_window
 
 HALF = Fraction(1, 2)
+E2 = RatMatrix.column([0, 1])  # the basis common_one_eigenspace lists for span{e2}
 
 
 class SpectralReport(namedtuple("SpectralReport", "holds violated")):
@@ -103,27 +104,14 @@ def check_taylor(mask: Mask) -> TaylorReport:
       (1) b12(1) = 0, b12(-1) = 0
       (2) b22(1) = 2, b22(-1) = 0
       (3) b11(1) + b21(1) = 2
+    (1)+(2) say that e2 lies in the common 1-eigenspace; its basis then lists E2.
     """
     if mask.p != 2:
         raise ValueError("Taylor conditions apply to 2x2 masks")
+    basis = common_one_eigenspace(mask)
     s = mask.symbol
-    b11, b12, b21, b22 = s[0, 0], s[0, 1], s[1, 0], s[1, 1]
-    holds = (b12.evaluate(1) == 0 and b12.evaluate(-1) == 0
-             and b22.evaluate(1) == 2 and b22.evaluate(-1) == 0
-             and b11.evaluate(1) + b21.evaluate(1) == 2)
-    return TaylorReport(holds_taylor=holds, in_tilde=holds and _eigenspace_is_e2(mask))
-
-
-def _eigenspace_is_e2(mask: Mask) -> bool:
-    """True iff the common 1-eigenspace, the kernel of the stacked matrix
-    [A(1) - 2I; A(-1)], is span{e2}: exactly when the stacked matrix has a
-    zero second column and a nonzero first column."""
-    s = mask.symbol
-    first = (s[0, 0].evaluate(1) - 2, s[1, 0].evaluate(1),
-             s[0, 0].evaluate(-1), s[1, 0].evaluate(-1))
-    second = (s[0, 1].evaluate(1), s[1, 1].evaluate(1) - 2,
-              s[0, 1].evaluate(-1), s[1, 1].evaluate(-1))
-    return not any(second) and any(first)
+    holds = E2 in basis and s[0, 0].evaluate(1) + s[1, 0].evaluate(1) == 2
+    return TaylorReport(holds_taylor=holds, in_tilde=holds and basis == [E2])
 
 
 def taylor_scheme(mask: Mask) -> Mask:
@@ -152,7 +140,7 @@ def inverse_taylor(mask: Mask) -> Mask:
     if mask.p != 2:
         raise ValueError("inverse Taylor factorization applies to 2x2 masks")
     out = hermite_mask(untwine(mask.symbol, TAYLOR_OPERATOR))
-    vars(out)["_taylor"] = vector_mask(mask.symbol)
+    vars(out)["_taylor"] = mask if mask.kind is Kind.VECTOR else vector_mask(mask.symbol)
     return out
 
 
@@ -178,7 +166,7 @@ def smooth_hermite(mask: Mask) -> Mask:
         raise ValueError("Hermite smoothing applies to Hermite masks")
     zeta = zeta_of(mask)
     tay = taylor_scheme(mask)
-    if not _eigenspace_is_e2(tay):
+    if common_one_eigenspace(tay) != [E2]:
         raise NotInTildeError(
             "Taylor scheme eigenspace is not span{e2}; the vanishing "
             "first-component hypothesis cannot be established")
@@ -187,7 +175,7 @@ def smooth_hermite(mask: Mask) -> Mask:
         sheared = vector_mask(untwine(tay.symbol, g_zeta))
     except NotDivisibleError:
         raise ConsistencyError("conjugated mask lost the smoothing condition") from None
-    if not _eigenspace_is_e2(sheared):
+    if common_one_eigenspace(sheared) != [E2]:
         raise ConsistencyError("smoothed Taylor scheme left the eigenspace span{e2}")
     try:
         out = inverse_taylor(sheared)

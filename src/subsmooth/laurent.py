@@ -376,15 +376,18 @@ class LaurentPoly:
         return _raw(2 * self.lo, tuple(out), self.den)
 
     # -- evaluation ----------------------------------------------------------------
-    def evaluate(self, x) -> Fraction:
-        """Exact value at x = 1 or x = -1, the only points the calculus reads."""
+    def _sum_at(self, x) -> int:
+        """den * self(x) at x = 1 or x = -1: the numerators summed with signs."""
         nums = self.nums
         if x == 1:
-            return Fraction(sum(nums), self.den)
-        if x == -1:
-            s = sum(nums[::2]) - sum(nums[1::2])
-            return Fraction(-s if self.lo % 2 else s, self.den)
+            return sum(nums)
+        if x == -1:  # the terms of even exponent minus those of odd exponent
+            return sum(nums[self.lo % 2::2]) - sum(nums[1 - self.lo % 2::2])
         raise ValueError(f"evaluate is defined at 1 and -1 only, got {x}")
+
+    def evaluate(self, x) -> Fraction:
+        """Exact value at x = 1 or x = -1, the only points the calculus reads."""
+        return Fraction(self._sum_at(x), self.den)
 
     def derivative_at(self, x) -> Fraction:
         """Exact derivative at x = 1 or x = -1."""

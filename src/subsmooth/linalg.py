@@ -2,15 +2,16 @@
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, always reduced,
 positive denominator), so every result here is exact and canonical.
-Matrices are small and dense; all routines run plain Gauss-Jordan
-elimination over Fractions, taking the first nonzero entry of each column
-as its pivot.
+Matrices are small and dense.  Every routine runs one Gauss-Jordan
+elimination on integer rows, _eliminate: each row is scaled by the lcm of
+its own denominators, and Fractions are built only for returned values.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import SingularMatrixError
 
@@ -124,11 +125,6 @@ class RatMatrix:
             out.extend(other.row(i))
         return _matrix(self.rows, self.cols + other.cols, tuple(out))
 
-    def vstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch")
-        return _matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
 
@@ -148,61 +144,75 @@ class RatMatrix:
         return f"RatMatrix[{body}]"
 
 
-def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
-    """Reduced row echelon form and the list of pivot column indices."""
-    a = [list(m.row(i)) for i in range(m.rows)]
-    nr, nc = m.rows, m.cols
+def _eliminate(rows: list) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan on rows of (numerator, denominator) pairs, each put over the
+    lcm of its denominators.  A column's first nonzero entry is its pivot; an
+    update cross-multiplies a row with the pivot row and divides out its gcd (0
+    for a zero row).  Returns the rows, multiples of the rref's, and the pivots."""
+    a = []
+    for row in rows:
+        den = lcm(*[d for _, d in row])
+        a.append([n * (den // d) for n, d in row])
     pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if a[i][c] != 0), None)
+    for c in range(len(a[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        top, pv = a[r], a[r][c]
+        for i, row in enumerate(a):
+            f = row[c]
+            if f and i != r:
+                row = [pv * x - f * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return _matrix(nr, nc, tuple(x for row in a for x in row)), pivots
+    return a, pivots
+
+
+def _ratios(m: RatMatrix) -> list:
+    return [[x.as_integer_ratio() for x in m.row(i)] for i in range(m.rows)]
+
+
+def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
+    """Reduced row echelon form and the list of pivot column indices."""
+    a, pivots = _eliminate(_ratios(m))
+    pvs = [row[c] for row, c in zip(a, pivots)] + [1] * (m.rows - len(pivots))
+    return _matrix(m.rows, m.cols, tuple(Fraction(x, pv) for row, pv in zip(a, pvs)
+                                         for x in row)), pivots
+
+
+def _kernel(rows: list, cols: int) -> list[RatMatrix]:
+    """kernel_basis of the matrix given as _eliminate takes it."""
+    a, pivots = _eliminate(rows)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(int(c == fc)) for c in range(cols)]
+        for row, pc in zip(a, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
+        basis.append(_matrix(cols, 1, tuple(v)))
+    return basis
 
 
 def kernel_basis(m: RatMatrix) -> list[RatMatrix]:
-    """Exact basis of the null space, as column vectors.
-
-    Free variables are set to 1 one at a time in the reduced echelon form,
-    which makes the basis deterministic.
-    """
-    red, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r, fc]
-        basis.append(RatMatrix.column(v))
-    return basis
+    """Exact basis of the null space, as column vectors: free variables set
+    to 1 one at a time in the reduced echelon form, so it is deterministic."""
+    return _kernel(_ratios(m), m.cols)
 
 
 def column_space_basis(m: RatMatrix) -> list[RatMatrix]:
     """Deterministic basis of the column space: the pivot columns of m."""
-    _, pivots = rref(m)
-    return [RatMatrix.column(m.col(c)) for c in pivots]
+    return [_matrix(m.rows, 1, m.col(c)) for c in _eliminate(_ratios(m))[1]]
 
 
 def invert(m: RatMatrix) -> RatMatrix:
-    """Exact inverse via Gauss-Jordan; raises SingularMatrixError."""
+    """Exact inverse via Gauss-Jordan on [m | I]; raises SingularMatrixError."""
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    aug = m.hstack(RatMatrix.identity(n))
-    red, pivots = rref(aug)
+    a, pivots = _eliminate(_ratios(m.hstack(RatMatrix.identity(n))))
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return _matrix(n, n, tuple(red[i, n + j] for i in range(n) for j in range(n)))
+    return _matrix(n, n, tuple(Fraction(a[i][n + j], a[i][i])
+                               for i in range(n) for j in range(n)))

@@ -38,21 +38,16 @@ _KINDS = {"scalar": Kind.SCALAR, "vector": Kind.VECTOR, "hermite": Kind.HERMITE}
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _MAX_RATIONAL_CHARS = 1000
 # Largest p.  For a file of 1000-character entries whose eigenspace needs
-# all three eliminations, smooth stops after 0.4 s at p = 5, 1.3 s at p = 6.
+# all three eliminations, smooth stops after 0.2-0.3 s at p = 5, 0.6-1.0 s at p = 6.
 _MAX_P = 5
 
 
-def _rat_to_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _writable(x: Fraction, where: str) -> str:
-    """_rat_to_str(x), refused by name when parse would refuse its length;
+    """str(x), refused by name when parse would refuse its length;
     a value of over 4 * _MAX_RATIONAL_CHARS bits is refused before str()."""
-    if max(abs(x.numerator), x.denominator).bit_length() <= 4 * _MAX_RATIONAL_CHARS:
-        s = _rat_to_str(x)
-        if len(s) <= _MAX_RATIONAL_CHARS:
-            return s
+    if (max(abs(x.numerator), x.denominator).bit_length() <= 4 * _MAX_RATIONAL_CHARS
+            and len(s := str(x)) <= _MAX_RATIONAL_CHARS):
+        return s
     raise SubsmoothError(f"{where}: rational longer than {_MAX_RATIONAL_CHARS} "
                          "characters, which a mask file cannot hold")
 
@@ -176,8 +171,8 @@ def parse(text: str) -> Mask:
     mask = hermite_mask(sym)
     if phi != mask.phi:
         raise MaskFileError(
-            f"phi: stored value {_rat_to_str(phi)} disagrees with the symbol "
-            f"(linear reproduction gives {_rat_to_str(mask.phi)})")
+            f"phi: stored value {phi} disagrees with the symbol "
+            f"(linear reproduction gives {mask.phi})")
     return mask
 
 

@@ -8,10 +8,11 @@ derivative, dimension 2, with a shift parameter phi read off the symbol).
 
 The common 1-eigenspace of the even/odd coefficient sums drives all of
 the smoothing machinery; this module computes it exactly, once per mask
-(a Mask caches it), together with the canonical basis change that moves it
-onto the leading coordinates.  Conjugation by a constant basis change R is
-one linear combination of the symbol entries per entry of R^-1 A(z) R, and
-a caller that already holds R^-1 passes it instead of having R inverted.
+(a Mask caches it), from the integer rows of [A(1) - 2I; A(-1)], together
+with the canonical basis change that moves it onto the leading coordinates.
+Conjugation by a constant basis change R is one linear combination of the
+symbol entries per entry of R^-1 A(z) R, and a caller that already holds
+R^-1 passes it instead of having R inverted.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from operator import add
 
 from .errors import EigenspaceError, EmptyEigenspaceError, SingularMatrixError
 from .laurent import LaurentPoly, SymbolMatrix
-from .linalg import RatMatrix, column_space_basis, invert, kernel_basis
+from .linalg import RatMatrix, _kernel, column_space_basis, invert
 
 
 class Kind(enum.Enum):
@@ -39,7 +40,8 @@ class Mask(namedtuple("Mask", "kind symbol")):
     parameter phi is read off its symbol.
 
     Immutable, equal and hashed by its fields; the instance dict holds only
-    the cached 1-eigenspace, phi and Taylor scheme (hermite_smoothing's)."""
+    the cached 1-eigenspace, phi and Taylor scheme (hermite_smoothing's; a
+    round's output carries its sheared scheme, eigenspace and all)."""
 
     def __new__(cls, kind: Kind, symbol: SymbolMatrix):
         if kind is Kind.SCALAR and symbol.p != 1:
@@ -64,9 +66,10 @@ class Mask(namedtuple("Mask", "kind symbol")):
 
     @cached_property
     def _one_eigenspace(self) -> tuple[RatMatrix, ...]:
-        p = self.p
-        top = self.symbol.evaluate(1) - RatMatrix.identity(p).scale(2)
-        return tuple(kernel_basis(top.vstack(self.symbol.evaluate(-1))))
+        return tuple(_kernel([[(e._sum_at(x) - two * e.den * (i == j), e.den)
+                               for j, e in enumerate(row)]
+                              for x, two in ((1, 2), (-1, 0))
+                              for i, row in enumerate(self.symbol.entries)], self.p))
 
     @cached_property
     def phi(self) -> Fraction | None:

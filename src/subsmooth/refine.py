@@ -22,9 +22,10 @@ from operator import floordiv
 
 from .errors import EigenspaceError, SubsmoothError, WorkBudgetError
 from .laurent import LaurentPoly, SymbolMatrix, joint_support
-from .masks import Kind, Mask, canonical_transform, conjugate, stencil_norm
+from .masks import (Kind, Mask, canonical_transform, common_one_eigenspace, conjugate,
+                    stencil_norm)
 from .vector_smoothing import derived
-from .hermite_smoothing import _eigenspace_is_e2, check_spectral, taylor_scheme
+from .hermite_smoothing import E2, check_spectral, taylor_scheme
 
 DEFAULT_LMAX = 12
 MAX_LMAX = 16
@@ -307,7 +308,7 @@ def certify_hermite(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):
     if mask.kind is not Kind.HERMITE:
         raise ValueError("Hermite certificates apply to Hermite masks")
     tay = taylor_scheme(mask)
-    if not _eigenspace_is_e2(tay):
+    if common_one_eigenspace(tay) != [E2]:
         return Refusal(stage="taylor eigenspace",
                        reason="common 1-eigenspace of the Taylor scheme "
                               "is not span{e2}")

@@ -84,7 +84,7 @@ def smooth_vector(mask: Mask) -> Mask:
     _out_kind(mask)
     es = canonical_transform(mask)  # EmptyEigenspaceError for 1-eigenspace {0}
     out = _smooth_in_basis(mask, es)
-    # kernel_basis reads the basis off the reduced echelon form, which the
+    # the eigenspace basis is read off the reduced echelon form, which the
     # kernel determines, so equal eigenspaces give equal basis lists
     if common_one_eigenspace(out) != list(es.basis):
         raise ConsistencyError("smoothing changed the common 1-eigenspace")

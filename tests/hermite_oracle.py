@@ -25,8 +25,9 @@ from subsmooth import (TAYLOR_OPERATOR, ConsistencyError, Kind, LaurentPoly, Mas
                        ZINV_MINUS_1, check_spectral, conjugate, divide_exact,
                        hermite_mask, intertwine, inverse_taylor, untwine, vector_mask,
                        zeta_of)
-from subsmooth.hermite_smoothing import _eigenspace_is_e2
 from subsmooth.vector_smoothing import _check_window
+
+from tests.masks_oracle import eigenspace_is_e2
 
 HALF = Fraction(1, 2)
 ZINV_PLUS_1 = LaurentPoly({-1: 1, 0: 1})
@@ -48,7 +49,7 @@ def smooth_hermite_three_steps(mask: Mask) -> Mask:
         raise ValueError("Hermite smoothing applies to Hermite masks")
     zeta = zeta_of(mask)
     tay = vector_mask(intertwine(mask.symbol, TAYLOR_OPERATOR))
-    if not _eigenspace_is_e2(tay):
+    if not eigenspace_is_e2(tay):
         raise NotInTildeError(
             "Taylor scheme eigenspace is not span{e2}; the vanishing "
             "first-component hypothesis cannot be established")
@@ -56,7 +57,7 @@ def smooth_hermite_three_steps(mask: Mask) -> Mask:
         smoothed = vector_mask(untwine(tay.symbol, TAYLOR_BASIS_OPERATOR))
     except NotDivisibleError:
         raise ConsistencyError("conjugated mask lost the smoothing condition") from None
-    if not _eigenspace_is_e2(smoothed):
+    if not eigenspace_is_e2(smoothed):
         raise ConsistencyError("smoothed Taylor scheme left the eigenspace span{e2}")
     shear = RatMatrix.from_rows([[1, 0], [zeta - 1, 1]])
     try:

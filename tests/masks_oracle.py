@@ -1,22 +1,76 @@
 """Linear algebra of masks the slow way, kept as independent oracles.
 
-``conjugate`` is the similarity transform as two full symbol products with
-constant symbols, R^-1 inverted by Gauss-Jordan elimination; the package
-computes each entry of R^-1 A(z) R as one linear combination of the entries
-of A and takes R^-1 from its caller.  ``eigenspace_is_e2`` reads the common
-1-eigenspace off a kernel basis from the reduced echelon form; the package
-reads eight symbol values instead.  ``rank`` counts the pivots of that form;
-the package needs no rank.
+``rref`` is plain Gauss-Jordan elimination over Fractions, taking the first
+nonzero entry of each column as its pivot; the package eliminates once on
+integer rows and builds Fractions only for the values it returns.
+``kernel_basis``, ``column_space_basis`` and ``invert`` read their results
+off this form.  ``conjugate`` is the similarity transform as two full
+symbol products with constant symbols, R^-1 inverted by that elimination;
+the package computes each entry of R^-1 A(z) R as one linear combination of
+the entries of A and takes R^-1 from its caller.  ``one_eigenspace`` stacks
+[A(1) - 2I; A(-1)] as a matrix of Fractions; the package reads the integer
+rows off the symbol's numerators.  ``rank`` counts the pivots; the package
+needs no rank.
 """
 
 from __future__ import annotations
 
-from subsmooth import LaurentPoly, Mask, RatMatrix, SymbolMatrix, invert, kernel_basis
-from subsmooth.linalg import rref
+from fractions import Fraction
+
+from subsmooth import LaurentPoly, Mask, RatMatrix, SingularMatrixError, SymbolMatrix
+
+
+def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
+    """Reduced row echelon form and the list of pivot column indices."""
+    a = [list(m.row(i)) for i in range(m.rows)]
+    nr, nc = m.rows, m.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(nr):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return RatMatrix(nr, nc, [x for row in a for x in row]), pivots
 
 
 def rank(m: RatMatrix) -> int:
     return len(rref(m)[1])
+
+
+def kernel_basis(m: RatMatrix) -> list[RatMatrix]:
+    """Free variables set to 1 one at a time in the reduced echelon form."""
+    red, pivots = rref(m)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r, fc]
+        basis.append(RatMatrix.column(v))
+    return basis
+
+
+def column_space_basis(m: RatMatrix) -> list[RatMatrix]:
+    return [RatMatrix.column(m.col(c)) for c in rref(m)[1]]
+
+
+def invert(m: RatMatrix) -> RatMatrix:
+    n = m.rows
+    red, pivots = rref(m.hstack(RatMatrix.identity(n)))
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return RatMatrix(n, n, [red[i, n + j] for i in range(n) for j in range(n)])
 
 
 def from_constant(m: RatMatrix) -> SymbolMatrix:
@@ -33,7 +87,8 @@ def conjugate(mask: Mask, r: RatMatrix) -> Mask:
 def one_eigenspace(mask: Mask) -> list[RatMatrix]:
     """Kernel basis of the stacked matrix [A(1) - 2I; A(-1)]."""
     top = mask.symbol.evaluate(1) - RatMatrix.identity(mask.p).scale(2)
-    return kernel_basis(top.vstack(mask.symbol.evaluate(-1)))
+    low = mask.symbol.evaluate(-1)
+    return kernel_basis(RatMatrix(2 * mask.p, mask.p, top.entries + low.entries))
 
 
 def eigenspace_is_e2(mask: Mask) -> bool:

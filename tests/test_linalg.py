@@ -1,12 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subsmooth import (RatMatrix, SingularMatrixError, column_space_basis,
-                       invert, kernel_basis)
+from subsmooth import (RatMatrix, SingularMatrixError, canonical_transform,
+                       column_space_basis, invert, kernel_basis, maskfile)
 from subsmooth.linalg import rref
 
-from tests.maskgen import rand_fraction
+import tests.masks_oracle as oracle
+from tests.maskgen import long_denominator_doc, rand_fraction
 from tests.masks_oracle import rank
 
 
@@ -113,3 +117,69 @@ def test_fraction_arithmetic_is_exact():
         assert a + b == b + a
         if b != 0:
             assert (a / b) * b == a
+
+
+# -- the integer elimination against the Fraction Gauss-Jordan oracle ---------------
+
+def assert_matches_oracle(m):
+    """rref, kernel_basis, column_space_basis and invert (or its refusal)
+    equal the oracle's, the square leading block standing in for invert."""
+    assert rref(m) == oracle.rref(m)
+    assert kernel_basis(m) == oracle.kernel_basis(m)
+    assert column_space_basis(m) == oracle.column_space_basis(m)
+    k = min(m.rows, m.cols)
+    square = RatMatrix(k, k, [m[i, j] for i in range(k) for j in range(k)])
+    try:
+        want = oracle.invert(square)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError, match="matrix is singular"):
+            invert(square)
+    else:
+        assert invert(square) == want
+
+
+small_entries = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+# about 300 digits over up to 300 digits
+huge_entries = st.builds(Fraction, st.integers(-10 ** 300, 10 ** 300),
+                         st.integers(1, 10 ** 300))
+
+
+@st.composite
+def matrices_of_every_rank(draw):
+    """1..6 x 1..10 matrices drawn as a product through r = 0..min dimensions
+    (so of rank r for almost every draw), with equal rows and zero rows
+    written in, which make rows vanish during the elimination."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    r = draw(st.integers(0, min(rows, cols)))
+    entries = draw(st.sampled_from([small_entries, huge_entries]))
+    m = RatMatrix.zero(rows, cols)
+    if r:
+        left = RatMatrix.from_rows([[draw(entries) for _ in range(r)] for _ in range(rows)])
+        m = left @ RatMatrix.from_rows([[draw(small_entries) for _ in range(cols)]
+                                        for _ in range(r)])
+    a = [list(m.row(i)) for i in range(rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        a[j] = list(a[i]) if draw(st.booleans()) else [Fraction(0)] * cols
+    return RatMatrix.from_rows(a)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matrices_of_every_rank())
+def test_elimination_matches_fraction_oracle(m):
+    assert_matches_oracle(m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_long_denominator_matrices_match_fraction_oracle(p):
+    """The three matrices a basis change of a long-denominator file
+    eliminates (1000-character entries over independent ~490-digit
+    denominators): the stacked [A(1) - 2I; A(-1)], A(1)/2 - I and the
+    canonical transform.  At p = 5 the oracle takes seconds."""
+    mask = maskfile.parse(long_denominator_doc(p))
+    at1, atm1 = mask.symbol.evaluate(1), mask.symbol.evaluate(-1)
+    top = at1 - RatMatrix.identity(p).scale(2)
+    mean = at1.scale(Fraction(1, 2)) - RatMatrix.identity(p)
+    for m in (RatMatrix(2 * p, p, top.entries + atm1.entries), mean,
+              canonical_transform(mask).r):
+        assert_matches_oracle(m)

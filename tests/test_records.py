@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import subsmooth.linalg as linalg
 import subsmooth.masks as masks_module
 from subsmooth import (Certificate, Eigenstructure, FinSeq, Kind, LaurentPoly,
                        LimitSample, Mask, Refusal, SpectralReport, SymbolMatrix,
@@ -109,9 +110,8 @@ def test_mask_argument_errors(kind, symbol, message):
 
 def test_mask_eigenspace_is_computed_once_per_instance(monkeypatch):
     calls = []
-    kernel_basis = masks_module.kernel_basis
-    monkeypatch.setattr(masks_module, "kernel_basis",
-                        lambda m: calls.append(m) or kernel_basis(m))
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda a: calls.append(a) or eliminate(a))
     mask = Mask(Kind.HERMITE, pair_symbol())
     first = common_one_eigenspace(mask)
     assert common_one_eigenspace(mask) == first

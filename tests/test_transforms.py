@@ -21,7 +21,6 @@ from subsmooth import (ConsistencyError, EigenspaceError, EmptyEigenspaceError,
                        smooth_hermite, smooth_raw, smooth_vector,
                        taylor_scheme, untwine, vector_mask, zeta_of)
 from subsmooth.cli import main
-from subsmooth.hermite_smoothing import _eigenspace_is_e2
 
 import tests.masks_oracle as oracle
 from tests.hermite_oracle import TAYLOR_BASIS_OPERATOR
@@ -113,17 +112,22 @@ def masks_2x2_with_values(draw):
 
 @SETTINGS
 @given(st.one_of(masks_2x2_with_values(), masks(sizes=st.just(2))))
-def test_eigenspace_is_e2_matches_kernel_basis(mask):
-    assert _eigenspace_is_e2(mask) == oracle.eigenspace_is_e2(mask)
+def test_2x2_eigenspace_matches_oracle(mask):
+    """Every kernel dimension, span{e2} included: the Hermite rounds and
+    certificates compare this basis with [e2]."""
+    basis = common_one_eigenspace(mask)
+    assert basis == oracle.one_eigenspace(mask)
+    assert (basis == [hermite_module.E2]) == oracle.eigenspace_is_e2(mask)
 
 
-def test_eigenspace_is_e2_zero_stacked_matrix():
+def test_zero_stacked_matrix_eigenspace_is_the_plane():
     """A(1) = 2I and A(-1) = 0: the kernel is the whole plane, not span{e2}."""
     one_plus_z = LaurentPoly({0: 1, 1: 1})
     zero = LaurentPoly.zero()
     mask = vector_mask(SymbolMatrix([[one_plus_z, zero], [zero, one_plus_z]]))
-    assert len(oracle.one_eigenspace(mask)) == 2
-    assert not _eigenspace_is_e2(mask)
+    assert common_one_eigenspace(mask) == oracle.one_eigenspace(mask)
+    assert len(common_one_eigenspace(mask)) == 2
+    assert not oracle.eigenspace_is_e2(mask)
 
 
 @SETTINGS
@@ -172,15 +176,31 @@ def test_vector_round_detects_a_moved_eigenspace(monkeypatch):
         smooth_vector(catalog.get("double-knot"))
 
 
+def _eliminations(monkeypatch):
+    """The shape (rows, columns) of each call of linalg._eliminate, the one
+    elimination that rref, kernel_basis, column_space_basis, invert and the
+    cached 1-eigenspace run."""
+    shapes = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda a: shapes.append((len(a), len(a[0]))) or real(a))
+    return shapes
+
+
+def _stacked(shapes):
+    """How many eliminations were of a stacked matrix [A(1) - 2I; A(-1)]
+    (2p x p; a complement is p x p, an inverse p x 2p): one per 1-eigenspace
+    computed."""
+    return sum(rows == 2 * cols for rows, cols in shapes)
+
+
 def test_eigenspace_computed_once_per_mask(monkeypatch):
-    calls = []
-    monkeypatch.setattr(masks_module, "kernel_basis",
-                        lambda m: calls.append(1) or kernel_basis(m))
+    shapes = _eliminations(monkeypatch)
     dk = catalog.get("double-knot")
     for _ in range(3):
         common_one_eigenspace(dk)
     canonical_transform(dk)
-    assert len(calls) == 1
+    assert _stacked(shapes) == 1
 
 
 def test_fixed_transform_pairs_are_inverse():
@@ -262,9 +282,10 @@ def test_canonical_transform_refuses_overlapping_columns():
 
 
 def _count_linalg(monkeypatch):
-    """Count rref and invert calls; kernel_basis, column_space_basis and
-    invert all eliminate through linalg.rref."""
-    counts = {"rref": 0, "invert": 0}
+    """Count eliminations and invert calls; rref, kernel_basis,
+    column_space_basis, invert and the cached 1-eigenspace all eliminate
+    through linalg._eliminate, once each."""
+    counts = {"eliminate": 0, "invert": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -272,22 +293,27 @@ def _count_linalg(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
+    monkeypatch.setattr(linalg, "_eliminate", counted("eliminate", linalg._eliminate))
     inv = counted("invert", linalg.invert)
     monkeypatch.setattr(linalg, "invert", inv)
     monkeypatch.setattr(masks_module, "invert", inv)
     return counts
 
 
-def test_smooth_hermite_does_no_elimination(monkeypatch):
+def test_hermite_chain_eliminates_once_per_round_plus_one(monkeypatch):
+    """A chain from a fresh mask computes the Taylor scheme's eigenspace
+    once, then each round's sheared scheme's: that is the next round's
+    Taylor scheme, carried with its eigenspace.  Nothing is inverted."""
     rng = random.Random(5)
     inputs = [catalog.get("merrien"), catalog.get("derham")]
     inputs += [rand_smoothing_ready_spectral(rng) for _ in range(5)]
     counts = _count_linalg(monkeypatch)
     for mask in inputs:
+        mask = hermite_mask(mask.symbol)  # maskgen caches the Taylor scheme
         for _ in range(3):
             mask = smooth_hermite(mask)
-    assert counts == {"rref": 0, "invert": 0}
+        assert counts == {"eliminate": 3 + 1, "invert": 0}
+        counts.update(eliminate=0)
 
 
 def test_vector_round_eliminations(monkeypatch):
@@ -300,27 +326,23 @@ def test_vector_round_eliminations(monkeypatch):
     for _ in range(3):
         mask = smooth_vector(mask)
         seen.append(dict(counts))
-        counts.update(rref=0, invert=0)
-    assert seen == [{"rref": 4, "invert": 1}] + [{"rref": 3, "invert": 1}] * 2
+        counts.update(eliminate=0, invert=0)
+    assert seen == [{"eliminate": 4, "invert": 1}] + [{"eliminate": 3, "invert": 1}] * 2
 
 
 def test_vector_round_computes_each_eigenspace_once(monkeypatch):
     rng = random.Random(3)
-    calls = []
-    monkeypatch.setattr(masks_module, "kernel_basis",
-                        lambda m: calls.append(1) or kernel_basis(m))
+    shapes = _eliminations(monkeypatch)
     for mask in (catalog.get("double-knot"), rand_convergent_style_mask(rng, 3, 2)):
-        calls.clear()
+        shapes.clear()
         for _ in range(4):
             mask = smooth_vector(mask)
-        assert len(calls) == 5  # the input's, then each round's result's
+        assert _stacked(shapes) == 5  # the input's, then each round's result's
 
 
 def test_cli_smooth_computes_each_eigenspace_once(monkeypatch, tmp_path):
-    calls = []
-    monkeypatch.setattr(masks_module, "kernel_basis",
-                        lambda m: calls.append(1) or kernel_basis(m))
+    shapes = _eliminations(monkeypatch)
     assert main(["smooth", "catalog:double-knot", "--rounds", "3",
                  "--out", str(tmp_path / "dk.mask")]) == 0
-    assert len(calls) == 4
+    assert _stacked(shapes) == 4
 
