@@ -115,6 +115,9 @@ def cmd_smooth(args) -> int:
             print(f"round {r}: k = {k}, support {current.support} -> "
                   f"{nxt.support}", file=sys.stderr)
         current = nxt
+        ints = [x for row in current.symbol.entries for e in row for x in (e.den, *e.nums)]
+        if max(map(int.bit_length, [*ints, *(current.phi or 0).as_integer_ratio()])) > 1657:
+            maskfile.serialize(current)  # stop at the first unwritable round; 2**1657 < 10**499
     _emit(maskfile.serialize(current), args.out)
     return 0
 

@@ -11,25 +11,24 @@ package is phrased in terms of them.
 Arithmetic stays in the integers, in one kernel: ``_products`` returns
 sum m * f(z) * g(z**step) over pairs (f, g) and integer factors m on one
 denominator.  A product is one pair with step 1, a sum pairs each operand
-with 1, a matrix entry is one row of pairs, a constant basis change weighs
-the entries by integer factors, and A(z) c(z**2) and A(z**(2**k)) pass
-their step instead of building the dilated operand.  The kernel has two
-strategies, chosen by size: below _PACK_MIN term products (len f - 1) *
-(len g - 1) summed over the pairs it adds each term's multiple of the other
-operand into a list of integers (``_schoolbook``); from there on, unless an
-output numerator needs more than _PACK_MAX bytes, it packs the operand
-that each pair does not loop over into one integer by Kronecker
+with 1, a matrix entry is one row of pairs, a basis change or operator
+product weighs one-term pairs by integer factors, and A(z) c(z**2) and
+A(z**(2**k)) pass their step instead of building the dilated operand.  The
+kernel has two strategies, chosen by size: below _PACK_MIN term products
+(len f - 1) * (len g - 1) summed over the pairs it adds each term's multiple
+of the other operand into a list of integers (``_schoolbook``); from there
+on, unless an output numerator needs more than _PACK_MAX bytes, it packs the
+operand that each pair does not loop over into one integer by Kronecker
 substitution and adds one multiple of it per looped term (``_kronecker``).
-A symbol product, refinement step or basis change first prices its pairs
-(``_charge``) against MAX_WORK, calibrated in README "Command line"; the
-price counts the term products of the terms both strategies loop over
-(``_loops_over_f``), whichever runs.  Rationals appear only at the
-boundary: ``coeff``, ``coeffs``, ``evaluate`` and ``derivative_at`` return
-Fractions.
+Each of these operations first prices its pairs (``_charge``) against
+MAX_WORK, calibrated in README "Command line"; the price counts the term
+products of the terms both strategies loop over (``_loops_over_f``),
+whichever runs.  Rationals appear only at the boundary: ``coeff``,
+``coeffs``, ``evaluate`` and ``derivative_at`` return Fractions.
 
-Division is restricted to the two binomials the smoothing calculus divides
-by, 1/z-1 and 1/z**2-1; each has an exact quotient in the Laurent ring
-precisely when the matching root condition holds.
+Operator symbols are data: intertwine and untwine are one product by the
+operator's terms and one triangular solve by it (``_twine``), dividing only
+by 1/z-1 and 1/z**2-1, each exact precisely when its root condition holds.
 """
 
 from __future__ import annotations
@@ -611,10 +610,10 @@ class SymbolMatrix:
 # G_zeta = G S = [[1, 0], [zeta/z - 1 - zeta, 1/z - 1]]: G = R diag(1/z - 1, 1) R**-1
 # for R = [[0, 1], [1, -1]], which puts the 1-eigenspace span{e2} of a Taylor
 # scheme first, and the shear S = [[1, 0], [zeta - 1, 1]], so that a round is two
-# untwines, by G_zeta and by T.  A mask A and the mask B with D S_A = 1/2 S_B D
-# are related by B(z) = 2 D(z) A(z) D(z**2)**-1; both inverses are triangular
-# solves whose divisions are exact precisely when the result is a Laurent
-# polynomial, so NotDivisibleError is the existence test.
+# untwines, by G_zeta and by T.  Masks A and B with D S_A = 1/2 S_B D have
+# B(z) = 2 D(z) A(z) D(z**2)**-1 and A(z) = 1/2 D(z)**-1 B(z) D(z**2), both _twine:
+# a product by D's terms and a triangular solve by D, exact precisely when the
+# result is a Laurent polynomial, so NotDivisibleError is the existence test.
 
 # Symbol of the Taylor operator on (value, derivative) pairs:
 # (T c)_i = (c1_(i+1) - c1_i - c2_i, c2_i).
@@ -631,9 +630,9 @@ def difference_operator(p: int, k: int) -> SymbolMatrix:
                               for i in range(p)))
 
 
-def _solve(t, r) -> list:
-    """Rows x with t x = r for a triangular t, solved top down if t is lower
-    triangular, else bottom up: each row after the rows it refers to."""
+def _solve(t, r, step: int) -> list:
+    """Rows x with t(z**step) x = r for a triangular t, each after the rows it refers
+    to: the divisor t[i][i] is dilated, the other entries pass step to the kernel."""
     rows, x = range(len(t)), [None] * len(t)
     for i in rows if any(t[j][k].nums for j in rows for k in range(j)) else reversed(rows):
         row = r[i]
@@ -641,38 +640,36 @@ def _solve(t, r) -> list:
             if k != i and tik.nums:
                 if x[k] is None:
                     raise ValueError("an operator symbol must be triangular")
-                row = [_products(((a, _ONE), (tik, b)), 1, (1, -1)) for a, b in zip(row, x[k])]
-        d = t[i][i]
+                row = [_products(((a, _ONE), (b, tik)), step, (1, -1)) for a, b in zip(row, x[k])]
+        d = t[i][i] if step == 1 else t[i][i].dilate()
         x[i] = row if d == _ONE else [divide_exact(a, d) for a in row]
     return x
 
 
-def intertwine(a: SymbolMatrix, d: SymbolMatrix) -> SymbolMatrix:
-    """The symbol 2 D(z) A(z) D(z**2)**-1 of the scheme B with D S_A = 1/2 S_B D.
+def _twine(s: tuple, d: tuple, step: int, scale) -> list:
+    """Rows of the X with D(z**(3 - step)) X = scale S(z) D(z**step), step 1 or 2: entry
+    (i, j) of the right side is one kernel call pairing s[i,k] with z**e / (h den) at
+    z**step, weighed by the integer n c den, for each term c z**e of d[k,j], den the
+    lcm of D's denominators and n / h = scale, so that a long rational of D, such as
+    zeta, is priced as a factor, as in SymbolMatrix.transform."""
+    n, h = scale.as_integer_ratio()
+    den = math.lcm(*(e.den for row in d for e in row))
+    cols = [[(k, _raw(e.lo + i, (1,), h * den), n * x * (den // e.den))
+             for k, e in enumerate(col) for i, x in enumerate(e.nums) if x] for col in zip(*d)]
+    jobs = [[([(row[k], u) for k, u, _ in c], [m for _, _, m in c]) for c in cols] for row in s]
+    _charge(sum(s, ()), [u for col in cols for _, u, _ in col],
+            ((pairs, [m.bit_length() for m in ms]) for line in jobs for pairs, ms in line),
+            max((m.bit_length() for col in cols for _, _, m in col), default=1))
+    return _solve(d, [[_products(ps, step, ms) for ps, ms in line] for line in jobs], 3 - step)
 
-    Raises NotDivisibleError when no such mask exists."""
-    m = _symbol(tuple(tuple(e.scale(2) for e in row) for row in d.entries)) * a
-    # X D(z**2) = M is D(z**2)^T X^T = M^T
-    cols = _solve(list(zip(*d.dilate().entries)), list(zip(*m.entries)))
-    return _symbol(tuple(zip(*cols)))
+
+def intertwine(a: SymbolMatrix, d: SymbolMatrix) -> SymbolMatrix:
+    """The symbol 2 D(z) A(z) D(z**2)**-1 of the scheme B with D S_A = 1/2 S_B D, from
+    D(z**2)^T B^T = 2 A(z)^T D(z)^T.  Raises NotDivisibleError when no such mask exists."""
+    return _symbol(tuple(zip(*_twine(tuple(zip(*a.entries)), tuple(zip(*d.entries)), 1, 2))))
 
 
 def untwine(b: SymbolMatrix, d: SymbolMatrix) -> SymbolMatrix:
     """Right inverse of intertwine: the symbol 1/2 D(z)**-1 B(z) D(z**2).
-
-    Entry (i, j) of B(z) 1/2 D(z**2) is one kernel call pairing b[i,k] with
-    z**e / (2 den) at z**2, weighed by the integer c den, for each term c z**e
-    of d[k,j], den the lcm of D's denominators: so a long rational of D, such
-    as zeta, is priced as a factor, as in SymbolMatrix.transform.
     Raises NotDivisibleError when no such mask exists."""
-    den = math.lcm(*(e.den for row in d.entries for e in row))
-    cols = [[(k, _raw(e.lo + i, (1,), 2 * den), x * (den // e.den))
-             for k, e in enumerate(col) for i, x in enumerate(e.nums) if x]
-            for col in zip(*d.entries)]
-    jobs = [[([(row[k], u) for k, u, _ in col], [m for _, _, m in col]) for col in cols]
-            for row in b.entries]
-    _charge(sum(b.entries, ()), [u for col in cols for _, u, _ in col],
-            ((pairs, [m.bit_length() for m in ms]) for line in jobs for pairs, ms in line),
-            max((m.bit_length() for col in cols for _, _, m in col), default=1))
-    rows = _solve(d.entries, [[_products(pairs, 2, ms) for pairs, ms in line] for line in jobs])
-    return _symbol(tuple(map(tuple, rows)))
+    return _symbol(tuple(map(tuple, _twine(b.entries, d.entries, 2, Fraction(1, 2)))))

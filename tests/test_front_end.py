@@ -603,6 +603,19 @@ class TestOutputBoundary:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_smooth_refuses_in_the_first_round_a_file_cannot_hold(self, tmp_path, capsys):
+        """derham's coefficients outgrow a mask file at round 44 of 64, and
+        the chain stops there; below 1657 bits a side a rational always fits."""
+        assert len(str(Fraction(1 - 2 ** 1657, 2 ** 1657 - 2))) == 1000
+        out = tmp_path / "d64.mask"
+        assert main(["smooth", "catalog:derham", "--rounds", "64", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith("round ") for line in err) == 44
+        assert err[-2].startswith("round 44: ")
+        assert err[-1] == ("error: coeffs[0][1][0]: rational longer than 1000 characters, "
+                           "which a mask file cannot hold")
+        assert not out.exists()
+
     def test_mask_file_length_boundary_is_exact(self):
         fits = scalar_mask(LaurentPoly({0: 1, 1: Fraction(-10 ** 996 - 1, 2)}))
         assert len(str(fits.symbol[0, 0].coeff(1))) == 1000

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsmooth import (LaurentPoly, NotDivisibleError, RatMatrix, SymbolMatrix,
-                       WorkBudgetError, Z_PLUS_1, ZINV2_MINUS_1, ZINV_MINUS_1,
-                       catalog, divide_exact, iterated_symbol, laurent,
-                       stencil_norm, taylor_scheme)
+from subsmooth import (TAYLOR_OPERATOR, LaurentPoly, NotDivisibleError, RatMatrix,
+                       SymbolMatrix, WorkBudgetError, Z_PLUS_1, ZINV2_MINUS_1,
+                       ZINV_MINUS_1, catalog, difference_operator, divide_exact,
+                       intertwine, iterated_symbol, laurent, stencil_norm,
+                       taylor_scheme, untwine)
 from subsmooth.refine import _contractive_power
 
 from tests import laurent_oracle as oracle
@@ -287,16 +288,52 @@ def _polys(draw):
                                    draw(st.lists(_COEFFS, max_size=6)))
 
 
+def _g_zeta(zeta) -> SymbolMatrix:
+    """A Hermite round's smoothing operator [[1, 0], [zeta/z - 1 - zeta, 1/z - 1]]."""
+    return SymbolMatrix([[LaurentPoly.one(), LaurentPoly.zero()],
+                         [LaurentPoly({-1: zeta, 0: -1 - zeta}), ZINV_MINUS_1]])
+
+
+def _operator_operation(draw, kind):
+    """untwine(D(z)·C(z), D) = 1/2 C(z)·D(z**2) or intertwine(C(z)·D(z**2), D)
+    = 2 D(z)·C(z) for a random C and an operator symbol D, a difference
+    operator, TAYLOR_OPERATOR or a G_zeta with a rational zeta, and the sum
+    of nnz(S[i,k])·nnz(D[k,j]) for the side S that is multiplied by D."""
+    op = draw(st.sampled_from(["difference", "taylor", "g_zeta"]))
+    p = draw(st.integers(1, 3)) if op == "difference" else 2
+    c = SymbolMatrix([[draw(_polys()) for _ in range(p)] for _ in range(p)])
+    if op == "difference":
+        d = difference_operator(p, draw(st.integers(1, p)))
+    elif op == "taylor":
+        d = TAYLOR_OPERATOR
+    else:
+        d = _g_zeta(draw(_COEFFS))
+
+    def pairs(s, t):
+        return sum(len(s[i, k].coeffs) * len(t[k, j].coeffs)
+                   for i in range(p) for j in range(p) for k in range(p))
+    if kind == "untwine":
+        b = d * c
+        return (lambda: untwine(b, d)), pairs(b, d)
+    a = c.mul_dilated(d, 2)  # on transposes, D(z**2)^T B^T = 2 A^T D^T multiplies A^T
+    return (lambda: intertwine(a, d)), pairs(*(SymbolMatrix(list(zip(*m.entries)))
+                                              for m in (a, d)))
+
+
 @st.composite
 def _symbol_operations(draw):
     """(operation, Σ nnz(f)·nnz(g) over the pairs of polynomials it
     multiplies): a product A(z)·B(z**step), a refinement-style product
-    A(z)·v(z**step), or a basis change L·A(z)·R with constant L and R."""
+    A(z)·v(z**step), a basis change L·A(z)·R with constant L and R, or an
+    untwine or intertwine by an operator symbol."""
+    kind = draw(st.sampled_from(["mul_dilated", "mul_vector", "transform",
+                                 "untwine", "intertwine"]))
+    if kind in ("untwine", "intertwine"):
+        return _operator_operation(draw, kind)
     p = draw(st.integers(1, 3))
     a = SymbolMatrix([[draw(_polys()) for _ in range(p)] for _ in range(p)])
     nnz = [[len(a[i, k].coeffs) for k in range(p)] for i in range(p)]
     step = draw(st.integers(1, 8))
-    kind = draw(st.sampled_from(["mul_dilated", "mul_vector", "transform"]))
     if kind == "mul_dilated":
         b = SymbolMatrix([[draw(_polys()) for _ in range(p)] for _ in range(p)])
         pairs = sum(nnz[i][k] * len(b[k, j].coeffs)
@@ -314,7 +351,7 @@ def _symbol_operations(draw):
     return (lambda: a.transform(left, right)), pairs
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(_symbol_operations())
 def test_work_price_bounds_term_products_and_is_checked_before_products(case):
     run, pairs = case
@@ -331,6 +368,35 @@ def test_work_price_bounds_term_products_and_is_checked_before_products(case):
     assert err.value.price == price
     with mock.patch.object(laurent, "MAX_WORK", price):
         assert run() == want
+
+
+def test_a_long_operator_rational_is_priced_as_a_factor():
+    """zeta enters the product as integer weights, whose bit lengths the
+    price counts: a 3170-bit zeta costs more than a short one."""
+    a = catalog.get("merrien").symbol
+    for op, s in ((untwine, intertwine(a, TAYLOR_OPERATOR)), (intertwine, a)):
+        prices = []
+        for zeta in (Fraction(3, 2), Fraction(3 ** 2000, 2)):
+            with mock.patch.object(laurent, "MAX_WORK", -1), \
+                    pytest.raises(WorkBudgetError) as err:
+                op(s, _g_zeta(zeta))
+            prices.append(err.value.price)
+        assert prices[1] > prices[0]
+
+
+def test_operators_are_read_as_data():
+    """intertwine and untwine build no scaled or dilated copy of the operator
+    and run no symbol product: both are one weighted product and one solve."""
+    cases = [(catalog.get("merrien").symbol, TAYLOR_OPERATOR),
+             (catalog.get("bspline3").symbol, difference_operator(1, 1))]
+    results = [intertwine(a, d) for a, d in cases]
+    with mock.patch.object(SymbolMatrix, "mul_dilated", side_effect=AssertionError("product")), \
+            mock.patch.object(SymbolMatrix, "__mul__", side_effect=AssertionError("product")), \
+            mock.patch.object(SymbolMatrix, "dilate", side_effect=AssertionError("dilate")), \
+            mock.patch.object(LaurentPoly, "scale", side_effect=AssertionError("scale")):
+        for (a, d), b in zip(cases, results):
+            assert intertwine(a, d) == b
+            assert untwine(b, d) == a
 
 
 @st.composite

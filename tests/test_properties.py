@@ -162,6 +162,12 @@ def symbol_and_operator(draw):
 @given(symbol_and_operator())
 def test_untwine_is_a_right_inverse_for_any_operator(case):
     b, d = case
+    try:  # the drawn symbol as A: B D(z**2) = 2 D(z) A(z), or no such B
+        c = intertwine(b, d)
+    except NotDivisibleError:
+        pass
+    else:
+        assert (d * b).scale(2) == c * d.dilate()
     try:
         a = untwine(b, d)
     except NotDivisibleError:
