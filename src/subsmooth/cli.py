@@ -115,8 +115,10 @@ def cmd_smooth(args) -> int:
             print(f"round {r}: k = {k}, support {current.support} -> "
                   f"{nxt.support}", file=sys.stderr)
         current = nxt
-        ints = [x for row in current.symbol.entries for e in row for x in (e.den, *e.nums)]
-        if max(map(int.bit_length, [*ints, *(current.phi or 0).as_integer_ratio()])) > 1657:
+        n, d = (current.phi or 0).as_integer_ratio()
+        top = max(abs(n), d, *(max(max(e.nums, default=0), -min(e.nums, default=0), e.den)
+                               for row in current.symbol.entries for e in row))
+        if top.bit_length() > 1657:
             maskfile.serialize(current)  # stop at the first unwritable round; 2**1657 < 10**499
     _emit(maskfile.serialize(current), args.out)
     return 0
@@ -181,6 +183,22 @@ COMMANDS = {
 }
 
 
+def _formatter(prog: str) -> argparse.HelpFormatter:
+    """argparse's formatter at the width it would pick, the columns of
+    shutil.get_terminal_size minus 2 (COLUMNS, else the terminal of
+    sys.__stdout__, else 80), without importing shutil and what it loads."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return argparse.HelpFormatter(prog, width=(columns or 80) - 2)
+
+
 def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """Give parser the arguments and the handler of the command name."""
     fn, _help, arguments = COMMANDS[name]
@@ -193,19 +211,20 @@ def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.Argu
 def _build_parser() -> argparse.ArgumentParser:
     """The full parser: the top level and one subparser per command."""
     parser = argparse.ArgumentParser(
-        prog="subsmooth",
+        prog="subsmooth", formatter_class=_formatter,
         description="Symbol calculus for raising the smoothness of "
                     "scalar, vector and Hermite subdivision schemes.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_fn, help_, _arguments) in COMMANDS.items():
-        _command_parser(sub.add_parser(name, help=help_), name)
+        _command_parser(sub.add_parser(name, help=help_, formatter_class=_formatter), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in COMMANDS:
-        parser = _command_parser(argparse.ArgumentParser(prog=f"subsmooth {argv[0]}"), argv[0])
+        parser = _command_parser(argparse.ArgumentParser(prog=f"subsmooth {argv[0]}",
+                                                         formatter_class=_formatter), argv[0])
         args, extra = parser.parse_known_args(argv[1:])
         if extra:  # reported by the full parser, in its words and usage line
             args = _build_parser().parse_args(argv)

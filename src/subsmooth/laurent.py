@@ -29,6 +29,9 @@ whichever runs.  Rationals appear only at the boundary: ``coeff``,
 Operator symbols are data: intertwine and untwine are one product by the
 operator's terms and one triangular solve by it (``_twine``), dividing only
 by 1/z-1 and 1/z**2-1, each exact precisely when its root condition holds.
+In a constant basis R they fold R**-1 and R into that one product, so a
+descent or a smoothing round in a canonical basis is one twine; a basis
+change alone (SymbolMatrix.transform) is the twine by the identity.
 """
 
 from __future__ import annotations
@@ -439,7 +442,7 @@ class LaurentPoly:
 _ZERO = _raw(0, (), 1)
 _ONE = _raw(0, (1,), 1)
 
-Z_PLUS_1 = LaurentPoly({1: 1, 0: 1})            # z + 1, the b-spline seed
+Z_PLUS_1 = LaurentPoly({1: 1, 0: 1})            # z + 1, the b-spline of degree 0
 # The two divisors of the smoothing calculus.
 ZINV_MINUS_1 = LaurentPoly({-1: 1, 0: -1})      # 1/z - 1
 ZINV2_MINUS_1 = LaurentPoly({-2: 1, 0: -1})     # 1/z**2 - 1
@@ -556,23 +559,14 @@ class SymbolMatrix:
     __mul__ = mul_dilated
 
     def transform(self, left: RatMatrix, right: RatMatrix) -> "SymbolMatrix":
-        """The symbol left * self(z) * right for constant p x p matrices.
-
-        Entry (i, j) is one kernel call pairing each self[k,l] with 1 / (dl * dr),
-        weighed by (dl * left[i,k]) * (dr * right[l,j]), dl and dr the lcm of
-        the denominators of left and right."""
+        """The symbol left * self(z) * right for constant p x p matrices: _twine
+        by the identity operator."""
         p = self.p
         if not left.rows == left.cols == right.rows == right.cols == p:
             raise ValueError("dimension mismatch")
-        lft, dl = _integer_rows(left)
-        rgt, dr = _integer_rows(right)
-        unit, cols = _raw(0, (1,), dl * dr), list(zip(*rgt))
-        pairs = [(unit, e) for row in self.entries for e in row]
-        _charge([unit] * p * p, sum(self.entries, ()), ((pairs, [
-            x.bit_length() + y.bit_length() if x and y else 0 for x in li for y in col])
-            for li in lft for col in cols), 2 * max(map(int.bit_length, sum(lft + rgt, ()))))
-        return _symbol(tuple(tuple(_products(pairs, 1, [a * b for a in li for b in col])
-                                   for col in cols) for li in lft))
+        eye = tuple(tuple(_ONE if i == j else _ZERO for j in range(p)) for i in range(p))
+        return _symbol(tuple(map(tuple, _twine(self.entries, eye, 1, 1, _integer_rows(left),
+                                               _integer_rows(right)))))
 
     def mul_vector(self, v: Sequence[LaurentPoly], step: int = 1
                    ) -> tuple[LaurentPoly, ...]:
@@ -625,9 +619,8 @@ def difference_operator(p: int, k: int) -> SymbolMatrix:
     diag((1/z - 1) I_k, I_(p-k))."""
     if not 1 <= k <= p:
         raise ValueError(f"k must be in 1..{p}, got {k}")
-    return SymbolMatrix(tuple(tuple((ZINV_MINUS_1 if i < k else _ONE) if i == j
-                                    else _ZERO for j in range(p))
-                              for i in range(p)))
+    return _symbol(tuple(tuple((ZINV_MINUS_1 if i < k else _ONE) if i == j else _ZERO
+                               for j in range(p)) for i in range(p)))
 
 
 def _solve(t, r, step: int) -> list:
@@ -646,30 +639,59 @@ def _solve(t, r, step: int) -> list:
     return x
 
 
-def _twine(s: tuple, d: tuple, step: int, scale) -> list:
-    """Rows of the X with D(z**(3 - step)) X = scale S(z) D(z**step), step 1 or 2: entry
-    (i, j) of the right side is one kernel call pairing s[i,k] with z**e / (h den) at
-    z**step, weighed by the integer n c den, for each term c z**e of d[k,j], den the
-    lcm of D's denominators and n / h = scale, so that a long rational of D, such as
-    zeta, is priced as a factor, as in SymbolMatrix.transform."""
+def _twine(s: tuple, d: tuple, step: int, scale, left=None, right=None) -> list:
+    """Rows of the X with D(z**(3 - step)) X = scale L S(z) R D(z**step), step 1 or 2, for
+    constant L and R given as integer rows over a denominator (the identity without
+    them): entry (i, j) of the right side is one kernel call pairing s[a,k] with
+    z**e / (h dl den) at z**step, weighed by the integer l n c, for each l / dl = L[i,a]
+    and each term c z**e / den of R[k,m] D[m,j] over m, den the lcm of D's denominators
+    times R's and n / h = scale, so that a long rational of D or R, such as zeta, is
+    priced as a factor of bit length bits(l) + bits(n c) - 1, before any product."""
     n, h = scale.as_integer_ratio()
     den = math.lcm(*(e.den for row in d for e in row))
-    cols = [[(k, _raw(e.lo + i, (1,), h * den), n * x * (den // e.den))
-             for k, e in enumerate(col) for i, x in enumerate(e.nums) if x] for col in zip(*d)]
-    jobs = [[([(row[k], u) for k, u, _ in c], [m for _, _, m in c]) for c in cols] for row in s]
-    _charge(sum(s, ()), [u for col in cols for _, u, _ in col],
-            ((pairs, [m.bit_length() for m in ms]) for line in jobs for pairs, ms in line),
-            max((m.bit_length() for col in cols for _, _, m in col), default=1))
-    return _solve(d, [[_products(ps, step, ms) for ps, ms in line] for line in jobs], 3 - step)
+    cols = [[(k, e.lo + i, x * (den // e.den)) for k, e in enumerate(col)
+             for i, x in enumerate(e.nums) if x] for col in zip(*d)]
+    if right is not None:  # the terms of R D: R[k,l] times those of D[l,j], over dr den
+        rows, den = right[0], den * right[1]
+        cols = [[(k, e, row[l] * c) for k, row in enumerate(rows) for l, e, c in col if row[l]]
+                for col in cols]
+    lefts, dl = ([((a, 1),) for a in range(len(s))], 1) if left is None else (
+        [[(a, x) for a, x in enumerate(row) if x] for row in left[0]], left[1])
+    cols = [[(k, _raw(e, (1,), h * dl * den), n * c) for k, e, c in col] for col in cols]
+    jobs = [[([(s[a][k], u) for a, _ in line for k, u, _ in c],
+              [(x, m) for _, x in line for _, _, m in c]) for c in cols] for line in lefts]
+    top = (max((x.bit_length() for line in lefts for _, x in line), default=1)
+           + max((m.bit_length() for col in cols for _, _, m in col), default=1) - 1)
+    _charge([e for line in lefts for a, _ in line for e in s[a]],  # each row of S as often as used
+            [u for col in cols for _, u, _ in col],
+            ((pairs, [x.bit_length() + m.bit_length() - 1 for x, m in xms])
+             for line in jobs for pairs, xms in line), top)
+    return _solve(d, [[_products(ps, step, [x * m for x, m in xms]) for ps, xms in line]
+                      for line in jobs], 3 - step)
 
 
-def intertwine(a: SymbolMatrix, d: SymbolMatrix) -> SymbolMatrix:
-    """The symbol 2 D(z) A(z) D(z**2)**-1 of the scheme B with D S_A = 1/2 S_B D, from
-    D(z**2)^T B^T = 2 A(z)^T D(z)^T.  Raises NotDivisibleError when no such mask exists."""
-    return _symbol(tuple(zip(*_twine(tuple(zip(*a.entries)), tuple(zip(*d.entries)), 1, 2))))
+def _basis(r, r_inv, transpose: bool):
+    """L and R of _twine for the conjugation R**-1 A R, as _integer_rows, or their
+    transposes; None and None for r = None or R = I."""
+    if r is None or r.entries == tuple(int(i == j) for i in range(r.rows) for j in range(r.rows)):
+        return None, None
+    (a, da), (b, db) = _integer_rows(r), _integer_rows(r_inv)
+    return ((tuple(zip(*a)), da), (tuple(zip(*b)), db)) if transpose else ((b, db), (a, da))
 
 
-def untwine(b: SymbolMatrix, d: SymbolMatrix) -> SymbolMatrix:
-    """Right inverse of intertwine: the symbol 1/2 D(z)**-1 B(z) D(z**2).
-    Raises NotDivisibleError when no such mask exists."""
-    return _symbol(tuple(map(tuple, _twine(b.entries, d.entries, 2, Fraction(1, 2)))))
+def intertwine(a: SymbolMatrix, d: SymbolMatrix, r: RatMatrix | None = None,
+               r_inv: RatMatrix | None = None) -> SymbolMatrix:
+    """The symbol 2 D(z) A'(z) D(z**2)**-1 of the scheme B with D S_A' = 1/2 S_B D, for
+    A' = R**-1 A R (A without r; r_inv is R**-1, trusted), from D(z**2)^T B^T =
+    2 R^T A(z)^T R^-T D(z)^T.  Raises NotDivisibleError when no such mask exists."""
+    return _symbol(tuple(zip(*_twine(tuple(zip(*a.entries)), tuple(zip(*d.entries)), 1, 2,
+                                     *_basis(r, r_inv, True)))))
+
+
+def untwine(b: SymbolMatrix, d: SymbolMatrix, r: RatMatrix | None = None,
+            r_inv: RatMatrix | None = None) -> SymbolMatrix:
+    """Right inverse of intertwine: the symbol 1/2 D(z)**-1 B'(z) D(z**2) for
+    B' = R**-1 B R (B without r; r_inv is R**-1, trusted).  Raises NotDivisibleError
+    when no such mask exists."""
+    return _symbol(tuple(map(tuple, _twine(b.entries, d.entries, 2, Fraction(1, 2),
+                                           *_basis(r, r_inv, False)))))

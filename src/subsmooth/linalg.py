@@ -116,15 +116,6 @@ class RatMatrix:
                                 for k in range(self.cols)), Fraction(0)))
         return _matrix(self.rows, other.cols, tuple(out))
 
-    def hstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        out = []
-        for i in range(self.rows):
-            out.extend(self.row(i))
-            out.extend(other.row(i))
-        return _matrix(self.rows, self.cols + other.cols, tuple(out))
-
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
 
@@ -201,18 +192,29 @@ def kernel_basis(m: RatMatrix) -> list[RatMatrix]:
     return _kernel(_ratios(m), m.cols)
 
 
+def _pivots(rows: list) -> list[int]:
+    """The pivot columns of the matrix given as _eliminate takes it."""
+    return _eliminate(rows)[1]
+
+
 def column_space_basis(m: RatMatrix) -> list[RatMatrix]:
     """Deterministic basis of the column space: the pivot columns of m."""
-    return [_matrix(m.rows, 1, m.col(c)) for c in _eliminate(_ratios(m))[1]]
+    return [_matrix(m.rows, 1, m.col(c)) for c in _pivots(_ratios(m))]
+
+
+def _invert(rows: list) -> tuple:
+    """The entries of the inverse, row-major, of the square matrix given as
+    _eliminate takes it: Gauss-Jordan on [m | I]; raises SingularMatrixError."""
+    n = len(rows)
+    a, pivots = _eliminate([[*row, *((int(i == j), 1) for j in range(n))]
+                            for i, row in enumerate(rows)])
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return tuple(Fraction(a[i][n + j], a[i][i]) for i in range(n) for j in range(n))
 
 
 def invert(m: RatMatrix) -> RatMatrix:
     """Exact inverse via Gauss-Jordan on [m | I]; raises SingularMatrixError."""
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
-    n = m.rows
-    a, pivots = _eliminate(_ratios(m.hstack(RatMatrix.identity(n))))
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return _matrix(n, n, tuple(Fraction(a[i][n + j], a[i][i])
-                               for i in range(n) for j in range(n)))
+    return _matrix(m.rows, m.rows, _invert(_ratios(m)))

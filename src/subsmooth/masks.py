@@ -9,10 +9,11 @@ derivative, dimension 2, with a shift parameter phi read off the symbol).
 The common 1-eigenspace of the even/odd coefficient sums drives all of
 the smoothing machinery; this module computes it exactly, once per mask
 (a Mask caches it), from the integer rows of [A(1) - 2I; A(-1)], together
-with the canonical basis change that moves it onto the leading coordinates.
-Conjugation by a constant basis change R is one linear combination of the
-symbol entries per entry of R^-1 A(z) R, and a caller that already holds
-R^-1 passes it instead of having R inverted.
+with the canonical basis change R that moves it onto the leading
+coordinates, read off the integer rows of A(1) - 2I.  Conjugation,
+R^-1 A(z) R, is SymbolMatrix.transform; a descent or a smoothing round does
+not conjugate: laurent.intertwine and untwine fold R and R^-1 into their
+one product.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ import enum
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
+from itertools import chain
 from operator import add
 
 from .errors import EigenspaceError, EmptyEigenspaceError, SingularMatrixError
 from .laurent import LaurentPoly, SymbolMatrix
-from .linalg import RatMatrix, _kernel, column_space_basis, invert
+from .linalg import RatMatrix, _invert, _kernel, _matrix, _pivots, invert
 
 
 class Kind(enum.Enum):
@@ -178,27 +180,30 @@ def canonical_transform(mask: Mask) -> Eigenstructure:
     eigenvalue 1 of the mean matrix has equal algebraic and geometric
     multiplicity, which holds for convergent schemes; if the dimensions do
     not add up, the input cannot be normalized and an error is raised
-    instead of guessing.
+    instead of guessing.  Mean matrix - identity = (A(1) - 2I)/2 is read as
+    integer rows off the symbol's numerators; one elimination finds its pivot
+    columns, the complement's basis, and one of [R | I] gives R**-1.
     """
-    basis = common_one_eigenspace(mask)
+    basis = mask._one_eigenspace
     if not basis:
         raise EmptyEigenspaceError(
             "the even/odd coefficient sums have no common 1-eigenvector")
-    p = mask.p
-    k = len(basis)
-    cols: list[RatMatrix] = list(basis)
+    p, k = mask.p, len(basis)
+    cols = [v.entries for v in basis]
     if k < p:
-        m = even_odd_mean(mask) - RatMatrix.identity(p)
-        comp = column_space_basis(m)
-        if len(comp) != p - k:
+        m = [[(e._sum_at(1) - 2 * e.den * (i == j), 2 * e.den) for j, e in enumerate(row)]
+             for i, row in enumerate(mask.symbol.entries)]
+        pivots = _pivots(m)
+        if len(pivots) != p - k:
             raise EigenspaceError(
-                f"complement has dimension {len(comp)}, expected {p - k}; "
+                f"complement has dimension {len(pivots)}, expected {p - k}; "
                 "eigenvalue 1 is defective (non-convergent-style mask)")
-        cols.extend(comp)
-    r = reduce(RatMatrix.hstack, cols)
+        cols += [tuple(Fraction(*row[c]) for row in m) for c in pivots]
+    r = _matrix(p, p, tuple(chain.from_iterable(zip(*cols))))
     try:
-        r_inv = invert(r)
+        r_inv = _matrix(p, p, _invert([[x.as_integer_ratio() for x in r.row(i)]
+                                       for i in range(p)]))
     except SingularMatrixError:
         raise EigenspaceError("eigenspace and complement overlap; "
                               "no canonical transform exists") from None
-    return Eigenstructure(k=k, basis=tuple(basis), r=r, r_inv=r_inv)
+    return Eigenstructure(k=k, basis=basis, r=r, r_inv=r_inv)

@@ -22,8 +22,7 @@ from operator import floordiv
 
 from .errors import EigenspaceError, SubsmoothError, WorkBudgetError
 from .laurent import LaurentPoly, SymbolMatrix, joint_support
-from .masks import (Kind, Mask, canonical_transform, common_one_eigenspace, conjugate,
-                    stencil_norm)
+from .masks import Kind, Mask, canonical_transform, common_one_eigenspace, stencil_norm
 from .vector_smoothing import derived
 from .hermite_smoothing import E2, check_spectral, taylor_scheme
 
@@ -266,7 +265,8 @@ def _contractive_power(mask: Mask, lmax: int):
 
 def certify_vector(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):
     """Certificate that a scalar/vector scheme is C^ell: descend ell + 1
-    derived schemes (fresh canonical transform each round), then search
+    derived schemes (fresh canonical transform each round, each descent one
+    intertwine in that basis), then search
     L <= lmax for an exact norm |(1/2 S)^L| < 1 of the last one.  A derived
     scheme without a canonical transform ends the search as a refusal; the
     input without one is an EigenspaceError."""
@@ -277,7 +277,7 @@ def certify_vector(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):
     for r in range(1, ell + 2):
         try:
             es = canonical_transform(current)
-            current = derived(conjugate(current, es.r, r_inv=es.r_inv), es.k)
+            current = derived(current, es.k, es.r, es.r_inv)
         except (EigenspaceError, WorkBudgetError) as exc:
             if r == 1 and isinstance(exc, EigenspaceError):  # the input's own
                 raise

@@ -7,18 +7,18 @@ are laurent.intertwine and laurent.untwine with the operator symbol
 D = diag((1/z - 1) I_k, I) of Delta_k; a derived scheme or a smoothed mask
 exists exactly when their divisions by the diagonal of D are exact.
 
-``smooth_vector`` is the full procedure: conjugate the mask so its common
-1-eigenspace spans the leading coordinates, smooth, transform back.  The
-back-transform keeps the eigenspace of the result equal to the input's, so
-repeated smoothing only needs a fresh canonical transform per round.
+``smooth_vector`` is the full procedure: one untwine in the basis whose
+leading columns span the common 1-eigenspace, R**-1 and R folded into its
+product, then R X R**-1 back.  The back-transform keeps the eigenspace of
+the result equal to the input's, so each round needs one canonical transform.
 """
 
 from __future__ import annotations
 
 from .errors import ConsistencyError, NotDivisibleError
 from .laurent import difference_operator, intertwine, untwine
-from .masks import (Eigenstructure, Kind, Mask, canonical_transform,
-                    common_one_eigenspace, conjugate)
+from .linalg import RatMatrix
+from .masks import Eigenstructure, Kind, Mask, canonical_transform, common_one_eigenspace
 
 
 def _out_kind(mask: Mask) -> Kind:
@@ -28,37 +28,42 @@ def _out_kind(mask: Mask) -> Kind:
     return mask.kind
 
 
-def derived(mask: Mask, k: int) -> Mask:
+def derived(mask: Mask, k: int, r: RatMatrix | None = None,
+            r_inv: RatMatrix | None = None) -> Mask:
     """Derived scheme with respect to the partial difference on the first k
-    components: symbol 2 D(z) A(z) D(z**2)**-1.
+    components: symbol 2 D(z) A(z) D(z**2)**-1, or 2 D(z) R**-1 A(z) R D(z**2)**-1
+    in the basis of the columns of r (r_inv is R**-1, trusted), in one product.
 
     Exists iff A11(-1) = 0 and A21(+-1) = 0 (leading block of size k); a
     violation surfaces as NotDivisibleError.
     """
     kind = _out_kind(mask)
-    return Mask(kind, intertwine(mask.symbol, difference_operator(mask.p, k)))
+    return Mask(kind, intertwine(mask.symbol, difference_operator(mask.p, k), r, r_inv))
 
 
-def smooth_raw(mask: Mask, k: int) -> Mask:
-    """Smoothing without any basis change: symbol 1/2 D(z)**-1 B(z) D(z**2).
+def smooth_raw(mask: Mask, k: int, r: RatMatrix | None = None,
+               r_inv: RatMatrix | None = None) -> Mask:
+    """Smoothing: symbol 1/2 D(z)**-1 B(z) D(z**2), or 1/2 D(z)**-1 R**-1 B(z) R D(z**2)
+    in the basis of the columns of r (r_inv is R**-1, trusted), in one product.
 
-    Exists iff B12(1) = 0; right inverse of derived().
+    Exists iff B12(1) = 0 (in that basis); right inverse of derived().
     """
     kind = _out_kind(mask)
-    return Mask(kind, untwine(mask.symbol, difference_operator(mask.p, k)))
+    return Mask(kind, untwine(mask.symbol, difference_operator(mask.p, k), r, r_inv))
 
 
 # -- full procedure -------------------------------------------------------------------
 
 def _smooth_in_basis(mask: Mask, es: Eigenstructure) -> Mask:
-    """Conjugate by es.r, smooth the leading es.k components (exact when
-    es.r puts a common 1-eigenspace first), conjugate back."""
-    barred = conjugate(mask, es.r, r_inv=es.r_inv)
+    """Smooth the leading es.k components in the basis of the columns of es.r
+    (exact when es.r puts a common 1-eigenspace first), then R X R**-1; R = I,
+    as for every scalar mask, changes no basis."""
+    basis = () if es.r == RatMatrix.identity(mask.p) else (es.r, es.r_inv)
     try:
-        smoothed = smooth_raw(barred, es.k)
+        smoothed = smooth_raw(mask, es.k, *basis)
     except NotDivisibleError:
         raise ConsistencyError("conjugated mask lost the smoothing condition") from None
-    return conjugate(smoothed, es.r_inv, r_inv=es.r)
+    return Mask(mask.kind, smoothed.symbol.transform(es.r, es.r_inv)) if basis else smoothed
 
 
 def _check_window(mask: Mask, out: Mask, slack: int) -> None:

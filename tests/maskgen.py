@@ -20,7 +20,7 @@ from subsmooth import (FinSeq, Kind, LaurentPoly, Mask, RatMatrix, SymbolMatrix,
                        inverse_taylor, invert, smooth_hermite, smooth_vector,
                        taylor_scheme, vector_mask)
 
-from tests.masks_oracle import rank
+from tests.masks_oracle import hstack, rank
 
 
 def rand_fraction(rng: random.Random, num: int = 6, den: int = 4) -> Fraction:
@@ -286,10 +286,7 @@ def span_equal(va: list[RatMatrix], vb: list[RatMatrix]) -> bool:
         return False
     if not va:
         return True
-    m = va[0]
-    for v in va[1:] + vb:
-        m = m.hstack(v)
-    return rank(m) == len(va)
+    return rank(hstack(*va, *vb)) == len(va)
 
 
 def norm_via_repeated_apply(mask: Mask, L: int) -> Fraction:

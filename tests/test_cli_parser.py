@@ -7,6 +7,7 @@ code and the same bytes on stdout and stderr."""
 import argparse
 import contextlib
 import io
+import os
 
 import pytest
 
@@ -126,3 +127,32 @@ def test_one_parser_for_a_real_certify_call(parsers_built, capsys):
 def test_full_parser_lists_every_command_once(parsers_built):
     cli._build_parser()
     assert parsers_built == ["subsmooth", *(f"subsmooth {name}" for name in cli.COMMANDS)]
+
+
+def _no_terminal(fd):
+    raise OSError("not a terminal")
+
+
+# COLUMNS, then what os.get_terminal_size gives for the terminal of stdout
+TERMINALS = {
+    "COLUMNS=80": ("80", _no_terminal),
+    "COLUMNS=47": ("47", _no_terminal),
+    "no COLUMNS, a 57-column terminal": (None, lambda fd: os.terminal_size((57, 20))),
+    "no COLUMNS, no terminal": (None, _no_terminal),
+    "COLUMNS=abc, a 120-column terminal": ("abc", lambda fd: os.terminal_size((120, 40))),
+    "COLUMNS=0, a 0-column terminal": ("0", lambda fd: os.terminal_size((0, 0))),
+}
+
+
+@pytest.mark.parametrize("terminal", TERMINALS)
+def test_help_and_errors_are_argparse_defaults_at_every_width(terminal, monkeypatch):
+    """The formatter finds the width without shutil, as shutil does, so help
+    and error bytes are those of argparse's own formatter."""
+    columns, get_terminal_size = TERMINALS[terminal]
+    monkeypatch.delenv("COLUMNS", raising=False)
+    if columns is not None:
+        monkeypatch.setenv("COLUMNS", columns)
+    monkeypatch.setattr(os, "get_terminal_size", get_terminal_size)
+    ours = [_outcome(lambda: cli.main(list(argv))) for argv in REFUSED]
+    monkeypatch.setattr(cli, "_formatter", argparse.HelpFormatter)
+    assert [_outcome(lambda: cli.main(list(argv))) for argv in REFUSED] == ours

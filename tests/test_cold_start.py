@@ -25,3 +25,16 @@ def test_cli_import_loads_the_package_and_no_unneeded_stdlib_module():
     loaded = set(json.loads(out))
     assert PACKAGE_MODULES <= loaded
     assert not UNNEEDED & loaded
+
+
+def test_a_cli_call_loads_no_shutil():
+    """argparse's formatter imports shutil, and with it fnmatch, zlib, bz2 and
+    lzma, to find the terminal width; the command line finds it itself."""
+    probe = (f"import sys; sys.path.insert(0, {str(SRC)!r}); from subsmooth import cli; "
+             "rc = cli.main(['show', 'catalog:bspline1']); import json; "
+             "print(json.dumps([rc, sorted(sys.modules)]))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    rc, loaded = json.loads(out.splitlines()[-1])
+    assert rc == 0
+    assert not {"shutil", "bz2", "lzma"} & set(loaded)

@@ -485,24 +485,31 @@ class TestWorkCeilings:
         norms = out.split("norms per power: ")[1].split(", ")
         assert len(norms) == L - 1
 
-    @pytest.mark.parametrize("p,price", [(4, 153_047_654), (5, 1_233_240_076)])
-    def test_conjugation_of_long_denominators_refused(self, p, price, tmp_path, capsys):
-        """The first basis change of a mask with independent ~490-digit
-        denominators is over the work budget: smooth refuses it before round
-        1 ends and certify in its first descent, each within 2 s."""
+    @pytest.mark.parametrize("p,smooth_price,certify_price", [
+        (4, 153_050_094, 210_095_404), (5, 1_233_244_152, 1_579_980_824)])
+    def test_conjugation_of_long_denominators_refused(self, p, smooth_price, certify_price,
+                                                      tmp_path, capsys):
+        """The first product in a canonical basis of a mask with independent
+        ~490-digit denominators is over the work budget: smooth refuses it
+        before round 1 ends and certify in its first descent, each within 2 s.
+        The two price different operations, R**-1 A R D(z**2) and
+        R^T A^T R^-T D^T."""
         path = tmp_path / "long-den.mask"
         path.write_text(long_denominator_doc(p))
-        refusal = (f"a symbol operation would cost {price} word products, "
-                   f"over the budget of {MAX_WORK}")
+
+        def refusal(price):
+            return (f"a symbol operation would cost {price} word products, "
+                    f"over the budget of {MAX_WORK}")
         t0 = time.perf_counter()
         assert main(["smooth", str(path)]) == 1
         assert time.perf_counter() - t0 < 2.0
         err = capsys.readouterr().err.splitlines()
-        assert err[0].startswith("note: ") and err[1:] == [f"error: {refusal}"]
+        assert err[0].startswith("note: ") and err[1:] == [f"error: {refusal(smooth_price)}"]
         t0 = time.perf_counter()
         assert main(["certify", str(path)]) == 2
         assert time.perf_counter() - t0 < 2.0
-        assert capsys.readouterr().out == f"inconclusive at stage 'descent 1': {refusal}\n"
+        assert (capsys.readouterr().out
+                == f"inconclusive at stage 'descent 1': {refusal(certify_price)}\n")
 
     def test_rounds_over_ceiling_refused_before_loading(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_load", lambda ref: pytest.fail("mask loaded"))

@@ -3,19 +3,22 @@ dict-of-Fraction oracle, the list product of tests/maskgen.py and sympy."""
 
 import math
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subsmooth import (TAYLOR_OPERATOR, LaurentPoly, NotDivisibleError, RatMatrix,
-                       SymbolMatrix, WorkBudgetError, Z_PLUS_1, ZINV2_MINUS_1,
-                       ZINV_MINUS_1, catalog, difference_operator, divide_exact,
-                       intertwine, iterated_symbol, laurent, stencil_norm,
-                       taylor_scheme, untwine)
-from subsmooth.refine import _contractive_power
+                       SingularMatrixError, SymbolMatrix, WorkBudgetError, Z_PLUS_1,
+                       ZINV2_MINUS_1, ZINV_MINUS_1, catalog, difference_operator,
+                       divide_exact, intertwine, invert, iterated_symbol, laurent,
+                       stencil_norm, taylor_scheme, untwine)
+from subsmooth import masks
+from subsmooth.refine import _contractive_power, certify_hermite, certify_vector
+from subsmooth.vector_smoothing import smooth_vector
 
 from tests import laurent_oracle as oracle
 from tests.maskgen import poly_mul, rand_laurent, rand_spectral_mask
@@ -320,16 +323,53 @@ def _operator_operation(draw, kind):
                                               for m in (a, d)))
 
 
+def _folded_operation(draw, kind):
+    """A descent or a vector round's untwine in the basis of a drawn invertible
+    R: intertwine(R B R**-1, D, R, R**-1) for B = C(z)·D(z**2), or
+    untwine(R D(z)·C R**-1, D, R, R**-1), D a difference operator, and the sum
+    of nnz(S[a,k])·nnz((R' D')[k,j]) over the entries (i, j), the a with
+    L[i,a] != 0 and the k, for the side S = A^T, L = R^T, R' = R^-T, D' = D^T
+    (descent) or S = B, L = R**-1, R' = R, D' = D (untwine) that it multiplies."""
+    p = draw(st.integers(1, 3))
+    d = difference_operator(p, draw(st.integers(1, p)))
+    c = SymbolMatrix([[draw(_polys()) for _ in range(p)] for _ in range(p)])
+    r = RatMatrix(p, p, [draw(_COEFFS) for _ in range(p * p)])
+    try:
+        r_inv = invert(r)
+    except SingularMatrixError:
+        assume(False)
+
+    def constant(m):
+        return SymbolMatrix([[LaurentPoly({0: m[i, j]}) for j in range(p)] for i in range(p)])
+
+    def transposed(m):
+        return SymbolMatrix(list(zip(*m.entries)))
+    if kind == "folded intertwine":
+        a = c.mul_dilated(d, 2).transform(r, r_inv)
+        run = lambda: intertwine(a, d, r, r_inv)  # noqa: E731
+        s, left, rd = transposed(a), transposed(constant(r)), transposed(constant(r_inv) * d)
+    else:
+        b = (d * c).transform(r, r_inv)
+        run = lambda: untwine(b, d, r, r_inv)  # noqa: E731
+        s, left, rd = b, constant(r_inv), constant(r) * d
+    pairs = sum(len(s[a, k].coeffs) * len(rd[k, j].coeffs) for i in range(p) for j in range(p)
+                for a in range(p) if left[i, a].nums for k in range(p))
+    return run, pairs
+
+
 @st.composite
 def _symbol_operations(draw):
     """(operation, Σ nnz(f)·nnz(g) over the pairs of polynomials it
     multiplies): a product A(z)·B(z**step), a refinement-style product
     A(z)·v(z**step), a basis change L·A(z)·R with constant L and R, or an
-    untwine or intertwine by an operator symbol."""
-    kind = draw(st.sampled_from(["mul_dilated", "mul_vector", "transform",
-                                 "untwine", "intertwine"]))
+    untwine or intertwine by an operator symbol, plain or, as a descent and
+    a vector round run them, in a canonical basis."""
+    kind = draw(st.sampled_from(["mul_dilated", "mul_vector", "transform", "untwine",
+                                 "intertwine", "folded intertwine", "folded untwine"]))
     if kind in ("untwine", "intertwine"):
         return _operator_operation(draw, kind)
+    if kind.startswith("folded"):
+        return _folded_operation(draw, kind)
     p = draw(st.integers(1, 3))
     a = SymbolMatrix([[draw(_polys()) for _ in range(p)] for _ in range(p)])
     nnz = [[len(a[i, k].coeffs) for k in range(p)] for i in range(p)]
@@ -351,7 +391,7 @@ def _symbol_operations(draw):
     return (lambda: a.transform(left, right)), pairs
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=420, deadline=None, derandomize=True)
 @given(_symbol_operations())
 def test_work_price_bounds_term_products_and_is_checked_before_products(case):
     run, pairs = case
@@ -397,6 +437,27 @@ def test_operators_are_read_as_data():
         for (a, d), b in zip(cases, results):
             assert intertwine(a, d) == b
             assert untwine(b, d) == a
+
+
+def test_a_descent_and_a_vector_round_are_one_twine(monkeypatch):
+    """A descent is one intertwine in the canonical basis and changes no basis;
+    a vector round is one untwine in it and one basis change back, R X R**-1.
+    No library module calls masks.conjugate for either."""
+    vector, hermite = catalog.get("double-knot"), catalog.get("merrien")
+    want = certify_vector(vector, 1), certify_hermite(hermite, 2), smooth_vector(vector)
+    transforms = []
+    real = SymbolMatrix.transform
+    monkeypatch.setattr(SymbolMatrix, "transform",
+                        lambda *args: transforms.append(args) or real(*args))
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "subsmooth":
+            for attr, value in list(vars(module).items()):
+                if value is masks.conjugate:
+                    monkeypatch.setattr(module, attr, mock.Mock(side_effect=AssertionError))
+    assert (certify_vector(vector, 1), certify_hermite(hermite, 2)) == want[:2]
+    assert transforms == []
+    assert smooth_vector(vector) == want[2]
+    assert len(transforms) == 1
 
 
 @st.composite

@@ -15,6 +15,8 @@ from subsmooth import (LaurentPoly, MaskFileError, RatMatrix, SubsmoothError,
                        vector_mask)
 from subsmooth.cli import main
 
+from tests import catalog_oracle
+
 ALL_CATALOG = ["bspline0", "bspline1", "bspline3", "double-knot", "merrien",
                "derham", "merrien-smoothed", "derham-smoothed"]
 
@@ -147,6 +149,17 @@ class TestCatalog:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             catalog.get("quintic-box")
+
+    @pytest.mark.parametrize("name", [*catalog_oracle.FIXED, *(f"bspline{l}" for l in range(65))])
+    def test_every_entry_equals_the_oracle(self, name):
+        """The integer numerators of each entry, its kind and its normalized
+        triple equal those of the rational and factored constructions."""
+        want = (catalog_oracle.bspline(int(name[7:])) if name.startswith("bspline")
+                else catalog_oracle.FIXED[name]())
+        got = catalog.get(name)
+        assert got.kind is want.kind
+        assert ([[(e.lo, e.nums, e.den) for e in row] for row in got.symbol.entries]
+                == [[(e.lo, e.nums, e.den) for e in row] for row in want.symbol.entries])
 
 
 class TestCli:

@@ -2,22 +2,26 @@
 oracles of tests/masks_oracle.py, plus counts of the exact linear algebra a
 smoothing round does."""
 
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import subsmooth.hermite_smoothing as hermite_module
+import subsmooth.laurent as laurent
 import subsmooth.linalg as linalg
 import subsmooth.masks as masks_module
 import subsmooth.vector_smoothing as vector_module
 from subsmooth import (ConsistencyError, EigenspaceError, EmptyEigenspaceError,
-                       Eigenstructure, LaurentPoly, RatMatrix, SymbolMatrix,
+                       Eigenstructure, LaurentPoly, Mask, NotDivisibleError, RatMatrix,
+                       SubsmoothError, SymbolMatrix, WorkBudgetError,
                        canonical_transform, catalog, common_one_eigenspace,
-                       conjugate, difference_operator, hermite_mask, invert,
-                       inverse_taylor, kernel_basis, scalar_mask,
+                       conjugate, derived, difference_operator, hermite_mask, invert,
+                       inverse_taylor, kernel_basis, maskfile, scalar_mask,
                        smooth_hermite, smooth_raw, smooth_vector,
                        taylor_scheme, untwine, vector_mask, zeta_of)
 from subsmooth.cli import main
@@ -25,7 +29,8 @@ from subsmooth.cli import main
 import tests.masks_oracle as oracle
 from tests.hermite_oracle import TAYLOR_BASIS_OPERATOR
 from tests.masks_oracle import rank
-from tests.maskgen import (rand_convergent_style_mask,
+from tests.maskgen import (granted_hermite_masks, granted_vector_masks,
+                           long_denominator_doc, rand_convergent_style_mask,
                            rand_smoothing_ready_spectral, with_values)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -319,7 +324,8 @@ def test_hermite_chain_eliminates_once_per_round_plus_one(monkeypatch):
 def test_vector_round_eliminations(monkeypatch):
     """A round on a 2x2 mask eliminates for the input's eigenspace (cached
     after the first round), the complement, the inverse transform and the
-    result's eigenspace; the eigenspace check itself eliminates nothing."""
+    result's eigenspace; the eigenspace check itself eliminates nothing, and
+    the canonical transform inverts on integer rows, calling no invert."""
     counts = _count_linalg(monkeypatch)
     mask = catalog.get("double-knot")
     seen = []
@@ -327,7 +333,7 @@ def test_vector_round_eliminations(monkeypatch):
         mask = smooth_vector(mask)
         seen.append(dict(counts))
         counts.update(eliminate=0, invert=0)
-    assert seen == [{"eliminate": 4, "invert": 1}] + [{"eliminate": 3, "invert": 1}] * 2
+    assert seen == [{"eliminate": 4, "invert": 0}] + [{"eliminate": 3, "invert": 0}] * 2
 
 
 def test_vector_round_computes_each_eigenspace_once(monkeypatch):
@@ -346,3 +352,103 @@ def test_cli_smooth_computes_each_eigenspace_once(monkeypatch, tmp_path):
                  "--out", str(tmp_path / "dk.mask")]) == 0
     assert _stacked(shapes) == 4
 
+
+
+# -- a descent and a vector round in the canonical basis, against three steps ------
+
+def _outcome(run):
+    """run() or, for a refusal, the exception's type and text."""
+    try:
+        return run()
+    except (SubsmoothError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _descents(mask, n, transform, descend):
+    """The eigenstructure and derived mask of each of n descents, ending at
+    the first refusal's type and text."""
+    out = []
+    for _ in range(n):
+        es = _outcome(lambda: transform(mask))
+        if isinstance(es, tuple) and not isinstance(es, Eigenstructure):
+            return out + [es]
+        mask = _outcome(lambda: descend(mask, es))
+        out.append((es, mask))
+        if not isinstance(mask, Mask):
+            return out
+    return out
+
+
+def _unbudgeted(fn):
+    def run(*args):
+        with mock.patch.object(laurent, "MAX_WORK", math.inf):
+            return fn(*args)
+    return run
+
+
+def _oracle_round(mask, es):
+    try:
+        return oracle.smooth_in_basis(mask, es)
+    except NotDivisibleError:
+        raise ConsistencyError("conjugated mask lost the smoothing condition") from None
+
+
+def _assert_folds_match(mask, descents):
+    """derived(A, k, R, R**-1) and canonical_transform against the three-step
+    descent and the Fraction transform, and a vector round's folded untwine
+    and back-transform against conjugate, smooth_raw and conjugate."""
+    assert (_descents(mask, descents, canonical_transform,
+                      lambda m, es: derived(m, es.k, es.r, es.r_inv))
+            == _descents(mask, descents, oracle.canonical_transform, oracle.derived_in_basis))
+    es = _outcome(lambda: canonical_transform(mask))
+    if isinstance(es, Eigenstructure):
+        assert (_outcome(lambda: vector_module._smooth_in_basis(mask, es))
+                == _outcome(lambda: _oracle_round(mask, es)))
+
+
+FOLD_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@FOLD_SETTINGS
+@given(granted_vector_masks())
+def test_fold_on_granted_vector_masks(case):
+    mask, ell = case
+    _assert_folds_match(mask, ell + 1)
+
+
+@FOLD_SETTINGS
+@given(granted_hermite_masks())
+def test_fold_on_taylor_schemes_of_granted_hermite_masks(case):
+    mask, ell = case
+    _assert_folds_match(taylor_scheme(mask), ell)
+
+
+@FOLD_SETTINGS
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(0, 2))
+def test_fold_on_convergent_style_masks(seed, p, k):
+    _assert_folds_match(rand_convergent_style_mask(random.Random(seed), p, min(k + 1, p)), 2)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32))
+def test_fold_on_long_denominators(p, seed):
+    """The three steps price two operations and the fold one, so the three
+    steps run without a budget and the fold is under it."""
+    with mock.patch.object(oracle, "conjugate", _unbudgeted(oracle.conjugate)):
+        _assert_folds_match(maskfile.parse(long_denominator_doc(p, seed)), 1)
+
+
+@pytest.mark.parametrize("p", [4, 5])
+def test_fold_on_long_denominators_over_the_budget(p):
+    """Both ways refuse the first descent and the round over the work budget;
+    the prices differ (the three steps price two operations, the fold one),
+    and tests/test_front_end.py pins the fold's."""
+    mask = maskfile.parse(long_denominator_doc(p))
+    es = canonical_transform(mask)
+    assert es == oracle.canonical_transform(mask)
+    for run in (lambda: derived(mask, es.k, es.r, es.r_inv),
+                lambda: oracle.derived_in_basis(mask, es),
+                lambda: vector_module._smooth_in_basis(mask, es),
+                lambda: _oracle_round(mask, es)):
+        with pytest.raises(WorkBudgetError):
+            run()

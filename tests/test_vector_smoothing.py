@@ -197,7 +197,7 @@ class TestSmoothVector:
             smooth_vector(m)
 
     def test_lost_smoothing_condition_is_internal(self, monkeypatch):
-        def lost(mask, k):
+        def lost(mask, k, *basis):
             raise NotDivisibleError("no exact quotient")
 
         monkeypatch.setattr(vector_module, "smooth_raw", lost)
