@@ -662,7 +662,7 @@ def _twine(s: tuple, d: tuple, step: int, scale, left=None, right=None) -> list:
               [(x, m) for _, x in line for _, _, m in c]) for c in cols] for line in lefts]
     top = (max((x.bit_length() for line in lefts for _, x in line), default=1)
            + max((m.bit_length() for col in cols for _, _, m in col), default=1) - 1)
-    _charge([e for line in lefts for a, _ in line for e in s[a]],  # each row of S as often as used
+    _charge([e for line in lefts for a, _ in line for e in s[a]],  # a row of S once per use
             [u for col in cols for _, u, _ in col],
             ((pairs, [x.bit_length() + m.bit_length() - 1 for x, m in xms])
              for line in jobs for pairs, xms in line), top)
@@ -672,8 +672,8 @@ def _twine(s: tuple, d: tuple, step: int, scale, left=None, right=None) -> list:
 
 def _basis(r, r_inv, transpose: bool):
     """L and R of _twine for the conjugation R**-1 A R, as _integer_rows, or their
-    transposes; None and None for r = None or R = I."""
-    if r is None or r.entries == tuple(int(i == j) for i in range(r.rows) for j in range(r.rows)):
+    transposes; None and None without r."""
+    if r is None:
         return None, None
     (a, da), (b, db) = _integer_rows(r), _integer_rows(r_inv)
     return ((tuple(zip(*a)), da), (tuple(zip(*b)), db)) if transpose else ((b, db), (a, da))
