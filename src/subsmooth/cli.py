@@ -116,8 +116,11 @@ def cmd_smooth(args) -> int:
                   f"{nxt.support}", file=sys.stderr)
         current = nxt
         n, d = (current.phi or 0).as_integer_ratio()
-        top = max(abs(n), d, *(max(max(e.nums, default=0), -min(e.nums, default=0), e.den)
-                               for row in current.symbol.entries for e in row))
+        top = max(abs(n), d)  # the largest numerator or denominator, off each entry's max and min
+        for row in current.symbol.entries:
+            for e in row:
+                if e.nums:
+                    top = max(top, e.den, max(e.nums), -min(e.nums))
         if top.bit_length() > 1657:
             maskfile.serialize(current)  # stop at the first unwritable round; 2**1657 < 10**499
     _emit(maskfile.serialize(current), args.out)

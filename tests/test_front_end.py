@@ -492,8 +492,8 @@ class TestWorkCeilings:
         """The first product in a canonical basis of a mask with independent
         ~490-digit denominators is over the work budget: smooth refuses it
         before round 1 ends and certify in its first descent, each within 2 s.
-        The two price different operations, R**-1 A R D(z**2) and
-        R^T A^T R^-T D^T."""
+        The round prices R**-1 A(z) R D(z**2) and the descent
+        R^T A(z)^T R^-T D(z)^T, so each command has its own price."""
         path = tmp_path / "long-den.mask"
         path.write_text(long_denominator_doc(p))
 

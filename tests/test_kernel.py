@@ -5,6 +5,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -346,14 +347,14 @@ def _folded_operation(draw, kind):
         return SymbolMatrix(list(zip(*m.entries)))
     if kind == "folded intertwine":
         a = c.mul_dilated(d, 2).transform(r, r_inv)
-        run = lambda: intertwine(a, d, r, r_inv)  # noqa: E731
+        run = partial(intertwine, a, d, r, r_inv)
         s, left, rd = transposed(a), transposed(constant(r)), transposed(constant(r_inv) * d)
     else:
         b = (d * c).transform(r, r_inv)
-        run = lambda: untwine(b, d, r, r_inv)  # noqa: E731
+        run = partial(untwine, b, d, r, r_inv)
         s, left, rd = b, constant(r_inv), constant(r) * d
-    pairs = sum(len(s[a, k].coeffs) * len(rd[k, j].coeffs) for i in range(p) for j in range(p)
-                for a in range(p) if left[i, a].nums for k in range(p))
+    pairs = sum(len(s[m, k].coeffs) * len(rd[k, j].coeffs) for i in range(p) for j in range(p)
+                for m in range(p) if left[i, m].nums for k in range(p))
     return run, pairs
 
 
