@@ -11,7 +11,7 @@ from .errors import (ConsistencyError, DegenerateAError, EigenspaceError,
                      EmptyEigenspaceError, MaskFileError, NotDivisibleError,
                      NotInTildeError, SingularMatrixError,
                      SpectralConditionError, SubsmoothError, WorkBudgetError)
-from .linalg import RatMatrix, column_space_basis, invert, kernel_basis, rat
+from .linalg import RatMatrix, invert, rat
 from .laurent import (TAYLOR_OPERATOR, LaurentPoly, SymbolMatrix, Z_PLUS_1,
                       ZINV2_MINUS_1, ZINV_MINUS_1, difference_operator, divide_exact,
                       intertwine, untwine)

@@ -115,14 +115,7 @@ def cmd_smooth(args) -> int:
             print(f"round {r}: k = {k}, support {current.support} -> "
                   f"{nxt.support}", file=sys.stderr)
         current = nxt
-        n, d = (current.phi or 0).as_integer_ratio()
-        top = max(abs(n), d)  # the largest numerator or denominator, off each entry's max and min
-        for row in current.symbol.entries:
-            for e in row:
-                if e.nums:
-                    top = max(top, e.den, max(e.nums), -min(e.nums))
-        if top.bit_length() > 1657:
-            maskfile.serialize(current)  # stop at the first unwritable round; 2**1657 < 10**499
+        maskfile.check_writable(current)  # stop at the first unwritable round
     _emit(maskfile.serialize(current), args.out)
     return 0
 

@@ -117,10 +117,12 @@ def _charge(fs, gs, jobs, bits=1) -> None:
     if fnums and gnums and sum(map(len, fnums)) * sum(map(len, gnums)) * max(
             words(fnums + gnums) ** 2 * (dens // 64 + 1), _FLOOR) <= MAX_WORK:
         return
-    price, sizes = 0, {}  # words((nums,)) of each operand, scanned once
+    def product(x, y):  # each distinct pair of denominators multiplied once
+        return products.get((x, y)) or products.setdefault((x, y), x * y)
+    price, sizes, products = 0, {}, {}  # words((nums,)) of each operand, scanned once
     for pairs, bs in jobs:
-        live = [(f.nums, g.nums, f.den * g.den, b) for (f, g), b in zip(pairs, bs or repeat(1))
-                if f.nums and g.nums and b]
+        live = [(f.nums, g.nums, product(f.den, g.den), b)
+                for (f, g), b in zip(pairs, bs or repeat(1)) if f.nums and g.nums and b]
         top = max((d for _, _, d, _ in live), default=1)
         den = top.bit_length() + sum(d.bit_length() for d in {x[2] for x in live} if top % d)
         for a, c, d, b in live:
@@ -543,9 +545,6 @@ class SymbolMatrix:
                        tuple(e.evaluate(x) for row in self.entries for e in row))
 
     # -- algebra -----------------------------------------------------------------------
-    def map(self, fn) -> "SymbolMatrix":
-        return SymbolMatrix(tuple(tuple(fn(e) for e in row) for row in self.entries))
-
     def mul_dilated(self, other: "SymbolMatrix", step: int = 1) -> "SymbolMatrix":
         """The product self(z) * other(z**step), not building other(z**step)."""
         if self.p != other.p:
@@ -576,14 +575,6 @@ class SymbolMatrix:
         _charge(sum(self.entries, ()), v, ((zip(row, v), None) for row in self.entries))
         packs = {}
         return tuple(_products(zip(row, v), step, None, packs) for row in self.entries)
-
-    def scale(self, c) -> "SymbolMatrix":
-        c = rat(c)
-        return self.map(lambda e: e.scale(c))
-
-    def dilate(self) -> "SymbolMatrix":
-        """Substitute z -> z**2 in every entry."""
-        return self.map(LaurentPoly.dilate)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymbolMatrix) and self.entries == other.entries
@@ -657,7 +648,8 @@ def _twine(s: tuple, d: tuple, step: int, scale, left=None, right=None) -> list:
                 for col in cols]
     lefts, dl = ([((a, 1),) for a in range(len(s))], 1) if left is None else (
         [[(a, x) for a, x in enumerate(row) if x] for row in left[0]], left[1])
-    cols = [[(k, _raw(e, (1,), h * dl * den), n * c) for k, e, c in col] for col in cols]
+    unit = h * dl * den
+    cols = [[(k, _raw(e, (1,), unit), n * c) for k, e, c in col] for col in cols]
     jobs = [[([(s[a][k], u) for a, _ in line for k, u, _ in c],
               [(x, m) for _, x in line for _, _, m in c]) for c in cols] for line in lefts]
     top = (max((x.bit_length() for line in lefts for _, x in line), default=1)

@@ -2,7 +2,8 @@
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, always reduced,
 positive denominator), so every result here is exact and canonical.
-Matrices are small and dense.  Every routine runs one Gauss-Jordan
+Matrices are small and dense, with no arithmetic beyond scaling: products
+with symbols are ``laurent``'s.  Every routine runs one Gauss-Jordan
 elimination on integer rows, _eliminate: each row is scaled by the lcm of
 its own denominators, and Fractions are built only for returned values.
 """
@@ -69,10 +70,6 @@ class RatMatrix:
         return _matrix(n, n, tuple(Fraction(int(i == j)) for i in range(n) for j in range(n)))
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "RatMatrix":
-        return _matrix(rows, cols, (Fraction(0),) * (rows * cols))
-
-    @staticmethod
     def column(values: Sequence) -> "RatMatrix":
         vals = list(values)
         return RatMatrix(len(vals), 1, vals)
@@ -87,41 +84,13 @@ class RatMatrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     # -- algebra ---------------------------------------------------------------
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._same_shape(other)
-        return _matrix(self.rows, self.cols,
-                       tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._same_shape(other)
-        return _matrix(self.rows, self.cols,
-                       tuple(a - b for a, b in zip(self.entries, other.entries)))
-
     def scale(self, c) -> "RatMatrix":
         c = rat(c)
         return _matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
 
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other.entries[k * other.cols + j]
-                                for k in range(self.cols)), Fraction(0)))
-        return _matrix(self.rows, other.cols, tuple(out))
-
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
-
-    def _same_shape(self, other: "RatMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatMatrix) and self.rows == other.rows
@@ -175,7 +144,8 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
 
 
 def _kernel(rows: list, cols: int) -> list[RatMatrix]:
-    """kernel_basis of the matrix given as _eliminate takes it."""
+    """Exact null space basis of the matrix given as _eliminate takes it, as
+    columns: free variables set to 1 one at a time in the reduced echelon form."""
     a, pivots = _eliminate(rows)
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
@@ -186,20 +156,9 @@ def _kernel(rows: list, cols: int) -> list[RatMatrix]:
     return basis
 
 
-def kernel_basis(m: RatMatrix) -> list[RatMatrix]:
-    """Exact basis of the null space, as column vectors: free variables set
-    to 1 one at a time in the reduced echelon form, so it is deterministic."""
-    return _kernel(_ratios(m), m.cols)
-
-
 def _pivots(rows: list) -> list[int]:
     """The pivot columns of the matrix given as _eliminate takes it."""
     return _eliminate(rows)[1]
-
-
-def column_space_basis(m: RatMatrix) -> list[RatMatrix]:
-    """Deterministic basis of the column space: the pivot columns of m."""
-    return [_matrix(m.rows, 1, m.col(c)) for c in _pivots(_ratios(m))]
 
 
 def _invert(rows: list) -> tuple:

@@ -37,6 +37,9 @@ _KINDS = {"scalar": Kind.SCALAR, "vector": Kind.VECTOR, "hermite": Kind.HERMITE}
 # Rationals in a mask file: "-?digits" or "-?digits/digits", ASCII only.
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _MAX_RATIONAL_CHARS = 1000
+# Numerators and denominators of at most this many bits, 1657, have at most
+# (_MAX_RATIONAL_CHARS - 2) // 2 digits each (2**1657 < 10**499), so "-p/q" fits.
+_SHORT_BITS = (10 ** ((_MAX_RATIONAL_CHARS - 2) // 2)).bit_length() - 1
 # Largest p.  For a file of 1000-character entries whose eigenspace needs
 # all three eliminations, smooth stops after 0.2-0.3 s at p = 5, 0.6-1.0 s at p = 6.
 _MAX_P = 5
@@ -50,6 +53,19 @@ def _writable(x: Fraction, where: str) -> str:
         return s
     raise SubsmoothError(f"{where}: rational longer than {_MAX_RATIONAL_CHARS} "
                          "characters, which a mask file cannot hold")
+
+
+def check_writable(mask: Mask) -> None:
+    """serialize's SubsmoothError for a rational too long for a mask file, serializing
+    only when a numerator or denominator of phi or the symbol has over _SHORT_BITS bits."""
+    n, d = (mask.phi or 0).as_integer_ratio()
+    top = max(abs(n), d)  # the largest numerator or denominator, off each entry's max and min
+    for row in mask.symbol.entries:
+        for e in row:
+            if e.nums:
+                top = max(top, e.den, max(e.nums), -min(e.nums))
+    if top.bit_length() > _SHORT_BITS:
+        serialize(mask)
 
 
 def _str_to_rat(s, where: str) -> Fraction:

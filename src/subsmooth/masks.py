@@ -10,10 +10,10 @@ The common 1-eigenspace of the even/odd coefficient sums drives all of
 the smoothing machinery; this module computes it exactly, once per mask
 (a Mask caches it), from the integer rows of [A(1) - 2I; A(-1)], together
 with the canonical basis change R that moves it onto the leading
-coordinates, read off the integer rows of A(1) - 2I.  Conjugation,
-R^-1 A(z) R, is SymbolMatrix.transform; a descent or a smoothing round does
-not conjugate: laurent.intertwine and untwine fold R and R^-1 into their
-one product.
+coordinates, read off the integer rows of A(1) - 2I.  ``conjugate``,
+R^-1 A(z) R, is one SymbolMatrix.transform with R inverted; no pipeline
+calls it: a descent or a smoothing round folds R and R^-1 into the one
+product of laurent.intertwine or untwine.
 """
 
 from __future__ import annotations
@@ -146,17 +146,12 @@ def stencil_norm(symbol: SymbolMatrix, arity: int) -> Fraction:
     return best
 
 
-def conjugate(mask: Mask, r: RatMatrix, *, r_inv: RatMatrix | None = None) -> Mask:
-    """Similarity transform of every coefficient: symbol -> R^-1 * symbol * R.
-
-    ``r_inv`` is R^-1 for a caller that already holds it; it is trusted, not
-    checked.  Without it, r is inverted here (SingularMatrixError).  R = I,
-    as for every scalar mask's canonical transform, returns the mask."""
+def conjugate(mask: Mask, r: RatMatrix) -> Mask:
+    """Similarity transform of every coefficient: symbol -> R^-1 * symbol * R,
+    with r inverted here (SingularMatrixError)."""
     if r.rows != mask.p or r.cols != mask.p:
         raise ValueError("transform dimension mismatch")
-    if r == RatMatrix.identity(mask.p):
-        return mask
-    return Mask(mask.kind, mask.symbol.transform(invert(r) if r_inv is None else r_inv, r))
+    return Mask(mask.kind, mask.symbol.transform(invert(r), r))
 
 
 class Eigenstructure(namedtuple("Eigenstructure", "k basis r r_inv")):

@@ -268,16 +268,21 @@ def taylor_symbol() -> SymbolMatrix:
     ))
 
 
+def scaled(s: SymbolMatrix, c) -> SymbolMatrix:
+    """c * s, entry by entry."""
+    return SymbolMatrix([[e.scale(c) for e in row] for row in s.entries])
+
+
 def intertwines_difference(a: Mask, b: Mask, k: int) -> bool:
     """Exact symbol form of: Delta_k S_a = 1/2 S_b Delta_k."""
     d = delta_symbol(a.p, k)
-    return d * a.symbol == (b.symbol * d.dilate()).scale(Fraction(1, 2))
+    return d * a.symbol == scaled(b.symbol.mul_dilated(d, 2), Fraction(1, 2))
 
 
 def intertwines_taylor(a: Mask, b: Mask) -> bool:
     """Exact symbol form of: T S_a = 1/2 S_b T."""
     t = taylor_symbol()
-    return t * a.symbol == (b.symbol * t.dilate()).scale(Fraction(1, 2))
+    return t * a.symbol == scaled(b.symbol.mul_dilated(t, 2), Fraction(1, 2))
 
 
 def span_equal(va: list[RatMatrix], vb: list[RatMatrix]) -> bool:

@@ -4,7 +4,10 @@
 nonzero entry of each column as its pivot; the package eliminates once on
 integer rows and builds Fractions only for the values it returns.
 ``kernel_basis``, ``column_space_basis`` and ``invert`` read their results
-off this form.  ``conjugate`` is the similarity transform as two full
+off this form; the package keeps no column space and returns a kernel only
+to ``masks``, off integer rows.  ``matmul``, ``add``, ``sub``, ``col`` and
+``zero`` are the matrix arithmetic that RatMatrix, a container of
+coefficients, lacks.  ``conjugate`` is the similarity transform as two full
 symbol products with constant symbols, R^-1 inverted by that elimination;
 the package computes each entry of R^-1 A(z) R as one linear combination of
 the entries of A and takes R^-1 from its caller.  ``one_eigenspace`` stacks
@@ -50,6 +53,35 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     return RatMatrix(nr, nc, [x for row in a for x in row]), pivots
 
 
+def matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """The product a b, each entry summed over Fractions."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    return RatMatrix(a.rows, b.cols, [sum((a[i, k] * b[k, j] for k in range(a.cols)), Fraction(0))
+                                      for i in range(a.rows) for j in range(b.cols)])
+
+
+def add(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """The sum a + b of matrices of one shape."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    return RatMatrix(a.rows, a.cols, [x + y for x, y in zip(a.entries, b.entries)])
+
+
+def sub(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """The difference a - b of matrices of one shape."""
+    return add(a, b.scale(-1))
+
+
+def col(m: RatMatrix, j: int) -> tuple:
+    """Column j of m."""
+    return tuple(m[i, j] for i in range(m.rows))
+
+
+def zero(rows: int, cols: int) -> RatMatrix:
+    return RatMatrix(rows, cols, [0] * (rows * cols))
+
+
 def rank(m: RatMatrix) -> int:
     return len(rref(m)[1])
 
@@ -68,7 +100,7 @@ def kernel_basis(m: RatMatrix) -> list[RatMatrix]:
 
 
 def column_space_basis(m: RatMatrix) -> list[RatMatrix]:
-    return [RatMatrix.column(m.col(c)) for c in rref(m)[1]]
+    return [RatMatrix.column(col(m, c)) for c in rref(m)[1]]
 
 
 def hstack(*ms: RatMatrix) -> RatMatrix:
@@ -97,7 +129,7 @@ def conjugate(mask: Mask, r: RatMatrix) -> Mask:
 
 def one_eigenspace(mask: Mask) -> list[RatMatrix]:
     """Kernel basis of the stacked matrix [A(1) - 2I; A(-1)]."""
-    top = mask.symbol.evaluate(1) - RatMatrix.identity(mask.p).scale(2)
+    top = sub(mask.symbol.evaluate(1), RatMatrix.identity(mask.p).scale(2))
     low = mask.symbol.evaluate(-1)
     return kernel_basis(RatMatrix(2 * mask.p, mask.p, top.entries + low.entries))
 
@@ -117,8 +149,8 @@ def canonical_transform(mask: Mask) -> Eigenstructure:
     p, k = mask.p, len(basis)
     cols = list(basis)
     if k < p:
-        comp = column_space_basis(mask.symbol.evaluate(1).scale(Fraction(1, 2))
-                                  - RatMatrix.identity(p))
+        comp = column_space_basis(sub(mask.symbol.evaluate(1).scale(Fraction(1, 2)),
+                                      RatMatrix.identity(p)))
         if len(comp) != p - k:
             raise EigenspaceError(
                 f"complement has dimension {len(comp)}, expected {p - k}; "

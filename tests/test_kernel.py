@@ -17,12 +17,14 @@ from subsmooth import (TAYLOR_OPERATOR, LaurentPoly, NotDivisibleError, RatMatri
                        ZINV2_MINUS_1, ZINV_MINUS_1, catalog, difference_operator,
                        divide_exact, intertwine, invert, iterated_symbol, laurent,
                        stencil_norm, taylor_scheme, untwine)
-from subsmooth import masks
+from subsmooth import canonical_transform, derived, maskfile, masks
+from subsmooth import vector_smoothing as vector_module
 from subsmooth.refine import _contractive_power, certify_hermite, certify_vector
 from subsmooth.vector_smoothing import smooth_vector
 
 from tests import laurent_oracle as oracle
-from tests.maskgen import poly_mul, rand_laurent, rand_spectral_mask
+from tests import price_oracle
+from tests.maskgen import long_denominator_doc, poly_mul, rand_laurent, rand_spectral_mask
 
 # z + 1 and 1/z + 1 (d0, d1) are refused: divide_exact takes only the two
 # divisors of the smoothing calculus (d2, d3)
@@ -411,6 +413,48 @@ def test_work_price_bounds_term_products_and_is_checked_before_products(case):
         assert run() == want
 
 
+def _prices(run):
+    """The price of run's first symbol operation from laurent._charge and
+    from the reference, each handed the same materialized jobs, with
+    MAX_WORK at -1 so that both price every pair."""
+    prices, real = [], laurent._charge
+
+    def both(fs, gs, jobs, bits=1):
+        fs, gs = list(fs), list(gs)
+        jobs = [(list(pairs), bs and list(bs)) for pairs, bs in jobs]
+        for charge in (real, price_oracle.charge):
+            with pytest.raises(WorkBudgetError) as err:
+                charge(fs, gs, jobs, bits)
+            prices.append(err.value.price)
+        raise err.value
+
+    with mock.patch.object(laurent, "MAX_WORK", -1), \
+            mock.patch.object(laurent, "_charge", both), pytest.raises(WorkBudgetError):
+        run()
+    return prices
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_symbol_operations())
+def test_price_equals_the_reference(case):
+    run, _ = case
+    library, reference = _prices(run)
+    assert library == reference
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_price_of_long_denominators_equals_the_reference(p):
+    """The first descent and the vector round in the canonical basis of a
+    file with independent ~490-digit denominators, where products of
+    distinct denominators dominate the price."""
+    mask = maskfile.parse(long_denominator_doc(p))
+    es = canonical_transform(mask)
+    for run in (lambda: derived(mask, es.k, es.r, es.r_inv),
+                lambda: vector_module._smooth_in_basis(mask, es)):
+        library, reference = _prices(run)
+        assert library == reference
+
+
 def test_a_long_operator_rational_is_priced_as_a_factor():
     """zeta enters the product as integer weights, whose bit lengths the
     price counts: a 3170-bit zeta costs more than a short one."""
@@ -426,14 +470,13 @@ def test_a_long_operator_rational_is_priced_as_a_factor():
 
 
 def test_operators_are_read_as_data():
-    """intertwine and untwine build no scaled or dilated copy of the operator
-    and run no symbol product: both are one weighted product and one solve."""
+    """intertwine and untwine build no scaled copy of the operator and run no
+    symbol product: both are one weighted product and one solve."""
     cases = [(catalog.get("merrien").symbol, TAYLOR_OPERATOR),
              (catalog.get("bspline3").symbol, difference_operator(1, 1))]
     results = [intertwine(a, d) for a, d in cases]
     with mock.patch.object(SymbolMatrix, "mul_dilated", side_effect=AssertionError("product")), \
             mock.patch.object(SymbolMatrix, "__mul__", side_effect=AssertionError("product")), \
-            mock.patch.object(SymbolMatrix, "dilate", side_effect=AssertionError("dilate")), \
             mock.patch.object(LaurentPoly, "scale", side_effect=AssertionError("scale")):
         for (a, d), b in zip(cases, results):
             assert intertwine(a, d) == b

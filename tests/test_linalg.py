@@ -5,50 +5,61 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsmooth import (RatMatrix, SingularMatrixError, canonical_transform,
-                       column_space_basis, invert, kernel_basis, maskfile)
-from subsmooth.linalg import rref
+from subsmooth import RatMatrix, SingularMatrixError, canonical_transform, invert, maskfile
+from subsmooth.linalg import _invert, _kernel, _pivots, rref
 
 import tests.masks_oracle as oracle
 from tests.maskgen import long_denominator_doc, rand_fraction
-from tests.masks_oracle import rank
+from tests.masks_oracle import col, matmul, rank, sub, zero
 
 
 def M(rows):
     return RatMatrix.from_rows(rows)
 
 
+def pairs(m):
+    """The rows of m as _eliminate takes them: (numerator, denominator) pairs."""
+    return [[x.as_integer_ratio() for x in m.row(i)] for i in range(m.rows)]
+
+
+def kernel(m):
+    return _kernel(pairs(m), m.cols)
+
+
 class TestKernel:
     def test_zero_matrix_full_kernel(self):
-        basis = kernel_basis(RatMatrix.zero(2, 2))
-        assert [v.col(0) for v in basis] == [(1, 0), (0, 1)]
+        assert [col(v, 0) for v in kernel(zero(2, 2))] == [(1, 0), (0, 1)]
 
     def test_identity_trivial_kernel(self):
-        assert kernel_basis(RatMatrix.identity(2)) == []
+        assert kernel(RatMatrix.identity(2)) == []
 
     def test_double_knot_odd_sum_kernel(self):
         m = M([["-3/8", "3/8"], ["3/8", "-3/8"]])
-        basis = kernel_basis(m)
+        basis = kernel(m)
         assert len(basis) == 1
-        assert basis[0].col(0) == (1, 1)
+        assert col(basis[0], 0) == (1, 1)
+
+
+def column_space(m):
+    """The pivot columns of m, the complement basis canonical_transform reads."""
+    return [col(m, c) for c in _pivots(pairs(m))]
 
 
 class TestColumnSpace:
     def test_identity(self):
-        basis = column_space_basis(RatMatrix.identity(2))
-        assert [v.col(0) for v in basis] == [(1, 0), (0, 1)]
+        assert column_space(RatMatrix.identity(2)) == [(1, 0), (0, 1)]
 
     def test_zero(self):
-        assert column_space_basis(RatMatrix.zero(3, 3)) == []
+        assert column_space(zero(3, 3)) == []
 
     def test_double_knot_mean_minus_identity(self):
         m = M([["-7/16", "7/16"], ["7/16", "-7/16"]])
-        basis = column_space_basis(m)
+        basis = column_space(m)
         assert len(basis) == 1
         v = basis[0]
         # collinear with (-1, 1)
-        assert v[0, 0] * 1 == v[1, 0] * -1
-        assert v[0, 0] != 0
+        assert v[0] * 1 == v[1] * -1
+        assert v[0] != 0
 
 
 class TestInvert:
@@ -78,8 +89,8 @@ def test_invert_round_trip_fuzz():
             mi = invert(m)
         except SingularMatrixError:
             continue
-        assert m @ mi == RatMatrix.identity(n)
-        assert mi @ m == RatMatrix.identity(n)
+        assert matmul(m, mi) == RatMatrix.identity(n)
+        assert matmul(mi, m) == RatMatrix.identity(n)
         done += 1
 
 
@@ -88,12 +99,11 @@ def test_rank_nullity_fuzz():
     for _ in range(40):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         mat = rand_matrix(rng, n, m)
-        ker = kernel_basis(mat)
-        col = column_space_basis(mat)
-        assert len(ker) + len(col) == m
-        assert len(col) == rank(mat)
+        ker, pivots = kernel(mat), _pivots(pairs(mat))
+        assert len(ker) + len(pivots) == m
+        assert len(pivots) == rank(mat)
         for v in ker:
-            assert (mat @ v).is_zero()
+            assert matmul(mat, v).is_zero()
 
 
 def test_rref_pivots_are_sorted_and_normalized():
@@ -122,20 +132,23 @@ def test_fraction_arithmetic_is_exact():
 # -- the integer elimination against the Fraction Gauss-Jordan oracle ---------------
 
 def assert_matches_oracle(m):
-    """rref, kernel_basis, column_space_basis and invert (or its refusal)
-    equal the oracle's, the square leading block standing in for invert."""
+    """rref, _kernel, _pivots and _invert and invert (or their refusal) equal
+    the oracle's, the pivots read off its column space basis and the square
+    leading block standing in for the inverses."""
     assert rref(m) == oracle.rref(m)
-    assert kernel_basis(m) == oracle.kernel_basis(m)
-    assert column_space_basis(m) == oracle.column_space_basis(m)
+    assert kernel(m) == oracle.kernel_basis(m)
+    assert column_space(m) == [col(v, 0) for v in oracle.column_space_basis(m)]
     k = min(m.rows, m.cols)
     square = RatMatrix(k, k, [m[i, j] for i in range(k) for j in range(k)])
     try:
         want = oracle.invert(square)
     except SingularMatrixError:
-        with pytest.raises(SingularMatrixError, match="matrix is singular"):
-            invert(square)
+        for inverse in (invert, lambda x: _invert(pairs(x))):
+            with pytest.raises(SingularMatrixError, match="matrix is singular"):
+                inverse(square)
     else:
         assert invert(square) == want
+        assert _invert(pairs(square)) == want.entries
 
 
 small_entries = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -152,11 +165,11 @@ def matrices_of_every_rank(draw):
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 10))
     r = draw(st.integers(0, min(rows, cols)))
     entries = draw(st.sampled_from([small_entries, huge_entries]))
-    m = RatMatrix.zero(rows, cols)
+    m = zero(rows, cols)
     if r:
         left = RatMatrix.from_rows([[draw(entries) for _ in range(r)] for _ in range(rows)])
-        m = left @ RatMatrix.from_rows([[draw(small_entries) for _ in range(cols)]
-                                        for _ in range(r)])
+        m = matmul(left, RatMatrix.from_rows([[draw(small_entries) for _ in range(cols)]
+                                              for _ in range(r)]))
     a = [list(m.row(i)) for i in range(rows)]
     for _ in range(draw(st.integers(0, 2))):
         i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
@@ -178,8 +191,8 @@ def test_long_denominator_matrices_match_fraction_oracle(p):
     canonical transform.  At p = 5 the oracle takes seconds."""
     mask = maskfile.parse(long_denominator_doc(p))
     at1, atm1 = mask.symbol.evaluate(1), mask.symbol.evaluate(-1)
-    top = at1 - RatMatrix.identity(p).scale(2)
-    mean = at1.scale(Fraction(1, 2)) - RatMatrix.identity(p)
+    top = sub(at1, RatMatrix.identity(p).scale(2))
+    mean = sub(at1.scale(Fraction(1, 2)), RatMatrix.identity(p))
     for m in (RatMatrix(2 * p, p, top.entries + atm1.entries), mean,
               canonical_transform(mask).r):
         assert_matches_oracle(m)

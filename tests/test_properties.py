@@ -27,7 +27,7 @@ from subsmooth import (TAYLOR_OPERATOR, Certificate, FinSeq, LaurentPoly,
 import tests.refine_oracle as oracle
 from tests import laurent_oracle
 from tests.maskgen import (granted_hermite_masks, granted_vector_masks,
-                           intertwines_difference, intertwines_taylor,
+                           intertwines_difference, intertwines_taylor, scaled,
                            with_values)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -167,12 +167,12 @@ def test_untwine_is_a_right_inverse_for_any_operator(case):
     except NotDivisibleError:
         pass
     else:
-        assert (d * b).scale(2) == c * d.dilate()
+        assert scaled(d * b, 2) == c.mul_dilated(d, 2)
     try:
         a = untwine(b, d)
     except NotDivisibleError:
         return
-    assert d * a == (b * d.dilate()).scale(Fraction(1, 2))
+    assert d * a == scaled(b.mul_dilated(d, 2), Fraction(1, 2))
     assert intertwine(a, d) == b
 
 

@@ -143,7 +143,7 @@ class TestIteratedSymbol:
         s1 = iterated_symbol(m, 1)
         s2 = iterated_symbol(m, 2)
         # S^(1+2) symbol: S1(z) * S2(z^2)
-        assert s3 == s1 * s2.dilate()
+        assert s3 == s1.mul_dilated(s2, 2)
 
     def test_halved_two_tap_square_norm(self):
         m = scalar_mask(LP({0: 1, 1: 1}))  # derived scheme of the hat
