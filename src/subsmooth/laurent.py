@@ -305,14 +305,6 @@ class LaurentPoly:
 
     # -- constructors ----------------------------------------------------------
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return _ZERO
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return _ONE
-
-    @staticmethod
     def from_coeffs(lo: int, coeffs: Sequence) -> "LaurentPoly":
         """Coefficients for consecutive exponents starting at ``lo``."""
         return LaurentPoly({lo + i: c for i, c in enumerate(coeffs)})
@@ -517,12 +509,6 @@ class SymbolMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("SymbolMatrix is immutable")
 
-    # -- constructors -------------------------------------------------------------
-    @staticmethod
-    def zero(p: int) -> "SymbolMatrix":
-        return SymbolMatrix(tuple(tuple(LaurentPoly.zero() for _ in range(p))
-                                  for _ in range(p)))
-
     # -- queries ---------------------------------------------------------------------
     def __getitem__(self, idx) -> LaurentPoly:
         i, j = idx
@@ -561,8 +547,6 @@ class SymbolMatrix:
         """The symbol left * self(z) * right for constant p x p matrices: _twine
         by the identity operator."""
         p = self.p
-        if not left.rows == left.cols == right.rows == right.cols == p:
-            raise ValueError("dimension mismatch")
         eye = tuple(tuple(_ONE if i == j else _ZERO for j in range(p)) for i in range(p))
         return _symbol(tuple(map(tuple, _twine(self.entries, eye, 1, 1, _integer_rows(left),
                                                _integer_rows(right)))))
@@ -637,7 +621,12 @@ def _twine(s: tuple, d: tuple, step: int, scale, left=None, right=None) -> list:
     z**e / (h dl den) at z**step, weighed by the integer l n c, for each l / dl = L[i,a]
     and each term c z**e / den of R[k,m] D[m,j] over m, den the lcm of D's denominators
     times R's and n / h = scale, so that a long rational of D or R, such as zeta, is
-    priced as a factor of bit length bits(l) + bits(n c) - 1, before any product."""
+    priced as a factor of bit length bits(l) + bits(n c) - 1, before any product.
+    Raises ValueError first unless D and the L and R given are p x p for S's p."""
+    p = len(s)
+    for m in (d, left and left[0], right and right[0]):  # each with rows of one length
+        if m is not None and (len(m) != p or m and len(m[0]) != p):
+            raise ValueError("dimension mismatch")
     n, h = scale.as_integer_ratio()
     den = math.lcm(*(e.den for row in d for e in row))
     cols = [[(k, e.lo + i, x * (den // e.den)) for k, e in enumerate(col)
@@ -646,7 +635,7 @@ def _twine(s: tuple, d: tuple, step: int, scale, left=None, right=None) -> list:
         rows, den = right[0], den * right[1]
         cols = [[(k, e, row[l] * c) for k, row in enumerate(rows) for l, e, c in col if row[l]]
                 for col in cols]
-    lefts, dl = ([((a, 1),) for a in range(len(s))], 1) if left is None else (
+    lefts, dl = ([((a, 1),) for a in range(p)], 1) if left is None else (
         [[(a, x) for a, x in enumerate(row) if x] for row in left[0]], left[1])
     unit = h * dl * den
     cols = [[(k, _raw(e, (1,), unit), n * c) for k, e, c in col] for col in cols]
@@ -662,28 +651,26 @@ def _twine(s: tuple, d: tuple, step: int, scale, left=None, right=None) -> list:
                       for line in jobs], 3 - step)
 
 
-def _basis(r, r_inv, transpose: bool):
-    """L and R of _twine for the conjugation R**-1 A R, as _integer_rows, or their
-    transposes; None and None without r."""
-    if r is None:
+def _basis(basis, transpose: bool):
+    """L and R of _twine for the conjugation R**-1 A R by the r and r_inv of basis,
+    as _integer_rows, or their transposes; None and None without basis."""
+    if basis is None:
         return None, None
-    (a, da), (b, db) = _integer_rows(r), _integer_rows(r_inv)
+    (a, da), (b, db) = _integer_rows(basis.r), _integer_rows(basis.r_inv)
     return ((tuple(zip(*a)), da), (tuple(zip(*b)), db)) if transpose else ((b, db), (a, da))
 
 
-def intertwine(a: SymbolMatrix, d: SymbolMatrix, r: RatMatrix | None = None,
-               r_inv: RatMatrix | None = None) -> SymbolMatrix:
+def intertwine(a: SymbolMatrix, d: SymbolMatrix, basis=None) -> SymbolMatrix:
     """The symbol 2 D(z) A'(z) D(z**2)**-1 of the scheme B with D S_A' = 1/2 S_B D, for
-    A' = R**-1 A R (A without r; r_inv is R**-1, trusted), from D(z**2)^T B^T =
-    2 R^T A(z)^T R^-T D(z)^T.  Raises NotDivisibleError when no such mask exists."""
+    A' = R**-1 A R in the basis of a masks.Eigenstructure (A without one), from
+    D(z**2)^T B^T = 2 R^T A(z)^T R^-T D(z)^T; NotDivisibleError if no such mask exists."""
     return _symbol(tuple(zip(*_twine(tuple(zip(*a.entries)), tuple(zip(*d.entries)), 1, 2,
-                                     *_basis(r, r_inv, True)))))
+                                     *_basis(basis, True)))))
 
 
-def untwine(b: SymbolMatrix, d: SymbolMatrix, r: RatMatrix | None = None,
-            r_inv: RatMatrix | None = None) -> SymbolMatrix:
+def untwine(b: SymbolMatrix, d: SymbolMatrix, basis=None) -> SymbolMatrix:
     """Right inverse of intertwine: the symbol 1/2 D(z)**-1 B'(z) D(z**2) for
-    B' = R**-1 B R (B without r; r_inv is R**-1, trusted).  Raises NotDivisibleError
-    when no such mask exists."""
+    B' = R**-1 B R in the basis of a masks.Eigenstructure (B without one).  Raises
+    NotDivisibleError when no such mask exists."""
     return _symbol(tuple(map(tuple, _twine(b.entries, d.entries, 2, Fraction(1, 2),
-                                           *_basis(r, r_inv, False)))))
+                                           *_basis(basis, False)))))

@@ -127,6 +127,8 @@ def stencil_norm(symbol: SymbolMatrix, arity: int) -> Fraction:
     absolute numerators of an entry are folded into arity residue classes
     by summing consecutive blocks of arity terms.
     """
+    if arity < 1:
+        raise ValueError("arity must be >= 1")
     best = Fraction(0)
     for row in symbol.entries:
         entries = [e for e in row if e.nums]
@@ -155,7 +157,8 @@ def conjugate(mask: Mask, r: RatMatrix) -> Mask:
 
 
 class Eigenstructure(namedtuple("Eigenstructure", "k basis r r_inv")):
-    """Canonical basis change moving the common 1-eigenspace to the front.
+    """Canonical basis change moving the common 1-eigenspace to the front: the
+    one value in which intertwine, untwine, derived and smooth_raw take one.
 
     The first k columns of r are the eigenspace basis (the k columns
     ``basis``); the remaining columns span the complementary invariant

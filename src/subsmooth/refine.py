@@ -277,7 +277,7 @@ def certify_vector(mask: Mask, ell: int, lmax: int = DEFAULT_LMAX):
     for r in range(1, ell + 2):
         try:
             es = canonical_transform(current)
-            current = derived(current, es.k, es.r, es.r_inv)
+            current = derived(current, es.k, es)
         except (EigenspaceError, WorkBudgetError) as exc:
             if r == 1 and isinstance(exc, EigenspaceError):  # the input's own
                 raise

@@ -28,28 +28,26 @@ def _out_kind(mask: Mask) -> Kind:
     return mask.kind
 
 
-def derived(mask: Mask, k: int, r: RatMatrix | None = None,
-            r_inv: RatMatrix | None = None) -> Mask:
+def derived(mask: Mask, k: int, basis: Eigenstructure | None = None) -> Mask:
     """Derived scheme with respect to the partial difference on the first k
     components: symbol 2 D(z) A(z) D(z**2)**-1, or 2 D(z) R**-1 A(z) R D(z**2)**-1
-    in the basis of the columns of r (r_inv is R**-1, trusted), in one product.
+    in the basis of an Eigenstructure, in one product.
 
     Exists iff A11(-1) = 0 and A21(+-1) = 0 (leading block of size k); a
     violation surfaces as NotDivisibleError.
     """
     kind = _out_kind(mask)
-    return Mask(kind, intertwine(mask.symbol, difference_operator(mask.p, k), r, r_inv))
+    return Mask(kind, intertwine(mask.symbol, difference_operator(mask.p, k), basis))
 
 
-def smooth_raw(mask: Mask, k: int, r: RatMatrix | None = None,
-               r_inv: RatMatrix | None = None) -> Mask:
+def smooth_raw(mask: Mask, k: int, basis: Eigenstructure | None = None) -> Mask:
     """Smoothing: symbol 1/2 D(z)**-1 B(z) D(z**2), or 1/2 D(z)**-1 R**-1 B(z) R D(z**2)
-    in the basis of the columns of r (r_inv is R**-1, trusted), in one product.
+    in the basis of an Eigenstructure, in one product.
 
     Exists iff B12(1) = 0 (in that basis); right inverse of derived().
     """
     kind = _out_kind(mask)
-    return Mask(kind, untwine(mask.symbol, difference_operator(mask.p, k), r, r_inv))
+    return Mask(kind, untwine(mask.symbol, difference_operator(mask.p, k), basis))
 
 
 # -- full procedure -------------------------------------------------------------------
@@ -58,12 +56,12 @@ def _smooth_in_basis(mask: Mask, es: Eigenstructure) -> Mask:
     """Smooth the leading es.k components in the basis of the columns of es.r
     (exact when es.r puts a common 1-eigenspace first), then R X R**-1; R = I,
     as for every scalar mask, changes no basis."""
-    basis = () if es.r == RatMatrix.identity(mask.p) else (es.r, es.r_inv)
+    identity = es.r == RatMatrix.identity(mask.p)
     try:
-        smoothed = smooth_raw(mask, es.k, *basis)
+        smoothed = smooth_raw(mask, es.k, None if identity else es)
     except NotDivisibleError:
         raise ConsistencyError("conjugated mask lost the smoothing condition") from None
-    return Mask(mask.kind, smoothed.symbol.transform(es.r, es.r_inv)) if basis else smoothed
+    return smoothed if identity else Mask(mask.kind, smoothed.symbol.transform(es.r, es.r_inv))
 
 
 def _check_window(mask: Mask, out: Mask, slack: int) -> None:

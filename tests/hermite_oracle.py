@@ -33,7 +33,7 @@ HALF = Fraction(1, 2)
 ZINV_PLUS_1 = LaurentPoly({-1: 1, 0: 1})
 # G_1 = R diag(1/z - 1, 1) R**-1 for R = [[0, 1], [1, -1]], which puts the
 # 1-eigenspace span{e2} of a Taylor scheme first
-TAYLOR_BASIS_OPERATOR = SymbolMatrix(((LaurentPoly.one(), LaurentPoly.zero()),
+TAYLOR_BASIS_OPERATOR = SymbolMatrix(((LaurentPoly({0: 1}), LaurentPoly()),
                                       (LaurentPoly({-1: 1, 0: -2}), ZINV_MINUS_1)))
 
 
@@ -132,7 +132,7 @@ def _closed_form_general(s: SymbolMatrix, zeta: Fraction) -> SymbolMatrix:
 
     c11 = (a12 * _lp({-3: zeta - z2, -2: z2, -1: z2 - 1, 0: -(z2 + zeta)})
            + a11 * (ZINV_MINUS_1.scale(zeta * (1 - zeta)) + _lp({0: zeta}))
-           + a22 * (ZINV2_MINUS_1.scale(zeta) - LaurentPoly.one()).scale(zeta - 1)
+           + a22 * (ZINV2_MINUS_1.scale(zeta) - LaurentPoly({0: 1})).scale(zeta - 1)
            + a21.scale(z2 - zeta))
     c11 = (c11 * ZINV_PLUS_1).scale(HALF)
 
@@ -144,14 +144,14 @@ def _closed_form_general(s: SymbolMatrix, zeta: Fraction) -> SymbolMatrix:
     c12 = divide_exact(num12.scale(HALF), ZINV_MINUS_1)
 
     c21 = (a12 * _lp({-3: -z2, -2: zeta + z2, -1: zeta + z2, 0: -((zeta + 1) ** 2)})
-           + a11 * (LaurentPoly.one() - ZINV_MINUS_1.scale(zeta)).scale(zeta)
-           + a22 * (ZINV2_MINUS_1.scale(zeta) - LaurentPoly.one()).scale(zeta)
+           + a11 * (LaurentPoly({0: 1}) - ZINV_MINUS_1.scale(zeta)).scale(zeta)
+           + a22 * (ZINV2_MINUS_1.scale(zeta) - LaurentPoly({0: 1})).scale(zeta)
            + a21.scale(z2))
     c21 = (c21 * ZINV2_MINUS_1).scale(HALF)
 
     c22 = (a12 * _lp({-3: z2 - zeta, -2: 1 - z2, -1: -z2, 0: z2 + zeta})
-           + a11 * (LaurentPoly.one() - ZINV_MINUS_1.scale(zeta)).scale(1 - zeta)
-           + a22 * (ZINV2_MINUS_1.scale(1 - zeta) + LaurentPoly.one()).scale(zeta)
+           + a11 * (LaurentPoly({0: 1}) - ZINV_MINUS_1.scale(zeta)).scale(1 - zeta)
+           + a22 * (ZINV2_MINUS_1.scale(1 - zeta) + LaurentPoly({0: 1})).scale(zeta)
            + a21.scale(zeta - z2))
     c22 = c22.scale(HALF)
 

@@ -203,7 +203,7 @@ def not_in_tilde_mask() -> Mask:
     """A Hermite mask with the spectral condition whose Taylor scheme,
     diag(1 + z, 1 + z), has the whole plane as its 1-eigenspace."""
     f = LaurentPoly({0: 1, 1: 1})
-    zero = LaurentPoly.zero()
+    zero = LaurentPoly()
     return inverse_taylor(vector_mask(_sym([[f, zero], [zero, f]])))
 
 

@@ -275,7 +275,7 @@ class TestComponentCap:
     def test_serialize_refuses_what_parse_refuses(self):
         n = self.CAP + 1
         wide = vector_mask(SymbolMatrix(
-            [[Z_PLUS_1 if i == j else LaurentPoly.zero() for j in range(n)]
+            [[Z_PLUS_1 if i == j else LaurentPoly() for j in range(n)]
              for i in range(n)]))
         with pytest.raises(SubsmoothError) as err:
             maskfile.serialize(wide)

@@ -46,7 +46,7 @@ class TestSpectralCondition:
         assert m.phi == Fraction(-1, 2)
 
     def test_zero_mask_fails_constant_and_linear_reproduction(self):
-        rep = check_spectral(vector_mask(SymbolMatrix.zero(2)))
+        rep = check_spectral(vector_mask(SymbolMatrix([[LaurentPoly()] * 2] * 2)))
         assert not rep.holds
         # the value equalities of (1) and (4) fail; the equalities of (2)
         # and (3) are vacuously satisfied by the zero symbol
@@ -106,7 +106,7 @@ class TestTaylorConditions:
 
     def test_diagonal_embedding_not_in_tilde(self):
         f = LP({0: 1, 1: 1})
-        rep = check_taylor(vector_mask(sym2(f, LP.zero(), LP.zero(), f)))
+        rep = check_taylor(vector_mask(sym2(f, LP(), LP(), f)))
         assert rep.holds_taylor
         assert not rep.in_tilde
 
@@ -181,14 +181,14 @@ class TestSmoothHermite:
 
     def test_spectral_precondition_enforced(self):
         with pytest.raises(SpectralConditionError):
-            smooth_hermite(hermite_mask(SymbolMatrix.zero(2)))
+            smooth_hermite(hermite_mask(SymbolMatrix([[LaurentPoly()] * 2] * 2)))
 
     def test_undefined_zeta_refused(self):
         """a21 = z - 1/z has a21'(1) = 2, so condition (4) forces a22(1) = 2."""
-        a11 = with_values(LP.zero(), 2, 0)
+        a11 = with_values(LP(), 2, 0)
         a21 = LP({-1: -1, 1: 1})
-        a22 = with_values(LP.zero(), 2, -1)
-        a12 = with_values(LP.zero(), 1, -a11.derivative_at(-1) / 2)
+        a22 = with_values(LP(), 2, -1)
+        a12 = with_values(LP(), 1, -a11.derivative_at(-1) / 2)
         m = hermite_mask(sym2(a11, a12, a21, a22))
         assert check_spectral(m).holds
         with pytest.raises(DegenerateAError) as err:
@@ -344,7 +344,7 @@ class TestFoldedRound:
         inputs += [rand_smoothing_ready_spectral(rng, zeta_one=i % 3 == 0) for i in range(12)]
         # spectral masks that need not be smoothing-ready, and refused inputs
         inputs += [rand_spectral_mask(rng, zeta_one=i % 3 == 0) for i in range(30)]
-        inputs += [not_in_tilde_mask(), hermite_mask(SymbolMatrix.zero(2)),
+        inputs += [not_in_tilde_mask(), hermite_mask(SymbolMatrix([[LaurentPoly()] * 2] * 2)),
                    vector_mask(catalog.get("merrien").symbol)]
         outcomes = [_outcome(smooth_hermite_three_steps, m) for m in inputs]
         assert [_outcome(smooth_hermite, m) for m in inputs] == outcomes
@@ -370,7 +370,7 @@ class TestFoldedRound:
         mask = long_spectral_mask(seed, bits, terms)
         zeta = zeta_of(mask)
         assert zeta.denominator.bit_length() > 4000
-        half_g = SymbolMatrix(((LaurentPoly({0: Fraction(1, 2)}), LaurentPoly.zero()),
+        half_g = SymbolMatrix(((LaurentPoly({0: Fraction(1, 2)}), LaurentPoly()),
                                (LaurentPoly({-1: zeta / 2, 0: (-1 - zeta) / 2}),
                                 ZINV_MINUS_1.scale(Fraction(1, 2)))))
         with pytest.raises(WorkBudgetError):
@@ -388,9 +388,9 @@ class TestZetaForecast:
     def test_decoupled_mask_forecasts_forever(self):
         # spectral mask with identically zero coupling entry
         a11 = LP({-1: "1/2", 0: 1, 1: "1/2"})
-        a21 = LP.zero()
+        a21 = LP()
         a22 = LP({0: "1/2", 1: "1/2"})
-        m = hermite_mask(sym2(a11, LP.zero(), a21, a22))
+        m = hermite_mask(sym2(a11, LP(), a21, a22))
         assert check_spectral(m).holds
         assert zeta_multiplicity_forecast(m) == math.inf
 

@@ -17,7 +17,7 @@ from subsmooth import (TAYLOR_OPERATOR, LaurentPoly, NotDivisibleError, RatMatri
                        ZINV2_MINUS_1, ZINV_MINUS_1, catalog, difference_operator,
                        divide_exact, intertwine, invert, iterated_symbol, laurent,
                        stencil_norm, taylor_scheme, untwine)
-from subsmooth import canonical_transform, derived, maskfile, masks
+from subsmooth import Eigenstructure, canonical_transform, derived, maskfile, masks
 from subsmooth import vector_smoothing as vector_module
 from subsmooth.refine import _contractive_power, certify_hermite, certify_vector
 from subsmooth.vector_smoothing import smooth_vector
@@ -66,8 +66,8 @@ def operand_pairs():
         ("tiny", rand_laurent(rng, -1, 1), rand_laurent(rng, 0, 2)),
         ("short-long", rand_laurent(rng, 0, 10), rand_laurent(rng, -40, 40)),
         ("long-long", rand_laurent(rng, -5, 19), rand_laurent(rng, 2, 49)),
-        ("zero-left", LaurentPoly.zero(), rand_laurent(rng, -2, 2)),
-        ("zero-right", rand_laurent(rng, -40, 3), LaurentPoly.zero()),
+        ("zero-left", LaurentPoly(), rand_laurent(rng, -2, 2)),
+        ("zero-right", rand_laurent(rng, -40, 3), LaurentPoly()),
         ("big-short", big_laurent(rng, -2, 3), big_laurent(rng, 0, 4)),
         ("big-long", big_laurent(rng, -3, 19), big_laurent(rng, 1, 24)),
         ("sparse", rand_laurent(rng, -30, 30), sparse_dilated(rng, 4)),
@@ -108,7 +108,7 @@ class TestAgainstOracle:
 
     def test_cancellation_to_zero(self, pair):
         f, _ = pair
-        assert (f - f) == LaurentPoly.zero()
+        assert (f - f) == LaurentPoly()
         assert_normalized(f - f)
 
     @pytest.mark.parametrize("d", BINOMIALS)
@@ -190,7 +190,7 @@ def test_evaluation_and_derivative_against_oracle(pair):
 def test_constructor_normalizes():
     f = LaurentPoly({-3: 0, -1: "2/4", 0: Fraction(-3, 6), 4: 0})
     assert (f.lo, f.nums, f.den) == (-1, (1, -1), 2)
-    assert LaurentPoly({2: 0}) == LaurentPoly.zero()
+    assert LaurentPoly({2: 0}) == LaurentPoly()
     assert (LaurentPoly({5: "6/3"}).lo, LaurentPoly({5: "6/3"}).nums) == (5, (2,))
     assert dict(LaurentPoly({0: "1/3", 2: "-1/2"}).coeffs) == {
         0: Fraction(1, 3), 2: Fraction(-1, 2)}
@@ -296,7 +296,7 @@ def _polys(draw):
 
 def _g_zeta(zeta) -> SymbolMatrix:
     """A Hermite round's smoothing operator [[1, 0], [zeta/z - 1 - zeta, 1/z - 1]]."""
-    return SymbolMatrix([[LaurentPoly.one(), LaurentPoly.zero()],
+    return SymbolMatrix([[LaurentPoly({0: 1}), LaurentPoly()],
                          [LaurentPoly({-1: zeta, 0: -1 - zeta}), ZINV_MINUS_1]])
 
 
@@ -328,11 +328,12 @@ def _operator_operation(draw, kind):
 
 def _folded_operation(draw, kind):
     """A descent or a vector round's untwine in the basis of a drawn invertible
-    R: intertwine(R B R**-1, D, R, R**-1) for B = C(z)·D(z**2), or
-    untwine(R D(z)·C R**-1, D, R, R**-1), D a difference operator, and the sum
-    of nnz(S[a,k])·nnz((R' D')[k,j]) over the entries (i, j), the a with
-    L[i,a] != 0 and the k, for the side S = A^T, L = R^T, R' = R^-T, D' = D^T
-    (descent) or S = B, L = R**-1, R' = R, D' = D (untwine) that it multiplies."""
+    R: intertwine(R B R**-1, D, es) for B = C(z)·D(z**2), or
+    untwine(R D(z)·C R**-1, D, es), for es = Eigenstructure(p, (), R, R**-1) and D
+    a difference operator, and the sum of nnz(S[a,k])·nnz((R' D')[k,j]) over the
+    entries (i, j), the a with L[i,a] != 0 and the k, for the side S = A^T,
+    L = R^T, R' = R^-T, D' = D^T (descent) or S = B, L = R**-1, R' = R, D' = D
+    (untwine) that it multiplies."""
     p = draw(st.integers(1, 3))
     d = difference_operator(p, draw(st.integers(1, p)))
     c = SymbolMatrix([[draw(_polys()) for _ in range(p)] for _ in range(p)])
@@ -341,6 +342,7 @@ def _folded_operation(draw, kind):
         r_inv = invert(r)
     except SingularMatrixError:
         assume(False)
+    es = Eigenstructure(p, (), r, r_inv)
 
     def constant(m):
         return SymbolMatrix([[LaurentPoly({0: m[i, j]}) for j in range(p)] for i in range(p)])
@@ -349,11 +351,11 @@ def _folded_operation(draw, kind):
         return SymbolMatrix(list(zip(*m.entries)))
     if kind == "folded intertwine":
         a = c.mul_dilated(d, 2).transform(r, r_inv)
-        run = partial(intertwine, a, d, r, r_inv)
+        run = partial(intertwine, a, d, es)
         s, left, rd = transposed(a), transposed(constant(r)), transposed(constant(r_inv) * d)
     else:
         b = (d * c).transform(r, r_inv)
-        run = partial(untwine, b, d, r, r_inv)
+        run = partial(untwine, b, d, es)
         s, left, rd = b, constant(r_inv), constant(r) * d
     pairs = sum(len(s[m, k].coeffs) * len(rd[k, j].coeffs) for i in range(p) for j in range(p)
                 for m in range(p) if left[i, m].nums for k in range(p))
@@ -366,7 +368,7 @@ def _symbol_operations(draw):
     multiplies): a product A(z)·B(z**step), a refinement-style product
     A(z)·v(z**step), a basis change L·A(z)·R with constant L and R, or an
     untwine or intertwine by an operator symbol, plain or, as a descent and
-    a vector round run them, in a canonical basis."""
+    a vector round run them, in the basis of an Eigenstructure."""
     kind = draw(st.sampled_from(["mul_dilated", "mul_vector", "transform", "untwine",
                                  "intertwine", "folded intertwine", "folded untwine"]))
     if kind in ("untwine", "intertwine"):
@@ -449,7 +451,7 @@ def test_price_of_long_denominators_equals_the_reference(p):
     distinct denominators dominate the price."""
     mask = maskfile.parse(long_denominator_doc(p))
     es = canonical_transform(mask)
-    for run in (lambda: derived(mask, es.k, es.r, es.r_inv),
+    for run in (lambda: derived(mask, es.k, es),
                 lambda: vector_module._smooth_in_basis(mask, es)):
         library, reference = _prices(run)
         assert library == reference
@@ -540,3 +542,26 @@ def test_price_counts_the_terms_the_kernel_walks(jobs):
         with pytest.raises(WorkBudgetError) as err:
             laurent._charge(fs, gs, [(pairs, None) for pairs in jobs])
     assert err.value.price == 16 * want
+
+
+def _basis_3x3():
+    r = RatMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    return Eigenstructure(1, (), r, invert(r))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: derived(m, 1, _basis_3x3()),
+    lambda m: untwine(m.symbol, difference_operator(1, 1)),
+    lambda m: intertwine(m.symbol, difference_operator(3, 1)),
+    lambda m: m.symbol.transform(RatMatrix.identity(3), RatMatrix.identity(2)),
+], ids=["derived-in-a-3x3-basis", "untwine-by-a-1x1-operator",
+        "intertwine-by-a-3x3-operator", "transform-by-a-3x3-left"])
+def test_twine_checks_dimensions_before_any_price_or_product(call):
+    """A basis or an operator of another size than the 2 x 2 symbol is one
+    ValueError, raised before the kernel prices or multiplies anything."""
+    def unreachable(*args):
+        raise AssertionError("priced or multiplied before the dimension check")
+    with mock.patch.object(laurent, "_products", unreachable), \
+            mock.patch.object(laurent, "_charge", unreachable), \
+            pytest.raises(ValueError, match="^dimension mismatch$"):
+        call(catalog.get("double-knot"))

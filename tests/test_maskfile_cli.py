@@ -89,8 +89,8 @@ class TestMaskFile:
             assert maskfile.parse(maskfile.serialize(m)) == m
 
     @pytest.mark.parametrize("mask", [
-        scalar_mask(LaurentPoly.zero()), vector_mask(SymbolMatrix.zero(2)),
-        inverse_taylor(vector_mask(SymbolMatrix.zero(2)))],
+        scalar_mask(LaurentPoly()), vector_mask(SymbolMatrix([[LaurentPoly()] * 2] * 2)),
+        inverse_taylor(vector_mask(SymbolMatrix([[LaurentPoly()] * 2] * 2)))],
         ids=["scalar", "vector", "hermite"])
     def test_zero_mask_refused_by_name(self, mask):
         """parse refuses a file without a nonzero coefficient, so serialize
@@ -179,7 +179,7 @@ class TestCli:
         vector masks, one per outcome of check_taylor: eigenspace span{e2}
         (merrien's Taylor scheme), the whole plane (diag(1 + z, 1 + z)) and a
         line other than span{e2} (double-knot, in the catalog)."""
-        one_plus_z, zero = LaurentPoly({0: 1, 1: 1}), LaurentPoly.zero()
+        one_plus_z, zero = LaurentPoly({0: 1, 1: 1}), LaurentPoly()
         files = {"merrien-taylor": subsmooth.taylor_scheme(catalog.get("merrien")),
                  "diag-1+z": vector_mask(SymbolMatrix([[one_plus_z, zero],
                                                        [zero, one_plus_z]]))}

@@ -16,7 +16,7 @@ LP = LaurentPoly
 
 
 def diag_embedding(f, p=2):
-    rows = [[f if i == j else LP.zero() for j in range(p)] for i in range(p)]
+    rows = [[f if i == j else LP() for j in range(p)] for i in range(p)]
     return vector_mask(SymbolMatrix(tuple(tuple(r) for r in rows)))
 
 
@@ -93,7 +93,12 @@ class TestOperatorNorm:
         assert stencil_norm(m.symbol, 2) == Fraction(1, 2)
 
     def test_zero_mask(self):
-        assert stencil_norm(scalar_mask(LP.zero()).symbol, 2) == 0
+        assert stencil_norm(scalar_mask(LP()).symbol, 2) == 0
+
+    @pytest.mark.parametrize("arity", [0, -1])
+    def test_arity_below_one_is_refused_by_name(self, arity):
+        with pytest.raises(ValueError, match="^arity must be >= 1$"):
+            stencil_norm(catalog.get("bspline1").symbol, arity)
 
     def test_norm_zero_iff_zero_symbol(self):
         rng = random.Random(123)
@@ -162,7 +167,7 @@ class TestCanonicalTransform:
 
     def test_empty_eigenspace_raises(self):
         with pytest.raises(EmptyEigenspaceError):
-            canonical_transform(scalar_mask(LP.zero()))
+            canonical_transform(scalar_mask(LP()))
 
     def test_conjugated_mean_is_block_diagonal(self):
         dk = catalog.get("double-knot")

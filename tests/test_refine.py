@@ -192,7 +192,7 @@ class TestCertificates:
 
     def test_zero_mask_raises(self):
         with pytest.raises(EmptyEigenspaceError):
-            certify_vector(scalar_mask(LP.zero()), 0)
+            certify_vector(scalar_mask(LP()), 0)
 
     def test_hermite_chain_merrien(self):
         res = certify_hermite(catalog.get("merrien"), 1)
@@ -218,7 +218,7 @@ class TestCertificates:
 
     def test_spectral_violation_refused_at_stage_zero(self):
         from subsmooth import SymbolMatrix
-        res = certify_hermite(vector_mask(SymbolMatrix.zero(2)), 1)
+        res = certify_hermite(vector_mask(SymbolMatrix([[LaurentPoly()] * 2] * 2)), 1)
         assert isinstance(res, Refusal)
         assert res.stage == "spectral condition"
 

@@ -5,6 +5,7 @@ README's library example."""
 
 import ast
 import contextlib
+import inspect
 import io
 import re
 from pathlib import Path
@@ -49,6 +50,15 @@ def _bound_names(tree: ast.Module):
             module = node.module if node.level else ""
             for alias in node.names:
                 yield module or "", alias.asname or alias.name
+
+
+def test_a_basis_change_is_one_eigenstructure_argument():
+    """intertwine, untwine, derived and smooth_raw take a basis change as one
+    Eigenstructure, not as a matrix and an inverse trusted to match it."""
+    for fn in (subsmooth.intertwine, subsmooth.untwine, subsmooth.derived,
+               subsmooth.smooth_raw):
+        params = inspect.signature(fn).parameters
+        assert "basis" in params and not {"r", "r_inv"} & set(params), fn.__name__
 
 
 def test_no_module_in_src_has_an_unused_import():

@@ -83,10 +83,10 @@ def test_identity_conjugation_returns_the_mask(monkeypatch):
     mask whose 1-eigenspace is the whole space: conjugation by it gives the
     mask back, and their vector rounds run no basis change."""
     b = catalog.get("bspline3")
-    b_entry, zero = b.symbol[0, 0], LaurentPoly.zero()
+    b_entry, zero = b.symbol[0, 0], LaurentPoly()
     diagonal = vector_mask(SymbolMatrix(((b_entry, zero), (zero, b_entry))))
     smoothed = catalog.get("bspline4").symbol[0, 0]
-    for mask in (b, diagonal, vector_mask(SymbolMatrix.zero(3))):
+    for mask in (b, diagonal, vector_mask(SymbolMatrix([[LaurentPoly()] * 3] * 3))):
         assert conjugate(mask, RatMatrix.identity(mask.p)) == mask
     monkeypatch.setattr(SymbolMatrix, "transform", lambda *args: pytest.fail("transformed"))
     assert smooth_vector(b) == catalog.get("bspline4")
@@ -127,7 +127,7 @@ def test_2x2_eigenspace_matches_oracle(mask):
 def test_zero_stacked_matrix_eigenspace_is_the_plane():
     """A(1) = 2I and A(-1) = 0: the kernel is the whole plane, not span{e2}."""
     one_plus_z = LaurentPoly({0: 1, 1: 1})
-    zero = LaurentPoly.zero()
+    zero = LaurentPoly()
     mask = vector_mask(SymbolMatrix([[one_plus_z, zero], [zero, one_plus_z]]))
     assert common_one_eigenspace(mask) == oracle.one_eigenspace(mask)
     assert len(common_one_eigenspace(mask)) == 2
@@ -282,7 +282,7 @@ def test_canonical_transform_refuses_overlapping_columns():
     span{e1}, so the transform would be singular."""
     one_plus_z = LaurentPoly({0: 1, 1: 1})
     mask = vector_mask(SymbolMatrix([[one_plus_z, one_plus_z],
-                                     [LaurentPoly.zero(), one_plus_z]]))
+                                     [LaurentPoly(), one_plus_z]]))
     with pytest.raises(EigenspaceError, match="eigenspace and complement overlap; "
                        "no canonical transform exists") as err:
         canonical_transform(mask)
@@ -397,11 +397,11 @@ def _oracle_round(mask, es):
 
 
 def _assert_folds_match(mask, descents):
-    """derived(A, k, R, R**-1) and canonical_transform against the three-step
+    """derived(A, k, es) and canonical_transform against the three-step
     descent and the Fraction transform, and a vector round's folded untwine
     and back-transform against conjugate, smooth_raw and conjugate."""
     assert (_descents(mask, descents, canonical_transform,
-                      lambda m, es: derived(m, es.k, es.r, es.r_inv))
+                      lambda m, es: derived(m, es.k, es))
             == _descents(mask, descents, oracle.canonical_transform, oracle.derived_in_basis))
     es = _outcome(lambda: canonical_transform(mask))
     if isinstance(es, Eigenstructure):
@@ -449,7 +449,7 @@ def test_fold_on_long_denominators_over_the_budget(p):
     mask = maskfile.parse(long_denominator_doc(p))
     es = canonical_transform(mask)
     assert es == oracle.canonical_transform(mask)
-    for run in (lambda: derived(mask, es.k, es.r, es.r_inv),
+    for run in (lambda: derived(mask, es.k, es),
                 lambda: oracle.derived_in_basis(mask, es),
                 lambda: vector_module._smooth_in_basis(mask, es),
                 lambda: _oracle_round(mask, es)):

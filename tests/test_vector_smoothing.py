@@ -68,7 +68,7 @@ class TestBlockConditions:
 
     def test_diagonal_embedding_admits_everything(self):
         f = LP({0: 1, 1: 1})
-        sym = SymbolMatrix(((f, LP.zero()), (LP.zero(), f)))
+        sym = SymbolMatrix(((f, LP()), (LP(), f)))
         m = vector_mask(sym)
         for k in (1, 2):  # NotDivisibleError unless both divisions are exact
             derived(m, k)
@@ -78,7 +78,7 @@ class TestBlockConditions:
 class TestBlockOperators:
     def test_k_equals_p_reduces_to_scalar_factor(self):
         f = LP({0: 1, 1: 1})
-        sym = SymbolMatrix(((f, LP.zero()), (LP.zero(), f)))
+        sym = SymbolMatrix(((f, LP()), (LP(), f)))
         m = vector_mask(sym)
         out = derived(m, 2)
         assert out.symbol[0, 0] == LP({1: 2})
