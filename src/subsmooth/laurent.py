@@ -47,7 +47,7 @@ from struct import iter_unpack
 from types import MappingProxyType
 
 from .errors import NotDivisibleError, WorkBudgetError
-from .linalg import RatMatrix, _matrix, rat
+from .linalg import Eigenstructure, RatMatrix, _matrix, _row, rat
 
 MAX_WORK, _FLOOR = 8 * 10 ** 7, 16
 # _products packs its operands from _PACK_MIN term products on, while an
@@ -96,11 +96,10 @@ def _normalize(lo: int, nums: Sequence[int], den: int) -> "LaurentPoly":
 
 
 def _integer_rows(m: RatMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The rows of m times the lcm of its denominators, and that lcm."""
-    ratios = [x.as_integer_ratio() for x in m.entries]
-    den = math.lcm(*(d for _, d in ratios))
-    ints = tuple(n * (den // d) for n, d in ratios)
-    return tuple(ints[i:i + m.cols] for i in range(0, len(ints), m.cols)), den
+    """The rows of m times the lcm of its row denominators, and that lcm."""
+    den = math.lcm(*m.dens)
+    return tuple(row if d == den else tuple(x * (den // d) for x in row)
+                 for row, d in zip(m.nums, m.dens)), den
 
 
 def _charge(fs, gs, jobs, bits=1) -> None:
@@ -523,12 +522,12 @@ class SymbolMatrix:
 
     def coefficient(self, i: int) -> RatMatrix:
         """The matrix coefficient of z**i."""
-        return _matrix(self.p, self.p,
-                       tuple(e.coeff(i) for row in self.entries for e in row))
+        return _matrix(_row([e.nums[i - e.lo] if 0 <= i - e.lo < len(e.nums) else 0
+                             for e in row], [e.den for e in row]) for row in self.entries)
 
     def evaluate(self, x) -> RatMatrix:
-        return _matrix(self.p, self.p,
-                       tuple(e.evaluate(x) for row in self.entries for e in row))
+        return _matrix(_row([e._sum_at(x) for e in row], [e.den for e in row])
+                       for row in self.entries)
 
     # -- algebra -----------------------------------------------------------------------
     def mul_dilated(self, other: "SymbolMatrix", step: int = 1) -> "SymbolMatrix":
@@ -616,7 +615,7 @@ def _solve(t, r, step: int) -> list:
 
 def _twine(s: tuple, d: tuple, step: int, scale, left=None, right=None) -> list:
     """Rows of the X with D(z**(3 - step)) X = scale L S(z) R D(z**step), step 1 or 2, for
-    constant L and R given as integer rows over a denominator (the identity without
+    constant L and R as _integer_rows, all rows over their lcm (the identity without
     them): entry (i, j) of the right side is one kernel call pairing s[a,k] with
     z**e / (h dl den) at z**step, weighed by the integer l n c, for each l / dl = L[i,a]
     and each term c z**e / den of R[k,m] D[m,j] over m, den the lcm of D's denominators
@@ -656,13 +655,15 @@ def _basis(basis, transpose: bool):
     as _integer_rows, or their transposes; None and None without basis."""
     if basis is None:
         return None, None
+    if not isinstance(basis, Eigenstructure):
+        raise TypeError(f"basis must be an Eigenstructure, not {type(basis).__name__}")
     (a, da), (b, db) = _integer_rows(basis.r), _integer_rows(basis.r_inv)
     return ((tuple(zip(*a)), da), (tuple(zip(*b)), db)) if transpose else ((b, db), (a, da))
 
 
 def intertwine(a: SymbolMatrix, d: SymbolMatrix, basis=None) -> SymbolMatrix:
     """The symbol 2 D(z) A'(z) D(z**2)**-1 of the scheme B with D S_A' = 1/2 S_B D, for
-    A' = R**-1 A R in the basis of a masks.Eigenstructure (A without one), from
+    A' = R**-1 A R in the basis of an Eigenstructure (A without one), from
     D(z**2)^T B^T = 2 R^T A(z)^T R^-T D(z)^T; NotDivisibleError if no such mask exists."""
     return _symbol(tuple(zip(*_twine(tuple(zip(*a.entries)), tuple(zip(*d.entries)), 1, 2,
                                      *_basis(basis, True)))))
@@ -670,7 +671,7 @@ def intertwine(a: SymbolMatrix, d: SymbolMatrix, basis=None) -> SymbolMatrix:
 
 def untwine(b: SymbolMatrix, d: SymbolMatrix, basis=None) -> SymbolMatrix:
     """Right inverse of intertwine: the symbol 1/2 D(z)**-1 B'(z) D(z**2) for
-    B' = R**-1 B R in the basis of a masks.Eigenstructure (B without one).  Raises
+    B' = R**-1 B R in the basis of an Eigenstructure (B without one).  Raises
     NotDivisibleError when no such mask exists."""
     return _symbol(tuple(map(tuple, _twine(b.entries, d.entries, 2, Fraction(1, 2),
                                            *_basis(basis, False)))))

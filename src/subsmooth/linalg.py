@@ -1,15 +1,16 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact dense linear algebra over the rationals: where the rationals of a
+constant matrix become integers.
 
-Scalars are ``fractions.Fraction`` (arbitrary precision, always reduced,
-positive denominator), so every result here is exact and canonical.
-Matrices are small and dense, with no arithmetic beyond scaling: products
-with symbols are ``laurent``'s.  Every routine runs one Gauss-Jordan
-elimination on integer rows, _eliminate: each row is scaled by the lcm of
-its own denominators, and Fractions are built only for returned values.
+A RatMatrix stores each row as integer numerators over a positive denominator
+of its own, in lowest terms (_row), so equal matrices have equal rows; entries
+are ``fractions.Fraction`` only at the boundary.  Matrices are small and dense,
+with no arithmetic beyond scaling: products with symbols are ``laurent``'s.
+Every routine runs one Gauss-Jordan elimination on integer rows, _eliminate.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
@@ -21,98 +22,120 @@ def rat(x) -> Fraction:
     """Coerce ints, strings like ``"-3/8"`` and Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def _matrix(rows: int, cols: int, entries: tuple) -> "RatMatrix":
-    """A RatMatrix from a tuple of rows * cols Fractions, unchecked; for
-    results computed here, which need no coercion."""
+def _row(nums: Sequence[int], dens: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The entries nums[j] / dens[j], dens[j] nonzero, as one row in lowest terms, den > 0."""
+    den = lcm(*dens)
+    nums = [x * (den // d) for x, d in zip(nums, dens)]
+    g = gcd(den, *nums)
+    return (tuple(nums), den) if g == 1 else (tuple([x // g for x in nums]), den // g)
+
+
+def _matrix(rows: Iterable[tuple[tuple[int, ...], int]]) -> "RatMatrix":
+    """A RatMatrix from rows as _row returns them, unchecked."""
     m = object.__new__(RatMatrix)
-    object.__setattr__(m, "rows", rows)
-    object.__setattr__(m, "cols", cols)
-    object.__setattr__(m, "entries", entries)
+    nums, dens = zip(*rows)
+    object.__setattr__(m, "nums", nums)
+    object.__setattr__(m, "dens", dens)
     return m
 
 
 class RatMatrix:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable dense matrix of rationals: row i is nums[i] / dens[i]."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("nums", "dens")
 
-    def __init__(self, rows: int, cols: int, entries: Iterable):
-        flat = tuple(rat(x) for x in entries)
+    def __new__(cls, rows: int, cols: int, entries: Iterable):
+        flat = [rat(x) for x in entries]
         if rows <= 0 or cols <= 0:
             raise ValueError("matrix dimensions must be positive")
         if len(flat) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(flat)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", flat)
+        return _matrix(_row([x.numerator for x in row], [x.denominator for x in row])
+                       for row in (flat[i:i + cols] for i in range(0, len(flat), cols)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
 
+    rows = property(lambda self: len(self.nums))
+    cols = property(lambda self: len(self.nums[0]))
+
     # -- construction helpers -------------------------------------------------
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "RatMatrix":
-        r = len(rows)
-        c = len(rows[0])
+        c = len(rows[0]) if rows else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return RatMatrix(r, c, [x for row in rows for x in row])
+        return RatMatrix(len(rows), c, [x for row in rows for x in row])
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return _matrix(n, n, tuple(Fraction(int(i == j)) for i in range(n) for j in range(n)))
+        if n <= 0:
+            raise ValueError("matrix dimensions must be positive")
+        return _matrix((tuple(int(i == j) for j in range(n)), 1) for i in range(n))
 
     @staticmethod
-    def column(values: Sequence) -> "RatMatrix":
-        vals = list(values)
-        return RatMatrix(len(vals), 1, vals)
+    def column(values: Iterable) -> "RatMatrix":
+        return RatMatrix.from_rows([[x] for x in values])
 
     # -- access ---------------------------------------------------------------
     def __getitem__(self, idx) -> Fraction:
         i, j = idx
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(idx)
-        return self.entries[i * self.cols + j]
+        return Fraction(self.nums[i][j], self.dens[i])
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        return tuple(Fraction(x, self.dens[i]) for x in self.nums[i])
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     # -- algebra ---------------------------------------------------------------
     def scale(self, c) -> "RatMatrix":
         c = rat(c)
-        return _matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
+        return _matrix(_row([c.numerator * x for x in row], [c.denominator * den] * len(row))
+                       for row, den in zip(self.nums, self.dens))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(map(any, self.nums))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, RatMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+        return isinstance(other, RatMatrix) and (self.nums, self.dens) == (other.nums, other.dens)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.nums, self.dens))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"RatMatrix[{body}]"
 
 
-def _eliminate(rows: list) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan on rows of (numerator, denominator) pairs, each put over the
-    lcm of its denominators.  A column's first nonzero entry is its pivot; an
-    update cross-multiplies a row with the pivot row and divides out its gcd (0
-    for a zero row).  Returns the rows, multiples of the rref's, and the pivots."""
-    a = []
-    for row in rows:
-        den = lcm(*[d for _, d in row])
-        a.append([n * (den // d) for n, d in row])
+class Eigenstructure(namedtuple("Eigenstructure", "k basis r r_inv")):
+    """Canonical basis change moving the common 1-eigenspace to the front: the
+    one value in which intertwine, untwine, derived and smooth_raw take one.
+
+    The first k columns of r are the eigenspace basis (the k columns
+    ``basis``); the remaining columns span the complementary invariant
+    subspace of the even/odd mean matrix, and ``r_inv`` is r**-1.  After
+    conjugation by r, that matrix becomes block diagonal with identity
+    leading block.
+    """
+
+    __slots__ = ()
+
+
+def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan on integer rows, each standing for its nonzero multiples.  A
+    column's first nonzero entry is its pivot; an update cross-multiplies a row
+    with the pivot row and divides out its gcd (0 for a zero row).  Returns the
+    rows, multiples of the rref's, and the pivots."""
+    a = [list(row) for row in rows]
     pivots: list[int] = []
     for c in range(len(a[0])):
         r = len(pivots)
@@ -131,49 +154,40 @@ def _eliminate(rows: list) -> tuple[list[list[int]], list[int]]:
     return a, pivots
 
 
-def _ratios(m: RatMatrix) -> list:
-    return [[x.as_integer_ratio() for x in m.row(i)] for i in range(m.rows)]
-
-
 def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     """Reduced row echelon form and the list of pivot column indices."""
-    a, pivots = _eliminate(_ratios(m))
+    a, pivots = _eliminate(m.nums)
     pvs = [row[c] for row, c in zip(a, pivots)] + [1] * (m.rows - len(pivots))
-    return _matrix(m.rows, m.cols, tuple(Fraction(x, pv) for row, pv in zip(a, pvs)
-                                         for x in row)), pivots
+    return _matrix(_row(row, [pv] * len(row)) for row, pv in zip(a, pvs)), pivots
 
 
-def _kernel(rows: list, cols: int) -> list[RatMatrix]:
-    """Exact null space basis of the matrix given as _eliminate takes it, as
-    columns: free variables set to 1 one at a time in the reduced echelon form."""
+def _kernel(rows: Sequence[Sequence[int]]) -> list[RatMatrix]:
+    """Exact null space basis of the matrix with these integer rows, as columns:
+    free variables set to 1 one at a time in the reduced echelon form."""
     a, pivots = _eliminate(rows)
     basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        v = [Fraction(int(c == fc)) for c in range(cols)]
+    for fc in (c for c in range(len(a[0])) if c not in pivots):
+        v = [((int(c == fc),), 1) for c in range(len(a[0]))]
         for row, pc in zip(a, pivots):
-            v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(_matrix(cols, 1, tuple(v)))
+            v[pc] = _row((-row[fc],), (row[pc],))
+        basis.append(_matrix(v))
     return basis
 
 
-def _pivots(rows: list) -> list[int]:
-    """The pivot columns of the matrix given as _eliminate takes it."""
-    return _eliminate(rows)[1]
-
-
-def _invert(rows: list) -> tuple:
-    """The entries of the inverse, row-major, of the square matrix given as
-    _eliminate takes it: Gauss-Jordan on [m | I]; raises SingularMatrixError."""
+def _invert(rows: Sequence[Sequence[int]], dens: Sequence[int]) -> RatMatrix:
+    """The inverse of the square matrix of rows rows[i] / dens[i]: that of rows, by
+    Gauss-Jordan on [rows | I], times dens[j] in column j; SingularMatrixError."""
     n = len(rows)
-    a, pivots = _eliminate([[*row, *((int(i == j), 1) for j in range(n))]
+    a, pivots = _eliminate([[*row, *(int(i == j) for j in range(n))]
                             for i, row in enumerate(rows)])
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return tuple(Fraction(a[i][n + j], a[i][i]) for i in range(n) for j in range(n))
+    return _matrix(_row([x * d for x, d in zip(row[n:], dens)], [row[i]] * n)
+                   for i, row in enumerate(a))
 
 
 def invert(m: RatMatrix) -> RatMatrix:
     """Exact inverse via Gauss-Jordan on [m | I]; raises SingularMatrixError."""
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
-    return _matrix(m.rows, m.rows, _invert(_ratios(m)))
+    return _invert(m.nums, m.dens)

@@ -8,9 +8,9 @@ derivative, dimension 2, with a shift parameter phi read off the symbol).
 
 The common 1-eigenspace of the even/odd coefficient sums drives all of
 the smoothing machinery; this module computes it exactly, once per mask
-(a Mask caches it), from the integer rows of [A(1) - 2I; A(-1)], together
-with the canonical basis change R that moves it onto the leading
-coordinates, read off the integer rows of A(1) - 2I.  ``conjugate``,
+(a Mask caches it), from the integer rows of [A(1) - 2I; A(-1)] that
+SymbolMatrix.evaluate gives, together with the canonical basis change R that
+moves it onto the leading coordinates, read off those of A(1) - 2I.  ``conjugate``,
 R^-1 A(z) R, is one SymbolMatrix.transform with R inverted; no pipeline
 calls it: a descent or a smoothing round folds R and R^-1 into the one
 product of laurent.intertwine or untwine.
@@ -23,12 +23,12 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from operator import add
 
 from .errors import EigenspaceError, EmptyEigenspaceError, SingularMatrixError
 from .laurent import LaurentPoly, SymbolMatrix
-from .linalg import RatMatrix, _invert, _kernel, _matrix, _pivots, invert
+from .linalg import (Eigenstructure, RatMatrix, _eliminate, _invert, _kernel, _matrix, _row,
+                     invert)
 
 
 class Kind(enum.Enum):
@@ -68,15 +68,19 @@ class Mask(namedtuple("Mask", "kind symbol")):
 
     @cached_property
     def _one_eigenspace(self) -> tuple[RatMatrix, ...]:
-        return tuple(_kernel([[(e._sum_at(x) - two * e.den * (i == j), e.den)
-                               for j, e in enumerate(row)]
-                              for x, two in ((1, 2), (-1, 0))
-                              for i, row in enumerate(self.symbol.entries)], self.p))
+        return tuple(_kernel(_minus_two(self.symbol.evaluate(1))
+                             + [*self.symbol.evaluate(-1).nums]))
 
     @cached_property
     def phi(self) -> Fraction | None:
         """derive_phi of the symbol for a Hermite mask, None otherwise."""
         return derive_phi(self.symbol) if self.kind is Kind.HERMITE else None
+
+
+def _minus_two(m: RatMatrix) -> list[list[int]]:
+    """The integer rows of m - 2I, each over the denominator of m's row."""
+    return [[x - 2 * d * (i == j) for j, x in enumerate(row)]
+            for i, (row, d) in enumerate(zip(m.nums, m.dens))]
 
 
 def scalar_mask(f: LaurentPoly) -> Mask:
@@ -156,20 +160,6 @@ def conjugate(mask: Mask, r: RatMatrix) -> Mask:
     return Mask(mask.kind, mask.symbol.transform(invert(r), r))
 
 
-class Eigenstructure(namedtuple("Eigenstructure", "k basis r r_inv")):
-    """Canonical basis change moving the common 1-eigenspace to the front: the
-    one value in which intertwine, untwine, derived and smooth_raw take one.
-
-    The first k columns of r are the eigenspace basis (the k columns
-    ``basis``); the remaining columns span the complementary invariant
-    subspace of the even/odd mean matrix, and ``r_inv`` is r**-1.  After
-    conjugation by r, that matrix becomes block diagonal with identity
-    leading block.
-    """
-
-    __slots__ = ()
-
-
 def canonical_transform(mask: Mask) -> Eigenstructure:
     """Build the canonical transform from the 1-eigenspace and the column
     space of (mean matrix - identity).
@@ -178,29 +168,29 @@ def canonical_transform(mask: Mask) -> Eigenstructure:
     eigenvalue 1 of the mean matrix has equal algebraic and geometric
     multiplicity, which holds for convergent schemes; if the dimensions do
     not add up, the input cannot be normalized and an error is raised
-    instead of guessing.  Mean matrix - identity = (A(1) - 2I)/2 is read as
-    integer rows off the symbol's numerators; one elimination finds its pivot
-    columns, the complement's basis, and one of [R | I] gives R**-1.
+    instead of guessing.  Mean matrix - identity = (A(1) - 2I)/2 is read off
+    the rows of A(1); one elimination finds its pivot columns, the complement's
+    basis, and one of [R | I] gives R**-1.
     """
     basis = mask._one_eigenspace
     if not basis:
         raise EmptyEigenspaceError(
             "the even/odd coefficient sums have no common 1-eigenvector")
     p, k = mask.p, len(basis)
-    cols = [v.entries for v in basis]
-    if k < p:
-        m = [[(e._sum_at(1) - 2 * e.den * (i == j), 2 * e.den) for j, e in enumerate(row)]
-             for i, row in enumerate(mask.symbol.entries)]
-        pivots = _pivots(m)
-        if len(pivots) != p - k:
-            raise EigenspaceError(
-                f"complement has dimension {len(pivots)}, expected {p - k}; "
-                "eigenvalue 1 is defective (non-convergent-style mask)")
-        cols += [tuple(Fraction(*row[c]) for row in m) for c in pivots]
-    r = _matrix(p, p, tuple(chain.from_iterable(zip(*cols))))
+    if k == p:  # the kernel of a zero matrix: the basis is the identity's columns
+        return Eigenstructure(k, basis, *[RatMatrix.identity(p)] * 2)
+    a1 = mask.symbol.evaluate(1)
+    top = _minus_two(a1)
+    pivots = _eliminate(top)[1]
+    if len(pivots) != p - k:
+        raise EigenspaceError(
+            f"complement has dimension {len(pivots)}, expected {p - k}; "
+            "eigenvalue 1 is defective (non-convergent-style mask)")
+    r = _matrix(_row([*(v.nums[i][0] for v in basis), *(row[c] for c in pivots)],
+                     [*(v.dens[i] for v in basis), *[2 * d] * len(pivots)])
+                for i, (row, d) in enumerate(zip(top, a1.dens)))
     try:
-        r_inv = _matrix(p, p, _invert([[x.as_integer_ratio() for x in r.row(i)]
-                                       for i in range(p)]))
+        r_inv = _invert(r.nums, r.dens)
     except SingularMatrixError:
         raise EigenspaceError("eigenspace and complement overlap; "
                               "no canonical transform exists") from None

@@ -17,11 +17,14 @@ needs no rank.  ``canonical_transform`` builds R from the mean matrix A(1)/2
 minus I over Fractions; the package reads that matrix as integer rows.
 ``derived_in_basis`` and ``smooth_in_basis`` conjugate, run the operator and,
 for a round, conjugate back; the package folds R and R^-1 into the one
-product of its intertwine or untwine.
+product of its intertwine or untwine.  ``integer_rows`` puts every entry of
+a matrix over the lcm of all their denominators, read as Fractions; the
+package scales rows that are integers over a denominator each already.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from subsmooth import (EigenspaceError, Eigenstructure, EmptyEigenspaceError, LaurentPoly,
@@ -114,6 +117,16 @@ def invert(m: RatMatrix) -> RatMatrix:
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return RatMatrix(n, n, [red[i, n + j] for i in range(n) for j in range(n)])
+
+
+def integer_rows(m: RatMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The rows of m times the lcm of its denominators, and that lcm: the
+    integers and denominator of a basis change that intertwine and untwine
+    price and multiply."""
+    ratios = [x.as_integer_ratio() for x in m.entries]
+    den = math.lcm(*(d for _, d in ratios))
+    ints = tuple(n * (den // d) for n, d in ratios)
+    return tuple(ints[i:i + m.cols] for i in range(0, len(ints), m.cols)), den
 
 
 def from_constant(m: RatMatrix) -> SymbolMatrix:

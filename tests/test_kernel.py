@@ -17,7 +17,7 @@ from subsmooth import (TAYLOR_OPERATOR, LaurentPoly, NotDivisibleError, RatMatri
                        ZINV2_MINUS_1, ZINV_MINUS_1, catalog, difference_operator,
                        divide_exact, intertwine, invert, iterated_symbol, laurent,
                        stencil_norm, taylor_scheme, untwine)
-from subsmooth import Eigenstructure, canonical_transform, derived, maskfile, masks
+from subsmooth import Eigenstructure, canonical_transform, derived, maskfile, masks, smooth_raw
 from subsmooth import vector_smoothing as vector_module
 from subsmooth.refine import _contractive_power, certify_hermite, certify_vector
 from subsmooth.vector_smoothing import smooth_vector
@@ -565,3 +565,23 @@ def test_twine_checks_dimensions_before_any_price_or_product(call):
             mock.patch.object(laurent, "_charge", unreachable), \
             pytest.raises(ValueError, match="^dimension mismatch$"):
         call(catalog.get("double-knot"))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, basis: derived(m, 1, basis),
+    lambda m, basis: smooth_raw(m, 1, basis),
+    lambda m, basis: intertwine(m.symbol, difference_operator(2, 1), basis),
+    lambda m, basis: untwine(m.symbol, difference_operator(2, 1), basis),
+], ids=["derived", "smooth_raw", "intertwine", "untwine"])
+def test_a_basis_other_than_an_eigenstructure_is_a_type_error(call):
+    """A matrix, or a matrix and its inverse, where the Eigenstructure of a
+    basis change belongs is one TypeError that names it, raised before any
+    price: with MAX_WORK at -1 every priced operation would be refused."""
+    mask = catalog.get("double-knot")
+    es = canonical_transform(mask)
+    for basis in (es.r, (es.r, es.r_inv), tuple(es)):
+        with mock.patch.object(laurent, "MAX_WORK", -1), \
+                pytest.raises(TypeError, match="^basis must be an Eigenstructure, not "):
+            call(mask, basis)
+    with mock.patch.object(laurent, "MAX_WORK", -1), pytest.raises(WorkBudgetError):
+        call(mask, es)
