@@ -48,12 +48,11 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _fmt_matrix(m) -> str:
-    return "[" + "; ".join(", ".join(str(m[i, j]) for j in range(m.cols))
-                           for i in range(m.rows)) + "]"
+    return "[" + "; ".join(map(", ".join, m._strings())) + "]"
 
 
 def _fmt_vec(v) -> str:
-    return "(" + ", ".join(str(v[i, 0]) for i in range(v.rows)) + ")"
+    return "(" + ", ".join(row[0] for row in v._strings()) + ")"
 
 
 def cmd_show(args) -> int:

@@ -353,9 +353,11 @@ class LaurentPoly:
         c = rat(c)
         if not c or not self.nums:
             return _ZERO
-        n = c.numerator
-        return _normalize(self.lo, [n * x for x in self.nums],
-                          self.den * c.denominator)
+        # both in lowest terms: c's factors cancel only against den and the content
+        g1, g2 = math.gcd(c.numerator, self.den), math.gcd(c.denominator, *self.nums)
+        n = c.numerator // g1
+        nums = self.nums if n == 1 and g2 == 1 else tuple([x // g2 * n for x in self.nums])
+        return _raw(self.lo, nums, self.den // g1 * (c.denominator // g2))
 
     def shift(self, by: int) -> "LaurentPoly":
         """Multiply by z**by."""

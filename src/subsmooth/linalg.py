@@ -111,9 +111,13 @@ class RatMatrix:
     def __hash__(self) -> int:
         return hash((self.nums, self.dens))
 
+    def _strings(self) -> list[list[str]]:
+        """str() of each entry, row by row, from one gcd each and no Fraction."""
+        return [[str(x // g) if (g := gcd(x, d)) == d else f"{x // g}/{d // g}" for x in row]
+                for row, d in zip(self.nums, self.dens)]
+
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-        return f"RatMatrix[{body}]"
+        return f"RatMatrix[{'; '.join(map(' '.join, self._strings()))}]"
 
 
 class Eigenstructure(namedtuple("Eigenstructure", "k basis r r_inv")):

@@ -42,8 +42,8 @@ class Mask(namedtuple("Mask", "kind symbol")):
     parameter phi is read off its symbol.
 
     Immutable, equal and hashed by its fields; the instance dict holds only
-    the cached 1-eigenspace, phi and Taylor scheme (hermite_smoothing's; a
-    round's output carries its sheared scheme, eigenspace and all)."""
+    the cached 1-eigenspace with A(1), phi and Taylor scheme (hermite_smoothing's;
+    a round's output carries its sheared scheme, eigenspace and all)."""
 
     def __new__(cls, kind: Kind, symbol: SymbolMatrix):
         if kind is Kind.SCALAR and symbol.p != 1:
@@ -67,9 +67,9 @@ class Mask(namedtuple("Mask", "kind symbol")):
         return self.symbol.coefficient(i)
 
     @cached_property
-    def _one_eigenspace(self) -> tuple[RatMatrix, ...]:
-        return tuple(_kernel(_minus_two(self.symbol.evaluate(1))
-                             + [*self.symbol.evaluate(-1).nums]))
+    def _one_eigenspace(self) -> tuple[tuple[RatMatrix, ...], RatMatrix]:
+        a1 = self.symbol.evaluate(1)  # kept: the canonical transform reads its rows
+        return tuple(_kernel(_minus_two(a1) + [*self.symbol.evaluate(-1).nums])), a1
 
     @cached_property
     def phi(self) -> Fraction | None:
@@ -118,7 +118,7 @@ def common_one_eigenspace(mask: Mask) -> list[RatMatrix]:
     non-triviality is necessary for convergence.  Computed once per mask;
     every call returns a fresh list.
     """
-    return list(mask._one_eigenspace)
+    return list(mask._one_eigenspace[0])
 
 
 def stencil_norm(symbol: SymbolMatrix, arity: int) -> Fraction:
@@ -172,14 +172,13 @@ def canonical_transform(mask: Mask) -> Eigenstructure:
     the rows of A(1); one elimination finds its pivot columns, the complement's
     basis, and one of [R | I] gives R**-1.
     """
-    basis = mask._one_eigenspace
+    basis, a1 = mask._one_eigenspace
     if not basis:
         raise EmptyEigenspaceError(
             "the even/odd coefficient sums have no common 1-eigenvector")
     p, k = mask.p, len(basis)
     if k == p:  # the kernel of a zero matrix: the basis is the identity's columns
         return Eigenstructure(k, basis, *[RatMatrix.identity(p)] * 2)
-    a1 = mask.symbol.evaluate(1)
     top = _minus_two(a1)
     pivots = _eliminate(top)[1]
     if len(pivots) != p - k:

@@ -4,6 +4,7 @@ Everything before the final float conversion is exact rational: applying a
 mask to a finitely supported sequence, iterated symbols and operator norms.
 Contractivity certificates are therefore machine-checkable witnesses, not
 numerical estimates: a granted certificate states an exact operator norm < 1.
+The CSV is one % format of its table, t at 14 digits where 17 print the same.
 
 A refusal is always inconclusive.  The norm criterion is sufficient for
 convergence, not necessary, so failing to find a contractive power proves
@@ -112,7 +113,8 @@ class FinSeq(namedtuple("FinSeq", "comps n", defaults=(0,))):
         cols = []
         for name, nums, den in self._columns():
             top = den * _FLOAT_OVERFLOW
-            if max(nums) >= top or -min(nums) >= top:
+            ends = (nums[0], nums[-1]) if type(nums) is range else nums
+            if max(ends) >= top or -min(ends) >= top:
                 i = next(i for i, x in enumerate(nums) if abs(x) >= top)
                 raise SubsmoothError(f"{name} at index {self.offset + i} is beyond "
                                      "the float range; render it with --exact")
@@ -128,17 +130,20 @@ class FinSeq(namedtuple("FinSeq", "comps n", defaults=(0,))):
 
     def to_csv(self, exact: bool = False) -> str:
         """One row per index: t, then the p values, as floats with 17
-        significant digits or, with exact, as p/q strings."""
-        head = "t," + ",".join(f"c{r + 1}" for r in range(self.p))
+        significant digits or, with exact, as p/q strings (str(Fraction))."""
+        head = "t," + ",".join(f"c{r + 1}" for r in range(self.p)) + "\n"
         if self.is_zero():
-            return head + "\n"
-        if exact:  # str(Fraction) of t, then of the p values
-            lines = map(",".join, zip(*(_exact_strings(nums, den, name, self.offset)
-                                        for name, nums, den in self._columns())))
-        else:
-            lines = map(",".join(["%.17g"] * (self.p + 1)).__mod__,
-                        zip(*self._float_columns()))
-        return "\n".join(chain((head,), lines)) + "\n"
+            return head
+        lo, hi = self.support
+        if exact:  # x/d cells, then x for x/1 as in str(Fraction): no numerator holds a /
+            cols = [c for col in self._columns() for c in _lowest_terms(*col, lo)]
+            row = ",".join(["%d/%d"] * (self.p + 1))
+        else:  # %.14g prints each t as %.17g does when every |i| * 5**n < 10**14
+            short = 0 <= self.n <= 20 and max(-lo, hi) * 5 ** self.n < 10 ** 14
+            row = ",".join(["%.14g" if short else "%.17g"] + ["%.17g"] * self.p)
+            cols = self._float_columns()
+        text = ((row + "\n") * (hi - lo + 1)) % tuple(chain.from_iterable(zip(*cols)))
+        return head + (text.replace("/1,", ",").replace("/1\n", "\n") if exact else text)
 
 
 # render returns the sequence it refined, sampled at its level
@@ -162,10 +167,10 @@ def _unprintable(n: int) -> str | None:
             "for integer strings")
 
 
-def _exact_strings(nums: list[int] | range, den: int, name: str, lo: int) -> list[str]:
-    """str(Fraction(x, den)) for each x, from the gcd of x and den, without
-    building the Fractions.  A value str() would refuse is a SubsmoothError
-    naming the column and the index, lo being the index of nums[0]."""
+def _lowest_terms(name: str, nums: list[int] | range, den: int, lo: int) -> tuple[list, list]:
+    """The numerator and denominator of Fraction(x, den) for each x, from the
+    gcd of x and den, without building Fractions.  A value str() would refuse
+    is a SubsmoothError naming the column and the index, lo that of nums[0]."""
     gs = list(map(gcd, nums, repeat(den)))
     ns = list(map(floordiv, nums, gs))
     ds = list(map(den.__floordiv__, gs))
@@ -174,7 +179,7 @@ def _exact_strings(nums: list[int] | range, den: int, name: str, lo: int) -> lis
     if why:
         big = list(map(max, map(abs, ns), ds))
         raise SubsmoothError(f"{name} at index {lo + big.index(top)} has {why}")
-    return ["%d" % x if d == 1 else "%d/%d" % (x, d) for x, d in zip(ns, ds)]
+    return ns, ds
 
 
 def apply(mask: Mask, c: FinSeq) -> FinSeq:

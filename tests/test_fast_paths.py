@@ -90,14 +90,16 @@ denominators = st.one_of(st.sampled_from([1, 2, 3, 64, 2 ** 40, 3 ** 30]),
 
 @st.composite
 def sampled_sequences(draw):
-    """Sequences at grid level n = 0..12 whose components have their own
-    supports and denominators; for p = 2 the second channel may carry the
-    Hermite re-normalization by 2**n."""
+    """Sequences at grid level n = 0..20 whose components have their own
+    supports and denominators, the supports near 0 or together far from it,
+    so that t is printed with 14 digits and with 17; for p = 2 the second
+    channel may carry the Hermite re-normalization by 2**n."""
     p = draw(st.integers(1, 3))
-    n = draw(st.integers(0, 12))
+    n = draw(st.integers(0, 20))
+    far = draw(st.just(0) | st.integers(-10 ** 9, 10 ** 9))
     comps = []
     for _ in range(p):
-        lo = draw(st.integers(-20, 20))
+        lo = far + draw(st.integers(-20, 20))
         den = draw(denominators)
         nums = draw(st.lists(st.integers(-10 ** 25, 10 ** 25) | st.just(0), max_size=8))
         comps.append(LaurentPoly.from_coeffs(lo, [Fraction(x, den) for x in nums]))
@@ -106,16 +108,55 @@ def sampled_sequences(draw):
     return FinSeq(tuple(comps), n)
 
 
+def seq(n, *comps):
+    """A FinSeq at level n of components given as (lo, [coefficients])."""
+    return FinSeq(tuple(LaurentPoly.from_coeffs(lo, cs) for lo, cs in comps), n)
+
+
 @SETTINGS
 @given(sampled_sequences())
 @example(FinSeq((LaurentPoly(),), 3))
 @example(FinSeq((LaurentPoly(), LaurentPoly(), LaurentPoly()), 0))
+# t = -1/2**14 and 1/2**14 in exponent form, with 14 digits
+@example(seq(14, (-1, [Fraction(1, 3), 0, Fraction(-2, 7)])))
+# 200 * 5**17 > 10**14: t takes 17 digits
+@example(seq(17, (-3, [1, Fraction(1, 2)]), (200, [Fraction(5, 9)])))
+# integers only, in the last column too: every cell drops its /1
+@example(seq(0, (-2, [1, 0, 3]), (-1, [5, -7])))
+# negative t only
+@example(seq(3, (-9, [Fraction(1, 4), Fraction(-3, 8), Fraction(1, 2)])))
 def test_csv_matches_row_by_row_writer(seq):
     assert seq.to_csv() == oracle.to_csv(seq)
     assert seq.to_csv(exact=True) == oracle.to_csv(seq, exact=True)
     scale = 2 ** seq.n
     assert seq.rows == [(float(Fraction(i, scale)), tuple(map(float, v)))
                         for i, v in enumerate(seq.values, seq.offset)]
+
+
+@st.composite
+def short_grid_points(draw):
+    """(i, n) with n = 0..20 and |i| * 5**n < 10**14: the t = i / 2**n that
+    FinSeq.to_csv prints with %.14g."""
+    n = draw(st.integers(0, 20))
+    top = (10 ** 14 - 1) // 5 ** n
+    return draw(st.integers(-top, top) | st.sampled_from([-top, top])), n
+
+
+@SETTINGS
+@given(short_grid_points())
+@example((10 ** 14 - 1, 0))
+@example((-((10 ** 14 - 1) // 5 ** 20), 20))
+@example((1, 14))
+def test_fourteen_digits_print_t_as_seventeen_do(point):
+    i, n = point
+    assert "%.14g" % (i / 2 ** n) == "%.17g" % (i / 2 ** n)
+
+
+def test_fourteen_digit_rule_is_tight():
+    # |i| * 5**n = 10**14: %g's exponent form then differs, and one more digit too
+    assert "%.14g" % 1e14 != "%.17g" % 1e14
+    i, n = 10 ** 14 // 5 ** 14 + 1, 14  # i * 5**n just over 10**14: 15 digits
+    assert "%.14g" % (i / 2 ** n) != "%.17g" % (i / 2 ** n)
 
 
 # -- the packed strategy: operands long enough to cross laurent._PACK_MIN ------

@@ -9,7 +9,7 @@ from functools import partial
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subsmooth import (TAYLOR_OPERATOR, LaurentPoly, NotDivisibleError, RatMatrix,
@@ -206,6 +206,36 @@ def test_scale_shift_dilate_against_oracle(pair):
         assert oracle.to_dict(p.shift(-7)) == {e - 7: c for e, c in d.items()}
         assert oracle.to_dict(p.dilate()) == oracle.dilate(d)
         assert_normalized(p.scale(Fraction(-6, 35)))
+
+
+@st.composite
+def scalings(draw):
+    """(f, c): f dyadic or not, its numerators sharing a content or not, and
+    c zero, an int or a Fraction whose numerator and denominator may share
+    primes with den and with the content; 2**n as render rescales by."""
+    den = draw(st.sampled_from([1, 2, 2 ** 20, 3, 12, 35, 2 ** 5 * 3 ** 10]))
+    content = draw(st.sampled_from([1, 2, 6, 7, 2 ** 10, 3 ** 4 * 5]))
+    nums = draw(st.lists(st.integers(-50, 50), max_size=6))
+    f = LaurentPoly.from_coeffs(draw(st.integers(-5, 5)),
+                                [Fraction(content * x, den) for x in nums])
+    parts = st.sampled_from([1, 2, 3, 5, 7, den, content, 2 ** 9, 3 * 5 * 7])
+    c = draw(st.just(0) | st.integers(-12, 12) | st.integers(0, 40).map(lambda n: 2 ** n)
+             | st.builds(lambda s, a, b: Fraction(s * a, b), st.sampled_from([1, -1]), parts, parts))
+    return f, c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scalings())
+# render's rescale of a dyadic Hermite channel, and of a non-dyadic one
+@example((LaurentPoly.from_coeffs(-3, [Fraction(1, 2 ** 12), 0, Fraction(-3, 2 ** 9)]), 2 ** 10))
+@example((LaurentPoly.from_coeffs(0, [Fraction(2, 3), Fraction(4, 9)]), 2 ** 10))
+@example((LaurentPoly.from_coeffs(1, [6, -10]), Fraction(-7, 2)))
+@example((LaurentPoly.from_coeffs(1, [Fraction(1, 3)]), 0))
+def test_scale_is_the_normalized_product(case):
+    f, c = case
+    got = f.scale(c)
+    assert oracle.to_dict(got) == {e: x * c for e, x in oracle.to_dict(f).items() if c}
+    assert_normalized(got)
 
 
 # -- the incremental contractivity search ----------------------------------------

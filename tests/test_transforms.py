@@ -19,7 +19,7 @@ import subsmooth.vector_smoothing as vector_module
 from subsmooth import (ConsistencyError, EigenspaceError, EmptyEigenspaceError,
                        Eigenstructure, LaurentPoly, Mask, NotDivisibleError, RatMatrix,
                        SubsmoothError, SymbolMatrix, WorkBudgetError,
-                       canonical_transform, catalog, common_one_eigenspace,
+                       canonical_transform, catalog, certify_vector, common_one_eigenspace,
                        conjugate, derived, difference_operator, hermite_mask, invert,
                        inverse_taylor, maskfile, scalar_mask,
                        smooth_hermite, smooth_raw, smooth_vector,
@@ -339,6 +339,25 @@ def test_vector_round_eliminations(monkeypatch):
         seen.append(dict(counts))
         counts.update(eliminate=0, invert=0)
     assert seen == [{"eliminate": 4, "invert": 0}] + [{"eliminate": 3, "invert": 0}] * 2
+
+
+def test_rounds_and_descents_evaluate_each_mask_at_one_once(monkeypatch):
+    """The 1-eigenspace keeps A(1) and the canonical transform reads its rows
+    there: three vector rounds evaluate the input and each result once, and
+    so do the three descents of a certificate search."""
+    seen = []
+    real = SymbolMatrix.evaluate
+    monkeypatch.setattr(SymbolMatrix, "evaluate",
+                        lambda sym, x: (x == 1 and seen.append(sym)) or real(sym, x))
+    rng = random.Random(3)
+    for mask in (catalog.get("double-knot"), rand_convergent_style_mask(rng, 3, 2)):
+        seen.clear()
+        for _ in range(3):
+            mask = smooth_vector(mask)
+        assert len(seen) == len(set(seen)) == 4
+    seen.clear()
+    certify_vector(catalog.get("double-knot"), 2, 4)
+    assert len(seen) == len(set(seen)) == 3
 
 
 def test_vector_round_computes_each_eigenspace_once(monkeypatch):
