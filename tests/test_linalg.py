@@ -244,6 +244,8 @@ def test_stored_rows_are_in_lowest_terms_and_give_back_the_entries(a, b, c):
         assert (m.rows, m.cols) == (rows, cols)
         assert m.entries == tuple(Fraction(x) for x in xs)
         assert [m[i, j] for i in range(rows) for j in range(cols)] == list(m.entries)
+        # show and repr print the rows' own strings: str() of each entry
+        assert sum(m._strings(), []) == [str(x) for x in m.entries]
         assert_lowest_terms(m)
         assert_lowest_terms(m.scale(c))
         assert m.scale(c).entries == tuple(c * x for x in m.entries)
