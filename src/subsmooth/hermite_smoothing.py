@@ -67,34 +67,37 @@ def check_spectral(mask: Mask) -> SpectralReport:
     """
     if mask.p != 2:
         raise ValueError("spectral condition applies to 2x2 masks")
-    s = mask.symbol
-    a11, a12, a21, a22 = s[0, 0], s[0, 1], s[1, 0], s[1, 1]
+    (a11, a12), (a21, a22) = mask.symbol.entries
+    # each condition times the denominators of its entries, so that it compares integers
+    d11, d12, d21, d22 = a11.den, a12.den, a21.den, a22.den
     violated = []
-    if not (a11.evaluate(1) == 2 and a11.evaluate(-1) == 0):
+    if not (a11._sum_at(1) == 2 * d11 and a11._sum_at(-1) == 0):
         violated.append(1)
-    if not (a21.evaluate(1) == 0 and a21.evaluate(-1) == 0):
+    if not (a21._sum_at(1) == 0 and a21._sum_at(-1) == 0):
         violated.append(2)
-    if not (a11.derivative_at(-1) + 2 * a12.evaluate(-1) == 0):
+    if not a11._slope_at(-1) * d12 + 2 * a12._sum_at(-1) * d11 == 0:
         violated.append(3)
-    if not (a21.derivative_at(1) - 2 * a22.evaluate(1) == -2
-            and a21.derivative_at(-1) + 2 * a22.evaluate(-1) == 0):
+    if not (a21._slope_at(1) * d22 - 2 * a22._sum_at(1) * d21 == -2 * d21 * d22
+            and a21._slope_at(-1) * d22 + 2 * a22._sum_at(-1) * d21 == 0):
         violated.append(4)
     return SpectralReport(holds=not violated, violated=tuple(violated))
 
 
 def check_interpolatory(mask: Mask) -> bool:
     """True iff the coefficient at index 0 is diag(1, 1/2) and every other
-    even-indexed coefficient vanishes."""
+    even-indexed coefficient vanishes, read off each entry's even-index
+    numerators."""
     if mask.p != 2:
         raise ValueError("interpolatory check applies to 2x2 masks")
-    s = mask.support
-    if s is None:
+    if mask.support is None:
         return False
-    d = RatMatrix.from_rows([[1, 0], [0, HALF]])
-    if mask.coefficient(0) != d:
-        return False
-    for i in range(s[0], s[1] + 1):
-        if i != 0 and i % 2 == 0 and not mask.coefficient(i).is_zero():
+    (a11, a12), (a21, a22) = mask.symbol.entries
+    for e, (n, d) in ((a11, (1, 1)), (a12, (0, 1)), (a21, (0, 1)), (a22, (1, 2))):
+        evens = list(e.nums[e.lo % 2::2])  # the exponents lo + lo % 2, ..., step 2
+        at0 = 0
+        if 0 <= (k := -(e.lo + e.lo % 2) // 2) < len(evens):
+            at0, evens[k] = evens[k], 0
+        if at0 * d != n * e.den or any(evens):
             return False
     return True
 
@@ -193,9 +196,8 @@ def smooth_hermite(mask: Mask) -> Mask:
 def zeta_of(mask: Mask) -> Fraction:
     """Re-normalization constant a smoothing round on this Hermite mask
     uses: zeta = 1 + a12(1)/(2 - a22(1))."""
-    a12 = mask.symbol[0, 1].evaluate(1)
-    a22 = mask.symbol[1, 1].evaluate(1)
-    if a22 == 2:
+    a12, a22 = mask.symbol[0, 1], mask.symbol[1, 1]
+    gap = 2 * a22.den - a22._sum_at(1)  # (2 - a22(1)) * a22.den
+    if not gap:
         raise DegenerateAError("zeta undefined: a22(1) = 2")
-    return 1 + a12 / (2 - a22)
-
+    return Fraction(a12.den * gap + a12._sum_at(1) * a22.den, a12.den * gap)

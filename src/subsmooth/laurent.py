@@ -24,7 +24,11 @@ Each of these operations first prices its pairs (``_charge``) against
 MAX_WORK, calibrated in README "Command line"; the price counts the term
 products of the terms both strategies loop over (``_loops_over_f``),
 whichever runs.  Rationals appear only at the boundary: ``coeff``,
-``coeffs``, ``evaluate`` and ``derivative_at`` return Fractions.
+``coeffs``, ``evaluate`` and ``derivative_at`` return Fractions.  Text does
+not go through them: ``str()`` prints each term from its numerator with one
+gcd, mask files are read into and written from the triples (``maskfile``),
+and the spectral checks compare the integer sums ``_sum_at`` and
+``_slope_at``, den times a value or a derivative at 1 or -1.
 
 Operator symbols are data: intertwine and untwine are one product by the
 operator's terms and one triangular solve by it (``_twine``), dividing only
@@ -41,8 +45,8 @@ import sys
 from array import array
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from itertools import chain, islice, repeat
-from operator import add, sub
+from itertools import chain, count, islice, repeat
+from operator import add, mul, sub
 from struct import iter_unpack
 from types import MappingProxyType
 
@@ -386,17 +390,18 @@ class LaurentPoly:
         """Exact value at x = 1 or x = -1, the only points the calculus reads."""
         return Fraction(self._sum_at(x), self.den)
 
+    def _slope_at(self, x) -> int:
+        """den * self'(x) at x = 1 or x = -1: the numerators weighed by their
+        exponents e, and by (-1)**(e - 1) at -1."""
+        if x == 1:
+            return sum(map(mul, self.nums, count(self.lo)))
+        if x == -1:  # (-1)**(e-1) = -1 for even exponents e
+            return sum(e * c if e % 2 else -e * c for e, c in enumerate(self.nums, self.lo))
+        raise ValueError(f"derivative_at is defined at 1 and -1 only, got {x}")
+
     def derivative_at(self, x) -> Fraction:
         """Exact derivative at x = 1 or x = -1."""
-        lo = self.lo
-        if x == 1:
-            return Fraction(sum((lo + i) * c for i, c in enumerate(self.nums)),
-                            self.den)
-        if x == -1:  # (-1)**(e-1) = -1 for even exponents e
-            s = sum((lo + i) * c if (lo + i) % 2 else -(lo + i) * c
-                    for i, c in enumerate(self.nums))
-            return Fraction(s, self.den)
-        raise ValueError(f"derivative_at is defined at 1 and -1 only, got {x}")
+        return Fraction(self._slope_at(x), self.den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LaurentPoly) and self.nums == other.nums
@@ -409,29 +414,20 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
     def __str__(self) -> str:
+        """Terms by rising exponent, each coefficient in lowest terms from one gcd:
+        c*z^e, z^e for c = 1, c for e = 0, joined by + and - (z^1 is z)."""
         if not self.nums:
             return "0"
-        parts = []
-        for i, x in enumerate(self.nums):
-            if not x:
-                continue
-            e = self.lo + i
-            c = Fraction(x, self.den)
-            if e == 0:
-                term = str(c)
-            else:
-                zpow = "z" if e == 1 else f"z^{e}"
-                if c == 1:
-                    term = zpow
-                elif c == -1:
-                    term = f"-{zpow}"
-                else:
-                    term = f"{c}*{zpow}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        den, out = self.den, []
+        for e, x in enumerate(self.nums, self.lo):
+            if x:
+                g = math.gcd(x, den)
+                n, d = abs(x) // g, den // g
+                c = str(n) if d == 1 else f"{n}/{d}"
+                z = "z" if e == 1 else f"z^{e}"
+                out += " - " if x < 0 else " + ", c if e == 0 else z if c == "1" else f"{c}*{z}"
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
 
 
 _ZERO = _raw(0, (), 1)

@@ -5,8 +5,20 @@ serialization is byte-stable: keys sorted, fixed indentation, rationals
 reduced with positive denominator, support trimmed to the true window.
 Parsing is strict: a rational is an integer or p/q in lowest terms with
 q > 0 and at most 1000 characters, integer fields reject JSON booleans,
-a mask has at least one nonzero coefficient, and p is at most 5, because
-exact elimination over long entries slows down fast as p grows.
+a mask has at least one nonzero coefficient, only hermite masks carry phi,
+and p is at most 5, because exact elimination over long entries slows down
+fast as p grows.
+
+Cells are read and written as integers, with no Fraction per coefficient.
+parse checks the rationals in index, row, column order into numerators and
+denominators (_ratios), formatting a cell's name coeffs[i][r][c] only to
+refuse it, and puts each entry's numerators over the lcm of its
+denominators: the (lo, nums, den) triple of laurent.  serialize reduces each
+cell from its entry's numerators with one gcd, refuses a cell parse would
+refuse by its bit length before str() sees it, and writes the text that
+json.dumps(doc, sort_keys=True, indent=2) gives, from one template: its
+strings hold only digits, - and /, and its keys come in a fixed order.
+tests/maskfile_oracle.py keeps the Fraction and json.dumps versions.
 
 Schema (version 1):
     {
@@ -25,9 +37,11 @@ import json
 import math
 import re
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import floordiv
 
 from .errors import MaskFileError, SubsmoothError
-from .laurent import LaurentPoly, SymbolMatrix
+from .laurent import _normalize, _symbol
 from .masks import Kind, Mask, hermite_mask, scalar_mask, vector_mask
 
 SCHEMA_VERSION = 1
@@ -45,50 +59,64 @@ _SHORT_BITS = (10 ** ((_MAX_RATIONAL_CHARS - 2) // 2)).bit_length() - 1
 _MAX_P = 5
 
 
-def _writable(x: Fraction, where: str) -> str:
-    """str(x), refused by name when parse would refuse its length;
-    a value of over 4 * _MAX_RATIONAL_CHARS bits is refused before str()."""
-    if (max(abs(x.numerator), x.denominator).bit_length() <= 4 * _MAX_RATIONAL_CHARS
-            and len(s := str(x)) <= _MAX_RATIONAL_CHARS):
+def _writable(n: int, d: int, where: str) -> str:
+    """str(Fraction(n, d)) for n / d in lowest terms, d > 0, refused by name when
+    parse would refuse its length; a value of over 4 * _MAX_RATIONAL_CHARS bits
+    is refused before str()."""
+    if (max(abs(n), d).bit_length() <= 4 * _MAX_RATIONAL_CHARS
+            and len(s := str(n) if d == 1 else f"{n}/{d}") <= _MAX_RATIONAL_CHARS):
         return s
     raise SubsmoothError(f"{where}: rational longer than {_MAX_RATIONAL_CHARS} "
                          "characters, which a mask file cannot hold")
 
 
-def check_writable(mask: Mask) -> None:
-    """serialize's SubsmoothError for a rational too long for a mask file, serializing
-    only when a numerator or denominator of phi or the symbol has over _SHORT_BITS bits."""
+def _long(mask: Mask) -> bool:
+    """Whether a numerator or denominator of phi or of the symbol has over
+    _SHORT_BITS bits; without one, every rational of the mask's file fits."""
     n, d = (mask.phi or 0).as_integer_ratio()
     top = max(abs(n), d)  # the largest numerator or denominator, off each entry's max and min
     for row in mask.symbol.entries:
         for e in row:
             if e.nums:
                 top = max(top, e.den, max(e.nums), -min(e.nums))
-    if top.bit_length() > _SHORT_BITS:
+    return top.bit_length() > _SHORT_BITS
+
+
+def check_writable(mask: Mask) -> None:
+    """serialize's SubsmoothError for a rational too long for a mask file, serializing
+    only when _long(mask)."""
+    if _long(mask):
         serialize(mask)
 
 
-def _str_to_rat(s, where: str) -> Fraction:
-    """Parse an integer or p/q in lowest terms with q > 0, at most
-    _MAX_RATIONAL_CHARS characters; reject everything else."""
-    if not isinstance(s, str):
-        raise MaskFileError(f"{where}: rationals must be strings, got {s!r}")
-    if len(s) > _MAX_RATIONAL_CHARS:
-        raise MaskFileError(f"{where}: rational longer than "
-                            f"{_MAX_RATIONAL_CHARS} characters")
-    m = _RATIONAL.fullmatch(s)
-    if m is None:
-        raise MaskFileError(f"{where}: invalid rational {s!r} "
-                            "(expected an integer or p/q)")
-    num = int(m[1])
-    if m[2] is None:
-        return Fraction(num)
-    den = int(m[2])
-    if den == 0:
-        raise MaskFileError(f"{where}: invalid rational {s!r} (zero denominator)")
-    if math.gcd(num, den) != 1:
+def _ratios(values, name) -> tuple[list[int], list[int]]:
+    """The numerators and denominators of the mask-file rationals in values, each
+    an integer or p/q in lowest terms with q > 0 and at most _MAX_RATIONAL_CHARS
+    characters, checked in order.  The first value that is not one is a
+    MaskFileError named name(k), k its position, formatted only then."""
+    nums, dens = [], []
+    for s in values:
+        m = (_RATIONAL.fullmatch(s) if isinstance(s, str) and len(s) <= _MAX_RATIONAL_CHARS
+             else None)
+        if m is not None:
+            n, d = int(m[1]), int(m[2] or 1)
+            if d and math.gcd(n, d) == 1:
+                nums.append(n)
+                dens.append(d)
+                continue
+        where = name(len(nums))
+        if not isinstance(s, str):
+            raise MaskFileError(f"{where}: rationals must be strings, got {s!r}")
+        if len(s) > _MAX_RATIONAL_CHARS:
+            raise MaskFileError(f"{where}: rational longer than "
+                                f"{_MAX_RATIONAL_CHARS} characters")
+        if m is None:
+            raise MaskFileError(f"{where}: invalid rational {s!r} "
+                                "(expected an integer or p/q)")
+        if not d:
+            raise MaskFileError(f"{where}: invalid rational {s!r} (zero denominator)")
         raise MaskFileError(f"{where}: rational {s!r} is not in lowest terms")
-    return Fraction(num, den)
+    return nums, dens
 
 
 def _int_field(doc: dict, key: str):
@@ -107,18 +135,27 @@ def serialize(mask: Mask) -> str:
     if mask.support is None:
         raise SubsmoothError("the zero mask has no mask file")
     lo, hi = mask.support
-    coeffs = [[[_writable(sym[r, c].coeff(i), f"coeffs[{i - lo}][{r}][{c}]")
-                for c in range(p)] for r in range(p)] for i in range(lo, hi + 1)]
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": mask.kind.value,
-        "p": mask.p,
-        "support_lo": lo,
-        "coeffs": coeffs,
-    }
-    if mask.kind is Kind.HERMITE:
-        doc["phi"] = _writable(mask.phi, "phi")
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    cells = []  # per entry, row by row: the reduced numerators and denominators at lo..hi
+    for row in sym.entries:
+        for e in row:
+            xs = ([*repeat(0, e.lo - lo), *e.nums, *repeat(0, hi + 1 - e.lo - len(e.nums))]
+                  if e.nums else [0] * (hi + 1 - lo))
+            gs = list(map(math.gcd, xs, repeat(e.den)))
+            cells += list(map(floordiv, xs, gs)), list(map(e.den.__floordiv__, gs))
+    if _long(mask):  # refuse the first cell, index by index, that parse would refuse
+        for i, cell in enumerate(zip(*cells)):
+            for k in range(p * p):
+                _writable(cell[2 * k], cell[2 * k + 1], f"coeffs[{i}][{k // p}][{k % p}]")
+    # the layout of json.dumps(doc, sort_keys=True, indent=2): each cell "p/q", then
+    # "/1" dropped as str() drops it; json.dumps writes -, / and digits as they are
+    row = '      [\n' + ',\n'.join(['        "%d/%d"'] * p) + '\n      ]'
+    mat = '    [\n' + ',\n'.join([row] * p) + '\n    ]'
+    body = ',\n'.join([mat] * (hi - lo + 1)) % tuple(chain.from_iterable(zip(*cells)))
+    phi = (f'  "phi": "{_writable(*mask.phi.as_integer_ratio(), "phi")}",\n'
+           if mask.kind is Kind.HERMITE else "")
+    return ('{\n  "coeffs": [\n' + body.replace('/1"', '"') + '\n  ],\n'
+            f'  "kind": "{mask.kind.value}",\n  "p": {p},\n{phi}'
+            f'  "schema_version": {SCHEMA_VERSION},\n  "support_lo": {lo}\n}}\n')
 
 
 def parse(text: str) -> Mask:
@@ -165,29 +202,35 @@ def parse(text: str) -> Mask:
                 and all(isinstance(row, list) and len(row) == p for row in mat)):
             raise MaskFileError(f"coeffs[{idx}]: expected a {p}x{p} array")
     # the shapes are checked first, so a huge p costs no more than the file
-    vals = [[[_str_to_rat(x, f"coeffs[{idx}][{r}][{c}]") for c, x in enumerate(row)]
-             for r, row in enumerate(mat)] for idx, mat in enumerate(coeffs)]
-    sym = SymbolMatrix([[LaurentPoly.from_coeffs(lo, [v[r][c] for v in vals])
-                         for c in range(p)] for r in range(p)])
+    pp = p * p
+    nums, dens = _ratios(chain.from_iterable(chain.from_iterable(coeffs)),
+                         lambda k: f"coeffs[{k // pp}][{k // p % p}][{k % p}]")
+    entries = []  # entry k of the p x p, row by row, on the lcm of its denominators
+    for k in range(pp):
+        ds = dens[k::pp]
+        den = math.lcm(*ds)
+        entries.append(_normalize(lo, [x if d == den else x * (den // d)
+                                       for x, d in zip(nums[k::pp], ds)], den))
+    sym = _symbol(tuple(tuple(entries[r:r + p]) for r in range(0, pp, p)))
     if sym.is_zero():
         raise MaskFileError("coeffs: expected at least one nonzero coefficient")
 
+    if kind is not Kind.HERMITE and "phi" in doc:
+        raise MaskFileError("phi: only hermite masks carry phi")
     if kind is Kind.SCALAR:
         return scalar_mask(sym[0, 0])
     if kind is Kind.VECTOR:
-        if "phi" in doc:
-            raise MaskFileError("phi: only hermite masks carry phi")
         if p > _MAX_P:  # checked last, so other faults keep their messages
             raise MaskFileError(f"p: {p} is over the mask-file limit of {_MAX_P}")
         return vector_mask(sym)
 
     if "phi" not in doc:
         raise MaskFileError("phi: required for hermite masks")
-    phi = _str_to_rat(doc["phi"], "phi")
+    (n,), (d,) = _ratios((doc["phi"],), lambda k: "phi")
     mask = hermite_mask(sym)
-    if phi != mask.phi:
+    if (n, d) != mask.phi.as_integer_ratio():
         raise MaskFileError(
-            f"phi: stored value {phi} disagrees with the symbol "
+            f"phi: stored value {Fraction(n, d)} disagrees with the symbol "
             f"(linear reproduction gives {mask.phi})")
     return mask
 

@@ -95,9 +95,9 @@ def derive_phi(symbol: SymbolMatrix) -> Fraction:
     """Shift parameter from the linear-reproduction equality:
     phi = (a11'(1) - 2*a12(1)) / 2.  Meaningful under the spectral condition,
     but computable for any 2x2 symbol."""
-    a11 = symbol[0, 0]
-    a12 = symbol[0, 1]
-    return (a11.derivative_at(1) - 2 * a12.evaluate(1)) / 2
+    a11, a12 = symbol[0, 0], symbol[0, 1]
+    return Fraction(a11._slope_at(1) * a12.den - 2 * a12._sum_at(1) * a11.den,
+                    2 * a11.den * a12.den)
 
 
 def hermite_mask(symbol: SymbolMatrix) -> Mask:

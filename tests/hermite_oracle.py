@@ -12,6 +12,10 @@ the shear and the inverse factorization.
 
 ``zeta_multiplicity_forecast`` predicts how many rounds keep zeta = 1 from
 the root multiplicity at 1 of the coupling entry a12.
+
+``spectral_report``, ``interpolatory``, ``phi_value`` and ``zeta_value`` read
+the symbol's values, derivatives and coefficients as Fractions; the package
+compares integer sums against multiples of the entries' denominators.
 """
 
 from __future__ import annotations
@@ -170,3 +174,42 @@ def _closed_form_special(s: SymbolMatrix) -> SymbolMatrix:
             - a12 * zinv_minus_2 * zinv2_minus_2) * ZINV2_MINUS_1).scale(HALF)
     c22 = (a22 - a12 * zinv_minus_2).scale(HALF)
     return SymbolMatrix(((c11, c12), (c21, c22)))
+
+
+def spectral_report(mask: Mask) -> tuple[bool, tuple[int, ...]]:
+    """check_spectral's (holds, violated) from Fraction values and derivatives."""
+    s = mask.symbol
+    a11, a12, a21, a22 = s[0, 0], s[0, 1], s[1, 0], s[1, 1]
+    violated = []
+    if not (a11.evaluate(1) == 2 and a11.evaluate(-1) == 0):
+        violated.append(1)
+    if not (a21.evaluate(1) == 0 and a21.evaluate(-1) == 0):
+        violated.append(2)
+    if not (a11.derivative_at(-1) + 2 * a12.evaluate(-1) == 0):
+        violated.append(3)
+    if not (a21.derivative_at(1) - 2 * a22.evaluate(1) == -2
+            and a21.derivative_at(-1) + 2 * a22.evaluate(-1) == 0):
+        violated.append(4)
+    return not violated, tuple(violated)
+
+
+def interpolatory(mask: Mask) -> bool:
+    """check_interpolatory from the RatMatrix coefficient at each even index."""
+    s = mask.support
+    if s is None:
+        return False
+    if mask.coefficient(0) != RatMatrix.from_rows([[1, 0], [0, HALF]]):
+        return False
+    return all(mask.coefficient(i).is_zero() for i in range(s[0], s[1] + 1)
+               if i != 0 and i % 2 == 0)
+
+
+def phi_value(symbol: SymbolMatrix) -> Fraction:
+    """derive_phi: (a11'(1) - 2 a12(1)) / 2."""
+    return (symbol[0, 0].derivative_at(1) - 2 * symbol[0, 1].evaluate(1)) / 2
+
+
+def zeta_value(mask: Mask) -> Fraction | None:
+    """zeta_of: 1 + a12(1)/(2 - a22(1)), None where a22(1) = 2."""
+    a12, a22 = mask.symbol[0, 1].evaluate(1), mask.symbol[1, 1].evaluate(1)
+    return None if a22 == 2 else 1 + a12 / (2 - a22)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subsmooth
-from subsmooth import (Z_PLUS_1, ConsistencyError, FinSeq, LaurentPoly,
+from subsmooth import (Z_PLUS_1, ConsistencyError, FinSeq, Kind, LaurentPoly,
                        MaskFileError, Refusal, SubsmoothError, SymbolMatrix,
                        catalog, certify_vector, hermite_mask, maskfile, render,
                        scalar_mask, smooth_hermite, smooth_raw, vector_mask)
@@ -25,6 +25,7 @@ from subsmooth import laurent, refine
 from subsmooth.laurent import MAX_WORK
 from subsmooth.refine import MAX_LMAX, MAX_RENDER_ROWS, MAX_ROUNDS, MAX_SYMBOL_TERMS
 
+from tests import maskfile_oracle, maskgen
 from tests.maskgen import long_denominator_doc
 
 
@@ -190,6 +191,114 @@ def _mutated_samples(draw):
 @given(st.one_of(st.text(), _mask_docs(), _mutated_samples()))
 def test_any_text_round_trips_or_raises_mask_file_error(text):
     _check_round_trip(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.text(), _mask_docs(), _mutated_samples()))
+def test_parse_matches_the_fraction_oracle(text):
+    """parse, on integer numerators, gives the Fraction oracle's mask or
+    its MaskFileError word for word."""
+    try:
+        want = maskfile_oracle.parse(text)
+    except MaskFileError as exc:
+        with pytest.raises(MaskFileError) as err:
+            maskfile.parse(text)
+        assert str(err.value) == str(exc)
+    else:
+        assert maskfile.parse(text) == want
+
+
+@pytest.mark.parametrize("phi", ["0", "banana", None])
+def test_scalar_file_with_phi_refused(phi):
+    """Only hermite files carry phi, whatever its value; a vector file with
+    phi was refused before, now a scalar file is too, in the same words."""
+    for kind, p, coeffs in (("scalar", 1, [[["1/2"]], [["1/2"]]]),
+                            ("vector", 2, [[["1", "0"], ["0", "1"]]] * 2)):
+        doc = {"schema_version": 1, "kind": kind, "p": p, "support_lo": 0,
+               "coeffs": coeffs, "phi": phi}
+        with pytest.raises(MaskFileError) as err:
+            maskfile.parse(json.dumps(doc))
+        assert str(err.value) == "phi: only hermite masks carry phi"
+        del doc["phi"]
+        assert maskfile.parse(json.dumps(doc)).kind.value == kind
+
+
+def _generated_masks():
+    """Masks of tests/maskgen's seeded generators, each kind and shape."""
+    rng = random.Random(28)
+    out = [maskgen.rand_spectral_mask(rng) for _ in range(6)]
+    out += [maskgen.rand_spectral_mask(rng, zeta_one=True) for _ in range(2)]
+    out += [maskgen.rand_taylor_mask(rng) for _ in range(4)]
+    out += [maskgen.rand_derivable_mask(rng, p, k) for p, k in ((1, 1), (2, 1), (3, 2))]
+    out += [maskgen.rand_convergent_style_mask(rng, p, k) for p, k in ((2, 1), (3, 1), (4, 2))]
+    out += [maskgen.long_spectral_mask(seed, 40, 3) for seed in range(2)]
+    return out + [maskgen.not_in_tilde_mask(), maskgen.smoothed("merrien", 3)]
+
+
+def test_serialize_matches_the_fraction_oracle():
+    """serialize writes json.dumps(sort_keys=True, indent=2) of str() of
+    each Fraction, byte for byte, without either."""
+    masks = [catalog.get(n) for n in ("bspline0", "bspline1", "bspline5", "double-knot",
+                                      "merrien", "derham", "merrien-smoothed",
+                                      "derham-smoothed")]
+    masks += _generated_masks() + [merrien_64_rounds(), big_coefficient_mask(),
+                                   long_value_mask(), dense_vector_mask()]
+    masks += [maskfile.parse(long_denominator_doc(p)) for p in (1, 2, 3)]
+    for mask in masks:
+        assert maskfile.serialize(mask) == maskfile_oracle.serialize(mask)
+
+
+def _long_cell_masks():
+    """Masks with a rational of 1001 characters, or of 5000 digits, in one
+    cell or several; and a Hermite mask whose entries fit but whose phi,
+    over the product of two 1600-bit denominators, does not."""
+    over, huge = Fraction(-10 ** 997 - 1, 2), 10 ** 5000
+    yield scalar_mask(LaurentPoly({0: 1, 1: over}))
+    yield scalar_mask(LaurentPoly({-3: huge, 0: 1, 2: over}))
+    for r, c, i in ((0, 0, 0), (1, 0, 0), (0, 1, 2), (1, 1, 1)):
+        rows = [[LaurentPoly({0: 1, 2: 1}), LaurentPoly({1: 1})] for _ in range(2)]
+        rows[r][c] = LaurentPoly({0: 1, 1: 1, i: over})
+        yield vector_mask(SymbolMatrix(rows))
+        rows[1 - r][c] = LaurentPoly({2: huge})
+        yield vector_mask(SymbolMatrix(rows))
+    a, b = 2 ** 1600 + 1, 2 ** 1600 + 3
+    yield hermite_mask(SymbolMatrix([[LaurentPoly({1: Fraction(1, a)}),
+                                      LaurentPoly({0: Fraction(1, b)})],
+                                     [LaurentPoly({0: 1}), LaurentPoly({1: 1})]]))
+
+
+@pytest.mark.parametrize("mask", list(_long_cell_masks()))
+def test_too_long_rational_refusals_name_the_oracles_cell(mask):
+    with pytest.raises(SubsmoothError) as want:
+        maskfile_oracle.serialize(mask)
+    with pytest.raises(SubsmoothError) as err:
+        maskfile.serialize(mask)
+    assert str(err.value) == str(want.value)
+    assert "rational longer than 1000 characters" in str(err.value)
+    assert str(err.value).startswith("phi: ") == (mask.kind is Kind.HERMITE)
+    with pytest.raises(SubsmoothError) as err:
+        maskfile.check_writable(mask)
+    assert str(err.value) == str(want.value)
+
+
+@pytest.mark.parametrize("terms,text", [
+    ({}, "0"), ({0: 1}, "1"), ({0: -1}, "-1"), ({1: 1}, "z"), ({1: -1}, "-z"),
+    ({-1: 1}, "z^-1"), ({-1: -1}, "-z^-1"), ({0: 3, 1: -3}, "3 - 3*z"),
+    ({-1: "-1/2", 0: 2, 1: "1/3"}, "-1/2*z^-1 + 2 + 1/3*z"),
+    ({-2: "2/4", 2: "-6/4"}, "1/2*z^-2 - 3/2*z^2"), ({5: -1, 7: 1}, "-z^5 + z^7")])
+def test_str_of_polynomials(terms, text):
+    f = LaurentPoly(terms)
+    assert str(f) == maskfile_oracle.poly_str(f) == text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.dictionaries(st.integers(-3, 3), st.integers(-4, 4) | st.fractions(
+    -3, 3, max_denominator=6) | st.sampled_from([1, -1, 10 ** 30 + 1]), max_size=5))
+def test_str_matches_the_fraction_oracle(terms):
+    """Signs, integer and +-1 coefficients, exponents 0, 1 and -1: str()
+    from one gcd per term equals the oracle's Fractions."""
+    f = LaurentPoly(terms)
+    assert str(f) == maskfile_oracle.poly_str(f)
 
 
 def dense_vector_mask():

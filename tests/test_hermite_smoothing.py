@@ -11,10 +11,11 @@ from subsmooth import (TAYLOR_OPERATOR, ConsistencyError, DegenerateAError, Kind
                        LaurentPoly, NotInTildeError, SpectralConditionError,
                        SubsmoothError, SymbolMatrix, WorkBudgetError, catalog,
                        check_interpolatory, check_spectral, check_taylor,
-                       common_one_eigenspace, hermite_mask, intertwine,
+                       common_one_eigenspace, derive_phi, hermite_mask, intertwine,
                        inverse_taylor, smooth_hermite, taylor_scheme, vector_mask,
                        ZINV_MINUS_1, zeta_of)
 
+from tests import hermite_oracle
 from tests.hermite_oracle import (smooth_hermite_closed_form,
                                   smooth_hermite_three_steps,
                                   zeta_multiplicity_forecast)
@@ -68,6 +69,83 @@ class TestInterpolatory:
 
     def test_smoothed_merrien_is_not(self):
         assert not check_interpolatory(catalog.get("merrien-smoothed"))
+
+
+def _spectral_cases():
+    """(mask, violated) for masks of tests/maskgen, the groups a spectral mask
+    violates once one entry is mutated: a constant added to a11 breaks (1)
+    alone, to a21 (2), to a12 (3) and to a22 (4); None where the groups are
+    left to the oracle, for masks drawn without the condition or given one
+    random term."""
+    rng = random.Random(28)
+    spectral = [catalog.get(n) for n in HERMITE_CATALOG]
+    spectral += [rand_spectral_mask(rng) for _ in range(8)]
+    spectral += [rand_spectral_mask(rng, zeta_one=True) for _ in range(2)]
+    spectral += [not_in_tilde_mask(), long_spectral_mask(0, 40, 3)]
+    cases = [(m, ()) for m in spectral]
+    cases += [(rand_taylor_mask(rng), None) for _ in range(4)]
+    cases.append((vector_mask(sym2(*[rand_laurent(rng) for _ in range(4)])), None))
+    for m in spectral:
+        for (r, c), group in (((0, 0), 1), ((1, 0), 2), ((0, 1), 3), ((1, 1), 4)):
+            for term, want in (
+                    ({0: Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))},
+                     (group,)),
+                    ({rng.randint(-4, 4): Fraction(rng.randint(-3, 3), rng.randint(1, 3))}, None)):
+                entries = [list(row) for row in m.symbol.entries]
+                entries[r][c] = entries[r][c] + LP(term)
+                cases.append((hermite_mask(SymbolMatrix(entries)), want))
+    return cases
+
+
+def _interpolatory_cases():
+    """(mask, interpolatory): the coefficient diag(1, 1/2) at 0 and random
+    odd-index terms, then one even-index coefficient made nonzero or the one
+    at 0 moved, in each entry."""
+    rng = random.Random(29)
+    cases = [(catalog.get(n), n == "merrien") for n in HERMITE_CATALOG]
+    for _ in range(6):
+        entries = [[LP({e: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                        for e in rng.sample(range(-5, 6, 2), rng.randint(0, 3))})
+                    for _ in range(2)] for _ in range(2)]
+        entries[0][0] = entries[0][0] + LP({0: 1})
+        entries[1][1] = entries[1][1] + LP({0: Fraction(1, 2)})
+        cases.append((hermite_mask(SymbolMatrix(entries)), True))
+        for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            for e in (0, rng.choice((-4, -2, 2, 4))):
+                bad = [list(row) for row in entries]
+                bad[r][c] = bad[r][c] + LP({e: Fraction(rng.randint(1, 3), rng.randint(1, 3))})
+                cases.append((hermite_mask(SymbolMatrix(bad)), False))
+    return cases
+
+
+class TestSpectralChecksAgainstFractions:
+    """check_spectral and check_interpolatory compare integer sums and
+    numerators; derive_phi and zeta_of build one Fraction each.  The
+    oracle reads values, derivatives and coefficients as Fractions."""
+
+    @pytest.mark.parametrize("mask,violated", _spectral_cases())
+    def test_spectral_report(self, mask, violated):
+        want = hermite_oracle.spectral_report(mask)
+        assert check_spectral(mask) == want
+        if violated is not None:
+            assert want == (not violated, violated)
+        assert derive_phi(mask.symbol) == hermite_oracle.phi_value(mask.symbol)
+        zeta = hermite_oracle.zeta_value(mask)
+        if zeta is None:
+            with pytest.raises(DegenerateAError):
+                zeta_of(mask)
+        else:
+            assert zeta_of(mask) == zeta
+
+    @pytest.mark.parametrize("mask,interpolatory", _interpolatory_cases())
+    def test_interpolatory(self, mask, interpolatory):
+        assert check_interpolatory(mask) == hermite_oracle.interpolatory(mask) == interpolatory
+
+    def test_degenerate_zeta(self):
+        m = hermite_mask(sym2(LP({0: 1, 1: 1}), LP({0: 1}), LP(), LP({0: 1, 1: 1})))
+        assert hermite_oracle.zeta_value(m) is None
+        with pytest.raises(DegenerateAError, match="a22"):
+            zeta_of(m)
 
 
 class TestTaylorScheme:
