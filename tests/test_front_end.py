@@ -210,8 +210,8 @@ def test_parse_matches_the_fraction_oracle(text):
 
 @pytest.mark.parametrize("phi", ["0", "banana", None])
 def test_scalar_file_with_phi_refused(phi):
-    """Only hermite files carry phi, whatever its value; a vector file with
-    phi was refused before, now a scalar file is too, in the same words."""
+    """Only hermite files carry phi: a scalar or vector file with a phi key
+    is refused in the same words, whatever its value, and parses without it."""
     for kind, p, coeffs in (("scalar", 1, [[["1/2"]], [["1/2"]]]),
                             ("vector", 2, [[["1", "0"], ["0", "1"]]] * 2)):
         doc = {"schema_version": 1, "kind": kind, "p": p, "support_lo": 0,
