@@ -63,8 +63,9 @@ def cmd_show(args) -> int:
     out.append("symbol:")
     for i in range(mask.p):
         out.append("  [" + " | ".join(str(sym[i, j]) for j in range(mask.p)) + "]")
-    out.append(f"value at 1:  {_fmt_matrix(sym.evaluate(1))}")
-    out.append(f"value at -1: {_fmt_matrix(sym.evaluate(-1))}")
+    _, a1, a_1 = mask._one_eigenspace  # each value computed once, with the eigenspace
+    out.append(f"value at 1:  {_fmt_matrix(a1)}")
+    out.append(f"value at -1: {_fmt_matrix(a_1)}")
     out.append(f"even/odd mean: {_fmt_matrix(even_odd_mean(mask))}")
     basis = common_one_eigenspace(mask)
     if basis:

@@ -108,12 +108,14 @@ def check_taylor(mask: Mask) -> TaylorReport:
       (2) b22(1) = 2, b22(-1) = 0
       (3) b11(1) + b21(1) = 2
     (1)+(2) say that e2 lies in the common 1-eigenspace; its basis then lists E2.
+    (3) is compared as integers, times the denominators of b11 and b21.
     """
     if mask.p != 2:
         raise ValueError("Taylor conditions apply to 2x2 masks")
     basis = common_one_eigenspace(mask)
-    s = mask.symbol
-    holds = E2 in basis and s[0, 0].evaluate(1) + s[1, 0].evaluate(1) == 2
+    b11, b21 = mask.symbol[0, 0], mask.symbol[1, 0]
+    holds = E2 in basis and (b11._sum_at(1) * b21.den + b21._sum_at(1) * b11.den
+                             == 2 * b11.den * b21.den)
     return TaylorReport(holds_taylor=holds, in_tilde=holds and basis == [E2])
 
 

@@ -19,7 +19,8 @@ kernel has two strategies, chosen by size: below _PACK_MIN term products
 of the other operand into a list of integers (``_schoolbook``); from there
 on, unless an output numerator needs more than _PACK_MAX bytes, it packs the
 operand that each pair does not loop over into one integer by Kronecker
-substitution and adds one multiple of it per looped term (``_kronecker``).
+substitution, adds one multiple of it per looped term and unpacks the sum
+from its first slot that did not cancel (``_kronecker``).
 Each of these operations first prices its pairs (``_charge``) against
 MAX_WORK, calibrated in README "Command line"; the price counts the term
 products of the terms both strategies loop over (``_loops_over_f``),
@@ -173,7 +174,8 @@ def _products(pairs, step: int = 1, factors=None, packs=None) -> "LaurentPoly":
     terms = [(start - lo, a, c, den // d * m) for start, a, c, d, m in terms]
     if work < _PACK_MIN:
         return _normalize(lo, _schoolbook(terms, hi - lo, step), den)
-    return _normalize(lo, _kronecker(terms, hi - lo, step, {} if packs is None else packs), den)
+    skip, nums = _kronecker(terms, hi - lo, step, {} if packs is None else packs)
+    return _normalize(lo + skip, nums, den)
 
 
 def _loops_over_f(a, c) -> bool:
@@ -205,20 +207,24 @@ def _schoolbook(terms, n: int, step: int) -> list:
     return out
 
 
-def _kronecker(terms, n: int, step: int, packs: dict) -> list:
+def _kronecker(terms, n: int, step: int, packs: dict) -> tuple[int, list]:
     """_schoolbook by Kronecker substitution: the operand a pair does not
     loop over, p(z), becomes the integer p(2**w) for a slot width w = 8 * wb
     bits that holds every output numerator with its sign (a bound per pair:
     |k| * max|a| * max|c| * min(len a, len c)), so that each term of the
     looped operand is one integer product, shift and sum.  The sum is
-    unpacked once.  Slots wider than _PACK_MAX bytes go to _schoolbook
-    instead."""
+    unpacked once, from its first slot that did not cancel: slots 0..z-1 are
+    zero exactly when 2**(w z) divides the sum, since each slot is below
+    2**(w - 1) in absolute value, so z is the sum's lowest set bit // w.
+    Returns z and the n - z slots from there on (n and [] for a sum that
+    cancels completely).  Slots wider than _PACK_MAX bytes go to _schoolbook
+    instead, with z = 0."""
     def top(x):  # max |x|, once per operand: an int key, apart from _pack's tuple keys
         return packs.get(id(x)) or packs.setdefault(id(x), max(max(x), -min(x)))
     bound = sum(abs(k) * top(a) * top(c) * min(len(a), len(c)) for _, a, c, k in terms)
     wb = max(-(-(bound.bit_length() + 1) // 8), _WORD)
     if wb > _PACK_MAX:
-        return _schoolbook(terms, n, step)
+        return 0, _schoolbook(terms, n, step)
     w, acc = 8 * wb, 0
     for start, a, c, k in terms:
         if _loops_over_f(a, c):
@@ -228,7 +234,10 @@ def _kronecker(terms, n: int, step: int, packs: dict) -> list:
         for i, x in enumerate(looped):
             if x:
                 acc += x * k * other << w * (start + pitch * i)
-    return _unpack(acc, n, wb)
+    if not acc:
+        return n, []
+    z = ((acc & -acc).bit_length() - 1) // w
+    return z, _unpack(acc >> w * z, n - z, wb)
 
 
 def _pack(nums, wb: int, step: int, packs: dict) -> int:

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from operator import add
+from sys import byteorder
 
 from .errors import EigenspaceError, EmptyEigenspaceError, SingularMatrixError
 from .laurent import LaurentPoly, SymbolMatrix
@@ -42,8 +44,9 @@ class Mask(namedtuple("Mask", "kind symbol")):
     parameter phi is read off its symbol.
 
     Immutable, equal and hashed by its fields; the instance dict holds only
-    the cached 1-eigenspace with A(1), phi and Taylor scheme (hermite_smoothing's;
-    a round's output carries its sheared scheme, eigenspace and all)."""
+    the cached 1-eigenspace with A(1) and A(-1), phi and Taylor scheme
+    (hermite_smoothing's; a round's output carries its sheared scheme,
+    eigenspace and all)."""
 
     def __new__(cls, kind: Kind, symbol: SymbolMatrix):
         if kind is Kind.SCALAR and symbol.p != 1:
@@ -67,9 +70,10 @@ class Mask(namedtuple("Mask", "kind symbol")):
         return self.symbol.coefficient(i)
 
     @cached_property
-    def _one_eigenspace(self) -> tuple[tuple[RatMatrix, ...], RatMatrix]:
-        a1 = self.symbol.evaluate(1)  # kept: the canonical transform reads its rows
-        return tuple(_kernel(_minus_two(a1) + [*self.symbol.evaluate(-1).nums])), a1
+    def _one_eigenspace(self) -> tuple[tuple[RatMatrix, ...], RatMatrix, RatMatrix]:
+        # with A(1) and A(-1): the canonical transform, even_odd_mean and show read them
+        a1, a_1 = self.symbol.evaluate(1), self.symbol.evaluate(-1)
+        return tuple(_kernel(_minus_two(a1) + [*a_1.nums])), a1, a_1
 
     @cached_property
     def phi(self) -> Fraction | None:
@@ -107,8 +111,9 @@ def hermite_mask(symbol: SymbolMatrix) -> Mask:
 # -- even/odd structure ----------------------------------------------------------
 
 def even_odd_mean(mask: Mask) -> RatMatrix:
-    """Half the symbol value at 1, i.e. the mean of the even/odd sums."""
-    return mask.symbol.evaluate(1).scale(Fraction(1, 2))
+    """Half the symbol value at 1, i.e. the mean of the even/odd sums; A(1)
+    is read from the mask's cache beside its 1-eigenspace."""
+    return mask._one_eigenspace[1].scale(Fraction(1, 2))
 
 
 def common_one_eigenspace(mask: Mask) -> list[RatMatrix]:
@@ -128,28 +133,52 @@ def stencil_norm(symbol: SymbolMatrix, arity: int) -> Fraction:
     max-row-sum of the entrywise absolute coefficient sums; the supremum is
     attained by sign-aligned data of sup-norm one.  Works on the integer
     numerators: each row is put on the lcm of its denominators, and the
-    absolute numerators of an entry are folded into arity residue classes
-    by summing consecutive blocks of arity terms.
+    absolute numerators of an entry, on a grid that starts at the class
+    lo % arity, are folded into arity class sums by summing consecutive
+    blocks of arity terms, scaled by the entry's share f of the lcm.  While
+    the row's scaled total, f * sum |x| over its entries, is below 2**64, no
+    class sum carries out of an 8-byte slot: each block is one integer read
+    off an array("Q"), the blocks are summed in C and the row's class sums
+    are read back once.  Otherwise the blocks are lists summed class by
+    class, and f scales the arity class sums.  Rows are compared by
+    cross-multiplication, and one Fraction is built at the end.
     """
     if arity < 1:
         raise ValueError("arity must be >= 1")
-    best = Fraction(0)
+    top, low, size = 0, 1, 8 * arity  # the largest class sum, its row's lcm; block bytes
     for row in symbol.entries:
         entries = [e for e in row if e.nums]
         if not entries:
             continue
         den = math.lcm(*(e.den for e in entries))
-        sums = [0] * arity
-        for e in entries:
-            # position k of padded holds the exponent congruent to k mod arity
-            padded = [0] * (e.lo % arity) + [abs(x) for x in e.nums]
-            padded += [0] * (-len(padded) % arity)
-            classes = map(sum, zip(*[padded[k:k + arity]
-                                     for k in range(0, len(padded), arity)]))
-            f = den // e.den
-            sums = list(map(add, sums, classes if f == 1 else map(f.__mul__, classes)))
-        best = max(best, Fraction(max(sums), den))
-    return best
+        grids = [(den // e.den, e.lo % arity, list(map(abs, e.nums))) for e in entries]
+        total = 0
+        for f, _, a in grids:  # one middle term of a long row may already reach 2**64
+            mid = f * a[len(a) // 2]
+            total += mid if mid >> 64 else f * sum(a)
+        if not total >> 64:
+            acc = 0
+            for f, skip, a in grids:
+                grid = array("Q", bytes(8 * skip))
+                grid.fromlist(a)
+                grid.frombytes(bytes(-8 * len(grid) % size))
+                raw = grid.tobytes()
+                acc += f * sum(int.from_bytes(raw[k:k + size], byteorder)
+                               for k in range(0, len(raw), size))
+            sums = array("Q", acc.to_bytes(size, byteorder))
+        else:
+            sums = [0] * arity
+            for f, skip, a in grids:
+                # position k of padded holds the exponent congruent to k mod arity
+                padded = [0] * skip + a
+                padded += [0] * (-len(padded) % arity)
+                classes = map(sum, zip(*[padded[k:k + arity]
+                                         for k in range(0, len(padded), arity)]))
+                sums = list(map(add, sums, classes if f == 1 else map(f.__mul__, classes)))
+        m = max(sums)
+        if m * low > top * den:
+            top, low = m, den
+    return Fraction(top, low)
 
 
 def conjugate(mask: Mask, r: RatMatrix) -> Mask:
@@ -172,7 +201,7 @@ def canonical_transform(mask: Mask) -> Eigenstructure:
     the rows of A(1); one elimination finds its pivot columns, the complement's
     basis, and one of [R | I] gives R**-1.
     """
-    basis, a1 = mask._one_eigenspace
+    basis, a1, _ = mask._one_eigenspace
     if not basis:
         raise EmptyEigenspaceError(
             "the even/odd coefficient sums have no common 1-eigenvector")

@@ -13,9 +13,10 @@ the shear and the inverse factorization.
 ``zeta_multiplicity_forecast`` predicts how many rounds keep zeta = 1 from
 the root multiplicity at 1 of the coupling entry a12.
 
-``spectral_report``, ``interpolatory``, ``phi_value`` and ``zeta_value`` read
-the symbol's values, derivatives and coefficients as Fractions; the package
-compares integer sums against multiples of the entries' denominators.
+``spectral_report``, ``taylor_report``, ``interpolatory``, ``phi_value`` and
+``zeta_value`` read the symbol's values, derivatives and coefficients as
+Fractions; the package compares integer sums against multiples of the
+entries' denominators.
 """
 
 from __future__ import annotations
@@ -191,6 +192,17 @@ def spectral_report(mask: Mask) -> tuple[bool, tuple[int, ...]]:
             and a21.derivative_at(-1) + 2 * a22.evaluate(-1) == 0):
         violated.append(4)
     return not violated, tuple(violated)
+
+
+def taylor_report(mask: Mask) -> tuple[bool, bool]:
+    """check_taylor's (holds_taylor, in_tilde) from Fraction values: b12(+-1) = 0,
+    b22(1) = 2, b22(-1) = 0 and b11(1) + b21(1) = 2, and for in_tilde a common
+    1-eigenspace of tests/masks_oracle that is span{e2}."""
+    s = mask.symbol
+    b11, b12, b21, b22 = s[0, 0], s[0, 1], s[1, 0], s[1, 1]
+    holds = (b12.evaluate(1) == 0 and b12.evaluate(-1) == 0 and b22.evaluate(1) == 2
+             and b22.evaluate(-1) == 0 and b11.evaluate(1) + b21.evaluate(1) == 2)
+    return holds, holds and eigenspace_is_e2(mask)
 
 
 def interpolatory(mask: Mask) -> bool:

@@ -181,8 +181,9 @@ def long_operand(seed, n, den=1, zeros=0.0, edges=False, bits=40, pad=0, lo=0):
 def packed_cases():
     """(pairs, step, factors): the render-floor shape (dense x dense), the
     search shape (long x short mask at steps 2 and 512), sparse x dense,
-    numerators at the slot edges, and factors that are negative or 70 bits
-    long; operands with zeros inside and at the ends and not reduced."""
+    numerators at the slot edges, factors that are negative or 70 bits
+    long, and sums whose low slots or all slots cancel; operands with zeros
+    inside and at the ends and not reduced."""
     floor = poly(0, [1 + i % 9 for i in range(300)])
     mask, coupling = poly(-2, [1, -4, 6, -4, 1], 16), poly(0, [3, 0, -1], 7)
     sym = [long_operand(1, 1500, 3 ** 20), long_operand(2, 1400, 5 ** 10, zeros=0.1)]
@@ -208,6 +209,16 @@ def packed_cases():
                           2, [2 ** 70 - 1, -5]),
         "cancels": ([(sym[1], mask), (sym[1], mask)], 512, [1, -1]),
     }
+    # f - f2 is zero in its first 700 terms, so the low slots of (f - f2) g cancel,
+    # and f - f cancels in every slot: one-word slots (20-bit numerators) and
+    # 16-byte ones (60-bit), at steps 1 and 2
+    for width, bits in (("word", 20), ("wide", 60)):
+        f = long_operand(30 + bits, 1200, 3, bits=bits)
+        f2 = _raw(f.lo, f.nums[:700] + long_operand(31 + bits, 500, bits=bits).nums, f.den)
+        g = long_operand(32 + bits, 12, 5, bits=bits, lo=-2)
+        for step in (1, 2):
+            cases[f"low-cancel-{width}-{step}"] = ([(f, g), (f2, g)], step, [1, -1])
+            cases[f"all-cancel-{width}-{step}"] = ([(f, g), (f, g)], step, [1, -1])
     # the largest one-word slots, and the smallest slots one word can not hold:
     # (1 + z) c with every |numerator| of c at 2**62 - 1, then at 2**62
     for name, top in (("word-edge", 2 ** 62 - 1), ("word-edge+1", 2 ** 62)):
@@ -245,12 +256,34 @@ def test_packed_kernel_matches_schoolbook_and_oracle(name):
     terms, n, _ = kernel_terms(pairs, step, factors)
     # every slot, zeros included, equals the schoolbook loop's
     with mock.patch.object(laurent, "_PACK_MAX", math.inf):
-        assert laurent._kronecker(terms, n, step, {}) == laurent._schoolbook(terms, n, step)
+        skip, slots = laurent._kronecker(terms, n, step, {})
+        assert [0] * skip + slots == laurent._schoolbook(terms, n, step)
     with mock.patch.object(laurent, "_kronecker", wraps=laurent._kronecker) as packed:
         got = _products(pairs, step, factors)
     assert packed.called
     assert_normalized(got)
     assert got == oracle_sum(pairs, step, factors)
+
+
+@pytest.mark.parametrize("name", [name for name in PACKED if "cancel" in name])
+def test_packed_kernel_unpacks_from_the_first_slot_that_did_not_cancel(name):
+    pairs, step, factors = PACKED[name]
+    terms, n, _ = kernel_terms(pairs, step, factors)
+    want = laurent._schoolbook(terms, n, step)
+    first = next((i for i, x in enumerate(want) if x), n)
+    assert first == (700 if name.startswith("low-") else n)
+    unpacked, unpack = [], laurent._unpack
+
+    def spy(acc, n, wb):
+        unpacked.append((n, wb))
+        return unpack(acc, n, wb)
+    with mock.patch.object(laurent, "_unpack", spy):
+        assert laurent._kronecker(terms, n, step, {}) == (first, want[first:])
+    # only the slots from the first one that did not cancel are unpacked, none of a zero sum
+    if name.startswith("low-"):
+        assert unpacked == [(n - first, laurent._WORD if "word" in name else 16)]
+    else:
+        assert unpacked == []
 
 
 def test_packed_kernel_reaches_word_and_generic_slots():

@@ -118,10 +118,41 @@ def _interpolatory_cases():
     return cases
 
 
+def _taylor_cases():
+    """(mask, holds_taylor) for 2x2 masks of the catalog and tests/maskgen, and
+    for masks that meet the Taylor conditions with b11 or b21 changed: a term
+    c z**e added to b11 fails the trace condition b11(1) + b21(1) = 2 alone,
+    and moved from b21 to b11 keeps it; None where the oracle alone decides."""
+    rng = random.Random(30)
+    masks = [catalog.get(n) for n in (*HERMITE_CATALOG, "double-knot")]
+    holding = [taylor_scheme(catalog.get(n)) for n in HERMITE_CATALOG]
+    holding += [rand_taylor_mask(rng) for _ in range(6)]
+    holding += [taylor_scheme(rand_spectral_mask(rng)) for _ in range(3)]
+    holding += [taylor_scheme(long_spectral_mask(0, 40, 3))]
+    one_plus_z = LP({0: 1, 1: 1})
+    holding.append(vector_mask(sym2(one_plus_z, LP(), LP(), one_plus_z)))
+    masks += [vector_mask(sym2(*[rand_laurent(rng) for _ in range(4)])) for _ in range(4)]
+    cases = [(m, None) for m in masks] + [(m, True) for m in holding]
+    for m in holding:
+        (b11, b12), (b21, b22) = m.symbol.entries
+        c = LP({rng.randint(-3, 3): Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
+                                             rng.randint(2, 9))})
+        cases.append((vector_mask(sym2(b11 + c, b12, b21, b22)), False))
+        cases.append((vector_mask(sym2(b11 + c, b12, b21 - c, b22)), True))
+    return cases
+
+
 class TestSpectralChecksAgainstFractions:
-    """check_spectral and check_interpolatory compare integer sums and
-    numerators; derive_phi and zeta_of build one Fraction each.  The
+    """check_spectral, check_interpolatory and check_taylor compare integer
+    sums and numerators; derive_phi and zeta_of build one Fraction each.  The
     oracle reads values, derivatives and coefficients as Fractions."""
+
+    @pytest.mark.parametrize("mask,holds", _taylor_cases())
+    def test_taylor_report(self, mask, holds):
+        want = hermite_oracle.taylor_report(mask)
+        assert check_taylor(mask) == want
+        if holds is not None:
+            assert want[0] is holds
 
     @pytest.mark.parametrize("mask,violated", _spectral_cases())
     def test_spectral_report(self, mask, violated):

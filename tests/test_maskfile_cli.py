@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +197,17 @@ class TestCli:
         pinned = os.path.join(os.path.dirname(__file__), "show_stdout.txt")
         with open(pinned, encoding="utf-8") as fh:
             assert "".join(out) == fh.read()
+
+    @pytest.mark.parametrize("name", ALL_CATALOG + ["bspline64"])
+    def test_show_evaluates_each_value_once(self, name, capsys):
+        """A(1) and A(-1) are evaluated once each: the mask caches them with
+        its 1-eigenspace, and show and even_odd_mean read them from there."""
+        evaluate = SymbolMatrix.evaluate
+        with mock.patch.object(SymbolMatrix, "evaluate", autospec=True,
+                               side_effect=evaluate) as spy:
+            assert main(["show", f"catalog:{name}"]) == 0
+        capsys.readouterr()
+        assert sorted(call.args[1] for call in spy.call_args_list) == [-1, 1]
 
     @pytest.mark.parametrize("name,message", [
         ("nope", "unknown catalog scheme 'nope'; available: bspline{l}, derham, "

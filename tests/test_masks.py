@@ -1,14 +1,19 @@
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from bench import workloads
 from subsmooth import (EmptyEigenspaceError,
                        LaurentPoly, RatMatrix, SymbolMatrix,
                        canonical_transform, catalog, common_one_eigenspace,
-                       conjugate, even_odd_mean, invert, scalar_mask,
+                       conjugate, even_odd_mean, invert, maskfile, refine, scalar_mask,
                        stencil_norm, vector_mask)
+from subsmooth.laurent import _normalize
 
+from tests import laurent_oracle
 from tests.maskgen import rand_laurent, rand_unimodular, span_equal
 from tests.masks_oracle import add, col, matmul, sub, zero
 
@@ -105,6 +110,107 @@ class TestOperatorNorm:
         for _ in range(20):
             f = rand_laurent(rng)
             assert (stencil_norm(scalar_mask(f).symbol, 2) == 0) == f.is_zero()
+
+
+def _symbol(rows) -> SymbolMatrix:
+    """A symbol from rows of (lo, numerators, denominator), each normalized;
+    None is the zero entry."""
+    return SymbolMatrix([[LP() if e is None else _normalize(*e) for e in row]
+                         for row in rows])
+
+
+def _row_totals(symbol) -> list[int]:
+    """Per row, f * sum |x| over its entries, f the entry's share of the
+    lcm of the row's denominators: the figure that picks stencil_norm's path."""
+    out = []
+    for row in symbol.entries:
+        den = math.lcm(*(e.den for e in row))
+        out.append(sum(den // e.den * sum(map(abs, e.nums)) for e in row))
+    return out
+
+
+def _rand_symbol(rng: random.Random, p: int, bits: int) -> SymbolMatrix:
+    return _symbol([[None if rng.random() < 0.2 else
+                     (rng.randint(-9, 4),
+                      [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, bits))
+                       if rng.random() < 0.8 else 0 for _ in range(rng.randint(1, 9))],
+                      rng.choice((1, 2, 3, 5, 6, 7, 12, 2 ** 64 + 1)))
+                     for _ in range(p)] for _ in range(p)])
+
+
+# 2 ** 64 - 4 is a multiple of 3: the entry of the second column, over 1 in a
+# row over 3, counts three times its numerator towards the row's total
+_EDGE = (2 ** 64 - 4) // 3
+
+NORM_CASES = {
+    # the path boundary: every term in one class mod 2 (exponents -3, -1, 5), so that
+    # one class sum is the whole total, 2 ** 64 - 1 (one slot) or 2 ** 64 (a carry)
+    "total-2**64-1": _symbol([[(-3, (1, 0, 2), 3), (5, (_EDGE,), 1)],
+                              [None, (-1, (7, 5), 2)]]),
+    "total-2**64": _symbol([[(-3, (1, 0, 3), 3), (5, (_EDGE,), 1)],
+                            [None, (-1, (7, 5), 2)]]),
+    # 2 ** 64 - 1 spread over the classes and blocks of one entry
+    "spread-2**64-1": _symbol([[(0, (2 ** 62, 2 ** 62, 2 ** 62, 2 ** 62 - 1), 1)]]),
+    # every term below 2 ** 64, the middle one too, and their total above it
+    "terms-below-2**64": _symbol([[(0, (2 ** 63, 2 ** 63 - 1, 2 ** 63), 1)]]),
+    "numerators-over-2**64": _symbol([[(-1, (2 ** 64, -(2 ** 70 + 1), 5), 7),
+                                       (2, (3, 2 ** 64 - 1), 1)],
+                                      [(-5, (1, -1), 3), (0, (2 ** 80,), 11)]]),
+    # lo negative and not a multiple of the arity, entries shorter than it
+    "negative-lo": _symbol([[(-7, (3, 1, 0, 4), 5), (-2, (1,), 2)],
+                            [(1, (-6, 0, 5), 7), (-9, (2, 2, 2, 2, 2), 1)]]),
+    "zero-row-and-entry": _symbol([[None, None, None],
+                                   [(0, (1, 2, 1), 4), None, (-1, (1, -1), 2)],
+                                   [None, (3, (5,), 3), None]]),
+    "zero-symbol": _symbol([[None, None], [None, None]]),
+    # the largest row is not the one with the largest denominator
+    "row-denominators": _symbol([[(0, (4, 4), 5), (1, (1,), 5)],
+                                 [(0, (6, 1, 6), 7), (-2, (1, 3), 14)]]),
+}
+NORM_CASES.update({f"random-{p}x{p}-{bits}": _rand_symbol(random.Random(10 * p + bits), p, bits)
+                   for p in (1, 2, 3) for bits in (8, 40, 70)})
+
+
+class TestStencilNormAgainstOracle:
+    """stencil_norm equals the dict-of-Fraction norm of tests/laurent_oracle,
+    on both sides of the row total 2 ** 64 that picks its path."""
+
+    @staticmethod
+    def assert_oracle_norm(symbol, arity):
+        entries = [[laurent_oracle.to_dict(e) for e in row] for row in symbol.entries]
+        assert stencil_norm(symbol, arity) == laurent_oracle.stencil_norm(entries, arity)
+
+    def test_boundary_totals(self):
+        assert _row_totals(NORM_CASES["total-2**64-1"])[0] == 2 ** 64 - 1
+        assert _row_totals(NORM_CASES["total-2**64"])[0] == 2 ** 64
+        assert _row_totals(NORM_CASES["spread-2**64-1"]) == [2 ** 64 - 1]
+        assert _row_totals(NORM_CASES["terms-below-2**64"]) == [3 * 2 ** 63 - 1]
+        # the whole total in one class: one slot at its largest value, then a carry
+        assert stencil_norm(NORM_CASES["total-2**64-1"], 2) == Fraction(2 ** 64 - 1, 3)
+        assert stencil_norm(NORM_CASES["total-2**64"], 2) == Fraction(2 ** 64, 3)
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4, 5, 16, 64])
+    @pytest.mark.parametrize("name", NORM_CASES)
+    def test_matches_oracle(self, name, arity):
+        self.assert_oracle_norm(NORM_CASES[name], arity)
+
+    @pytest.mark.parametrize("ref, ell, lmax", [("catalog:merrien", 2, 10), ("bitgrowth", 1, 8)])
+    def test_every_power_of_a_search(self, ref, ell, lmax, tmp_path):
+        """Each norm of the lmax-10 refusal of merrien at ell 2 (rows below
+        2 ** 64) and of a seeded certify-bitgrowth mask (rows above it)."""
+        if ref == "bitgrowth":
+            workloads.write_inputs("certify-bitgrowth", 1, str(tmp_path))
+            mask = maskfile.load(str(tmp_path / "hermite-0.mask"))
+        else:
+            mask = catalog.get(ref[len("catalog:"):])
+        seen = []
+        with mock.patch.object(refine, "stencil_norm",
+                               side_effect=lambda s, a: seen.append((s, a)) or stencil_norm(s, a)):
+            refine.certify_hermite(mask, ell, lmax)
+        assert [a for _, a in seen] == [2 ** L for L in range(1, lmax + 1)]
+        assert (max(_row_totals(seen[-1][0])) < 2 ** 64) == (ref != "bitgrowth")
+        for symbol, arity in seen:
+            self.assert_oracle_norm(symbol, arity)
 
 
 class TestConjugate:
