@@ -38,13 +38,20 @@ def _load(ref: str) -> Mask:
     return maskfile.load(ref)
 
 
-def _emit(text: str, path: str | None) -> None:
-    """Write text to the file at path, or to stdout without one."""
-    if path:
+def _writer(path: str | None):
+    """The function that writes a command's output: to the file at path, which
+    is checked now, before any work, changing no file; or to stdout."""
+    if not path:
+        return sys.stdout.write
+    new = not os.path.exists(path)
+    open(path, "a", encoding="utf-8").close()
+    if new:
+        os.remove(path)
+
+    def write(text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    return write
 
 
 def _fmt_matrix(m) -> str:
@@ -95,11 +102,7 @@ def cmd_smooth(args) -> int:
     if not 1 <= args.rounds <= MAX_ROUNDS:
         raise SubsmoothError(f"--rounds must be in 1..{MAX_ROUNDS}, got {args.rounds}")
     mask = _load(args.path)
-    if args.out:  # fail before round 1 if it cannot be written; change no file
-        new = not os.path.exists(args.out)
-        open(args.out, "a", encoding="utf-8").close()
-        if new:
-            os.remove(args.out)
+    write = _writer(args.out)
     print("note: input regularity is assumed, not verified; "
           "run 'subsmooth certify' for a convergence certificate",
           file=sys.stderr)
@@ -116,7 +119,7 @@ def cmd_smooth(args) -> int:
                   f"{nxt.support}", file=sys.stderr)
         current = nxt
         maskfile.check_writable(current)  # stop at the first unwritable round
-    _emit(maskfile.serialize(current), args.out)
+    write(maskfile.serialize(current))
     return 0
 
 
@@ -149,7 +152,8 @@ def cmd_render(args) -> int:
         raise SubsmoothError(
             f"--depth {args.depth} would render about {hi - lo + 1}*2^{args.depth} "
             f"rows, over the budget of {MAX_RENDER_ROWS}")
-    _emit(render(mask, args.depth, args.basis).to_csv(exact=args.exact), args.out)
+    write = _writer(args.out)
+    write(render(mask, args.depth, args.basis).to_csv(exact=args.exact))
     return 0
 
 

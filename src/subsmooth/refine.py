@@ -108,18 +108,19 @@ class FinSeq(namedtuple("FinSeq", "comps n", defaults=(0,))):
         return cols
 
     def _float_columns(self) -> list[list[float]]:
-        """t, then the p values as floats: x / den, the correctly rounded
-        value.  A value beyond the float range is a SubsmoothError."""
-        cols = []
-        for name, nums, den in self._columns():
-            top = den * _FLOAT_OVERFLOW
-            ends = (nums[0], nums[-1]) if type(nums) is range else nums
-            if max(ends) >= top or -min(ends) >= top:
-                i = next(i for i, x in enumerate(nums) if abs(x) >= top)
-                raise SubsmoothError(f"{name} at index {self.offset + i} is beyond "
-                                     "the float range; render it with --exact")
-            cols.append(list(map(den.__rtruediv__, nums)))
-        return cols
+        """t, then the p values as floats x / den, correctly rounded; once a
+        division overflows, a SubsmoothError names the first value that does."""
+        try:
+            return [list(map(den.__rtruediv__, nums)) for _, nums, den in self._columns()]
+        except OverflowError:  # only now find the first division that raises
+            for name, nums, den in self._columns():
+                for i, x in enumerate(nums):
+                    try:
+                        x / den
+                    except OverflowError:
+                        raise SubsmoothError(f"{name} at index {self.offset + i} is beyond "
+                                             "the float range; render it with --exact")
+            raise
 
     @property
     def rows(self) -> list[tuple[float, tuple[float, ...]]]:
@@ -129,36 +130,38 @@ class FinSeq(namedtuple("FinSeq", "comps n", defaults=(0,))):
         return list(zip(ts, zip(*cols)))
 
     def to_csv(self, exact: bool = False) -> str:
-        """One row per index: t, then the p values, as floats with 17
-        significant digits or, with exact, as p/q strings (str(Fraction))."""
+        """One row per index: t, then the p values, as %.17g floats or, with
+        exact, as str(Fraction); a cell they cannot hold is named once it fails."""
         head = "t," + ",".join(f"c{r + 1}" for r in range(self.p)) + "\n"
         if self.is_zero():
             return head
         lo, hi = self.support
         if exact:  # x/d cells, then x for x/1 as in str(Fraction): no numerator holds a /
-            cols = [c for col in self._columns() for c in _lowest_terms(*col, lo)]
+            cols = [c for _, nums, den in self._columns() for c in _lowest_terms(nums, den)]
             row = ",".join(["%d/%d"] * (self.p + 1))
         else:  # %.14g prints each t as %.17g does when every |i| * 5**n < 10**14
             short = 0 <= self.n <= 20 and max(-lo, hi) * 5 ** self.n < 10 ** 14
             row = ",".join(["%.14g" if short else "%.17g"] + ["%.17g"] * self.p)
             cols = self._float_columns()
-        text = ((row + "\n") * (hi - lo + 1)) % tuple(chain.from_iterable(zip(*cols)))
+        try:
+            text = ((row + "\n") * (hi - lo + 1)) % tuple(chain.from_iterable(zip(*cols)))
+        except ValueError:  # only %d raises: name the first column's largest cell
+            for (name, _, _), ns, ds in zip(self._columns(), cols[::2], cols[1::2]):
+                big = list(map(max, map(abs, ns), ds))
+                if why := _unprintable(top := max(big)):
+                    raise SubsmoothError(f"{name} at index {lo + big.index(top)} has {why}")
+            raise
         return head + (text.replace("/1,", ",").replace("/1\n", "\n") if exact else text)
 
 
 # render returns the sequence it refined, sampled at its level
 LimitSample = FinSeq
 
-# x / den overflows exactly when |x| >= den * this: the values from here on
-# round to 2**1024
-_FLOAT_OVERFLOW = (2 ** 54 - 1) << 970
-
 
 def _unprintable(n: int) -> str | None:
-    """Why str(n) would fail under the interpreter's digit limit for integer
-    strings (read, never set), or None when it would not."""
+    """Why str(n) of an n >= 0 would fail under the interpreter's digit limit
+    for integer strings (read, never set), or None when it would not."""
     limit = sys.get_int_max_str_digits()
-    n = abs(n)
     # n < 8**limit < 10**limit needs no power of ten
     if not limit or n.bit_length() <= 3 * limit or n < 10 ** limit:
         return None
@@ -167,19 +170,11 @@ def _unprintable(n: int) -> str | None:
             "for integer strings")
 
 
-def _lowest_terms(name: str, nums: list[int] | range, den: int, lo: int) -> tuple[list, list]:
+def _lowest_terms(nums: list[int] | range, den: int) -> tuple[list, list]:
     """The numerator and denominator of Fraction(x, den) for each x, from the
-    gcd of x and den, without building Fractions.  A value str() would refuse
-    is a SubsmoothError naming the column and the index, lo that of nums[0]."""
+    gcd of x and den, without building Fractions."""
     gs = list(map(gcd, nums, repeat(den)))
-    ns = list(map(floordiv, nums, gs))
-    ds = list(map(den.__floordiv__, gs))
-    top = max(max(ns), -min(ns), max(ds))
-    why = _unprintable(top)
-    if why:
-        big = list(map(max, map(abs, ns), ds))
-        raise SubsmoothError(f"{name} at index {lo + big.index(top)} has {why}")
-    return ns, ds
+    return list(map(floordiv, nums, gs)), list(map(den.__floordiv__, gs))
 
 
 def apply(mask: Mask, c: FinSeq) -> FinSeq:

@@ -11,13 +11,20 @@ finds out by attempting the exact divisions.  ``full_support_window`` is the
 range on which a truncated step agrees with the infinite one, which
 reproduction tests compare on.  ``to_csv`` writes a sequence row by row
 through Fractions; the package formats whole columns of integers.
+``float_refusal`` and ``exact_refusal`` are the messages of the cells that
+the two CSV forms cannot hold, found before any conversion: by the bound of
+the float range, and by the column guard the exact writer used to run.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm
+from operator import floordiv
 
-from subsmooth import FinSeq
+from subsmooth import FinSeq, SubsmoothError
 
 
 def apply(mask, c: FinSeq) -> FinSeq:
@@ -74,6 +81,74 @@ def to_csv(c: FinSeq, exact: bool = False) -> str:
         else:
             lines.append(",".join(f"{float(x):.17g}" for x in (Fraction(i, scale), *v)))
     return "\n".join(lines) + "\n"
+
+
+# x / den overflows exactly when |x| >= den * this: the values from here on
+# round to 2**1024
+FLOAT_OVERFLOW = (2 ** 54 - 1) << 970
+
+
+def _csv_columns(c: FinSeq):
+    """Per CSV column, t first: its name and its values as Fractions."""
+    scale = 2 ** c.n
+    yield "t", [Fraction(i, scale) for i in range(c.offset, c.offset + len(c.values))]
+    for r in range(c.p):
+        yield f"component c{r + 1}", [v[r] for v in c.values]
+
+
+def float_refusal(c: FinSeq) -> str | None:
+    """The refusal of the first value beyond the float range, column by
+    column, or None when every value has a float."""
+    for name, values in _csv_columns(c):
+        for i, x in enumerate(values, c.offset):
+            if abs(x) >= FLOAT_OVERFLOW:
+                return f"{name} at index {i} is beyond the float range; render it with --exact"
+    return None
+
+
+def unprintable(n: int) -> str | None:
+    """Why str(n) would fail under the interpreter's digit limit for integer
+    strings (read, never set), or None when it would not."""
+    limit = sys.get_int_max_str_digits()
+    n = abs(n)
+    # n < 8**limit < 10**limit needs no power of ten
+    if not limit or n.bit_length() <= 3 * limit or n < 10 ** limit:
+        return None
+    d = int((n.bit_length() - 1) * 0.30102999566398120) + 1
+    return (f"{d + (n >= 10 ** d)} digits, over the limit of {limit} digits "
+            "for integer strings")
+
+
+def lowest_terms_guard(name: str, nums: list[int] | range, den: int, lo: int):
+    """The numerator and denominator of Fraction(x, den) for each x.  A value
+    str() would refuse is a SubsmoothError naming the column and the index of
+    its largest cell, lo that of nums[0]: the check the exact writer ran on
+    each column, in order, before it formatted any."""
+    gs = list(map(gcd, nums, repeat(den)))
+    ns = list(map(floordiv, nums, gs))
+    ds = list(map(den.__floordiv__, gs))
+    top = max(max(ns), -min(ns), max(ds))
+    why = unprintable(top)
+    if why:
+        big = list(map(max, map(abs, ns), ds))
+        raise SubsmoothError(f"{name} at index {lo + big.index(top)} has {why}")
+    return ns, ds
+
+
+def exact_refusal(c: FinSeq) -> Exception | None:
+    """What lowest_terms_guard raises on the columns of c, each over the lcm
+    of its denominators: its refusal, the ValueError of str() when the index
+    it names is itself over the digit limit, or None when it raises nothing."""
+    if c.is_zero():
+        return None
+    try:
+        for name, values in _csv_columns(c):
+            den = lcm(*(x.denominator for x in values))
+            lowest_terms_guard(name, [x.numerator * (den // x.denominator) for x in values],
+                               den, c.offset)
+    except (SubsmoothError, ValueError) as exc:
+        return exc
+    return None
 
 
 def difference(c: FinSeq, k: int) -> FinSeq:

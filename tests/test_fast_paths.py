@@ -1,10 +1,13 @@
 """The product kernel and the column CSV writer against slow references:
 the dict-of-Fraction product with the explicitly dilated operand of
 tests/laurent_oracle.py, the kernel's schoolbook loop for its packed
-strategy, and the row-by-row Fraction writer of tests/refine_oracle.py."""
+strategy, and the row-by-row Fraction writer of tests/refine_oracle.py with
+its refusals of values that floats or integer strings cannot hold."""
 
 import math
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subsmooth import FinSeq, LaurentPoly, SymbolMatrix, laurent
+from subsmooth import FinSeq, LaurentPoly, SubsmoothError, SymbolMatrix, laurent, refine
 from subsmooth.laurent import _products, _raw
 
 from tests import laurent_oracle
@@ -131,6 +134,94 @@ def test_csv_matches_row_by_row_writer(seq):
     scale = 2 ** seq.n
     assert seq.rows == [(float(Fraction(i, scale)), tuple(map(float, v)))
                         for i, v in enumerate(seq.values, seq.offset)]
+
+
+TOP = oracle.FLOAT_OVERFLOW
+# the digit limit for integer strings under which the exact writer is tested
+LIMIT = 640
+
+
+@contextmanager
+def digit_limit(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def edge_values(sizes):
+    """Small values, and s * (size + d) / den for s = +-1 and d = -1, 0, 1:
+    just below, at and just above each size, over several denominators."""
+    dens = st.sampled_from([1, 3, 2 ** 9, 10 ** 400 + 7]) | st.integers(1, 10 ** 30)
+    edge = st.builds(lambda s, size, d, den: Fraction(s * (size * den + d), den),
+                     st.sampled_from([1, -1]), sizes, st.integers(-1, 1), dens)
+    return st.integers(-9, 9).map(Fraction) | edge | edge.map(lambda x: 1 / x)
+
+
+@st.composite
+def edge_sequences(draw, values, far):
+    """p = 1..3 components of 1..6 values each, anywhere, at level n = 0..4;
+    the support near 0, or at s * 2**n * far + k, where t reaches far."""
+    p, n = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    offset = draw(st.sampled_from([0, 1, -1])) * 2 ** n * far + draw(st.integers(-6, 6))
+    rows = draw(st.lists(st.lists(values, min_size=p, max_size=p), min_size=1, max_size=6))
+    return FinSeq(FinSeq.make(p, offset, rows).comps, n)
+
+
+@SETTINGS
+@given(edge_sequences(edge_values(st.just(TOP)), TOP))
+@example(seq(0, (0, [TOP - 1])))
+@example(seq(0, (0, [0, 0]), (0, [Fraction(-3 * TOP + 1, 3), -TOP])))
+# t is named at 4 * TOP, though c2 is beyond the range one index before it
+@example(seq(2, (4 * TOP - 2, [1, 1, 1]), (4 * TOP - 1, [TOP])))
+@example(seq(1, (-2 * TOP - 1, [1, 1, 1, 1])))
+def test_float_refusal_names_first_value_past_the_bound(seq):
+    """to_csv() and rows divide first, and refuse exactly the sequences with
+    a value at or beyond the float range, naming the first, t first."""
+    want = oracle.float_refusal(seq)
+    if want is None:
+        assert seq.to_csv() == oracle.to_csv(seq)
+        scale = 2 ** seq.n
+        assert seq.rows == [(float(Fraction(i, scale)), tuple(map(float, v)))
+                            for i, v in enumerate(seq.values, seq.offset)]
+        return
+    for view in (seq.to_csv, lambda: seq.rows):
+        with pytest.raises(SubsmoothError) as err:
+            view()
+        assert str(err.value) == want
+
+
+@SETTINGS
+@given(edge_sequences(edge_values(st.sampled_from([10 ** (LIMIT - 1), 10 ** LIMIT,
+                                                   10 ** (LIMIT + 1)])), 10 ** LIMIT))
+@example(seq(0, (0, [1, 10 ** LIMIT, -10 ** (LIMIT + 1)]), (0, [Fraction(1, 10 ** LIMIT)])))
+@example(seq(0, (0, [10 ** LIMIT - 1]), (1, [0, Fraction(7, 10 ** (LIMIT + 1))])))
+@example(seq(0, (-10 ** LIMIT, [1, 1])))
+@example(seq(3, (8 * 10 ** LIMIT - 9, [Fraction(1, 3)] * 5)))
+def test_exact_refusal_names_first_column_as_its_guard_did(seq):
+    """to_csv(exact=True) formats first, and refuses exactly the sequences
+    the column guard it ran before refused, in the same words (a far index
+    that str() refuses too fails as str() does); without a digit limit it
+    refuses none."""
+    with digit_limit(LIMIT):
+        want = oracle.exact_refusal(seq)
+        if want is None:
+            assert seq.to_csv(exact=True) == oracle.to_csv(seq, exact=True)
+        else:
+            with pytest.raises(type(want)) as err:
+                seq.to_csv(exact=True)
+            assert str(err.value) == str(want)
+    with digit_limit(0):
+        assert seq.to_csv(exact=True) == oracle.to_csv(seq, exact=True)
+
+
+def test_exact_refusal_reraises_what_no_column_explains(monkeypatch):
+    monkeypatch.setattr(refine, "_unprintable", lambda n: None)
+    with digit_limit(LIMIT), pytest.raises(ValueError) as err:
+        seq(0, (0, [10 ** LIMIT])).to_csv(exact=True)
+    assert not isinstance(err.value, SubsmoothError)
 
 
 @st.composite

@@ -427,6 +427,19 @@ class TestFileErrors:
         assert capsys.readouterr().err == f"error: {out}: {os.strerror(errno.ENOENT)}\n"
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("argv,work", [
+        (["smooth", "catalog:merrien", "--rounds", "64"], "smooth_hermite"),
+        (["render", "catalog:bspline1", "--depth", "15"], "render")])
+    def test_unwritable_out_refused_before_any_work(self, argv, work, tmp_path, capsys,
+                                                    monkeypatch):
+        """An --out that is a directory or lies in a missing one fails in the
+        words a write would fail in, before the command's work starts."""
+        monkeypatch.setattr(cli, work, lambda *args: pytest.fail(f"{work} called"))
+        for out, code in ((tmp_path, errno.EISDIR), (tmp_path / "no" / "x.out", errno.ENOENT)):
+            assert main([*argv, "--out", str(out)]) == 1
+            assert capsys.readouterr() == ("", f"error: {out}: {os.strerror(code)}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command,text,args", [
         ("smooth", long_denominator_doc(4), []),  # round 1 is over the work budget
         ("render", maskfile.serialize(long_value_mask()), ["--depth", "2"])])
