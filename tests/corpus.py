@@ -1,19 +1,35 @@
 """A differential corpus: fixed command lines, each with a recorded sha256.
 
-Each call runs ``subsmooth.cli.main`` in this process, in a fresh temporary
-directory that holds the input mask files, under the interpreter's default
-digit limit for integer strings (4300).  Its digest is the sha256 of its
-exit code, stdout, stderr and the file it wrote (``OUT``), if any.
-``tests/corpus.sha256`` holds one line per call, ``<digest>  <command line>``.
+This is the one record of pinned CLI outputs.  Each call runs
+``subsmooth.cli.main`` in this process, in a fresh temporary directory that
+holds the input mask files, under the interpreter's default digit limit for
+integer strings (4300).  Its digest is the sha256 of its exit code, stdout,
+stderr and the file it wrote (``OUT``), if any.  ``tests/corpus.sha256``
+holds one line per call, ``<digest>  <command line>``.
 
     PYTHONPATH=src python -m tests.corpus --check    # name every call that differs
     PYTHONPATH=src python -m tests.corpus --update   # rewrite the digest file
 
-The calls are every catalog mask and the seeded ``tests.maskgen`` masks under
-``show``, ``certify`` (default and ``--ell 2 --lmax 6``), ``smooth --rounds 3``
-and ``render --depth 6`` (float and ``--exact``), the long-denominator files
-for p = 1..4, and the refusals of values that floats, integer strings or an
-output path cannot hold and of a render step over the work budget.  ``SAMPLE`` is the part that the tier-1 tests run.
+The calls, family by family:
+
+- every catalog mask and the seeded ``tests.maskgen`` masks under ``show``,
+  ``certify`` (default and ``--ell 2 --lmax 6``), ``smooth --rounds 3`` and
+  ``render --depth 6`` (float and ``--exact``); the derivable and smoothable
+  masks also with their first k columns made eigenvectors, so that
+  ``certify`` and ``smooth`` get past the eigenspace;
+- the catalog under ``certify`` at ``--ell`` 1, 3 and 4 and at ``--lmax``
+  1, 3, 9 and 16, and under ``smooth --rounds`` 1 and 12 with the file it
+  writes;
+- the long-denominator files for p = 1..5 at seed 0 and p = 1..4 at seed 1;
+- the paper's constructions (``PINNED``): merrien smoothed 64 times,
+  double-knot and derham 12 times, their certificates and ``show``, and
+  their refusals;
+- the heavy tier (``HEAVY``): the slowest refusals and renders;
+- the refusals of values that floats, integer strings or an output path
+  cannot hold, of a path that is a directory and of a render step over the
+  work budget.
+
+``SAMPLE`` is the part that the tier-1 tests run.
 """
 
 from __future__ import annotations
@@ -39,21 +55,59 @@ OUT = "out.txt"
 CATALOG = ("bspline0", "bspline1", "bspline3", "bspline5", "double-knot", "merrien",
            "derham", "merrien-smoothed", "derham-smoothed")
 SEEDS = (0, 1, 2)
-LONG_DEN = (1, 2, 3, 4)  # p = 4: smooth and certify refuse at their prices
+# p -> seeds; p = 4 and 5: smooth and certify refuse at their prices
+LONG_DEN = {1: (0, 1), 2: (0, 1), 3: (0, 1), 4: (0, 1), 5: (0,)}
 GENERATORS = {
     "derivable": lambda rng: maskgen.rand_derivable_mask(rng, 2, 1),
     "smoothable": lambda rng: maskgen.rand_smoothable_mask(rng, 3, 2),
     "taylor": maskgen.rand_taylor_mask,
     "spectral": maskgen.rand_smoothing_ready_spectral,
     "convergent": lambda rng: maskgen.rand_convergent_style_mask(rng, 3, 1),
+    "derivable-eig": lambda rng: maskgen.with_eigenspace(maskgen.rand_derivable_mask(rng, 2, 1), 1),
+    "smoothable-eig": lambda rng: maskgen.with_eigenspace(maskgen.rand_smoothable_mask(rng, 3, 2),
+                                                          2),
 }
+# file name -> (catalog name, rounds): the bytes that smooth --rounds writes
+CHAINS = {"m64.mask": ("merrien", 64), "dk12.mask": ("double-knot", 12), "d12.mask": ("derham", 12)}
+
+# The paper's constructions.  64 Hermite rounds write m64.mask byte for byte,
+# and ten descents over its numerators of about 700 bits print the recorded
+# certificate.  Three descents of the 12-round vector chain, each one
+# intertwine in a canonical basis, print theirs, and show reads the 12-round
+# Hermite chain back into its symbols, values and spectral report (the
+# 12-round smooth calls of the catalog family write dk12 and d12).  Then
+# merrien's refusal at --ell 2 with its norm list; 65,535 float rows whose t
+# needs 17 digits, some in exponent form (3.0517578125e-05); exact rows with
+# integer cells (0,1,0), the last column included; and 64 de Rham rounds,
+# refused in round 44, the first whose output a mask file cannot hold: exit 1,
+# 44 round lines and "rational longer than 1000 characters".
+PINNED = (f"smooth catalog:merrien --rounds 64 --out {OUT}", "certify m64.mask --ell 10",
+          "certify dk12.mask --ell 3", "show d12.mask", "certify catalog:merrien --ell 2 --lmax 10",
+          f"render catalog:bspline1 --depth 15 --out {OUT}",
+          f"render catalog:merrien --depth 12 --exact --out {OUT}",
+          f"smooth catalog:derham --rounds 64 --out {OUT}")
+
+# The heavy tier, 0.2-0.8 s each: the four --lmax 16 refusals, which spend
+# their time in iterated-symbol products and norms; merrien smoothed 64 times
+# rendered and certified at --ell 30 (refused at the budget); and a B-spline
+# of degree 64.
+HEAVY = ("certify catalog:derham --ell 3 --lmax 16", "certify catalog:merrien --ell 2 --lmax 16",
+         "certify catalog:merrien-smoothed --ell 3 --lmax 16",
+         "certify catalog:double-knot --ell 2 --lmax 16", "render m64.mask --depth 4",
+         "certify m64.mask --ell 30", "render catalog:bspline64 --depth 10")
+
+
+def _long_den(p: int, seed: int) -> str:
+    return f"long-den-{p}.mask" if seed == 0 else f"long-den-{p}-seed{seed}.mask"
 
 
 def inputs() -> dict[str, str]:
     """The mask files of the corpus, by file name."""
     files = {f"{name}-{seed}.mask": maskfile.serialize(gen(random.Random(f"corpus/{name}/{seed}")))
              for name, gen in GENERATORS.items() for seed in SEEDS}
-    files.update({f"long-den-{p}.mask": maskgen.long_denominator_doc(p) for p in LONG_DEN})
+    files.update({_long_den(p, seed): maskgen.long_denominator_doc(p, seed)
+                  for p, seeds in LONG_DEN.items() for seed in seeds})
+    files.update({name: maskfile.serialize(maskgen.smoothed(*how)) for name, how in CHAINS.items()})
     # 300 one-digit coefficients: render refuses step 7 of 8 at its price
     files["wide.mask"] = maskfile.serialize(
         scalar_mask(LaurentPoly.from_coeffs(0, [1 + i % 9 for i in range(300)])))
@@ -77,13 +131,18 @@ def calls() -> list[str]:
     """Every command line of the corpus, in a fixed order."""
     out = [c for name in CATALOG for c in _mask_calls(f"catalog:{name}")]
     out += [c for name in GENERATORS for seed in SEEDS for c in _mask_calls(f"{name}-{seed}.mask")]
-    out += [c for p in LONG_DEN for c in (f"show long-den-{p}.mask", f"certify long-den-{p}.mask",
-                                           f"smooth long-den-{p}.mask --out {OUT}")]
+    out += [c for p, seeds in LONG_DEN.items() for seed in seeds
+            for c in (f"show {_long_den(p, seed)}", f"certify {_long_den(p, seed)}",
+                      f"smooth {_long_den(p, seed)} --out {OUT}")]
     out += ["render long.mask --depth 2", "render long.mask --depth 6 --exact",
             "certify long.mask --lmax 16", "render far.mask --depth 2",
             "render far.mask --depth 2 --exact", "render wide.mask --depth 8",
-            "render catalog:bspline1 --depth 2 --out no/such/dir/x.csv"]
-    return out
+            "render catalog:bspline1 --depth 2 --out no/such/dir/x.csv", "show ."]
+    out += [f"certify catalog:{name} --ell {ell}" for name in CATALOG for ell in (1, 3, 4)]
+    out += [f"certify catalog:{name} --lmax {lmax}" for name in CATALOG for lmax in (1, 3, 9, 16)]
+    out += [f"smooth catalog:{name} --rounds {rounds} --out {OUT}"
+            for name in CATALOG for rounds in (1, 12)]
+    return out + [*PINNED, *HEAVY]
 
 
 SAMPLE = (*_mask_calls("catalog:merrien-smoothed"), *_mask_calls("taylor-0.mask"),
@@ -91,7 +150,7 @@ SAMPLE = (*_mask_calls("catalog:merrien-smoothed"), *_mask_calls("taylor-0.mask"
           "certify long-den-4.mask", "render wide.mask --depth 8", "render long.mask --depth 2",
           "render long.mask --depth 6 --exact", "render far.mask --depth 2",
           "render far.mask --depth 2 --exact",
-          "render catalog:bspline1 --depth 2 --out no/such/dir/x.csv")
+          "render catalog:bspline1 --depth 2 --out no/such/dir/x.csv", "certify dk12.mask --ell 3")
 
 
 def _digest(call: str) -> str:

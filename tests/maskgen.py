@@ -91,6 +91,16 @@ def rand_smoothable_mask(rng: random.Random, p: int, k: int) -> Mask:
     return vector_mask(_sym(entries))
 
 
+def with_eigenspace(mask: Mask, k: int) -> Mask:
+    """mask with each entry of its first k columns corrected to 2 on the
+    diagonal, else 0, at z = 1 and to 0 at z = -1, so that e_1..e_k lie in
+    its common 1-eigenspace.  A mask of rand_derivable_mask or
+    rand_smoothable_mask for this k keeps its own conditions."""
+    s = mask.symbol
+    return vector_mask(_sym([[with_values(s[i, j], 2 * (i == j), 0) if j < k else s[i, j]
+                              for j in range(mask.p)] for i in range(mask.p)]))
+
+
 def rand_taylor_mask(rng: random.Random) -> Mask:
     """Random 2x2 mask satisfying the Taylor conditions."""
     b11 = rand_laurent(rng)
