@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import floordiv
@@ -119,6 +120,36 @@ def _ratios(values, name) -> tuple[list[int], list[int]]:
     return nums, dens
 
 
+class _Digits(int):
+    """The digit count of an integer literal over the digit limit, in its place."""
+
+
+def _over_limit(text: str) -> str | None:
+    """The field of the first integer literal of text over the interpreter's
+    digit limit for integer strings, and its digit count, in the words of
+    refine._unprintable; None when text does not parse with such literals
+    marked, or when a later duplicate key dropped the literal."""
+    limit = sys.get_int_max_str_digits()
+
+    def parse_int(s: str) -> int:
+        digits = len(s) - s.startswith("-")
+        return _Digits(digits) if limit and digits > limit else int(s)
+    try:
+        todo = [("", json.loads(text, parse_int=parse_int))]
+    except (ValueError, RecursionError):
+        return None
+    while todo:  # depth first, in document order
+        where, v = todo.pop()
+        if type(v) is _Digits:
+            return (f"{where or 'top level'}: {v} digits, over the limit of {limit} digits "
+                    "for integer strings")
+        if isinstance(v, dict):
+            todo += reversed([(f"{where}.{k}" if where else k, x) for k, x in v.items()])
+        elif isinstance(v, list):
+            todo += reversed([(f"{where}[{i}]", x) for i, x in enumerate(v)])
+    return None
+
+
 def _int_field(doc: dict, key: str):
     """The value of an integer field; JSON true/false are not integers."""
     v = doc.get(key)
@@ -165,7 +196,7 @@ def parse(text: str) -> Mask:
     except json.JSONDecodeError as exc:
         raise MaskFileError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except ValueError as exc:  # e.g. an integer literal over the digit limit
-        raise MaskFileError(str(exc)) from None
+        raise MaskFileError(_over_limit(text) or str(exc)) from None
     except RecursionError:
         raise MaskFileError("arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):

@@ -118,7 +118,7 @@ class FinSeq(namedtuple("FinSeq", "comps n", defaults=(0,))):
                     try:
                         x / den
                     except OverflowError:
-                        raise SubsmoothError(f"{name} at index {self.offset + i} is beyond "
+                        raise SubsmoothError(f"{name} at {_index(self.offset + i)} is beyond "
                                              "the float range; render it with --exact")
             raise
 
@@ -149,7 +149,7 @@ class FinSeq(namedtuple("FinSeq", "comps n", defaults=(0,))):
             for (name, _, _), ns, ds in zip(self._columns(), cols[::2], cols[1::2]):
                 big = list(map(max, map(abs, ns), ds))
                 if why := _unprintable(top := max(big)):
-                    raise SubsmoothError(f"{name} at index {lo + big.index(top)} has {why}")
+                    raise SubsmoothError(f"{name} at {_index(lo + big.index(top))} has {why}")
             raise
         return head + (text.replace("/1,", ",").replace("/1\n", "\n") if exact else text)
 
@@ -165,9 +165,19 @@ def _unprintable(n: int) -> str | None:
     # n < 8**limit < 10**limit needs no power of ten
     if not limit or n.bit_length() <= 3 * limit or n < 10 ** limit:
         return None
+    return f"{_digits(n)} digits, over the limit of {limit} digits for integer strings"
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of an n > 0, without str()."""
     d = int((n.bit_length() - 1) * 0.30102999566398120) + 1
-    return (f"{d + (n >= 10 ** d)} digits, over the limit of {limit} digits "
-            "for integer strings")
+    return d + (n >= 10 ** d)
+
+
+def _index(i: int) -> str:
+    """How a refusal names index i: "index i", or by its digit count when
+    str() would refuse it."""
+    return f"index {i}" if _unprintable(abs(i)) is None else f"an index of {_digits(abs(i))} digits"
 
 
 def _lowest_terms(nums: list[int] | range, den: int) -> tuple[list, list]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 from subsmooth import (Kind, LaurentPoly, Mask, MaskFileError, SubsmoothError,
@@ -81,13 +82,41 @@ def serialize(mask: Mask) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _paths(v, where: str = ""):
+    """(path, value) of v and of everything inside it, in document order."""
+    yield where, v
+    if isinstance(v, dict):
+        for k, x in v.items():
+            yield from _paths(x, f"{where}.{k}" if where else k)
+    elif isinstance(v, list):
+        for i, x in enumerate(v):
+            yield from _paths(x, f"{where}[{i}]")
+
+
+def _over_limit(text: str) -> str | None:
+    """The refusal of the first integer of text with more digits than the
+    digit limit for integer strings, read with the limit lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for where, v in _paths(json.loads(text)):
+            if type(v) is int and len(str(abs(v))) > limit:
+                return (f"{where or 'top level'}: {len(str(abs(v)))} digits, over the limit "
+                        f"of {limit} digits for integer strings")
+    except (ValueError, RecursionError):
+        pass
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return None
+
+
 def parse(text: str) -> Mask:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MaskFileError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except ValueError as exc:
-        raise MaskFileError(str(exc)) from None
+        raise MaskFileError(_over_limit(text) or str(exc)) from None
     except RecursionError:
         raise MaskFileError("arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):

@@ -102,7 +102,7 @@ def float_refusal(c: FinSeq) -> str | None:
     for name, values in _csv_columns(c):
         for i, x in enumerate(values, c.offset):
             if abs(x) >= FLOAT_OVERFLOW:
-                return f"{name} at index {i} is beyond the float range; render it with --exact"
+                return f"{name} at {index(i)} is beyond the float range; render it with --exact"
     return None
 
 
@@ -119,6 +119,19 @@ def unprintable(n: int) -> str | None:
             "for integer strings")
 
 
+def index(i: int) -> str:
+    """How a refusal names index i: "index i", or "an index of d digits" when
+    str(i) would fail under the digit limit, d counted by str() without one."""
+    if unprintable(i) is None:
+        return f"index {i}"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"an index of {len(str(abs(i)))} digits"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def lowest_terms_guard(name: str, nums: list[int] | range, den: int, lo: int):
     """The numerator and denominator of Fraction(x, den) for each x.  A value
     str() would refuse is a SubsmoothError naming the column and the index of
@@ -131,14 +144,13 @@ def lowest_terms_guard(name: str, nums: list[int] | range, den: int, lo: int):
     why = unprintable(top)
     if why:
         big = list(map(max, map(abs, ns), ds))
-        raise SubsmoothError(f"{name} at index {lo + big.index(top)} has {why}")
+        raise SubsmoothError(f"{name} at {index(lo + big.index(top))} has {why}")
     return ns, ds
 
 
-def exact_refusal(c: FinSeq) -> Exception | None:
+def exact_refusal(c: FinSeq) -> SubsmoothError | None:
     """What lowest_terms_guard raises on the columns of c, each over the lcm
-    of its denominators: its refusal, the ValueError of str() when the index
-    it names is itself over the digit limit, or None when it raises nothing."""
+    of its denominators: its refusal, or None when it raises nothing."""
     if c.is_zero():
         return None
     try:
@@ -146,7 +158,7 @@ def exact_refusal(c: FinSeq) -> Exception | None:
             den = lcm(*(x.denominator for x in values))
             lowest_terms_guard(name, [x.numerator * (den // x.denominator) for x in values],
                                den, c.offset)
-    except (SubsmoothError, ValueError) as exc:
+    except SubsmoothError as exc:
         return exc
     return None
 

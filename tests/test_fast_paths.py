@@ -203,8 +203,8 @@ def test_float_refusal_names_first_value_past_the_bound(seq):
 def test_exact_refusal_names_first_column_as_its_guard_did(seq):
     """to_csv(exact=True) formats first, and refuses exactly the sequences
     the column guard it ran before refused, in the same words (a far index
-    that str() refuses too fails as str() does); without a digit limit it
-    refuses none."""
+    that str() would refuse is named by its digit count); without a digit
+    limit it refuses none."""
     with digit_limit(LIMIT):
         want = oracle.exact_refusal(seq)
         if want is None:
@@ -215,6 +215,30 @@ def test_exact_refusal_names_first_column_as_its_guard_did(seq):
             assert str(err.value) == str(want)
     with digit_limit(0):
         assert seq.to_csv(exact=True) == oracle.to_csv(seq, exact=True)
+
+
+@pytest.mark.parametrize("lo", [-10 ** LIMIT, 10 ** LIMIT - 1], ids=["641 digits", "640 digits"])
+def test_refused_index_over_digit_limit_named_by_digit_count(lo):
+    """A refusal whose index str() would refuse names it by its digit count,
+    from to_csv(), rows and to_csv(exact=True) alike; one that str() prints
+    is named as before.  The limit is restored afterwards."""
+    before = sys.get_int_max_str_digits()
+    c = seq(0, (lo, [1]))
+    at = f"index {lo}" if lo > 0 else f"an index of {LIMIT + 1} digits"
+    with digit_limit(LIMIT):
+        for view in (c.to_csv, lambda: c.rows):
+            with pytest.raises(SubsmoothError) as err:
+                view()
+            assert str(err.value) == (f"t at {at} is beyond the float range; "
+                                      "render it with --exact")
+        if lo < 0:
+            with pytest.raises(SubsmoothError) as err:
+                c.to_csv(exact=True)
+            assert str(err.value) == (f"t at {at} has {LIMIT + 1} digits, over the limit "
+                                      f"of {LIMIT} digits for integer strings")
+        else:
+            assert c.to_csv(exact=True).startswith(f"t,c1\n{lo},1\n")
+    assert sys.get_int_max_str_digits() == before
 
 
 def test_exact_refusal_reraises_what_no_column_explains(monkeypatch):

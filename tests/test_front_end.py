@@ -77,6 +77,65 @@ class TestStrictRationals:
 
 
 class TestStrictFields:
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    @pytest.mark.parametrize("field", ["support_lo", "p", "schema_version",
+                                       "coeffs[0][0][0]", "phi"])
+    def test_integer_over_digit_limit_names_its_field(self, field, sign):
+        """A JSON integer of as many digits as the limit for integer strings
+        parses as before; one digit more is refused in one line that names
+        its field and its digit count, as the Fraction oracle does."""
+        def text(digits):
+            if field == "phi":
+                doc = json.loads(maskfile.serialize(catalog.get("merrien")))
+                doc["phi"] = "@"
+                doc = json.dumps(doc)
+            else:
+                doc = (scalar_doc(["@"]) if field.startswith("coeffs")
+                       else scalar_doc(["1"], **{field: "@"}))
+            return doc.replace('"@"', sign + "9" * digits)
+
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for digits in (4300, 4301):
+                try:
+                    want = maskfile_oracle.parse(text(digits))
+                except MaskFileError as exc:
+                    with pytest.raises(MaskFileError) as err:
+                        maskfile.parse(text(digits))
+                    assert str(err.value) == str(exc)
+                else:
+                    assert maskfile.parse(text(digits)) == want
+            assert str(err.value) == (f"{field}: 4301 digits, over the limit of 4300 digits "
+                                      "for integer strings")
+            if field == "support_lo":
+                assert maskfile.parse(text(4300)).support[0] == int(sign + "9" * 4300)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_first_integer_over_digit_limit_is_named(self):
+        """Of several integers over the limit, the first in the document is
+        named, as the Fraction oracle names it."""
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for text, want in (
+                    (scalar_doc(["@1", "@2"]), "coeffs[0][0][0]: 4301"),
+                    (scalar_doc(["1"], coeffs="@1", p="@2"), "p: 4302"),  # p comes first
+                    ('{"a": [0, {"b": @2}], "c": @1}', "a[1].b: 4302"),
+                    ("@2", "top level: 4302")):
+                text = text.replace('"@1"', "9" * 4301).replace('"@2"', "9" * 4302)
+                text = text.replace("@1", "9" * 4301).replace("@2", "9" * 4302)
+                with pytest.raises(MaskFileError) as err:
+                    maskfile.parse(text)
+                assert str(err.value) == (f"{want} digits, over the limit of 4300 digits "
+                                          "for integer strings")
+                with pytest.raises(MaskFileError) as oracle_err:
+                    maskfile_oracle.parse(text)
+                assert str(oracle_err.value) == str(err.value)
+        finally:
+            sys.set_int_max_str_digits(old)
+
     def test_bool_p_rejected(self):
         with pytest.raises(MaskFileError) as err:
             maskfile.parse(scalar_doc(["1"], p=True))
