@@ -44,6 +44,7 @@ from operator import floordiv
 from .errors import MaskFileError, SubsmoothError
 from .laurent import _normalize, _symbol
 from .masks import Kind, Mask, hermite_mask, scalar_mask, vector_mask
+from .refine import _too_many_digits
 
 SCHEMA_VERSION = 1
 
@@ -124,29 +125,50 @@ class _Digits(int):
     """The digit count of an integer literal over the digit limit, in its place."""
 
 
+_KEY_CHARS = 40  # of a key that a refusal names, shown as is when it is an identifier
+_PATH_PARTS = 8  # keys and indices of a path that a refusal names; those between, "[...]"
+
+
+def _path(keys: list) -> str:
+    """How a refusal names the value at keys (strings and list indices) from
+    the top: a.b[1], an odd or long key as a repr of its first _KEY_CHARS
+    characters in brackets, always one line."""
+    parts = [f"[{k}]" if isinstance(k, int) else
+             f".{k}" if k.isascii() and k.isidentifier() and len(k) <= _KEY_CHARS else
+             f"[{k[:_KEY_CHARS]!r}{'...' if len(k) > _KEY_CHARS else ''}]" for k in keys]
+    if len(parts) > _PATH_PARTS:
+        half = _PATH_PARTS // 2
+        parts[half:-half] = ["[...]"]
+    return "".join(parts).removeprefix(".") or "top level"
+
+
 def _over_limit(text: str) -> str | None:
     """The field of the first integer literal of text over the interpreter's
-    digit limit for integer strings, and its digit count, in the words of
-    refine._unprintable; None when text does not parse with such literals
-    marked, or when a later duplicate key dropped the literal."""
+    digit limit for integer strings, and its digit count; None when text does
+    not parse with such literals marked, or when a later duplicate key
+    dropped the literal.  Only the path of that literal is formatted."""
     limit = sys.get_int_max_str_digits()
 
     def parse_int(s: str) -> int:
         digits = len(s) - s.startswith("-")
         return _Digits(digits) if limit and digits > limit else int(s)
     try:
-        todo = [("", json.loads(text, parse_int=parse_int))]
+        doc = json.loads(text, parse_int=parse_int)
     except (ValueError, RecursionError):
         return None
-    while todo:  # depth first, in document order
-        where, v = todo.pop()
-        if type(v) is _Digits:
-            return (f"{where or 'top level'}: {v} digits, over the limit of {limit} digits "
-                    "for integer strings")
-        if isinstance(v, dict):
-            todo += reversed([(f"{where}.{k}" if where else k, x) for k, x in v.items()])
-        elif isinstance(v, list):
-            todo += reversed([(f"{where}[{i}]", x) for i, x in enumerate(v)])
+    keys = []  # the key of each container open below the top
+    todo = [iter([(None, doc)])]  # depth first, in document order
+    while todo:
+        for k, v in todo[-1]:
+            if type(v) is _Digits:
+                return f"{_path([*keys, k][1:])}: {_too_many_digits(v)}"
+            if isinstance(v, dict | list):
+                keys.append(k)
+                todo.append(iter(v.items() if isinstance(v, dict) else enumerate(v)))
+                break
+        else:
+            todo.pop()
+            keys[-1:] = []
     return None
 
 

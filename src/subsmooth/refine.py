@@ -165,7 +165,13 @@ def _unprintable(n: int) -> str | None:
     # n < 8**limit < 10**limit needs no power of ten
     if not limit or n.bit_length() <= 3 * limit or n < 10 ** limit:
         return None
-    return f"{_digits(n)} digits, over the limit of {limit} digits for integer strings"
+    return _too_many_digits(_digits(n))
+
+
+def _too_many_digits(d: int) -> str:
+    """How a refusal names an integer of d digits, over the digit limit."""
+    return (f"{d} digits, over the limit of {sys.get_int_max_str_digits()} digits "
+            "for integer strings")
 
 
 def _digits(n: int) -> int:

@@ -14,13 +14,15 @@ The calls, family by family:
 
 - every catalog mask and the seeded ``tests.maskgen`` masks under ``show``,
   ``certify`` (default and ``--ell 2 --lmax 6``), ``smooth --rounds 3`` and
-  ``render --depth 6`` (float and ``--exact``); the derivable and smoothable
-  masks also with their first k columns made eigenvectors, so that
-  ``certify`` and ``smooth`` get past the eigenspace;
-- the catalog under ``certify`` at ``--ell`` 1, 3 and 4 and at ``--lmax``
-  1, 3, 9 and 16, and under ``smooth --rounds`` 1 and 12 with the file it
-  writes;
-- the long-denominator files for p = 1..5 at seed 0 and p = 1..4 at seed 1;
+  ``render --depth 6`` (float and ``--exact``);
+- the derivable and smoothable masks with their first k columns made
+  eigenvectors (``PAST_EIGENSPACE``) under ``certify`` and ``smooth``, which
+  get past the eigenspace there;
+- the catalog under ``certify`` at the ``--ell`` (``ELLS``) and ``--lmax``
+  (``LMAXES``) values that change its output, and under ``smooth --rounds``
+  1 and 12 with the file it writes;
+- the long-denominator files for p = 1..5 at seed 0, and for p = 2..4 at
+  seed 1 under ``show`` and ``certify``;
 - the paper's constructions (``PINNED``): merrien smoothed 64 times,
   double-knot and derham 12 times, their certificates and ``show``, and
   their refusals;
@@ -55,18 +57,37 @@ OUT = "out.txt"
 CATALOG = ("bspline0", "bspline1", "bspline3", "bspline5", "double-knot", "merrien",
            "derham", "merrien-smoothed", "derham-smoothed")
 SEEDS = (0, 1, 2)
-# p -> seeds; p = 4 and 5: smooth and certify refuse at their prices
-LONG_DEN = {1: (0, 1), 2: (0, 1), 3: (0, 1), 4: (0, 1), 5: (0,)}
+# p -> seeds; p = 4 and 5: smooth and certify refuse at their prices.  Seed 1
+# changes the denominators that show and certify print; at p = 1 every entry
+# is in column p - 1, so the seed changes nothing, and smooth's refusal of a
+# seed-1 file is the one of its seed-0 file.
+LONG_DEN = {1: (0,), 2: (0, 1), 3: (0, 1), 4: (0, 1), 5: (0,)}
 GENERATORS = {
     "derivable": lambda rng: maskgen.rand_derivable_mask(rng, 2, 1),
     "smoothable": lambda rng: maskgen.rand_smoothable_mask(rng, 3, 2),
     "taylor": maskgen.rand_taylor_mask,
     "spectral": maskgen.rand_smoothing_ready_spectral,
     "convergent": lambda rng: maskgen.rand_convergent_style_mask(rng, 3, 1),
+}
+# certify and smooth of the generators above stop at the empty eigenspace;
+# these masks get past it (show and render read them as they read the rest)
+PAST_EIGENSPACE = {
     "derivable-eig": lambda rng: maskgen.with_eigenspace(maskgen.rand_derivable_mask(rng, 2, 1), 1),
     "smoothable-eig": lambda rng: maskgen.with_eigenspace(maskgen.rand_smoothable_mask(rng, 3, 2),
                                                           2),
 }
+# catalog name -> the --ell values at which its certify prints what no other
+# of its certify calls prints (bspline0 refuses at every ell as at
+# --ell 2 --lmax 6; merrien and derham at --ell 1 certify as by default);
+# bspline1 --ell 3 is its exit-2 refusal, as at --ell 2 --lmax 6
+ELLS = {"bspline1": (1, 3), "bspline3": (1, 3, 4), "bspline5": (1, 3, 4), "double-knot": (1, 3),
+        "merrien": (3,), "derham": (3, 4), "merrien-smoothed": (3, 4),
+        "derham-smoothed": (3, 4)}
+# ... and the --lmax values: at lmax 1 bspline0, merrien and derham are
+# refused before their contractive power; bspline0, refused at every lmax,
+# lists its norms up to MAX_LMAX; the other masks certify at lmax 1 as by
+# default, and their lmax-16 refusals are in HEAVY
+LMAXES = {"bspline0": (1, 16), "merrien": (1,), "derham": (1,)}
 # file name -> (catalog name, rounds): the bytes that smooth --rounds writes
 CHAINS = {"m64.mask": ("merrien", 64), "dk12.mask": ("double-knot", 12), "d12.mask": ("derham", 12)}
 
@@ -104,7 +125,7 @@ def _long_den(p: int, seed: int) -> str:
 def inputs() -> dict[str, str]:
     """The mask files of the corpus, by file name."""
     files = {f"{name}-{seed}.mask": maskfile.serialize(gen(random.Random(f"corpus/{name}/{seed}")))
-             for name, gen in GENERATORS.items() for seed in SEEDS}
+             for name, gen in (GENERATORS | PAST_EIGENSPACE).items() for seed in SEEDS}
     files.update({_long_den(p, seed): maskgen.long_denominator_doc(p, seed)
                   for p, seeds in LONG_DEN.items() for seed in seeds})
     files.update({name: maskfile.serialize(maskgen.smoothed(*how)) for name, how in CHAINS.items()})
@@ -131,15 +152,19 @@ def calls() -> list[str]:
     """Every command line of the corpus, in a fixed order."""
     out = [c for name in CATALOG for c in _mask_calls(f"catalog:{name}")]
     out += [c for name in GENERATORS for seed in SEEDS for c in _mask_calls(f"{name}-{seed}.mask")]
+    out += [c for name in PAST_EIGENSPACE for seed in SEEDS
+            for c in (f"certify {name}-{seed}.mask",
+                      f"smooth {name}-{seed}.mask --rounds 3 --out {OUT}")]
     out += [c for p, seeds in LONG_DEN.items() for seed in seeds
             for c in (f"show {_long_den(p, seed)}", f"certify {_long_den(p, seed)}",
-                      f"smooth {_long_den(p, seed)} --out {OUT}")]
+                      *([f"smooth {_long_den(p, seed)} --out {OUT}"] if seed == 0 else []))]
     out += ["render long.mask --depth 2", "render long.mask --depth 6 --exact",
             "certify long.mask --lmax 16", "render far.mask --depth 2",
             "render far.mask --depth 2 --exact", "render wide.mask --depth 8",
             "render catalog:bspline1 --depth 2 --out no/such/dir/x.csv", "show ."]
-    out += [f"certify catalog:{name} --ell {ell}" for name in CATALOG for ell in (1, 3, 4)]
-    out += [f"certify catalog:{name} --lmax {lmax}" for name in CATALOG for lmax in (1, 3, 9, 16)]
+    out += [f"certify catalog:{name} --ell {ell}" for name, ells in ELLS.items() for ell in ells]
+    out += [f"certify catalog:{name} --lmax {lmax}"
+            for name, lmaxes in LMAXES.items() for lmax in lmaxes]
     out += [f"smooth catalog:{name} --rounds {rounds} --out {OUT}"
             for name in CATALOG for rounds in (1, 12)]
     return out + [*PINNED, *HEAVY]

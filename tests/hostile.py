@@ -3,11 +3,14 @@
 Each document of ``documents()`` runs under ``show``, ``certify``,
 ``render --depth 8`` and ``smooth --rounds 2``, as ``python -m subsmooth`` in
 a child process, one call at a time, under the default digit limit for
-integer strings (4300).  ``preexec_fn`` sets ``RLIMIT_AS`` (1 GiB) and
-``RLIMIT_CPU`` in each child, so the limits bind only the children.  Every
-call must exit 0, 1 or 2; an exit 1 prints exactly one ``error:`` line; no
-call prints ``Traceback``.  The report gives each call's exit code, peak RSS
-(the child's ``ru_maxrss``), time and last stderr line.
+integer strings (4300), with no stdin.  ``preexec_fn`` sets ``RLIMIT_AS``
+(1 GiB) and ``RLIMIT_CPU`` in each child, so the limits bind only the
+children; a child still running after ``WALL_SECONDS`` (one that waits
+without using its CPU) is killed.  Every call must exit 0, 1 or 2 in time; an
+exit 1 prints exactly one ``error:`` line; no call prints ``Traceback``.  The
+report gives each call's exit code, peak RSS (the child's ``ru_maxrss``),
+time and last stderr line, and notes each call whose refusal is the
+interpreter's own digit-limit text rather than one that names its field.
 
     PYTHONPATH=src python -m tests.hostile    # exit 1 when a call breaks a rule
 """
@@ -30,6 +33,7 @@ from tests.long_den import long_denominator_doc
 LIMIT = 4300  # digits, the interpreter's default for integer strings
 MEMORY = 1 << 30  # bytes of address space per child
 CPU_SECONDS = 20
+WALL_SECONDS = 40
 COMMANDS = (("show",), ("certify",), ("render", "--depth", "8"), ("smooth", "--rounds", "2"))
 
 
@@ -58,6 +62,12 @@ def documents() -> dict[str, str]:
         "duplicate-keys.mask": _scalar(hat)[:-1] + ', "coeffs": [[["1"]]], "kind": "vector"}',
         "byte-order-mark.mask": "\ufeff" + _scalar(hat),
         "non-ascii-digits.mask": _scalar(["\u0661/\u0662", "1", "1/2"]),  # Arabic-Indic 1/2
+        # one over-limit integer after a 100,000-character key over 900 nested
+        # lists of 10**6 zeros: a refusal that named every path on its way
+        # would hold 10**6 paths of over 100 KB
+        "long-key-wide-list.mask": ('{"' + "k" * 100_000 + '": ' + "[" * 900
+                                    + "0," * 999_999 + "0" + "]" * 900 + ', "z": 1'
+                                    + "0" * LIMIT + "}"),
     }
 
 
@@ -69,10 +79,11 @@ class Call(NamedTuple):
     seconds: float
     stdout: str
     stderr: str
+    timed_out: bool = False
 
     def faults(self) -> list[str]:
         """The rules this call breaks."""
-        out = []
+        out = [f"killed after {WALL_SECONDS} s"] if self.timed_out else []
         if self.code not in (0, 1, 2):
             out.append(f"exit {self.code}")
         errors = [line for line in self.stderr.splitlines() if line.startswith("error:")]
@@ -81,6 +92,11 @@ class Call(NamedTuple):
         if "Traceback" in self.stdout + self.stderr:
             out.append("Traceback")
         return out
+
+    def notes(self) -> list[str]:
+        """What this call shows that breaks no rule but names no field."""
+        return (["the interpreter's digit-limit text"]
+                if "set_int_max_str_digits" in self.stderr else [])
 
 
 def _limits() -> None:
@@ -97,14 +113,25 @@ def run_call(directory: str, document: str, command: tuple[str, ...]) -> Call:
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "subsmooth", *argv], cwd=directory,
-                                stdout=out, stderr=err, env=env, preexec_fn=_limits)
-        _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
+                                stdin=subprocess.DEVNULL, stdout=out, stderr=err, env=env,
+                                preexec_fn=_limits)
+        timed_out = False
+        while True:  # wait4 gives the rusage of this child alone
+            pid, status, usage = os.wait4(proc.pid, 0 if timed_out else os.WNOHANG)
+            if pid:
+                break
+            if time.perf_counter() - start > WALL_SECONDS:
+                proc.kill()
+                timed_out = True
+            else:
+                time.sleep(0.01)
         proc.returncode = os.waitstatus_to_exitcode(status)
         seconds = time.perf_counter() - start
         out.seek(0)
         err.seek(0)
         return Call(document, argv, proc.returncode, usage.ru_maxrss / 1024, seconds,
-                    out.read().decode("utf-8", "replace"), err.read().decode("utf-8", "replace"))
+                    out.read().decode("utf-8", "replace"), err.read().decode("utf-8", "replace"),
+                    timed_out)
 
 
 def run(names=None) -> list[Call]:
@@ -123,11 +150,13 @@ def main() -> int:
     for c in calls:
         last = (c.stderr.splitlines() or [""])[-1]
         print(f"{' '.join(c.argv[:1] + c.argv[2:]):<18} {c.document:<26} exit {c.code}  "
-              f"{c.rss_mb:6.1f} MB {c.seconds:6.2f} s  {'; '.join(c.faults()) or 'ok'}  "
-              f"{last[:90]}")
+              f"{c.rss_mb:6.1f} MB {c.seconds:6.2f} s  "
+              f"{'; '.join(c.faults() + c.notes()) or 'ok'}  {last[:90]}")
     bad = [c for c in calls if c.faults()]
-    print(f"{len(bad)} of {len(calls)} calls break a rule; peak RSS "
-          f"{max(c.rss_mb for c in calls):.1f} MB, slowest {max(c.seconds for c in calls):.2f} s")
+    noted = [c for c in calls if c.notes()]
+    print(f"{len(bad)} of {len(calls)} calls break a rule, {len(noted)} print the interpreter's "
+          f"digit-limit text; peak RSS {max(c.rss_mb for c in calls):.1f} MB, slowest "
+          f"{max(c.seconds for c in calls):.2f} s")
     return 1 if bad else 0
 
 

@@ -82,15 +82,33 @@ def serialize(mask: Mask) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _paths(v, where: str = ""):
-    """(path, value) of v and of everything inside it, in document order."""
-    yield where, v
+def _paths(v, keys=()):
+    """(keys, value) of v and of everything inside it, in document order."""
+    yield keys, v
     if isinstance(v, dict):
         for k, x in v.items():
-            yield from _paths(x, f"{where}.{k}" if where else k)
+            yield from _paths(x, (*keys, k))
     elif isinstance(v, list):
         for i, x in enumerate(v):
-            yield from _paths(x, f"{where}[{i}]")
+            yield from _paths(x, (*keys, i))
+
+
+def _name(keys) -> str:
+    """a.b[1]; a key that is not an identifier of at most 40 ASCII characters
+    as the repr of its first 40 in brackets; the middle of more than 8 parts
+    as [...]."""
+    parts = []
+    for k in keys:
+        if isinstance(k, int):
+            parts.append(f"[{k}]")
+        elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]{0,39}", k):
+            parts.append("." + k)
+        else:
+            parts.append("[" + repr(k[:40]) + ("..." if len(k) > 40 else "") + "]")
+    if len(parts) > 8:
+        parts = parts[:4] + ["[...]"] + parts[-4:]
+    text = "".join(parts)
+    return (text[1:] if text.startswith(".") else text) or "top level"
 
 
 def _over_limit(text: str) -> str | None:
@@ -99,9 +117,9 @@ def _over_limit(text: str) -> str | None:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        for where, v in _paths(json.loads(text)):
+        for keys, v in _paths(json.loads(text)):
             if type(v) is int and len(str(abs(v))) > limit:
-                return (f"{where or 'top level'}: {len(str(abs(v)))} digits, over the limit "
+                return (f"{_name(keys)}: {len(str(abs(v)))} digits, over the limit "
                         f"of {limit} digits for integer strings")
     except (ValueError, RecursionError):
         pass

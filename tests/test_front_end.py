@@ -123,7 +123,14 @@ class TestStrictFields:
                     (scalar_doc(["@1", "@2"]), "coeffs[0][0][0]: 4301"),
                     (scalar_doc(["1"], coeffs="@1", p="@2"), "p: 4302"),  # p comes first
                     ('{"a": [0, {"b": @2}], "c": @1}', "a[1].b: 4302"),
-                    ("@2", "top level: 4302")):
+                    ("@2", "top level: 4302"),
+                    # a key is one line and at most 40 characters; at most 8 parts
+                    ('{"a\\nerror: x": {"b c": [@1]}}', "['a\\nerror: x']['b c'][0]: 4301"),
+                    ('{"%s": @1}' % ("k" * 41), f"['{'k' * 40}'...]: 4301"),
+                    ('{"%s": @1}' % ("k" * 40), f"{'k' * 40}: 4301"),
+                    ('{"\u00e9": [@1]}', "['\u00e9'][0]: 4301"),
+                    ("[" * 9 + "@1" + "]" * 9, "[0][0][0][0][...][0][0][0][0]: 4301"),
+                    ("[" * 8 + "@1" + "]" * 8, "[0][0][0][0][0][0][0][0]: 4301")):
                 text = text.replace('"@1"', "9" * 4301).replace('"@2"', "9" * 4302)
                 text = text.replace("@1", "9" * 4301).replace("@2", "9" * 4302)
                 with pytest.raises(MaskFileError) as err:
