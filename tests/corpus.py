@@ -29,7 +29,9 @@ The calls, family by family:
 - the heavy tier (``HEAVY``): the slowest refusals and renders;
 - the refusals of values that floats, integer strings or an output path
   cannot hold, of a path that is a directory and of a render step over the
-  work budget.
+  work budget;
+- a ``support_lo`` of 4299 digits (``show``, ``certify``, ``smooth`` and
+  ``render``), 4300 digits of either sign and 4301 digits (``show``).
 
 ``SAMPLE`` is the part that the tier-1 tests run.
 """
@@ -118,6 +120,12 @@ HEAVY = ("certify catalog:derham --ell 3 --lmax 16", "certify catalog:merrien --
          "certify m64.mask --ell 30", "render catalog:bspline64 --depth 10")
 
 
+# file name -> a support_lo at the digit limit for integer strings (4300) and
+# either side of it
+SUPPORT_DIGITS = {"lo-4299-neg.mask": "-" + "9" * 4299, "lo-4300.mask": "9" * 4300,
+                  "lo-4300-neg.mask": "-" + "9" * 4300, "lo-4301.mask": "1" + "0" * 4300}
+
+
 def _long_den(p: int, seed: int) -> str:
     return f"long-den-{p}.mask" if seed == 0 else f"long-den-{p}-seed{seed}.mask"
 
@@ -139,6 +147,10 @@ def inputs() -> dict[str, str]:
     files["far.mask"] = json.dumps({"schema_version": 1, "kind": "scalar", "p": 1,
                                     "support_lo": 10 ** 400,
                                     "coeffs": [[["1/2"]], [["1"]], [["1/2"]]]})
+    # a support_lo of 4299, 4300 and 4301 digits, written as text: this process
+    # could not print the last
+    for name, lo in SUPPORT_DIGITS.items():
+        files[name] = files["far.mask"].replace(str(10 ** 400), lo)
     return files
 
 
@@ -162,6 +174,9 @@ def calls() -> list[str]:
             "certify long.mask --lmax 16", "render far.mask --depth 2",
             "render far.mask --depth 2 --exact", "render wide.mask --depth 8",
             "render catalog:bspline1 --depth 2 --out no/such/dir/x.csv", "show ."]
+    out += [f"show {name}" for name in SUPPORT_DIGITS]
+    out += ["certify lo-4299-neg.mask", f"smooth lo-4299-neg.mask --rounds 2 --out {OUT}",
+            "render lo-4299-neg.mask --depth 2"]
     out += [f"certify catalog:{name} --ell {ell}" for name, ells in ELLS.items() for ell in ells]
     out += [f"certify catalog:{name} --lmax {lmax}"
             for name, lmaxes in LMAXES.items() for lmax in lmaxes]
