@@ -100,6 +100,13 @@ def _normalize(lo: int, nums: Sequence[int], den: int) -> "LaurentPoly":
     return _raw(lo, tuple(nums), den)
 
 
+def _padded(f: "LaurentPoly", lo: int, hi: int) -> list[int]:
+    """The numerators of f at exponents lo..hi, a window that holds its support."""
+    if not f.nums:
+        return [0] * (hi + 1 - lo)
+    return [*repeat(0, f.lo - lo), *f.nums, *repeat(0, hi + 1 - f.lo - len(f.nums))]
+
+
 def _integer_rows(m: RatMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The rows of m times the lcm of its row denominators, and that lcm."""
     den = math.lcm(*m.dens)

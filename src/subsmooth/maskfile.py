@@ -7,10 +7,14 @@ Parsing is strict: a rational is an integer or p/q in lowest terms with
 q > 0 and at most 1000 characters, integer fields reject JSON booleans,
 a mask has at least one nonzero coefficient, only hermite masks carry phi,
 and p is at most 5, because exact elimination over long entries slows down
-fast as p grows.
+fast as p grows.  support_lo has fewer digits than the interpreter's limit
+for integer strings, so that an end of the support one digit longer prints.
 
 Cells are read and written as integers, with no Fraction per coefficient.
-parse checks the rationals in index, row, column order into numerators and
+parse reads the text with one json.loads, which puts a _Digits, the digit
+count, in place of an integer literal over that limit; the field that reads
+it refuses it by name, and a key the schema does not read is ignored with
+its contents.  parse checks the rationals in index, row, column order into numerators and
 denominators (_ratios), formatting a cell's name coeffs[i][r][c] only to
 refuse it, and puts each entry's numerators over the lcm of its
 denominators: the (lo, nums, den) triple of laurent.  serialize reduces each
@@ -36,15 +40,13 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import floordiv
+from itertools import chain
 
 from .errors import MaskFileError, SubsmoothError
-from .laurent import _normalize, _symbol
+from .laurent import _normalize, _padded, _symbol
 from .masks import Kind, Mask, hermite_mask, scalar_mask, vector_mask
-from .refine import _too_many_digits
+from .refine import _digits, _lowest_terms, _too_many_digits, _unprintable
 
 SCHEMA_VERSION = 1
 
@@ -107,7 +109,7 @@ def _ratios(values, name) -> tuple[list[int], list[int]]:
                 dens.append(d)
                 continue
         where = name(len(nums))
-        if not isinstance(s, str):
+        if not isinstance(_fits(s, where), str):
             raise MaskFileError(f"{where}: rationals must be strings, got {s!r}")
         if len(s) > _MAX_RATIONAL_CHARS:
             raise MaskFileError(f"{where}: rational longer than "
@@ -125,56 +127,33 @@ class _Digits(int):
     """The digit count of an integer literal over the digit limit, in its place."""
 
 
-_KEY_CHARS = 40  # of a key that a refusal names, shown as is when it is an identifier
-_PATH_PARTS = 8  # keys and indices of a path that a refusal names; those between, "[...]"
-
-
-def _path(keys: list) -> str:
-    """How a refusal names the value at keys (strings and list indices) from
-    the top: a.b[1], an odd or long key as a repr of its first _KEY_CHARS
-    characters in brackets, always one line."""
-    parts = [f"[{k}]" if isinstance(k, int) else
-             f".{k}" if k.isascii() and k.isidentifier() and len(k) <= _KEY_CHARS else
-             f"[{k[:_KEY_CHARS]!r}{'...' if len(k) > _KEY_CHARS else ''}]" for k in keys]
-    if len(parts) > _PATH_PARTS:
-        half = _PATH_PARTS // 2
-        parts[half:-half] = ["[...]"]
-    return "".join(parts).removeprefix(".") or "top level"
-
-
-def _over_limit(text: str) -> str | None:
-    """The field of the first integer literal of text over the interpreter's
-    digit limit for integer strings, and its digit count; None when text does
-    not parse with such literals marked, or when a later duplicate key
-    dropped the literal.  Only the path of that literal is formatted."""
-    limit = sys.get_int_max_str_digits()
-
-    def parse_int(s: str) -> int:
-        digits = len(s) - s.startswith("-")
-        return _Digits(digits) if limit and digits > limit else int(s)
+def _parse_int(s: str) -> int:
+    """json's parse_int: int(s), or a _Digits for a literal over the digit limit
+    for integer strings, so that the field that reads it can name it."""
     try:
-        doc = json.loads(text, parse_int=parse_int)
-    except (ValueError, RecursionError):
-        return None
-    keys = []  # the key of each container open below the top
-    todo = [iter([(None, doc)])]  # depth first, in document order
-    while todo:
-        for k, v in todo[-1]:
-            if type(v) is _Digits:
-                return f"{_path([*keys, k][1:])}: {_too_many_digits(v)}"
-            if isinstance(v, dict | list):
-                keys.append(k)
-                todo.append(iter(v.items() if isinstance(v, dict) else enumerate(v)))
-                break
-        else:
-            todo.pop()
-            keys[-1:] = []
+        return int(s)
+    except ValueError:  # the only fault of a JSON integer literal
+        return _Digits(len(s) - s.startswith("-"))
+
+
+def _fits(v, where: str):
+    """v, unless it is a _Digits: then a MaskFileError naming where."""
+    if type(v) is _Digits:
+        raise MaskFileError(f"{where}: {_too_many_digits(v)}")
+    return v
+
+
+def _long_end(lo: int) -> str | None:
+    """Why a mask file cannot hold support_lo = lo, or None: a support end one
+    digit longer than lo must still print under the digit limit."""
+    if _unprintable(10 * abs(lo)):
+        return f"support_lo: {_too_many_digits(_digits(abs(lo)))}"
     return None
 
 
 def _int_field(doc: dict, key: str):
     """The value of an integer field; JSON true/false are not integers."""
-    v = doc.get(key)
+    v = _fits(doc.get(key), key)
     return v if isinstance(v, int) and not isinstance(v, bool) else None
 
 
@@ -188,13 +167,12 @@ def serialize(mask: Mask) -> str:
     if mask.support is None:
         raise SubsmoothError("the zero mask has no mask file")
     lo, hi = mask.support
+    if why := _long_end(lo):
+        raise SubsmoothError(f"{why}, which a mask file cannot hold")
     cells = []  # per entry, row by row: the reduced numerators and denominators at lo..hi
     for row in sym.entries:
         for e in row:
-            xs = ([*repeat(0, e.lo - lo), *e.nums, *repeat(0, hi + 1 - e.lo - len(e.nums))]
-                  if e.nums else [0] * (hi + 1 - lo))
-            gs = list(map(math.gcd, xs, repeat(e.den)))
-            cells += list(map(floordiv, xs, gs)), list(map(e.den.__floordiv__, gs))
+            cells += _lowest_terms(_padded(e, lo, hi), e.den)
     if _long(mask):  # refuse the first cell, index by index, that parse would refuse
         for i, cell in enumerate(zip(*cells)):
             for k in range(p * p):
@@ -214,11 +192,9 @@ def serialize(mask: Mask) -> str:
 def parse(text: str) -> Mask:
     """Parse a mask file; raises MaskFileError with field diagnostics."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise MaskFileError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except ValueError as exc:  # e.g. an integer literal over the digit limit
-        raise MaskFileError(_over_limit(text) or str(exc)) from None
     except RecursionError:
         raise MaskFileError("arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
@@ -229,7 +205,7 @@ def parse(text: str) -> Mask:
         raise MaskFileError(f"schema_version: expected {SCHEMA_VERSION}, "
                             f"got {doc.get('schema_version')!r}")
 
-    kind_name = doc.get("kind")
+    kind_name = _fits(doc.get("kind"), "kind")
     if not isinstance(kind_name, str) or kind_name not in _KINDS:
         raise MaskFileError(f"kind: expected one of {sorted(_KINDS)}, got {kind_name!r}")
     kind = _KINDS[kind_name]
@@ -246,6 +222,8 @@ def parse(text: str) -> Mask:
     if lo is None:
         raise MaskFileError(
             f"support_lo: expected an integer, got {doc.get('support_lo')!r}")
+    if why := _long_end(lo):
+        raise MaskFileError(why)
 
     coeffs = doc.get("coeffs")
     if not isinstance(coeffs, list) or not coeffs:

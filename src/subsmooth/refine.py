@@ -22,7 +22,7 @@ from math import gcd
 from operator import floordiv
 
 from .errors import EigenspaceError, SubsmoothError, WorkBudgetError
-from .laurent import LaurentPoly, SymbolMatrix, joint_support
+from .laurent import LaurentPoly, SymbolMatrix, _padded, joint_support
 from .masks import Kind, Mask, canonical_transform, common_one_eigenspace, stencil_norm
 from .vector_smoothing import derived
 from .hermite_smoothing import E2, check_spectral, taylor_scheme
@@ -102,9 +102,7 @@ class FinSeq(namedtuple("FinSeq", "comps n", defaults=(0,))):
         lo, hi = self.support
         cols = [("t", range(lo, hi + 1), 2 ** self.n)]
         for r, f in enumerate(self.comps):
-            nums = ([0] * (f.lo - lo) + list(f.nums) + [0] * (hi + 1 - f.lo - len(f.nums))
-                    if f.nums else [0] * (hi - lo + 1))
-            cols.append((f"component c{r + 1}", nums, f.den))
+            cols.append((f"component c{r + 1}", _padded(f, lo, hi), f.den))
         return cols
 
     def _float_columns(self) -> list[list[float]]:
@@ -169,8 +167,9 @@ def _unprintable(n: int) -> str | None:
 
 
 def _too_many_digits(d: int) -> str:
-    """How a refusal names an integer of d digits, over the digit limit."""
-    return (f"{d} digits, over the limit of {sys.get_int_max_str_digits()} digits "
+    """How a refusal names an integer of d digits, at or over the digit limit."""
+    limit = sys.get_int_max_str_digits()
+    return (f"{d} digits, {'at' if d == limit else 'over'} the limit of {limit} digits "
             "for integer strings")
 
 

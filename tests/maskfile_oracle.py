@@ -36,7 +36,7 @@ def _writable(x: Fraction, where: str) -> str:
 
 
 def _str_to_rat(s, where: str) -> Fraction:
-    if not isinstance(s, str):
+    if not isinstance(_fits(s, where), str):
         raise MaskFileError(f"{where}: rationals must be strings, got {s!r}")
     if len(s) > _MAX_RATIONAL_CHARS:
         raise MaskFileError(f"{where}: rational longer than "
@@ -57,7 +57,7 @@ def _str_to_rat(s, where: str) -> Fraction:
 
 
 def _int_field(doc: dict, key: str):
-    v = doc.get(key)
+    v = _fits(doc.get(key), key)
     return v if isinstance(v, int) and not isinstance(v, bool) else None
 
 
@@ -82,61 +82,37 @@ def serialize(mask: Mask) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _paths(v, keys=()):
-    """(keys, value) of v and of everything inside it, in document order."""
-    yield keys, v
-    if isinstance(v, dict):
-        for k, x in v.items():
-            yield from _paths(x, (*keys, k))
-    elif isinstance(v, list):
-        for i, x in enumerate(v):
-            yield from _paths(x, (*keys, i))
-
-
-def _name(keys) -> str:
-    """a.b[1]; a key that is not an identifier of at most 40 ASCII characters
-    as the repr of its first 40 in brackets; the middle of more than 8 parts
-    as [...]."""
-    parts = []
-    for k in keys:
-        if isinstance(k, int):
-            parts.append(f"[{k}]")
-        elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]{0,39}", k):
-            parts.append("." + k)
-        else:
-            parts.append("[" + repr(k[:40]) + ("..." if len(k) > 40 else "") + "]")
-    if len(parts) > 8:
-        parts = parts[:4] + ["[...]"] + parts[-4:]
-    text = "".join(parts)
-    return (text[1:] if text.startswith(".") else text) or "top level"
-
-
-def _over_limit(text: str) -> str | None:
-    """The refusal of the first integer of text with more digits than the
-    digit limit for integer strings, read with the limit lifted."""
+def _digits(v: int) -> int:
+    """The number of digits of v, counted by str() with the digit limit lifted."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        for keys, v in _paths(json.loads(text)):
-            if type(v) is int and len(str(abs(v))) > limit:
-                return (f"{_name(keys)}: {len(str(abs(v)))} digits, over the limit "
-                        f"of {limit} digits for integer strings")
-    except (ValueError, RecursionError):
-        pass
+        return len(str(abs(v)))
     finally:
         sys.set_int_max_str_digits(limit)
-    return None
+
+
+def _fits(v, where: str):
+    """v, unless it is an integer of more digits than the digit limit for
+    integer strings: then a MaskFileError naming where."""
+    limit = sys.get_int_max_str_digits()
+    if type(v) is int and limit and _digits(v) > limit:
+        raise MaskFileError(f"{where}: {_digits(v)} digits, over the limit of {limit} digits "
+                            "for integer strings")
+    return v
 
 
 def parse(text: str) -> Mask:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # each field names its own integer over the limit
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MaskFileError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except ValueError as exc:
-        raise MaskFileError(_over_limit(text) or str(exc)) from None
     except RecursionError:
         raise MaskFileError("arrays or objects nested too deeply") from None
+    finally:
+        sys.set_int_max_str_digits(limit)
     if not isinstance(doc, dict):
         raise MaskFileError("top level must be an object")
 
@@ -145,7 +121,7 @@ def parse(text: str) -> Mask:
         raise MaskFileError(f"schema_version: expected {SCHEMA_VERSION}, "
                             f"got {doc.get('schema_version')!r}")
 
-    kind_name = doc.get("kind")
+    kind_name = _fits(doc.get("kind"), "kind")
     if not isinstance(kind_name, str) or kind_name not in _KINDS:
         raise MaskFileError(f"kind: expected one of {sorted(_KINDS)}, got {kind_name!r}")
     kind = _KINDS[kind_name]
@@ -162,6 +138,9 @@ def parse(text: str) -> Mask:
     if lo is None:
         raise MaskFileError(
             f"support_lo: expected an integer, got {doc.get('support_lo')!r}")
+    if limit and _digits(lo) >= limit:  # an end one digit longer would not print
+        raise MaskFileError(f"support_lo: {_digits(lo)} digits, at the limit of {limit} "
+                            "digits for integer strings")
 
     coeffs = doc.get("coeffs")
     if not isinstance(coeffs, list) or not coeffs:

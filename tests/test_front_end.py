@@ -83,7 +83,9 @@ class TestStrictFields:
     def test_integer_over_digit_limit_names_its_field(self, field, sign):
         """A JSON integer of as many digits as the limit for integer strings
         parses as before; one digit more is refused in one line that names
-        its field and its digit count, as the Fraction oracle does."""
+        its field and its digit count, as the Fraction oracle does.  A
+        support_lo stops one digit short of the limit, since a support end
+        one digit longer must still print."""
         def text(digits):
             if field == "phi":
                 doc = json.loads(maskfile.serialize(catalog.get("merrien")))
@@ -94,10 +96,11 @@ class TestStrictFields:
                        else scalar_doc(["1"], **{field: "@"}))
             return doc.replace('"@"', sign + "9" * digits)
 
+        last = 4299 if field == "support_lo" else 4300  # the most digits that parse
         old = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
-            for digits in (4300, 4301):
+            for digits in (last, last + 1):
                 try:
                     want = maskfile_oracle.parse(text(digits))
                 except MaskFileError as exc:
@@ -106,33 +109,26 @@ class TestStrictFields:
                     assert str(err.value) == str(exc)
                 else:
                     assert maskfile.parse(text(digits)) == want
-            assert str(err.value) == (f"{field}: 4301 digits, over the limit of 4300 digits "
-                                      "for integer strings")
+            assert str(err.value) == (f"{field}: {last + 1} digits, "
+                                      f"{'over' if last == 4300 else 'at'} the limit of 4300 "
+                                      "digits for integer strings")
             if field == "support_lo":
-                assert maskfile.parse(text(4300)).support[0] == int(sign + "9" * 4300)
+                assert maskfile.parse(text(last)).support[0] == int(sign + "9" * last)
+                with pytest.raises(MaskFileError, match="^support_lo: 4301 digits, over the limit"):
+                    maskfile.parse(text(4301))
         finally:
             sys.set_int_max_str_digits(old)
 
     def test_first_integer_over_digit_limit_is_named(self):
-        """Of several integers over the limit, the first in the document is
-        named, as the Fraction oracle names it."""
+        """Of several integers over the limit, the first that the schema reads
+        is named, as the Fraction oracle names it: p before coeffs."""
         old = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
-            for text, want in (
-                    (scalar_doc(["@1", "@2"]), "coeffs[0][0][0]: 4301"),
-                    (scalar_doc(["1"], coeffs="@1", p="@2"), "p: 4302"),  # p comes first
-                    ('{"a": [0, {"b": @2}], "c": @1}', "a[1].b: 4302"),
-                    ("@2", "top level: 4302"),
-                    # a key is one line and at most 40 characters; at most 8 parts
-                    ('{"a\\nerror: x": {"b c": [@1]}}', "['a\\nerror: x']['b c'][0]: 4301"),
-                    ('{"%s": @1}' % ("k" * 41), f"['{'k' * 40}'...]: 4301"),
-                    ('{"%s": @1}' % ("k" * 40), f"{'k' * 40}: 4301"),
-                    ('{"\u00e9": [@1]}', "['\u00e9'][0]: 4301"),
-                    ("[" * 9 + "@1" + "]" * 9, "[0][0][0][0][...][0][0][0][0]: 4301"),
-                    ("[" * 8 + "@1" + "]" * 8, "[0][0][0][0][0][0][0][0]: 4301")):
+            for text, want in ((scalar_doc(["@1", "@2"]), "coeffs[0][0][0]: 4301"),
+                               (scalar_doc(["1"], coeffs="@1", p="@2"), "p: 4302"),
+                               (scalar_doc(["1"], kind="@1"), "kind: 4301")):
                 text = text.replace('"@1"', "9" * 4301).replace('"@2"', "9" * 4302)
-                text = text.replace("@1", "9" * 4301).replace("@2", "9" * 4302)
                 with pytest.raises(MaskFileError) as err:
                     maskfile.parse(text)
                 assert str(err.value) == (f"{want} digits, over the limit of 4300 digits "
@@ -140,6 +136,26 @@ class TestStrictFields:
                 with pytest.raises(MaskFileError) as oracle_err:
                     maskfile_oracle.parse(text)
                 assert str(oracle_err.value) == str(err.value)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_over_limit_integer_the_schema_does_not_read_is_ignored(self):
+        """An integer over the limit under a key that the schema does not read,
+        or under a key that a later duplicate replaces, is dropped with it, as
+        JSON's last-wins rule drops any other duplicate: the file parses as it
+        does without that key, in the package and in the oracle."""
+        big = "9" * 4301
+        plain = scalar_doc(["1/2", "1", "1/2"])
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            want = maskfile.parse(plain)
+            for text in (plain[:-1] + f', "note": [{{"x": {big}}}]}}',
+                         '{"support_lo": %s, %s' % (big, plain[1:]),
+                         plain.replace('"support_lo": 0', f'"support_lo": -{big}, "support_lo": 0')):
+                assert big in text
+                assert maskfile.parse(text) == want
+                assert maskfile_oracle.parse(text) == want
         finally:
             sys.set_int_max_str_digits(old)
 

@@ -17,9 +17,8 @@ def test_rules_name_each_fault():
     assert call(0, "", "Traceback (most recent call last):").faults() == ["Traceback"]
     assert hostile.Call("x.mask", ("show", "x.mask"), -9, 0.0, 0.0, "", "", True).faults() == [
         f"killed after {hostile.WALL_SECONDS} s", "exit -9"]
-    assert call(1, "error: x\n").notes() == []
     assert call(1, "error: Exceeds the limit (4300 digits) for integer string conversion; use "
-                   "sys.set_int_max_str_digits() to increase the limit\n").notes() == [
+                   "sys.set_int_max_str_digits() to increase the limit\n").faults() == [
         "the interpreter's digit-limit text"]
 
 
@@ -30,25 +29,36 @@ def test_a_call_past_the_deadline_is_killed(monkeypatch, tmp_path):
 
 
 def test_digit_limit_documents_are_refused_by_name():
-    """A support_lo one digit past the limit is refused in every command by
-    its field; at the limit it parses, and render names the index of t beyond
-    the float range by its digit count."""
-    calls = hostile.run(["support-at-limit.mask", "support-past-limit.mask"])
-    assert [c.faults() for c in calls] == [[]] * 8
-    past = {c.argv[0]: c.stderr for c in calls if c.document == "support-past-limit.mask"}
-    assert set(past.values()) == {"error: support_lo: 4301 digits, over the limit of 4300 "
-                                  "digits for integer strings\n"}
-    assert [c.notes() for c in calls if c.document == "support-past-limit.mask"] == [[]] * 4
-    render, = (c for c in calls if c.document == "support-at-limit.mask" and c.argv[0] == "render")
-    assert (render.code, render.stderr) == (1, "error: t at an index of 4303 digits is beyond "
-                                               "the float range; render it with --exact\n")
+    """A support_lo of the limit's digits, of either sign, or one digit past
+    it is refused in every command by its field; one digit short of the limit
+    it parses, render names the index of t beyond the float range by its
+    digit count, and smooth refuses to write a support end at the limit."""
+    calls = hostile.run(["support-below-limit.mask", "support-at-limit.mask",
+                         "support-at-limit-negative.mask", "support-past-limit.mask"])
+    assert [c.faults() for c in calls] == [[]] * 16
+    refused = {c.document: {d.stderr for d in calls if d.document == c.document}
+               for c in calls if c.document != "support-below-limit.mask"}
+    at = "error: support_lo: 4300 digits, at the limit of 4300 digits for integer strings\n"
+    assert refused == {
+        "support-at-limit.mask": {at}, "support-at-limit-negative.mask": {at},
+        "support-past-limit.mask": {"error: support_lo: 4301 digits, over the limit of 4300 "
+                                    "digits for integer strings\n"}}
+    below = {c.argv[0]: c for c in calls if c.document == "support-below-limit.mask"}
+    assert below["show"].code == below["certify"].code == 0
+    assert (below["render"].code, below["render"].stderr) == (
+        1, "error: t at an index of 4302 digits is beyond the float range; render it with "
+           "--exact\n")
+    assert below["smooth"].code == 1 and below["smooth"].stderr.endswith(
+        "\nerror: support_lo: 4300 digits, at the limit of 4300 digits for integer strings, "
+        "which a mask file cannot hold\n")
 
 
 def test_over_limit_integer_after_a_wide_document_is_named_in_bounded_memory():
-    """The refusal formats the path of the literal it names and no other: a
-    100,000-character key over 900 nested lists of 10**6 zeros costs each
-    child tens of MB, where a path per value would pass the 1 GiB limit."""
+    """One parse of a 100,000-character key over 900 nested lists of 10**6
+    zeros, then an over-limit integer under a key that the schema does not
+    read, costs each child tens of MB and refuses the file by its missing
+    schema_version."""
     calls = hostile.run(["long-key-wide-list.mask"])
     assert [(c.faults(), c.stderr) for c in calls] == [
-        ([], "error: z: 4301 digits, over the limit of 4300 digits for integer strings\n")] * 4
+        ([], "error: schema_version: expected 1, got None\n")] * 4
     assert max(c.rss_mb for c in calls) < 200
